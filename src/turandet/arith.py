@@ -7,6 +7,7 @@ are not reported as strict violations.
 """
 from __future__ import annotations
 
+import math
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Union
@@ -52,6 +53,8 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ParamError(f"{value!r} is not a finite number")
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -59,8 +62,9 @@ def to_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError):
             try:
                 return Fraction(Decimal(value))
-            except (InvalidOperation, ValueError) as exc:
-                raise ParamError(f"cannot parse {value!r} as a rational") from exc
+            except (InvalidOperation, ValueError, OverflowError) as exc:
+                # OverflowError: "Infinity"; ValueError: "NaN"
+                raise ParamError(f"cannot parse {value!r} as a finite rational") from exc
     if isinstance(value, (list, tuple)) and len(value) == 2:
         num, den = value
         if isinstance(num, int) and isinstance(den, int) and den != 0:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamError
-from .recurrence import orthonormal_offdiag
+from .recurrence import _rows, orthonormal_offdiag
+from .turan import _dets
 
 __all__ = [
     "DensityEstimate",
@@ -38,15 +39,7 @@ def orthonormal_turan(a, n: int, x: float) -> float:
         raise ParamError("orthonormal_turan needs n >= 1")
     if len(a) < n + 1:
         raise ParamError(f"need off-diagonals up to a_{n + 1}, got {len(a)}")
-    x = float(x)
-    p_prev, p = 1.0, x / a[0]
-    d_n = None
-    for k in range(1, n + 1):
-        p_next = (x * p - a[k - 1] * p_prev) / a[k]
-        if k == n:
-            d_n = p * p - p_prev * p_next
-        p_prev, p = p, p_next
-    return float(d_n)
+    return float(_orthonormal_dets(a, float(x), {n})[n])
 
 
 def default_density_grid(points: int = DEFAULT_POINTS, edge: float = DEFAULT_EDGE) -> np.ndarray:
@@ -58,19 +51,9 @@ def default_density_grid(points: int = DEFAULT_POINTS, edge: float = DEFAULT_EDG
     return np.linspace(-edge, edge, points)
 
 
-def _turan_pair(a: np.ndarray, N: int, xs: np.ndarray):
-    """(Delta_{N-1}, Delta_N) for all xs in one vectorized sweep."""
-    p_prev = np.ones_like(xs)
-    p = xs / a[0]
-    d_before = d_at = None
-    for k in range(1, N + 1):
-        p_next = (xs * p - a[k - 1] * p_prev) / a[k]
-        if k == N - 1:
-            d_before = p * p - p_prev * p_next
-        elif k == N:
-            d_at = p * p - p_prev * p_next
-        p_prev, p = p, p_next
-    return d_before, d_at
+def _orthonormal_dets(a, x, degrees) -> dict:
+    """{n: Delta_n(x)} for n in ``degrees``; the recurrence with alpha_k = a_k, gamma_k = a_{k+1}."""
+    return dict(_dets(_rows([0.0, *a], a, x, max(degrees) + 1, 1.0), degrees))
 
 
 @dataclass(frozen=True)
@@ -145,7 +128,8 @@ def estimate_density(family, N: int = DEFAULT_N, xs=None, *,
             "the limit formula may not apply", stacklevel=2)
     bv = float(np.abs(np.diff(a[:N])).sum())
 
-    d_before, d_at = _turan_pair(a, N, grid)
+    dets = _orthonormal_dets(a, grid, {N - 1, N})
+    d_before, d_at = dets[N - 1], dets[N]
     f = d_at
     valid = f > 0
     dens = np.full_like(f, math.nan)

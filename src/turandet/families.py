@@ -7,6 +7,7 @@ alpha_n = 1/2 - A*delta_n, gamma_n = 1/2 + G*delta_n carry that shape in
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -284,6 +285,10 @@ def table_family(alphas: Sequence, gammas: Sequence, name: str = "Table") -> Coe
     else:
         al = tuple(float(v) if isinstance(v, float) else float(to_fraction(v)) for v in alphas)
         ga = tuple(float(v) if isinstance(v, float) else float(to_fraction(v)) for v in gammas)
+        for label, table in (("alpha", al), ("gamma", ga)):
+            for n, v in enumerate(table):
+                if not math.isfinite(v):
+                    raise ParamError(f"{label}_{n} must be finite (got {v})")
     if al[0] != 0:
         raise ParamError(f"alpha_0 must be 0 by convention (got {al[0]})")
     for n, v in enumerate(al[1:], start=1):

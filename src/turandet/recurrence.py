@@ -8,6 +8,7 @@ orthonormal form all derive from that.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import threading
@@ -92,6 +93,27 @@ def coefficients(family, hi: int):
     return [family.alpha(n) for n in ns], [family.gamma(n) for n in ns]
 
 
+def _rows(al, ga, x, hi: int, one=1, start=None):
+    """Yield the rows p_n(x) of x*p_n = gamma_n*p_{n+1} + alpha_n*p_{n-1}, n <= hi.
+
+    ``al``, ``ga``, ``x`` and ``one`` share one number domain: Fractions,
+    floats, a float64 vector x, or mpfs used under the caller's workdps. Only
+    two rows are held. The stream starts at p_0 = one, p_1 = x/gamma_0;
+    ``start = (k, p_{k-1}, p_k)`` resumes it and yields p_{k+1} onward.
+    """
+    if start is None:
+        yield one
+        if hi < 1:
+            return
+        k, p_prev, p = 1, one, x / ga[0]
+        yield p
+    else:
+        k, p_prev, p = start
+    for n in range(k, hi):
+        p_prev, p = p, (x * p - al[n] * p_prev) / ga[n]
+        yield p
+
+
 def eval_polys(family, n_max: int, x, dps: int | None = None,
                digit_cap: int = DEFAULT_DIGIT_CAP) -> list:
     """Evaluate p_0(x)..p_{n_max}(x) by the forward recurrence.
@@ -103,46 +125,27 @@ def eval_polys(family, n_max: int, x, dps: int | None = None,
     """
     if n_max < 0:
         raise ParamError("n_max must be >= 0")
+    al, ga = coefficients(family, max(n_max - 1, 0))
     if dps is not None:
-        with mpmath.workdps(dps):
-            xm = to_mpf(x)
-            p = [mpmath.mpf(1)]
-            if n_max >= 1:
-                p.append(xm / to_mpf(family.gamma(0)))
-            for n in range(1, n_max):
-                nxt = (xm * p[n] - to_mpf(family.alpha(n)) * p[n - 1]) / to_mpf(family.gamma(n))
-                p.append(nxt)
+        conv, ctx = to_mpf, mpmath.workdps(dps)
+    else:
+        conv = Fraction if family.exact and is_exact(x) else float
+        ctx = contextlib.nullcontext()
+    with ctx:
+        p: list = []
+        for v in _rows([conv(c) for c in al], [conv(c) for c in ga], conv(x), n_max, conv(1)):
+            if exceeds_digit_cap(v, digit_cap):
+                break
+            p.append(v)
+        else:
             return p
-
-    if family.exact and is_exact(x):
-        xf = Fraction(x)
-        p: list = [Fraction(1)]
-        if n_max >= 1:
-            p.append(xf / family.gamma(0))
-        for n in range(1, n_max):
-            nxt = (xf * p[n] - family.alpha(n) * p[n - 1]) / family.gamma(n)
-            if exceeds_digit_cap(nxt, digit_cap):
-                # rational blow-up guard: finish in extended floats
-                with mpmath.workdps(EXTENDED_DPS):
-                    p = [to_mpf(v) for v in p]
-                    p.append(to_mpf(nxt))
-                    xm = to_mpf(xf)
-                    for m in range(n + 1, n_max):
-                        p.append((xm * p[m] - to_mpf(family.alpha(m)) * p[m - 1])
-                                 / to_mpf(family.gamma(m)))
-                return p
-            p.append(nxt)
-        return p
-
-    xx = float(x)
-    ga = [float(family.gamma(n)) for n in range(max(1, n_max))]
-    al = [0.0] + [float(family.alpha(n)) for n in range(1, n_max)]
-    pf = [1.0]
-    if n_max >= 1:
-        pf.append(xx / ga[0])
-    for n in range(1, n_max):
-        pf.append((xx * pf[n] - al[n] * pf[n - 1]) / ga[n])
-    return pf
+    # rational blow-up guard: finish in extended floats
+    with mpmath.workdps(EXTENDED_DPS):
+        p = [to_mpf(u) for u in (*p, v)]
+        k = len(p) - 1
+        p.extend(_rows([to_mpf(c) for c in al], [to_mpf(c) for c in ga], to_mpf(x), n_max,
+                       start=(k, p[k - 1], p[k])))
+    return p
 
 
 @dataclass(frozen=True)
@@ -265,17 +268,19 @@ class NormalizedFamily:
         if n == 0:
             return self.base.alpha(0)
         g = self.ratio(n - 1)
-        a = self.base.alpha(n)
-        if isinstance(g, mpmath.mpf) and is_exact(a):
-            a = to_mpf(a)
-        return a / g
+        if isinstance(g, mpmath.mpf):
+            # after a digit-cap fallback the ratios carry EXTENDED_DPS digits;
+            # dividing at the caller's default 53 bits would throw them away
+            with mpmath.workdps(EXTENDED_DPS):
+                return to_mpf(self.base.alpha(n)) / g
+        return self.base.alpha(n) / g
 
     def gamma_tilde(self, n: int):
         g = self.ratio(n)
-        c = self.base.gamma(n)
-        if isinstance(g, mpmath.mpf) and is_exact(c):
-            c = to_mpf(c)
-        return c * g
+        if isinstance(g, mpmath.mpf):
+            with mpmath.workdps(EXTENDED_DPS):
+                return to_mpf(self.base.gamma(n)) * g
+        return self.base.gamma(n) * g
 
     # --- CoefficientFamily duck-type ---
     @property

@@ -1,14 +1,16 @@
 """Turán determinants Delta_n(x) = p_n(x)^2 - p_{n-1}(x)*p_{n+1}(x) and grid scans.
 
-The scanner evaluates whole polynomial tables on a fixed symmetric grid in
-double precision, reports the per-degree grid minimum, and re-checks any
-minimum that sits inside a near-zero band with 50-digit arithmetic before
-calling it negative — sign near zero is the entire point of the exercise.
+The scanner streams the recurrence over a fixed symmetric grid in double
+precision, three rows at a time, so its memory stays flat in the degree. It
+keeps each degree's grid minimum, its abscissa and max|Delta_n|, and
+re-evaluates any minimum inside a near-zero band with 50-digit arithmetic;
+the sign of that confirmed value, up to its rounding bound, is the verdict —
+sign near zero is the entire point of the exercise. Only minima that were
+never confirmed are judged against the tolerance.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import mpmath
 import numpy as np
@@ -17,7 +19,9 @@ from .arith import EXTENDED_DPS, is_exact, to_mpf
 from .errors import ParamError
 from .recurrence import (
     ScalingSequence,
+    _rows,
     _sigma_callable,
+    coefficients,
     eval_polys,
     normalize,
 )
@@ -35,6 +39,10 @@ __all__ = [
 DEFAULT_GRID_POINTS = 2001
 DEFAULT_TOLERANCE = 1e-12
 CONFIRM_BAND = 1e-10
+# Digits of a confirm_dps evaluation not relied on: roundoff of the recurrence
+# over many steps and of the coefficient conversion. A confirmed value within
+# scale_n*10**(CONFIRM_GUARD_DIGITS - confirm_dps) of zero counts as zero.
+CONFIRM_GUARD_DIGITS = 10
 
 
 def turan_det(family, n: int, x, normalized: bool = True, dps: int | None = None):
@@ -84,9 +92,10 @@ class TuranReport:
     """Scan result: per-degree grid minima, ordered by n.
 
     min_value/argmin_x are raw double-precision grid values (bit-identical to
-    turan_det at the same point in float mode); the nonnegative verdict may
-    additionally rely on an extended-precision confirmation when the minimum
-    fell inside the near-zero band.
+    turan_det at the same point in float mode). The nonnegative verdict of a
+    minimum inside the near-zero band is the sign of its extended-precision
+    confirmation, up to that evaluation's rounding bound; every other minimum
+    is judged against ``tolerance``.
     """
 
     n_range: tuple[int, int]
@@ -130,73 +139,66 @@ class TuranReport:
             yield [e.n, repr(e.argmin_x), repr(e.min_value), e.nonnegative]
 
 
-def _coeff_lists(fam, hi: int):
-    """Coefficients 0..hi once, as given (Fractions stay exact for reuse)."""
-    al = [fam.alpha(n) for n in range(hi + 1)]
-    ga = [fam.gamma(n) for n in range(hi + 1)]
-    return al, ga
+def _dets(rows, degrees=None):
+    """(n, Delta_n) from a row stream p_0, p_1, ...: every n >= 1, or only ``degrees``."""
+    p_prev, p = next(rows), next(rows)
+    for n, p_next in enumerate(rows, start=1):
+        if degrees is None or n in degrees:
+            yield n, p * p - p_prev * p_next
+        p_prev, p = p, p_next
 
 
-def _poly_table(al_f: np.ndarray, ga_f: np.ndarray, xs: np.ndarray, n_hi: int) -> np.ndarray:
-    P = np.empty((n_hi + 1, xs.size))
-    P[0] = 1.0
-    if n_hi >= 1:
-        P[1] = xs / ga_f[0]
-    for n in range(1, n_hi):
-        P[n + 1] = (xs * P[n] - al_f[n] * P[n - 1]) / ga_f[n]
-    return P
+def _scaled(rows, sigma):
+    """The row stream sigma_n*p_n."""
+    return (r * s for r, s in zip(rows, sigma))
 
 
-def _confirm_at(al_src, ga_src, x: float, degrees: Sequence[int], dps: int,
-                sigma_src=None) -> dict:
-    """Recompute Delta_n (optionally sigma-scaled) at one x in mpmath."""
-    hi = max(degrees) + 1
-    out = {}
-    with mpmath.workdps(dps):
-        xm = mpmath.mpf(x)
-        p = [mpmath.mpf(1)]
-        if hi >= 1:
-            p.append(xm / to_mpf(ga_src[0]))
-        for n in range(1, hi):
-            p.append((xm * p[n] - to_mpf(al_src[n]) * p[n - 1]) / to_mpf(ga_src[n]))
-        if sigma_src is not None:
-            s = [to_mpf(sigma_src[n]) for n in range(hi + 1)]
-            p = [s[n] * p[n] for n in range(hi + 1)]
-        for n in degrees:
-            out[n] = p[n] * p[n] - p[n - 1] * p[n + 1]
-    return out
-
-
-def _scan_table(P: np.ndarray, xs: np.ndarray, n_max: int, tolerance: float,
-                al_src, ga_src, sigma_src=None, confirm_dps: int = EXTENDED_DPS):
-    """Shared minima/verdict pass over a ready polynomial table."""
+def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
+          confirm_dps: int, sigma_src=None, sigma_log_concave=None) -> TuranReport:
+    """Stream the float64 rows over the grid, keep min, argmin and max|Delta_n|
+    per degree, confirm the near-zero minima at confirm_dps digits, judge."""
+    xs = scan_grid(grid_points)
+    rows = _rows([float(v) for v in al_src], [float(v) for v in ga_src], xs, n_max + 1, 1.0)
+    if sigma_src is not None:
+        rows = _scaled(rows, [float(v) for v in sigma_src])
     mins, args, scales = [], [], []
-    for n in range(1, n_max + 1):
-        D = P[n] * P[n] - P[n - 1] * P[n + 1]
+    for _, D in _dets(rows):
         i = int(np.argmin(D))
         mins.append(float(D[i]))
         args.append(float(xs[i]))
         scales.append(max(1.0, float(np.max(np.abs(D)))))
 
     # group the near-zero minima by abscissa: one high-precision sweep per x
-    pending: dict[float, list[int]] = {}
-    for k, n in enumerate(range(1, n_max + 1)):
-        if abs(mins[k]) < CONFIRM_BAND * scales[k]:
-            pending.setdefault(args[k], []).append(n)
+    pending: dict[float, set[int]] = {}
+    for n, m, x, scale in zip(range(1, n_max + 1), mins, args, scales):
+        if abs(m) < CONFIRM_BAND * scale:
+            pending.setdefault(x, set()).add(n)
     confirmed: dict[int, float] = {}
-    for x, degrees in pending.items():
-        vals = _confirm_at(al_src, ga_src, x, degrees, confirm_dps, sigma_src)
-        for n, v in vals.items():
-            confirmed[n] = float(v)
+    if pending:
+        hi = max(max(degrees) for degrees in pending.values()) + 1
+        with mpmath.workdps(confirm_dps):
+            al = [to_mpf(v) for v in al_src[:hi]]
+            ga = [to_mpf(v) for v in ga_src[:hi]]
+            sigma = None if sigma_src is None else [to_mpf(v) for v in sigma_src[:hi + 1]]
+            for x, degrees in pending.items():
+                rows = _rows(al, ga, mpmath.mpf(x), max(degrees) + 1, mpmath.mpf(1))
+                if sigma is not None:
+                    rows = _scaled(rows, sigma)
+                confirmed.update((n, float(v)) for n, v in _dets(rows, degrees))
 
-    entries = []
-    for k, n in enumerate(range(1, n_max + 1)):
-        effective = confirmed.get(n, mins[k])
-        entries.append(TuranEntry(
-            n=n, min_value=mins[k], argmin_x=args[k],
-            nonnegative=bool(effective >= -tolerance * scales[k]),
-        ))
-    return tuple(entries)
+    rounding = 10.0 ** (CONFIRM_GUARD_DIGITS - confirm_dps)
+    entries = tuple(
+        TuranEntry(n=n, min_value=m, argmin_x=x, nonnegative=bool(
+            confirmed[n] >= -rounding * scale if n in confirmed
+            else m >= -tolerance * scale))
+        for n, m, x, scale in zip(range(1, n_max + 1), mins, args, scales))
+    return TuranReport(
+        n_range=(1, n_max),
+        grid=GridInfo("uniform+chebyshev", int(xs.size)),
+        per_n=entries,
+        tolerance=tolerance,
+        sigma_log_concave=sigma_log_concave,
+    )
 
 
 def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
@@ -204,26 +206,19 @@ def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
               confirm_dps: int = EXTENDED_DPS) -> TuranReport:
     """Scan Delta_1..Delta_{n_max} over the uniform+Chebyshev grid.
 
-    Verdict per degree: grid minimum >= -tolerance*scale_n with
-    scale_n = max(1, max|Delta_n| on the grid); minima inside the
-    1e-10*scale_n band are re-evaluated at 50 digits before the verdict.
+    The recurrence runs over the whole grid in float64, three rows at a time,
+    so memory stays flat in n_max. Verdict per degree, with scale_n =
+    max(1, max|Delta_n| on the grid): a grid minimum inside the
+    1e-10*scale_n band is re-evaluated at confirm_dps digits, and that
+    confirmed value decides, up to its rounding bound
+    scale_n*10**(CONFIRM_GUARD_DIGITS - confirm_dps); any other minimum is
+    nonnegative when it is >= -tolerance*scale_n.
     """
     if n_max < 1:
         raise ParamError("grid_scan needs n_max >= 1")
     fam = normalize(family, n_max + 1) if normalized else family
-    xs = scan_grid(grid_points)
-    al_src, ga_src = _coeff_lists(fam, n_max)
-    al_f = np.array([float(v) for v in al_src])
-    ga_f = np.array([float(v) for v in ga_src])
-    P = _poly_table(al_f, ga_f, xs, n_max + 1)
-    entries = _scan_table(P, xs, n_max, tolerance, al_src, ga_src,
-                          confirm_dps=confirm_dps)
-    return TuranReport(
-        n_range=(1, n_max),
-        grid=GridInfo("uniform+chebyshev", int(xs.size)),
-        per_n=entries,
-        tolerance=tolerance,
-    )
+    al_src, ga_src = coefficients(fam, n_max)
+    return _scan(al_src, ga_src, n_max, grid_points, tolerance, confirm_dps)
 
 
 def scaled_scan(family, sigma, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
@@ -232,13 +227,14 @@ def scaled_scan(family, sigma, n_max: int, grid_points: int = DEFAULT_GRID_POINT
     """Scan the sigma-scaled determinants (sigma_n*P_n)^2 - (sigma_{n-1}P_{n-1})(sigma_{n+1}P_{n+1}).
 
     Requires an already normalized family (alpha_n + gamma_n = 1); raises
-    ParamError otherwise. The report carries sigma_log_concave: when the
-    unscaled determinants are nonnegative, log-concavity of sigma is exactly
-    the condition for the scaled ones to stay nonnegative.
+    ParamError otherwise. Each row is scaled by sigma_n as it is made; the
+    verdict rule is grid_scan's. The report carries sigma_log_concave: when
+    the unscaled determinants are nonnegative, log-concavity of sigma is
+    exactly the condition for the scaled ones to stay nonnegative.
     """
     if n_max < 1:
         raise ParamError("scaled_scan needs n_max >= 1")
-    al_src, ga_src = _coeff_lists(family, n_max)
+    al_src, ga_src = coefficients(family, n_max)
     for n in range(n_max + 1):
         s = al_src[n] + ga_src[n]
         ok = (s == 1) if is_exact(s) else abs(float(s) - 1.0) <= 1e-12
@@ -251,20 +247,6 @@ def scaled_scan(family, sigma, n_max: int, grid_points: int = DEFAULT_GRID_POINT
     sigma_src = [sfn(n) for n in range(n_max + 2)]
     if any(not v > 0 for v in sigma_src):
         raise ParamError("scaling values must be positive")
-    log_concave = ScalingSequence(sfn).log_concave_up_to(n_max)
-
-    xs = scan_grid(grid_points)
-    al_f = np.array([float(v) for v in al_src])
-    ga_f = np.array([float(v) for v in ga_src])
-    P = _poly_table(al_f, ga_f, xs, n_max + 1)
-    s_f = np.array([float(v) for v in sigma_src])
-    S = P * s_f[:, None]
-    entries = _scan_table(S, xs, n_max, tolerance, al_src, ga_src,
-                          sigma_src=sigma_src, confirm_dps=confirm_dps)
-    return TuranReport(
-        n_range=(1, n_max),
-        grid=GridInfo("uniform+chebyshev", int(xs.size)),
-        per_n=entries,
-        tolerance=tolerance,
-        sigma_log_concave=log_concave,
-    )
+    return _scan(al_src, ga_src, n_max, grid_points, tolerance, confirm_dps,
+                 sigma_src=sigma_src,
+                 sigma_log_concave=ScalingSequence(sfn).log_concave_up_to(n_max))

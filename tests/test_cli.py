@@ -44,6 +44,14 @@ def test_alpha0_convention_violation_exits_two(capsys):
     assert "alpha_0 must be 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ['"Infinity"', '"-Infinity"', '"NaN"', "Infinity"])
+def test_non_finite_table_value_exits_two(capsys, bad):
+    spec = f'{{"kind": "Table", "alpha": [0, {bad}, 0.3, 0.4], "gamma": [1, 0.6, 0.5, 0.5]}}'
+    assert main(["check", "--family", spec, "--N", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
 def test_malformed_spec_exits_two(capsys):
     assert main(["check", "--family", "{not json", "--N", "10"]) == 2
     assert main(["check", "--family", "/nonexistent/path.json", "--N", "10"]) == 2

@@ -102,6 +102,14 @@ def test_table_validation():
         table_family([0, F(1, 4)], [F(1, 2), 0])
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_table_rejects_non_finite_values(bad):
+    with pytest.raises(ParamError, match="alpha_1 must be finite"):
+        table_family([0, bad, 0.3], [1.0, 0.5, 0.5])
+    with pytest.raises(ParamError, match="gamma_2 must be finite"):
+        table_family([0, 0.5, 0.3], [1.0, 0.5, bad])
+
+
 def test_table_exactness_detection():
     assert table_family([0, F(1, 4)], [F(1, 2), F(1, 2)]).exact
     assert table_family([0, "1/4"], ["1/2", "1/2"]).exact

@@ -7,6 +7,7 @@ import pytest
 
 from turandet import (
     CoefficientFamily,
+    NormalizedFamily,
     ParamError,
     NonpositiveRatio,
     TableRangeError,
@@ -28,6 +29,7 @@ from turandet import (
     scaled_polys,
     table_family,
 )
+from turandet.arith import EXTENDED_DPS
 
 
 def test_chebyshev_t_values_at_zero():
@@ -241,3 +243,13 @@ def test_gegenbauer_half_is_legendre():
     ag, gg = coefficients(g, 15)
     al, gl = coefficients(leg, 15)
     assert ag == al and gg == gl
+
+
+def test_normalized_coefficients_keep_extended_precision_after_fallback():
+    rs = ratios_at_one(example3(1), 120, digit_cap=60)
+    assert not rs.exact
+    nf = NormalizedFamily(example3(1), rs)
+    for n in range(1, 120):
+        a, g = nf.alpha_tilde(n), nf.gamma_tilde(n)  # outside any workdps
+        with mpmath.workdps(EXTENDED_DPS):
+            assert abs(a + g - 1) < mpmath.mpf("1e-45")

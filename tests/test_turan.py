@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -157,3 +158,30 @@ def test_confirmation_band_upgrades_tiny_float_noise():
     assert rep.all_nonnegative
     worst = min(e.min_value for e in rep.per_n)
     assert worst >= -1e-13  # raw float minima stay tiny for Legendre
+
+
+def test_confirmed_negatives_are_not_forgiven():
+    """The confirmed sign decides: from n = 707 on, the exact scaled value at
+    x = -1, -4/((2n+1)^2 (2n-1)(2n+3)), lies above -1e-12 and a tolerance
+    applied to the confirmed value would call it nonnegative."""
+    rep = scaled_scan(legendre(), lambda n: F(1, 2 * n + 1), 800)
+    assert [e.n for e in rep.per_n if e.nonnegative] == []
+    e = rep.entry(800)
+    assert abs(e.argmin_x) == 1.0
+    assert -1e-12 < e.min_value < 0
+
+
+@pytest.mark.parametrize("scan", [
+    lambda: grid_scan(legendre(), 2000, grid_points=1001),
+    lambda: scaled_scan(legendre(), lambda n: 2 * n + 1, 2000, grid_points=1001),
+], ids=["grid_scan", "scaled_scan"])
+def test_scan_memory_stays_flat_in_n_max(scan):
+    # a table of every row would take 2002 rows x 2002 abscissas x 8 B = 32 MB
+    tracemalloc.start()
+    try:
+        rep = scan()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_range == (1, 2000) and rep.grid.points == 2002
+    assert peak < 8e6
