@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamError
-from .recurrence import _rows, orthonormal_offdiag
-from .turan import _dets
+from .recurrence import _dets, _rows, orthonormal_offdiag
 
 __all__ = [
     "DensityEstimate",

@@ -114,6 +114,16 @@ def _rows(al, ga, x, hi: int, one=1, start=None):
         yield p
 
 
+def _dets(rows, degrees=None):
+    """(n, Delta_n) from the rows p_0, p_1, ...: every n >= 1, or only ``degrees``."""
+    rows = iter(rows)
+    p_prev, p = next(rows), next(rows)
+    for n, p_next in enumerate(rows, start=1):
+        if degrees is None or n in degrees:
+            yield n, p * p - p_prev * p_next
+        p_prev, p = p, p_next
+
+
 def eval_polys(family, n_max: int, x, dps: int | None = None,
                digit_cap: int = DEFAULT_DIGIT_CAP) -> list:
     """Evaluate p_0(x)..p_{n_max}(x) by the forward recurrence.

@@ -5,8 +5,9 @@ precision, three rows at a time, so its memory stays flat in the degree. It
 keeps each degree's grid minimum, its abscissa and max|Delta_n|, and
 re-evaluates any minimum inside a near-zero band with 50-digit arithmetic;
 the sign of that confirmed value, up to its rounding bound, is the verdict —
-sign near zero is the entire point of the exercise. Only minima that were
-never confirmed are judged against the tolerance.
+sign near zero is the entire point of the exercise. Minima that were never
+confirmed, and confirmed ones of families with double-precision coefficients,
+are judged against the tolerance.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from .arith import EXTENDED_DPS, is_exact, to_mpf
 from .errors import ParamError
 from .recurrence import (
     ScalingSequence,
+    _dets,
     _rows,
     _sigma_callable,
     coefficients,
@@ -41,7 +43,8 @@ DEFAULT_TOLERANCE = 1e-12
 CONFIRM_BAND = 1e-10
 # Digits of a confirm_dps evaluation not relied on: roundoff of the recurrence
 # over many steps and of the coefficient conversion. A confirmed value within
-# scale_n*10**(CONFIRM_GUARD_DIGITS - confirm_dps) of zero counts as zero.
+# scale_n*10**(CONFIRM_GUARD_DIGITS - digits) of zero counts as zero, where
+# digits is confirm_dps, or EXTENDED_DPS if fewer and a coefficient is an mpf.
 CONFIRM_GUARD_DIGITS = 10
 
 
@@ -56,8 +59,7 @@ def turan_det(family, n: int, x, normalized: bool = True, dps: int | None = None
     if n < 1:
         raise ParamError("turan_det needs n >= 1")
     fam = normalize(family, n + 1) if normalized else family
-    p = eval_polys(fam, n + 1, x, dps=dps)
-    return p[n] * p[n] - p[n - 1] * p[n + 1]
+    return dict(_dets(eval_polys(fam, n + 1, x, dps=dps), {n}))[n]
 
 
 def scan_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -94,8 +96,9 @@ class TuranReport:
     min_value/argmin_x are raw double-precision grid values (bit-identical to
     turan_det at the same point in float mode). The nonnegative verdict of a
     minimum inside the near-zero band is the sign of its extended-precision
-    confirmation, up to that evaluation's rounding bound; every other minimum
-    is judged against ``tolerance``.
+    confirmation, up to that evaluation's rounding bound, or up to
+    ``tolerance`` when a coefficient or sigma is a double; every other
+    minimum is judged against ``tolerance``.
     """
 
     n_range: tuple[int, int]
@@ -139,24 +142,33 @@ class TuranReport:
             yield [e.n, repr(e.argmin_x), repr(e.min_value), e.nonnegative]
 
 
-def _dets(rows, degrees=None):
-    """(n, Delta_n) from a row stream p_0, p_1, ...: every n >= 1, or only ``degrees``."""
-    p_prev, p = next(rows), next(rows)
-    for n, p_next in enumerate(rows, start=1):
-        if degrees is None or n in degrees:
-            yield n, p * p - p_prev * p_next
-        p_prev, p = p, p_next
-
-
 def _scaled(rows, sigma):
     """The row stream sigma_n*p_n."""
     return (r * s for r, s in zip(rows, sigma))
+
+
+def _confirm_tolerance(confirm_dps: int, tolerance: float, *sources) -> float:
+    """Relative bound under which a confirmed minimum counts as zero.
+
+    The confirmation removes only the roundoff of the scan, not the error
+    already in its inputs: with a double coefficient or sigma, Delta_n of the
+    rounded family is off by about an ulp, so ``tolerance`` still applies.
+    """
+    digits = confirm_dps
+    for v in (v for src in sources for v in src):
+        if isinstance(v, mpmath.mpf):
+            digits = min(digits, EXTENDED_DPS)
+        elif not is_exact(v):
+            return tolerance
+    return 10.0 ** (CONFIRM_GUARD_DIGITS - digits)
 
 
 def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
           confirm_dps: int, sigma_src=None, sigma_log_concave=None) -> TuranReport:
     """Stream the float64 rows over the grid, keep min, argmin and max|Delta_n|
     per degree, confirm the near-zero minima at confirm_dps digits, judge."""
+    if confirm_dps <= CONFIRM_GUARD_DIGITS:
+        raise ParamError(f"confirm_dps must exceed {CONFIRM_GUARD_DIGITS} guard digits")
     xs = scan_grid(grid_points)
     rows = _rows([float(v) for v in al_src], [float(v) for v in ga_src], xs, n_max + 1, 1.0)
     if sigma_src is not None:
@@ -186,10 +198,10 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
                     rows = _scaled(rows, sigma)
                 confirmed.update((n, float(v)) for n, v in _dets(rows, degrees))
 
-    rounding = 10.0 ** (CONFIRM_GUARD_DIGITS - confirm_dps)
+    confirm_tol = _confirm_tolerance(confirm_dps, tolerance, al_src, ga_src, sigma_src or ())
     entries = tuple(
         TuranEntry(n=n, min_value=m, argmin_x=x, nonnegative=bool(
-            confirmed[n] >= -rounding * scale if n in confirmed
+            confirmed[n] >= -confirm_tol * scale if n in confirmed
             else m >= -tolerance * scale))
         for n, m, x, scale in zip(range(1, n_max + 1), mins, args, scales))
     return TuranReport(
@@ -211,8 +223,10 @@ def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
     max(1, max|Delta_n| on the grid): a grid minimum inside the
     1e-10*scale_n band is re-evaluated at confirm_dps digits, and that
     confirmed value decides, up to its rounding bound
-    scale_n*10**(CONFIRM_GUARD_DIGITS - confirm_dps); any other minimum is
-    nonnegative when it is >= -tolerance*scale_n.
+    scale_n*10**(CONFIRM_GUARD_DIGITS - confirm_dps) when every coefficient
+    is exact or extended precision, and up to tolerance*scale_n when one is
+    a double; any other minimum is nonnegative when it is
+    >= -tolerance*scale_n. confirm_dps must exceed CONFIRM_GUARD_DIGITS.
     """
     if n_max < 1:
         raise ParamError("grid_scan needs n_max >= 1")

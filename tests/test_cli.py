@@ -144,6 +144,12 @@ def test_float_mode_coerces(capsys):
     assert "/" not in str(step["witness"][0])  # floats, not rationals
 
 
+def test_float_mode_scan_stays_nonnegative(capsys):
+    assert main(["scan", "--family", "Legendre", "--n-max", "300", "--mode", "float",
+                 "--reproducible"]) == 0
+    assert _json_out(capsys)["all_nonnegative"] is True
+
+
 def test_float_mode_boundary_tight_y_route_flips(capsys):
     """Example-3's y-increments equal 1 exactly; the y-transform amplifies
     coefficient rounding past the margin, so float mode may honestly report

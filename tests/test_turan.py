@@ -9,6 +9,7 @@ from turandet import (
     ParamError,
     chebyshev_t,
     chebyshev_u,
+    float_view,
     grid_scan,
     legendre,
     normalize,
@@ -169,6 +170,25 @@ def test_confirmed_negatives_are_not_forgiven():
     e = rep.entry(800)
     assert abs(e.argmin_x) == 1.0
     assert -1e-12 < e.min_value < 0
+
+
+@pytest.mark.parametrize("family, n_max", [
+    (lambda: float_view(legendre()), 300),
+    (lambda: table_family([0, 0.3, 0.4, 0.45], [1.0, 0.7, 0.6, 0.55]), 3),
+], ids=["float_view-Legendre", "float-Table"])
+def test_double_coefficients_keep_the_tolerance_on_confirmed_minima(family, n_max):
+    """Delta_n(-1) = 0 for the exact family; rounding the coefficients to
+    doubles moves it by about an ulp either way, and confirming that value at
+    50 digits does not make its sign meaningful."""
+    rep = grid_scan(family(), n_max)
+    assert rep.all_nonnegative
+    assert any(abs(e.argmin_x) == 1.0 for e in rep.per_n)
+
+
+def test_scan_rejects_confirm_dps_within_guard_digits():
+    with pytest.raises(ParamError, match="confirm_dps"):
+        grid_scan(legendre(), 10, confirm_dps=10)
+    assert grid_scan(legendre(), 10, confirm_dps=11).all_nonnegative
 
 
 @pytest.mark.parametrize("scan", [
