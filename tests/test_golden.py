@@ -1,4 +1,5 @@
-"""Golden outputs: scans, a scaled scan, density and eval_polys, byte for byte.
+"""Golden outputs: check, lambda, ratios, scans, a scaled scan, density and
+eval_polys, byte for byte.
 
 Each case renders one output as text and compares it with the file of the
 same name under tests/golden. Refresh the files only for an intended change
@@ -34,6 +35,26 @@ def _cli(*argv):
     return buf.getvalue()
 
 
+# (spec, N) of the check/lambda/ratios cases: Pollaczek(2, 1) carries a
+# Corollary1 shape, Legendre's YRoute is an InvalidLambda error report,
+# ChebyshevT is Violated, the table's g_1 = -1/5 makes SzwTheorem1 an error
+# report, and Example3(1/3) passes its digit-cap fallback at N = 990.
+CRITERIA_FAMILIES = {
+    "example3": (FAMILIES["example3"], 60),
+    "pollaczek": (FAMILIES["pollaczek"], 60),
+    "legendre": (FAMILIES["legendre"], 60),
+    "chebyshev_t": ('{"kind": "ChebyshevT"}', 60),
+    "nonpositive_table": ('{"kind": "Table", "alpha": [0, "3/5", "1/2", "1/2", "1/2", "1/2"], '
+                          '"gamma": [2, 1, 1, 1, 1, 1]}', 4),
+    "example3_third": ('{"kind": "Example3", "params": {"a": "1/3"}}', 1000),
+}
+
+
+def _criteria(command, kind, fmt, *extra):
+    spec, N = CRITERIA_FAMILIES[kind]
+    return lambda: _cli(command, "--family", spec, "--N", str(N), "--format", fmt, *extra)
+
+
 def _scan(kind, fmt):
     return lambda: _cli("scan", "--family", FAMILIES[kind], "--n-max", "300", "--format", fmt)
 
@@ -64,6 +85,12 @@ def _eval_polys():
 
 
 CASES = {
+    # ratios of the table stops at g_1 <= 0 with exit code 2 and no output
+    **{f"{command}_{kind}.{fmt}": _criteria(command, kind, fmt)
+       for command in ("check", "lambda", "ratios") for kind in CRITERIA_FAMILIES
+       for fmt in ("json", "csv") if (command, kind) != ("ratios", "nonpositive_table")},
+    **{f"check_example3_float.{fmt}": _criteria("check", "example3", fmt, "--mode", "float")
+       for fmt in ("json", "csv")},
     **{f"scan_{kind}.{fmt}": _scan(kind, fmt)
        for kind in FAMILIES for fmt in ("json", "csv")},
     "scaled_scan_legendre_2n+1.txt": _scaled_scan,
