@@ -43,11 +43,13 @@ from .families import (
     CorollaryShape,
     FamilySpec,
     build,
+    certified,
     chebyshev_t,
     chebyshev_u,
     classify,
     corollary1_family,
     corollary2_family,
+    criterion_reports,
     example2,
     example3,
     example4,
@@ -97,7 +99,7 @@ __all__ = [
     "FAMILY_KINDS", "FAMILY_INFO", "FamilySpec", "CorollaryShape", "build",
     "chebyshev_t", "chebyshev_u", "legendre", "gegenbauer", "pollaczek",
     "example2", "example3", "example4", "table_family", "corollary1_family",
-    "corollary2_family", "classify",
+    "corollary2_family", "criterion_reports", "certified", "classify",
     # density
     "DensityEstimate", "orthonormal_turan", "default_density_grid",
     "estimate_density",

@@ -17,25 +17,22 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .arith import format_number
-from .criteria import (
-    SZW_THEOREM1,
-    Y_ROUTE,
-    CriterionReport,
-    Verdict,
-    check_corollary1,
-    check_corollary2,
-    check_lambda_route,
-    check_szw_normalized,
-    check_theorem1,
-    check_y_route,
-    lambda_data,
-)
+from .arith import DEFAULT_MARGIN, format_number
+from .criteria import Verdict, lambda_data
 from .density import DEFAULT_N as DENSITY_DEFAULT_N
 from .density import default_density_grid, estimate_density
-from .errors import InvalidLambda, NonpositiveRatio, TuranError
-from .families import FAMILY_INFO, FAMILY_KINDS, FamilySpec, build, classify
-from .recurrence import float_view, normalize, ratio_sandwich
+from .errors import TableRangeError, TuranError
+from .families import (
+    FAMILY_INFO,
+    FAMILY_KINDS,
+    FamilySpec,
+    _materialize,
+    _route_reports,
+    build,
+    certified,
+    criterion_reports,
+)
+from .recurrence import float_view, ratio_sandwich
 from .turan import DEFAULT_GRID_POINTS, DEFAULT_TOLERANCE, grid_scan
 
 __all__ = ["RunConfig", "run", "main"]
@@ -102,10 +99,6 @@ def _family_echo(family):
                        for k, v in family.params.items()}}
 
 
-def _error_report(criterion: str, N: int, message: str) -> CriterionReport:
-    return CriterionReport(criterion, N, (), Verdict.INCONCLUSIVE, {"error": message})
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -128,8 +121,14 @@ def _emit_csv(rows, cfg: RunConfig) -> None:
     _emit(buf.getvalue(), cfg.output)
 
 
-def _margin_kw(cfg: RunConfig) -> dict:
-    return {} if cfg.tolerance is None else {"margin": cfg.tolerance}
+def _margin(cfg: RunConfig) -> float:
+    return DEFAULT_MARGIN if cfg.tolerance is None else cfg.tolerance
+
+
+# Per command: highest coefficient index read, less its --N (--n-max for scan),
+# and the smallest N it accepts.
+_TABLE_REACH = {"check": (1, 2), "lambda": (1, 1), "ratios": (0, 1), "scan": (0, 1),
+                "density": (1, 10)}
 
 
 def _cmd_families(cfg: RunConfig) -> int:
@@ -146,34 +145,13 @@ def _cmd_families(cfg: RunConfig) -> int:
 def _cmd_check(cfg: RunConfig) -> int:
     family = _apply_mode(_load_family(cfg.family_spec), cfg.mode)
     N = cfg.N
-    mk = _margin_kw(cfg)
-
-    reports = [check_theorem1(family, N, **mk)]
-    try:
-        reports.append(check_szw_normalized(normalize(family, N), N, **mk))
-    except NonpositiveRatio as exc:
-        reports.append(_error_report(SZW_THEOREM1, N, str(exc)))
-    reports.append(check_lambda_route(family, N, **mk))
-    try:
-        reports.append(check_y_route(family, N, **mk))
-    except InvalidLambda as exc:
-        reports.append(_error_report(Y_ROUTE, N, str(exc)))
-
-    shape = family.meta.get("corollary1")
-    if shape is not None:
-        reports.append(check_corollary1(shape.alpha_const, shape.gamma_const,
-                                        shape.delta, N, family=family, **mk))
-    shape = family.meta.get("corollary2")
-    if shape is not None:
-        reports.append(check_corollary2(shape.alpha_const, shape.gamma_const,
-                                        shape.delta, N, family=family, **mk))
-
+    reports = criterion_reports(family, N, _margin(cfg))
     payload = {
         "command": "check",
         "family": _family_echo(family),
         "N": N,
         "criteria": [r.to_json() for r in reports],
-        "certified": classify(family, N),
+        "certified": certified(reports),
     }
     if "unchecked" in family.meta:
         payload["notes"] = {"unchecked": family.meta["unchecked"]}
@@ -210,7 +188,7 @@ def _cmd_scan(cfg: RunConfig) -> int:
 
 def _cmd_ratios(cfg: RunConfig) -> int:
     family = _apply_mode(_load_family(cfg.family_spec), cfg.mode)
-    rows = ratio_sandwich(family, cfg.N, **_margin_kw(cfg))
+    rows = ratio_sandwich(family, cfg.N, _margin(cfg))
     ok = all(r.lower_ok and r.upper_ok for r in rows)
     if cfg.format == "csv":
         out = [["n", "g", "upper", "lower_ok", "upper_ok", "gamma_step_decreasing"]]
@@ -235,13 +213,9 @@ def _cmd_ratios(cfg: RunConfig) -> int:
 
 def _cmd_lambda(cfg: RunConfig) -> int:
     family = _apply_mode(_load_family(cfg.family_spec), cfg.mode)
-    data = lambda_data(family, cfg.N)
-    mk = _margin_kw(cfg)
-    reports = [check_lambda_route(family, cfg.N, **mk)]
-    try:
-        reports.append(check_y_route(family, cfg.N, **mk))
-    except InvalidLambda as exc:
-        reports.append(_error_report(Y_ROUTE, cfg.N, str(exc)))
+    table = _materialize(family, cfg.N)
+    data = lambda_data(table, cfg.N)
+    reports = _route_reports(table, data, _margin(cfg))
     if cfg.format == "csv":
         out = [["n", "u", "v", "lambda", "y", "valid"]]
         for row in data.rows():
@@ -292,6 +266,14 @@ def run(cfg: RunConfig) -> int:
         return 2
     try:
         return _COMMANDS[cfg.command](cfg)
+    except TableRangeError as exc:
+        flag = "--n-max" if cfg.command == "scan" else "--N"
+        reach, least = _TABLE_REACH[cfg.command]
+        largest = exc.size - 1 - reach
+        advice = (f"the largest valid {flag} for {cfg.command} is {largest}" if largest >= least
+                  else f"{cfg.command} needs at least {least + reach + 1}")
+        print(f"error: the coefficient table has {exc.size} entries; {advice}", file=sys.stderr)
+        return 2
     except (TuranError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,8 +27,8 @@ from .arith import (
     less_equal,
     strictly_less,
 )
-from .errors import InvalidLambda, ParamError, StructuralMismatch, TableRangeError
-from .recurrence import coefficients
+from .errors import InvalidLambda, ParamError, StructuralMismatch
+from .recurrence import _table, coefficients
 
 __all__ = [
     "Verdict",
@@ -246,9 +246,8 @@ def check_szw_normalized(nf, N: int, margin: float = DEFAULT_MARGIN) -> Criterio
     """
     if N < 1:
         raise ParamError("check_szw_normalized needs N >= 1")
-    alpha_t = nf.alpha_tilde if hasattr(nf, "alpha_tilde") else nf.alpha
-    at = [alpha_t(n) for n in range(N + 1)]
-    exact = nf.exact  # read after evaluation: a digit-cap fallback may have flipped it
+    at = [nf.alpha(n) for n in range(N + 1)]
+    exact = nf.exact
     half = _half(exact)
 
     mono = _Cond("alpha-tilde-nondecreasing")
@@ -277,14 +276,7 @@ class DeltaSeq:
 
     @classmethod
     def from_values(cls, values: Sequence[Num], limit: Num | None = None) -> "DeltaSeq":
-        vals = tuple(values)
-
-        def at(n: int, _v=vals):
-            if not 0 <= n < len(_v):
-                raise TableRangeError(n, len(_v))
-            return _v[n]
-
-        return cls(at, limit)
+        return cls(_table(values), limit)
 
 
 def as_delta(obj) -> DeltaSeq:
@@ -495,9 +487,13 @@ def check_lambda_route(family, N: int, margin: float = DEFAULT_MARGIN) -> Criter
     """
     if N < 1:
         raise ParamError("check_lambda_route needs N >= 1")
-    exact = family.exact
-    al, ga = coefficients(family, N + 1)
-    ld = lambda_data(family, N)
+    return _lambda_route(family, lambda_data(family, N), margin)
+
+
+def _lambda_route(family, ld: LambdaData, margin: float) -> CriterionReport:
+    """check_lambda_route on the step data ``ld`` of ``family``."""
+    N, exact = ld.N, family.exact
+    al, ga = coefficients(family, N)
     half = _half(exact)
     zero = Fraction(0) if exact else 0.0
 
@@ -546,10 +542,13 @@ def check_y_route(family, N: int, margin: float = DEFAULT_MARGIN) -> CriterionRe
     when the increments sit on the boundary."""
     if N < 1:
         raise ParamError("check_y_route needs N >= 1")
-    exact = family.exact
-    ld = lambda_data(family, N)
-    for n in range(N + 1):
-        ln = ld.lam[n]
+    return _y_route(lambda_data(family, N), family.exact, margin)
+
+
+def _y_route(ld: LambdaData, exact: bool, margin: float) -> CriterionReport:
+    """check_y_route on the step data ``ld``."""
+    N = ld.N
+    for n, ln in enumerate(ld.lam):
         if ln is None or not 0 < ln < 1:
             raise InvalidLambda(n, ln)
     y = ld.y

@@ -1,9 +1,9 @@
-"""Builders for the named coefficient families, plus classification dispatch.
+"""Builders for the named coefficient families, plus the criterion dispatcher.
 
 Every builder returns an exact CoefficientFamily (Fraction coefficients).
 Families whose coefficients follow the shifted-constant shape
 alpha_n = 1/2 - A*delta_n, gamma_n = 1/2 + G*delta_n carry that shape in
-``meta`` so classify can run the matching corollary checker.
+``meta`` so criterion_reports can run the matching corollary checker.
 """
 from __future__ import annotations
 
@@ -12,27 +12,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .arith import Num, close_to, is_exact, to_fraction
+from .arith import DEFAULT_MARGIN, Num, close_to, is_exact, to_fraction
 from .criteria import (
-    COROLLARY1,
-    COROLLARY2,
+    CRITERION_NAMES,
     LAMBDA_ROUTE,
     SZW_THEOREM1,
     THEOREM1,
     THEOREM1_HYPOTHESES,
     Y_ROUTE,
+    CriterionReport,
     DeltaSeq,
+    LambdaData,
     Verdict,
+    _lambda_route,
+    _y_route,
     as_delta,
     check_corollary1,
     check_corollary2,
-    check_lambda_route,
     check_szw_normalized,
     check_theorem1,
-    check_y_route,
+    lambda_data,
 )
 from .errors import InvalidLambda, NonpositiveRatio, ParamError, TableRangeError
-from .recurrence import CoefficientFamily, normalize
+from .recurrence import CoefficientFamily, _table, coefficients, normalize
 
 __all__ = [
     "FAMILY_KINDS",
@@ -51,6 +53,8 @@ __all__ = [
     "table_family",
     "corollary1_family",
     "corollary2_family",
+    "criterion_reports",
+    "certified",
     "classify",
 ]
 
@@ -298,14 +302,7 @@ def table_family(alphas: Sequence, gammas: Sequence, name: str = "Table") -> Coe
         if not v > 0:
             raise ParamError(f"gamma_{n} must be positive (got {v})")
 
-    def at(table):
-        def fn(n: int, _t=table):
-            if not 0 <= n < len(_t):
-                raise TableRangeError(n, len(_t))
-            return _t[n]
-        return fn
-
-    return CoefficientFamily(name=name, alpha=at(al), gamma=at(ga), exact=exact,
+    return CoefficientFamily(name=name, alpha=_table(al), gamma=_table(ga), exact=exact,
                              params={"length": len(al)})
 
 
@@ -422,46 +419,73 @@ def build(spec: FamilySpec) -> CoefficientFamily:
     raise ParamError(f"unknown family kind {kind!r}")
 
 
-def classify(family, N: int) -> list[str]:
-    """Names of the criteria whose checkers certify the family up to N.
+def _materialize(family, N: int) -> CoefficientFamily:
+    """``family`` over finite tables of its coefficients 0..N+1, read once.
 
-    Routes (lambda/y) only certify together with the non-step conditions of
-    the main criterion, so they are gated on those; a corollary checker runs
-    only when the family carries the matching structural shape.
+    A negative N reads index 0 only, so the checker given N reports it.
     """
+    al, ga = coefficients(family, max(N + 1, 0))
+    return CoefficientFamily(name=family.name, alpha=_table(al), gamma=_table(ga),
+                             exact=family.exact, params=family.params, meta=family.meta)
+
+
+def _error_report(criterion: str, N: int, exc: Exception) -> CriterionReport:
+    return CriterionReport(criterion, N, (), Verdict.INCONCLUSIVE, {"error": str(exc)})
+
+
+def _route_reports(table, ld: LambdaData, margin: float) -> list[CriterionReport]:
+    """LambdaRoute and YRoute reports, both from the one step data ``ld``."""
+    reports = [_lambda_route(table, ld, margin)]
+    try:
+        reports.append(_y_route(ld, table.exact, margin))
+    except InvalidLambda as exc:
+        reports.append(_error_report(Y_ROUTE, ld.N, exc))
+    return reports
+
+
+def criterion_reports(family, N: int, margin: float = DEFAULT_MARGIN) -> list[CriterionReport]:
+    """The report of every applicable checker up to N, each checker run once.
+
+    The coefficients are read once, up to index N+1, and every checker works
+    on that table. Order: Theorem1, SzwTheorem1, LambdaRoute, YRoute, then
+    the corollary whose shape the family carries in ``meta``. A nonpositive
+    ratio g_n or a step ratio lambda_n outside (0, 1) turns the SzwTheorem1 or
+    YRoute report into an Inconclusive one whose notes carry the error.
+    """
+    table = _materialize(family, N)
+    reports = [check_theorem1(table, N, margin)]
+    try:
+        reports.append(check_szw_normalized(normalize(table, N), N, margin))
+    except NonpositiveRatio as exc:
+        reports.append(_error_report(SZW_THEOREM1, N, exc))
+    reports += _route_reports(table, lambda_data(table, N), margin)
+
+    for key, check in (("corollary1", check_corollary1), ("corollary2", check_corollary2)):
+        shape = table.meta.get(key)
+        if shape is not None:
+            reports.append(check(shape.alpha_const, shape.gamma_const, shape.delta, N,
+                                 family=table, margin=margin))
+    return reports
+
+
+def certified(reports) -> list[str]:
+    """Names of the Satisfied criteria among ``reports``, in CRITERION_NAMES order.
+
+    The routes (lambda/y) only decide the step inequality, so they certify
+    only when the Theorem1 report among ``reports`` shows every other
+    condition of the main criterion (THEOREM1_HYPOTHESES) holding.
+    """
+    by_name = {r.criterion: r for r in reports}
+    t1 = by_name.get(THEOREM1)
+    hyp_ok = t1 is not None and all(t1.condition(lbl).holds is True
+                                    for lbl in THEOREM1_HYPOTHESES)
+    return [name for name in CRITERION_NAMES
+            if name in by_name and by_name[name].overall is Verdict.SATISFIED
+            and (hyp_ok or name not in (LAMBDA_ROUTE, Y_ROUTE))]
+
+
+def classify(family, N: int) -> list[str]:
+    """Names of the criteria whose checkers certify the family up to N."""
     if N < 2:
         raise ParamError("classify needs N >= 2")
-    out = []
-    t1 = check_theorem1(family, N)
-    if t1.overall is Verdict.SATISFIED:
-        out.append(THEOREM1)
-    hyp_ok = all(t1.condition(lbl).holds is True for lbl in THEOREM1_HYPOTHESES)
-
-    try:
-        if check_szw_normalized(normalize(family, N), N).overall is Verdict.SATISFIED:
-            out.append(SZW_THEOREM1)
-    except NonpositiveRatio:
-        pass
-
-    shape = family.meta.get("corollary1")
-    if shape is not None:
-        rep = check_corollary1(shape.alpha_const, shape.gamma_const, shape.delta, N,
-                               family=family)
-        if rep.overall is Verdict.SATISFIED:
-            out.append(COROLLARY1)
-    shape = family.meta.get("corollary2")
-    if shape is not None:
-        rep = check_corollary2(shape.alpha_const, shape.gamma_const, shape.delta, N,
-                               family=family)
-        if rep.overall is Verdict.SATISFIED:
-            out.append(COROLLARY2)
-
-    if hyp_ok:
-        if check_lambda_route(family, N).overall is Verdict.SATISFIED:
-            out.append(LAMBDA_ROUTE)
-        try:
-            if check_y_route(family, N).overall is Verdict.SATISFIED:
-                out.append(Y_ROUTE)
-        except InvalidLambda:
-            pass
-    return out
+    return certified(criterion_reports(family, N))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -83,6 +82,18 @@ def float_view(family) -> CoefficientFamily:
         params=dict(family.params),
         meta=dict(family.meta),
     )
+
+
+def _table(values: Sequence[Num]) -> Callable[[int], Num]:
+    """Callable n -> values[n]; an index outside the table raises TableRangeError."""
+    vals = tuple(values)
+
+    def at(n: int):
+        if not 0 <= n < len(vals):
+            raise TableRangeError(n, len(vals))
+        return vals[n]
+
+    return at
 
 
 def coefficients(family, hi: int):
@@ -179,44 +190,37 @@ def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSe
     """g_0..g_{N-1} where g_0 = 1/gamma_0 and g_n = (1 - alpha_n/g_{n-1})/gamma_n.
 
     Raises NonpositiveRatio as soon as some g_n <= 0 (normalization at 1 is
-    then impossible past that index).
+    then impossible past that index). An exact g_n past ``digit_cap`` digits
+    switches the rest of the run to EXTENDED_DPS-digit mpfs, and the result
+    is flagged inexact.
     """
     if N < 1:
         raise ParamError("N must be >= 1")
-    exact = family.exact
     values: list = []
-    g = 1 / family.gamma(0)
-    n = 0
-    while True:
-        if not g > 0:
-            raise NonpositiveRatio(n, g)
-        if exact and exceeds_digit_cap(g, digit_cap):
-            # finish in extended-precision floats, flag the result inexact
-            with mpmath.workdps(EXTENDED_DPS):
-                values = [to_mpf(v) for v in values]
-                gm = to_mpf(g)
-                while True:
-                    if not gm > 0:
-                        raise NonpositiveRatio(n, gm)
-                    values.append(gm)
-                    n += 1
-                    if n == N:
-                        return RatioSequence(tuple(values), False)
-                    gm = (1 - to_mpf(family.alpha(n)) / gm) / to_mpf(family.gamma(n))
-        values.append(g)
-        n += 1
-        if n == N:
-            return RatioSequence(tuple(values), exact)
-        g = (1 - family.alpha(n) / g) / family.gamma(n)
+    fallback = False
+    with mpmath.workdps(EXTENDED_DPS):  # only the mpfs of a fallback use it
+        g = 1 / family.gamma(0)
+        for n in range(N):
+            if n:
+                a, c = family.alpha(n), family.gamma(n)
+                if fallback:
+                    a, c = to_mpf(a), to_mpf(c)
+                g = (1 - a / g) / c
+            if not g > 0:
+                raise NonpositiveRatio(n, g)
+            if family.exact and exceeds_digit_cap(g, digit_cap):
+                values, g, fallback = [to_mpf(v) for v in values], to_mpf(g), True
+            values.append(g)
+    return RatioSequence(tuple(values), family.exact and not fallback)
 
 
 class NormalizedFamily:
     """View of a family rescaled so every polynomial equals 1 at x = 1.
 
     alpha_tilde(n) = alpha_n/g_{n-1} and gamma_tilde(n) = gamma_n*g_n, which
-    makes alpha_tilde + gamma_tilde = 1 identically. The ratio cache extends
-    lazily on demand; extension is lock-guarded, so concurrent readers are
-    safe and see the same values.
+    makes alpha_tilde + gamma_tilde = 1 identically. Built from the ratios
+    g_0..g_{N-1}, it defines alpha_tilde for n <= N and gamma_tilde for n < N;
+    reading past them raises TableRangeError.
 
     Duck-types CoefficientFamily (.alpha/.gamma/.exact/...), so every
     evaluation helper in this module accepts it directly.
@@ -224,55 +228,11 @@ class NormalizedFamily:
 
     def __init__(self, base: CoefficientFamily, ratios: RatioSequence):
         self.base = base
-        self._g: list = list(ratios.values)
-        self._exact = bool(ratios.exact and base.exact)
-        self._lock = threading.Lock()
-
-    @property
-    def name(self) -> str:
-        return f"{self.base.name}:normalized"
-
-    @property
-    def params(self) -> Mapping[str, object]:
-        return self.base.params
-
-    @property
-    def meta(self) -> Mapping[str, object]:
-        return {}
-
-    @property
-    def exact(self) -> bool:
-        return self._exact
-
-    def ratio(self, n: int):
-        """g_n, extending the cache if needed."""
-        if n < 0:
-            raise ParamError("ratio index must be >= 0")
-        if n >= len(self._g):
-            with self._lock:
-                self._extend(n)
-        return self._g[n]
-
-    def _extend(self, n: int) -> None:
-        # called under self._lock
-        k = len(self._g)
-        g = self._g[-1]
-        while k <= n:
-            a, c = self.base.alpha(k), self.base.gamma(k)
-            if isinstance(g, mpmath.mpf):
-                with mpmath.workdps(EXTENDED_DPS):
-                    g = (1 - to_mpf(a) / g) / to_mpf(c)
-            else:
-                g = (1 - a / g) / c
-            if not g > 0:
-                raise NonpositiveRatio(k, g)
-            if self._exact and exceeds_digit_cap(g):
-                with mpmath.workdps(EXTENDED_DPS):
-                    self._g = [to_mpf(v) for v in self._g]
-                    g = to_mpf(g)
-                self._exact = False
-            self._g.append(g)
-            k += 1
+        self.ratio = _table(ratios.values)
+        self.exact = bool(ratios.exact and base.exact)
+        self.name = f"{base.name}:normalized"
+        self.params: Mapping[str, object] = base.params
+        self.meta: Mapping[str, object] = {}
 
     def alpha_tilde(self, n: int):
         if n == 0:
@@ -292,14 +252,9 @@ class NormalizedFamily:
                 return to_mpf(self.base.gamma(n)) * g
         return self.base.gamma(n) * g
 
-    # --- CoefficientFamily duck-type ---
-    @property
-    def alpha(self):
-        return self.alpha_tilde
-
-    @property
-    def gamma(self):
-        return self.gamma_tilde
+    # CoefficientFamily duck-type
+    alpha = alpha_tilde
+    gamma = gamma_tilde
 
 
 def normalize(family, N: int) -> NormalizedFamily:
@@ -333,14 +288,7 @@ class ScalingSequence:
 
     @classmethod
     def from_values(cls, values: Sequence[Num]) -> "ScalingSequence":
-        vals = tuple(values)
-
-        def at(n: int, _v=vals):
-            if not 0 <= n < len(_v):
-                raise TableRangeError(n, len(_v))
-            return _v[n]
-
-        return cls(at)
+        return cls(_table(values))
 
     def __call__(self, n: int):
         return self.sigma(n)

@@ -1,9 +1,11 @@
+import collections
 import csv
 import io
 import json
 
 import pytest
 
+from turandet import build, cli
 from turandet.cli import RunConfig, main, run
 
 EX3 = '{"kind": "Example3", "params": {"a": 1}}'
@@ -202,3 +204,60 @@ def test_run_config_direct():
                     grid_points=25, format="json", reproducible=True)
     assert run(cfg) == 0
     assert run(RunConfig(command="bogus")) == 2
+
+
+def test_certified_agrees_with_the_reports_under_tol(capsys):
+    """certified is derived from the listed reports, judged with the same --tol."""
+    code = main(["check", "--family", "Legendre", "--N", "600", "--mode", "float",
+                 "--tol", "1e-3", "--reproducible"])
+    payload = _json_out(capsys)
+    overall = {r["criterion"]: r["overall"] for r in payload["criteria"]}
+    assert overall["Theorem1"] == "Violated"
+    assert all(overall[name] == "Satisfied" for name in payload["certified"])
+    assert code == (1 if "Violated" in overall.values() else 0)
+
+
+@pytest.mark.parametrize("command, flag, largest", [
+    ("check", "--N", 3), ("lambda", "--N", 3), ("ratios", "--N", 4), ("scan", "--n-max", 4),
+])
+def test_table_too_short_names_the_largest_valid_n(capsys, command, flag, largest):
+    spec = ('{"kind": "Table", "alpha": [0, "1/8", "1/4", "5/16", "3/8"], '
+            '"gamma": [1, "3/4", "5/8", "9/16", "17/32"]}')
+    assert main([command, "--family", spec, flag, str(largest), "--reproducible"]) in (0, 1)
+    capsys.readouterr()
+    assert main([command, "--family", spec, flag, str(largest + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: the coefficient table has 5 entries; "
+                   f"the largest valid {flag} for {command} is {largest}\n")
+
+
+def test_table_too_short_for_any_check(capsys):
+    spec = '{"kind": "Table", "alpha": [0, "1/4", "1/4"], "gamma": ["3/4", "1/2", "1/2"]}'
+    assert main(["check", "--family", spec, "--N", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the coefficient table has 3 entries; check needs at least 4\n")
+
+
+@pytest.mark.parametrize("command", ["check", "lambda"])
+def test_each_coefficient_is_read_once(monkeypatch, capsys, command):
+    """check and lambda read every coefficient index of the family at most once."""
+    reads = collections.Counter()
+
+    def counted(kind, fn):
+        def at(n):
+            reads[kind, n] += 1
+            return fn(n)
+        return at
+
+    def build_counted(spec):
+        family = build(spec)
+        object.__setattr__(family, "alpha", counted("alpha", family.alpha))
+        object.__setattr__(family, "gamma", counted("gamma", family.gamma))
+        return family
+
+    monkeypatch.setattr(cli, "build", build_counted)
+    spec = '{"kind": "Pollaczek", "params": {"lambda": 2, "a": 1}}'
+    main([command, "--family", spec, "--N", "50", "--reproducible"])
+    capsys.readouterr()
+    assert set(reads) == {(kind, n) for kind in ("alpha", "gamma") for n in range(52)}
+    assert max(reads.values()) == 1

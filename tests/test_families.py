@@ -1,18 +1,23 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import monotone_ratio_table
 from turandet import (
     FAMILY_KINDS,
     DeltaSeq,
     FamilySpec,
     ParamError,
     build,
+    certified,
     chebyshev_u,
     classify,
     coefficients,
     corollary1_family,
     corollary2_family,
+    criterion_reports,
     example2,
     example3,
     example4,
@@ -204,3 +209,16 @@ def test_classify_corollary2_instance():
     d = DeltaSeq(lambda n: F(1, 5) / (n + 1), limit=0)
     names = classify(corollary2_family(2, 1, d), 60)
     assert "Corollary2" in names and "Theorem1" in names
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), steps=st.integers(min_value=3, max_value=10))
+def test_classify_is_certified_of_the_reports(seed, steps):
+    """classify runs the checkers once and certifies from their reports."""
+    family = monotone_ratio_table(random.Random(seed), steps)
+    N = steps - 1
+    reports = criterion_reports(family, N)
+    assert [r.criterion for r in reports] == ["Theorem1", "SzwTheorem1", "LambdaRoute", "YRoute"]
+    names = certified(reports)
+    assert classify(family, N) == names
+    satisfied = {r.criterion for r in reports if r.overall.value == "Satisfied"}
+    assert set(names) <= satisfied

@@ -107,6 +107,17 @@ def test_normalize_example3_tilde_values():
     assert nf.alpha_tilde(0) == 0
 
 
+def test_normalized_family_ends_with_its_ratios():
+    nf = normalize(example3(1), 5)  # g_0..g_4
+    assert nf.alpha_tilde(4) + nf.gamma_tilde(4) == 1 and nf.alpha_tilde(5) > 0
+    with pytest.raises(TableRangeError):
+        nf.gamma_tilde(5)
+    with pytest.raises(TableRangeError):
+        nf.alpha_tilde(6)
+    with pytest.raises(TableRangeError):
+        coefficients(nf, 5)
+
+
 def test_normalize_is_idempotent():
     nf = normalize(example3(1), 5)
     assert normalize(nf, 5) is nf
