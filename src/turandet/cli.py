@@ -26,13 +26,12 @@ from .families import (
     FAMILY_INFO,
     FAMILY_KINDS,
     FamilySpec,
-    _materialize,
     _route_reports,
     build,
     certified,
     criterion_reports,
 )
-from .recurrence import float_view, ratio_sandwich
+from .recurrence import _materialize, float_view, ratio_sandwich
 from .turan import DEFAULT_GRID_POINTS, DEFAULT_TOLERANCE, grid_scan
 
 __all__ = ["RunConfig", "run", "main"]
@@ -213,7 +212,7 @@ def _cmd_ratios(cfg: RunConfig) -> int:
 
 def _cmd_lambda(cfg: RunConfig) -> int:
     family = _apply_mode(_load_family(cfg.family_spec), cfg.mode)
-    table = _materialize(family, cfg.N)
+    table = _materialize(family, cfg.N + 1)
     data = lambda_data(table, cfg.N)
     reports = _route_reports(table, data, _margin(cfg))
     if cfg.format == "csv":

@@ -34,7 +34,7 @@ from .criteria import (
     lambda_data,
 )
 from .errors import InvalidLambda, NonpositiveRatio, ParamError, TableRangeError
-from .recurrence import CoefficientFamily, _table, coefficients, normalize
+from .recurrence import CoefficientFamily, _materialize, _table, normalize
 
 __all__ = [
     "FAMILY_KINDS",
@@ -134,30 +134,44 @@ def chebyshev_t() -> CoefficientFamily:
     )
 
 
+def _halved(c, d):
+    """n -> (n + c)/(2(n + d)) as one Fraction built from integers.
+
+    ``c >= 0`` and ``d > 0`` are ints or Fractions; each coefficient costs one
+    gcd instead of the several normalized Fractions of the closed form.
+    """
+    u, v, p, q = c.numerator, c.denominator, d.numerator, d.denominator
+    return lambda n: Fraction((n * v + u) * q, 2 * v * (n * q + p))
+
+
 def chebyshev_u() -> CoefficientFamily:
+    """alpha_n = n/(2(n+1)), gamma_n = (n+2)/(2(n+1))."""
     return CoefficientFamily(
         name="ChebyshevU",
-        alpha=lambda n: Fraction(n, 2 * (n + 1)),
-        gamma=lambda n: Fraction(n + 2, 2 * (n + 1)),
+        alpha=_halved(0, 1),
+        gamma=_halved(2, 1),
     )
 
 
 def legendre() -> CoefficientFamily:
+    """alpha_n = n/(2n+1), gamma_n = (n+1)/(2n+1)."""
+    half = Fraction(1, 2)
     return CoefficientFamily(
         name="Legendre",
-        alpha=lambda n: Fraction(n, 2 * n + 1),
-        gamma=lambda n: Fraction(n + 1, 2 * n + 1),
+        alpha=_halved(0, half),
+        gamma=_halved(1, half),
     )
 
 
 def gegenbauer(lam) -> CoefficientFamily:
+    """alpha_n = n/(2(n+lambda)), gamma_n = (n+2*lambda)/(2(n+lambda))."""
     lam = to_fraction(lam)
     if not lam > 0:
         raise ParamError(f"Gegenbauer needs lambda > 0 (got {lam})")
     return CoefficientFamily(
         name="Gegenbauer",
-        alpha=lambda n, _l=lam: n / (2 * (n + _l)),
-        gamma=lambda n, _l=lam: (n + 2 * _l) / (2 * (n + _l)),
+        alpha=_halved(0, lam),
+        gamma=_halved(2 * lam, lam),
         params={"lambda": lam},
     )
 
@@ -169,20 +183,23 @@ def pollaczek(lam, a) -> CoefficientFamily:
         raise ParamError(f"Pollaczek needs lambda > 0 (got {lam})")
     if not a > 0:
         raise ParamError(f"Pollaczek needs a > 0 (got {a})")
+    s = lam + a
     meta: dict = {}
     if lam > a:
+        # delta_n = 1/(2(n+lambda+a))
         meta["corollary1"] = CorollaryShape(
-            alpha_const=lam + a,
+            alpha_const=s,
             gamma_const=lam - a,
-            delta=DeltaSeq(lambda n, _s=lam + a: 1 / (2 * (n + _s)), limit=0),
+            delta=DeltaSeq(lambda n, _p=s.numerator, _q=s.denominator:
+                           Fraction(_q, 2 * (n * _q + _p)), limit=0),
         )
     else:
         meta["unchecked"] = ("a >= lambda branch: covered by a prior criterion "
                              "not implemented here")
     return CoefficientFamily(
         name="Pollaczek",
-        alpha=lambda n, _s=lam + a: n / (2 * (n + _s)),
-        gamma=lambda n, _l=lam, _s=lam + a: (n + 2 * _l) / (2 * (n + _s)),
+        alpha=_halved(0, s),
+        gamma=_halved(2 * lam, s),
         params={"lambda": lam, "a": a},
         meta=meta,
     )
@@ -193,11 +210,10 @@ def example3(a) -> CoefficientFamily:
     a = to_fraction(a)
     if not a > 0:
         raise ParamError(f"Example3 needs a > 0 (got {a})")
-    half = Fraction(1, 2)
     return CoefficientFamily(
         name="Example3",
-        alpha=lambda n, _a=a: half - _a / (2 * (n + _a)),
-        gamma=lambda n, _a=a: half + _a / (2 * (n + _a + 1)),
+        alpha=_halved(0, a),
+        gamma=_halved(2 * a + 1, a + 1),
         params={"a": a},
     )
 
@@ -209,11 +225,10 @@ def example4(a, b) -> CoefficientFamily:
         raise ParamError(f"Example4 needs a > 0 (got {a})")
     if b < 0:
         raise ParamError(f"Example4 needs b >= 0 (got {b})")
-    half = Fraction(1, 2)
     return CoefficientFamily(
         name="Example4",
-        alpha=lambda n, _a=a: half - _a / (2 * (n + _a)),
-        gamma=lambda n, _a=a, _b=b: half + _a / (2 * (n + _a + _b + 1)),
+        alpha=_halved(0, a),
+        gamma=_halved(2 * a + b + 1, a + b + 1),
         params={"a": a, "b": b},
     )
 
@@ -419,16 +434,6 @@ def build(spec: FamilySpec) -> CoefficientFamily:
     raise ParamError(f"unknown family kind {kind!r}")
 
 
-def _materialize(family, N: int) -> CoefficientFamily:
-    """``family`` over finite tables of its coefficients 0..N+1, read once.
-
-    A negative N reads index 0 only, so the checker given N reports it.
-    """
-    al, ga = coefficients(family, max(N + 1, 0))
-    return CoefficientFamily(name=family.name, alpha=_table(al), gamma=_table(ga),
-                             exact=family.exact, params=family.params, meta=family.meta)
-
-
 def _error_report(criterion: str, N: int, exc: Exception) -> CriterionReport:
     return CriterionReport(criterion, N, (), Verdict.INCONCLUSIVE, {"error": str(exc)})
 
@@ -452,7 +457,7 @@ def criterion_reports(family, N: int, margin: float = DEFAULT_MARGIN) -> list[Cr
     ratio g_n or a step ratio lambda_n outside (0, 1) turns the SzwTheorem1 or
     YRoute report into an Inconclusive one whose notes carry the error.
     """
-    table = _materialize(family, N)
+    table = _materialize(family, N + 1)
     reports = [check_theorem1(table, N, margin)]
     try:
         reports.append(check_szw_normalized(normalize(table, N), N, margin))

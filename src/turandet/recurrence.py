@@ -104,6 +104,16 @@ def coefficients(family, hi: int):
     return [family.alpha(n) for n in ns], [family.gamma(n) for n in ns]
 
 
+def _materialize(family, hi: int) -> CoefficientFamily:
+    """``family`` over finite tables of its coefficients 0..hi, read once.
+
+    A negative hi reads index 0 only, so the caller's own bound check reports it.
+    """
+    al, ga = coefficients(family, max(hi, 0))
+    return CoefficientFamily(name=family.name, alpha=_table(al), gamma=_table(ga),
+                             exact=family.exact, params=family.params, meta=family.meta)
+
+
 def _rows(al, ga, x, hi: int, one=1, start=None):
     """Yield the rows p_n(x) of x*p_n = gamma_n*p_{n+1} + alpha_n*p_{n-1}, n <= hi.
 
@@ -330,12 +340,19 @@ def orthonormal_offdiag(family, N: int) -> list[float]:
     """Jacobi-matrix off-diagonals a_k = sqrt(alpha_k*gamma_{k-1}), k = 1..N."""
     if N < 1:
         raise ParamError("N must be >= 1")
-    out = []
+    alpha, gamma, out = family.alpha, family.gamma, []
     for k in range(1, N + 1):
-        prod = family.alpha(k) * family.gamma(k - 1)
-        if not prod > 0:
-            raise ParamError(f"alpha_{k}*gamma_{k - 1} must be positive (got {prod})")
-        out.append(math.sqrt(float(prod)))
+        a, g = alpha(k), gamma(k - 1)
+        if isinstance(a, (int, Fraction)) and isinstance(g, (int, Fraction)):
+            # the float of the exact product without building its Fraction:
+            # int/int true division rounds correctly, as Fraction.__float__ does
+            num = a.numerator * g.numerator
+            value = num / (a.denominator * g.denominator)
+        else:
+            num = value = a * g
+        if not num > 0:
+            raise ParamError(f"alpha_{k}*gamma_{k - 1} must be positive (got {a * g})")
+        out.append(math.sqrt(value))
     return out
 
 
@@ -358,12 +375,13 @@ def ratio_sandwich(family, N: int, margin: float = DEFAULT_MARGIN) -> list[Sandw
     upper = +inf, upper_ok = True and gamma_step_decreasing = False so the
     hypothesis breach stays visible.
     """
-    rs = ratios_at_one(family, N)
+    table = _materialize(family, N)
+    rs = ratios_at_one(table, N)
     exact = rs.exact
     rows = []
     for n, g in enumerate(rs.values):
-        a0, a1 = family.alpha(n), family.alpha(n + 1)
-        c0, c1 = family.gamma(n), family.gamma(n + 1)
+        a0, a1 = table.alpha(n), table.alpha(n + 1)
+        c0, c1 = table.gamma(n), table.gamma(n + 1)
         den = c0 - c1
         dec = strictly_less(0, den, exact, margin)
         if dec:

@@ -19,8 +19,10 @@ import numpy as np
 from .arith import EXTENDED_DPS, is_exact, to_mpf
 from .errors import ParamError
 from .recurrence import (
+    NormalizedFamily,
     ScalingSequence,
     _dets,
+    _materialize,
     _rows,
     _sigma_callable,
     coefficients,
@@ -230,8 +232,13 @@ def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
     """
     if n_max < 1:
         raise ParamError("grid_scan needs n_max >= 1")
-    fam = normalize(family, n_max + 1) if normalized else family
-    al_src, ga_src = coefficients(fam, n_max)
+    if normalized and not isinstance(family, NormalizedFamily):
+        # one read of the coefficients serves the ratios and the scan; neither
+        # the table nor the ratios are held through the scan, so they add
+        # nothing to its peak memory
+        al_src, ga_src = coefficients(normalize(_materialize(family, n_max), n_max + 1), n_max)
+    else:
+        al_src, ga_src = coefficients(family, n_max)
     return _scan(al_src, ga_src, n_max, grid_points, tolerance, confirm_dps)
 
 

@@ -238,9 +238,10 @@ def test_table_too_short_for_any_check(capsys):
         "error: the coefficient table has 3 entries; check needs at least 4\n")
 
 
-@pytest.mark.parametrize("command", ["check", "lambda"])
+@pytest.mark.parametrize("command", ["check", "lambda", "ratios", "scan", "density"])
 def test_each_coefficient_is_read_once(monkeypatch, capsys, command):
-    """check and lambda read every coefficient index of the family at most once."""
+    """Every command reads each coefficient index at most once, and exactly the
+    indices 0..N+reach of its table reach (density reads alpha_1.. and gamma_..N)."""
     reads = collections.Counter()
 
     def counted(kind, fn):
@@ -257,7 +258,12 @@ def test_each_coefficient_is_read_once(monkeypatch, capsys, command):
 
     monkeypatch.setattr(cli, "build", build_counted)
     spec = '{"kind": "Pollaczek", "params": {"lambda": 2, "a": 1}}'
-    main([command, "--family", spec, "--N", "50", "--reproducible"])
+    flag = "--n-max" if command == "scan" else "--N"
+    main([command, "--family", spec, flag, "50", "--reproducible"])
     capsys.readouterr()
-    assert set(reads) == {(kind, n) for kind in ("alpha", "gamma") for n in range(52)}
+    hi = 50 + cli._TABLE_REACH[command][0]
+    expected = {(kind, n) for kind in ("alpha", "gamma") for n in range(hi + 1)}
+    if command == "density":
+        expected -= {("alpha", 0), ("gamma", hi)}
+    assert set(reads) == expected
     assert max(reads.values()) == 1

@@ -1,13 +1,18 @@
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from turandet import (
+    CoefficientFamily,
     ParamError,
     chebyshev_u,
+    coefficients,
     default_density_grid,
     estimate_density,
+    example4,
+    float_view,
     gegenbauer,
     legendre,
     orthonormal_offdiag,
@@ -40,6 +45,24 @@ def test_legendre_limit_at_zero():
     a = orthonormal_offdiag(legendre(), 2001)
     val = orthonormal_turan(a, 2000, 0.0)
     assert val == pytest.approx(4 / math.pi, rel=0.01)
+
+
+def test_offdiag_is_the_float_of_the_exact_product():
+    """Exact coefficients skip the product Fraction, bit for bit; others keep it."""
+    N = 3000
+    exact = example4(F(7, 11), F(5, 7))
+    al, ga = coefficients(exact, N)
+    for fam in (exact, float_view(exact), table_family(al, ga),
+                table_family([float(v) for v in al], [float(v) for v in ga])):
+        expected = [math.sqrt(float(fam.alpha(k) * fam.gamma(k - 1))) for k in range(1, N + 1)]
+        assert orthonormal_offdiag(fam, N) == expected
+
+
+def test_offdiag_rejects_a_nonpositive_exact_product():
+    fam = CoefficientFamily(name="neg", alpha=lambda n: F(0) if n == 0 else F(-1, 3),
+                            gamma=lambda n: F(1, 2))
+    with pytest.raises(ParamError, match=r"alpha_1\*gamma_0 must be positive \(got -1/6\)"):
+        orthonormal_offdiag(fam, 2)
 
 
 def test_default_grid():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import monotone_ratio_table
 from turandet import (
@@ -42,6 +42,34 @@ def test_pollaczek_coefficients():
     shape = fam2.meta["corollary1"]
     assert shape.alpha_const == 3 and shape.gamma_const == 1
     assert shape.delta(0) == F(1, 6)
+
+
+positive = st.fractions(min_value=F(1, 64), max_value=8, max_denominator=64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam=positive, a=positive, b=st.fractions(min_value=0, max_value=8, max_denominator=64))
+def test_builtin_coefficients_equal_their_closed_forms(lam, a, b):
+    """The integer-form coefficients are the docstring Fractions, index for index."""
+    half, s = F(1, 2), lam + a
+    closed = [
+        (chebyshev_u(), lambda n: F(n, 2 * (n + 1)), lambda n: F(n + 2, 2 * (n + 1))),
+        (legendre(), lambda n: F(n, 2 * n + 1), lambda n: F(n + 1, 2 * n + 1)),
+        (gegenbauer(lam), lambda n: n / (2 * (n + lam)),
+         lambda n: (n + 2 * lam) / (2 * (n + lam))),
+        (pollaczek(lam, a), lambda n: n / (2 * (n + s)), lambda n: (n + 2 * lam) / (2 * (n + s))),
+        (example3(a), lambda n: half - a / (2 * (n + a)), lambda n: half + a / (2 * (n + a + 1))),
+        (example4(a, b), lambda n: half - a / (2 * (n + a)),
+         lambda n: half + a / (2 * (n + a + b + 1))),
+    ]
+    # lambda > a, so the family carries the corollary shape with delta_n = 1/(2(n+lambda+a))
+    shape = pollaczek(lam + a, a).meta["corollary1"]
+    assert (shape.alpha_const, shape.gamma_const) == (lam + 2 * a, lam)
+    for n in (*range(301), 10**5):
+        for fam, alpha, gamma in closed:
+            assert (fam.alpha(n), fam.gamma(n)) == (alpha(n), gamma(n)), (fam.name, n)
+            assert type(fam.alpha(n)) is F and type(fam.gamma(n)) is F
+        assert shape.delta(n) == 1 / (2 * (n + lam + 2 * a))
 
 
 def test_gegenbauer_one_is_chebyshev_u():
