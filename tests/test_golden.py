@@ -1,5 +1,5 @@
-"""Golden outputs: check, lambda, ratios, scans, a scaled scan, density and
-eval_polys, byte for byte.
+"""Golden outputs: check, lambda, ratios, scans, a scaled scan, density,
+eval_polys and the stdout of every demo, byte for byte.
 
 Each case renders one output as text and compares it with the file of the
 same name under tests/golden. Refresh the files only for an intended change
@@ -10,6 +10,7 @@ of output:
 import contextlib
 import io
 import json
+import runpy
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from turandet.arith import format_number
 from turandet.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+DEMOS = Path(__file__).parent.parent / "demos"
 
 FAMILIES = {
     "legendre": '{"kind": "Legendre"}',
@@ -84,6 +86,15 @@ def _eval_polys():
     return json.dumps({k: [_text(v) for v in p] for k, p in modes.items()}, indent=1) + "\n"
 
 
+def _demo(path):
+    def render():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            runpy.run_path(str(path), run_name="__main__")
+        return buf.getvalue()
+    return render
+
+
 CASES = {
     # ratios of the table stops at g_1 <= 0 with exit code 2 and no output
     **{f"{command}_{kind}.{fmt}": _criteria(command, kind, fmt)
@@ -100,6 +111,7 @@ CASES = {
     "density_pollaczek.json": lambda: _cli(
         "density", "--family", FAMILIES["pollaczek"], "--N", "2000"),
     "eval_polys.json": _eval_polys,
+    **{f"demo_{path.stem}.txt": _demo(path) for path in sorted(DEMOS.glob("*.py"))},
 }
 
 
