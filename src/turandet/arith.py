@@ -1,9 +1,10 @@
-"""Number handling: exact rationals, guarded comparisons, parsing and serialization.
+"""Number handling: exact rationals, exact values, parsing and serialization.
 
-Every quantity in this package is either exact (int/Fraction) or floating point.
-Comparison helpers take an ``exact`` flag: exact mode compares literally, float
-mode demands (or grants) a small relative margin so that ties broken by roundoff
-are not reported as strict violations.
+Every quantity in this package is exact (int/Fraction), a double, or an mpmath
+float. Every criterion decides with a plain comparison on exact values:
+``exact_value`` gives the rational value a double or an mpf already has, so a
+float input is judged on exactly the numbers it holds and an overshoot, however
+small, is a violation.
 """
 from __future__ import annotations
 
@@ -18,23 +19,19 @@ from .errors import ParamError
 
 __all__ = [
     "Num",
-    "DEFAULT_MARGIN",
     "DEFAULT_DIGIT_CAP",
     "EXTENDED_DPS",
     "is_exact",
+    "exact_value",
     "to_fraction",
     "to_mpf",
     "format_number",
     "frac_digits",
     "exceeds_digit_cap",
-    "strictly_less",
-    "less_equal",
-    "close_to",
 ]
 
 Num = Union[int, float, Fraction]
 
-DEFAULT_MARGIN = 1e-14
 DEFAULT_DIGIT_CAP = 4096
 EXTENDED_DPS = 50
 
@@ -44,6 +41,21 @@ _BITS_PER_DIGIT = 3.321928094887362
 def is_exact(x) -> bool:
     """True for ints and Fractions (bool excluded)."""
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def exact_value(x):
+    """The exact rational value of x: ints and Fractions as they are, a double
+    or an mpf as the Fraction of its binary value (ParamError if not finite)."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, mpmath.mpf):
+        if not mpmath.isfinite(x):
+            raise ParamError(f"{x} is not a finite number")
+        man, exp = x.man_exp
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    if not math.isfinite(x):
+        raise ParamError(f"{x!r} is not a finite number")
+    return Fraction(x)
 
 
 def to_fraction(value) -> Fraction:
@@ -99,28 +111,3 @@ def frac_digits(x: Fraction) -> int:
 
 def exceeds_digit_cap(x, cap: int = DEFAULT_DIGIT_CAP) -> bool:
     return isinstance(x, Fraction) and frac_digits(x) > cap
-
-
-def _scale(a, b) -> float:
-    return max(1.0, abs(float(a)), abs(float(b)))
-
-
-def strictly_less(a, b, exact: bool, margin: float = DEFAULT_MARGIN) -> bool:
-    """a < b; in float mode the gap must clear a relative margin."""
-    if exact:
-        return a < b
-    return float(a) < float(b) - margin * _scale(a, b)
-
-
-def less_equal(a, b, exact: bool, margin: float = DEFAULT_MARGIN) -> bool:
-    """a <= b; in float mode overshoot within the relative margin is forgiven."""
-    if exact:
-        return a <= b
-    return float(a) <= float(b) + margin * _scale(a, b)
-
-
-def close_to(a, b, exact: bool, tol: float = DEFAULT_MARGIN) -> bool:
-    """Equality (exact) or agreement within a relative tolerance (float)."""
-    if exact:
-        return a == b
-    return abs(float(a) - float(b)) <= tol * _scale(a, b)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .arith import DEFAULT_MARGIN, format_number
+from .arith import format_number
 from .criteria import Verdict, lambda_data
 from .density import DEFAULT_N as DENSITY_DEFAULT_N
 from .density import default_density_grid, estimate_density
@@ -120,10 +120,6 @@ def _emit_csv(rows, cfg: RunConfig) -> None:
     _emit(buf.getvalue(), cfg.output)
 
 
-def _margin(cfg: RunConfig) -> float:
-    return DEFAULT_MARGIN if cfg.tolerance is None else cfg.tolerance
-
-
 # Per command: highest coefficient index read, less its --N (--n-max for scan),
 # and the smallest N it accepts.
 _TABLE_REACH = {"check": (1, 2), "lambda": (1, 1), "ratios": (0, 1), "scan": (0, 1),
@@ -144,7 +140,7 @@ def _cmd_families(cfg: RunConfig) -> int:
 def _cmd_check(cfg: RunConfig) -> int:
     family = _apply_mode(_load_family(cfg.family_spec), cfg.mode)
     N = cfg.N
-    reports = criterion_reports(family, N, _margin(cfg))
+    reports = criterion_reports(family, N)
     payload = {
         "command": "check",
         "family": _family_echo(family),
@@ -187,7 +183,7 @@ def _cmd_scan(cfg: RunConfig) -> int:
 
 def _cmd_ratios(cfg: RunConfig) -> int:
     family = _apply_mode(_load_family(cfg.family_spec), cfg.mode)
-    rows = ratio_sandwich(family, cfg.N, _margin(cfg))
+    rows = ratio_sandwich(family, cfg.N)
     ok = all(r.lower_ok and r.upper_ok for r in rows)
     if cfg.format == "csv":
         out = [["n", "g", "upper", "lower_ok", "upper_ok", "gamma_step_decreasing"]]
@@ -212,9 +208,9 @@ def _cmd_ratios(cfg: RunConfig) -> int:
 
 def _cmd_lambda(cfg: RunConfig) -> int:
     family = _apply_mode(_load_family(cfg.family_spec), cfg.mode)
-    table = _materialize(family, cfg.N + 1)
+    table = _materialize(family, cfg.N + 1, exact=True)
     data = lambda_data(table, cfg.N)
-    reports = _route_reports(table, data, _margin(cfg))
+    reports = _route_reports(table, data)
     if cfg.format == "csv":
         out = [["n", "u", "v", "lambda", "y", "valid"]]
         for row in data.rows():
@@ -279,7 +275,8 @@ def run(cfg: RunConfig) -> int:
 
 
 def _add_family_flags(sp, *, n_help: str, n_default: int | None,
-                      n_flag: str = "--N", grid_default: int | None = None) -> None:
+                      n_flag: str = "--N", grid_default: int | None = None,
+                      tol_help: str | None = None) -> None:
     sp.add_argument("--family", required=True,
                     help="family spec: path to JSON, inline JSON, or builtin kind name")
     sp.add_argument(n_flag, dest="N", type=int, default=n_default, help=n_help)
@@ -288,10 +285,9 @@ def _add_family_flags(sp, *, n_help: str, n_default: int | None,
                         help=f"grid point parameter (default {grid_default})")
     sp.add_argument("--mode", choices=("auto", "rational", "float"), default="auto",
                     help="arithmetic: rational = exact (requires exact input), "
-                         "float = coerce, auto = as built")
-    sp.add_argument("--tol", dest="tolerance", type=float, default=None,
-                    help="tolerance override (comparison margin, scan tolerance, "
-                         "or density convergence threshold, per command)")
+                         "float = round each coefficient to a double, auto = as built")
+    if tol_help is not None:
+        sp.add_argument("--tol", dest="tolerance", type=float, default=None, help=tol_help)
 
 
 def _add_output_flags(sp) -> None:
@@ -319,7 +315,9 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scan", help="grid-scan normalized Turán determinants")
     _add_family_flags(sp, n_help="largest degree to scan", n_default=50,
-                      n_flag="--n-max", grid_default=DEFAULT_GRID_POINTS)
+                      n_flag="--n-max", grid_default=DEFAULT_GRID_POINTS,
+                      tol_help=f"relative tolerance for negative minima "
+                               f"(default {DEFAULT_TOLERANCE})")
     _add_output_flags(sp)
 
     sp = sub.add_parser("ratios", help="ratio sequence g_n with two-sided bounds")
@@ -332,7 +330,9 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("density", help="estimate the orthogonality density")
     _add_family_flags(sp, n_help="determinant degree used for the estimate",
-                      n_default=DENSITY_DEFAULT_N, grid_default=199)
+                      n_default=DENSITY_DEFAULT_N, grid_default=199,
+                      tol_help="off-diagonal convergence threshold |a_N - 1/2| "
+                               "(default 0.01)")
     _add_output_flags(sp)
 
     return p

@@ -6,6 +6,11 @@ witness pair, plus an overall Satisfied/Violated/Inconclusive verdict. All of
 them are one-sided — Violated means "hypotheses not met", never "determinant
 negative".
 
+Every decision is a plain comparison on exact values. Each public checker
+reads its coefficients once through ``exact_value``: ints and Fractions pass
+through, and a double or an mpf is judged on the rational value it holds, so
+no overshoot is forgiven.
+
 Witness convention: a witness is the pair (lhs, rhs) of the comparison the
 condition makes at that index, oriented so the condition holds iff lhs < rhs
 (strict conditions) or lhs <= rhs (non-strict ones). Satisfied conditions keep
@@ -18,17 +23,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .arith import (
-    DEFAULT_MARGIN,
-    Num,
-    close_to,
-    format_number,
-    is_exact,
-    less_equal,
-    strictly_less,
-)
+from .arith import Num, exact_value, format_number
 from .errors import InvalidLambda, ParamError, StructuralMismatch
-from .recurrence import _table, coefficients
+from .recurrence import _exact_coefficients, _materialize, _table, coefficients
 
 __all__ = [
     "Verdict",
@@ -172,11 +169,10 @@ class _Cond:
         return ConditionCheck(self.label, True, None, self._sample)
 
 
-def _half(exact: bool):
-    return Fraction(1, 2) if exact else 0.5
+_HALF = Fraction(1, 2)
 
 
-def check_theorem1(family, N: int, margin: float = DEFAULT_MARGIN) -> CriterionReport:
+def check_theorem1(family, N: int) -> CriterionReport:
     """Main sufficient criterion on raw coefficients.
 
     Conditions: (a) alpha strictly increasing with alpha_n <= 1/2; (b) gamma
@@ -193,52 +189,47 @@ def check_theorem1(family, N: int, margin: float = DEFAULT_MARGIN) -> CriterionR
     """
     if N < 2:
         raise ParamError("check_theorem1 needs N >= 2")
-    exact = family.exact
-    al, ga = coefficients(family, N + 1)
-    half = _half(exact)
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
+    al, ga = _exact_coefficients(family, N + 1)
+    one, zero = Fraction(1), Fraction(0)
 
     a = _Cond(COND_ALPHA)
     for n in range(N + 1):
         if n >= 1:
-            a.record(n, strictly_less(al[n - 1], al[n], exact, margin), (al[n - 1], al[n]))
-        a.record(n, less_equal(al[n], half, exact, margin), (al[n], half))
+            a.record(n, al[n - 1] < al[n], (al[n - 1], al[n]))
+        a.record(n, al[n] <= _HALF, (al[n], _HALF))
 
     b = _Cond(COND_GAMMA)
     for n in range(N + 1):
         if n >= 1:
-            b.record(n, strictly_less(ga[n], ga[n - 1], exact, margin), (ga[n], ga[n - 1]))
-        b.record(n, strictly_less(zero, ga[n], exact, margin), (zero, ga[n]))
+            b.record(n, ga[n] < ga[n - 1], (ga[n], ga[n - 1]))
+        b.record(n, zero < ga[n], (zero, ga[n]))
 
     c = _Cond(COND_SUM)
     for n in range(N + 1):
         s = al[n] + ga[n]
-        c.record(n, less_equal(s, one, exact, margin), (s, one))
+        c.record(n, s <= one, (s, one))
 
     step = _Cond(COND_STEP)
     for n in range(1, N + 1):
         den_l = al[n] * ga[n - 1] - al[n - 1] * ga[n]
         den_r = ga[n] - ga[n + 1]
-        if not (strictly_less(zero, den_l, exact, margin)
-                and strictly_less(zero, den_r, exact, margin)):
+        if not (den_l > 0 and den_r > 0):
             step.record(n, None, (den_l, den_r))
             continue
         num_l = al[n] - al[n - 1]
         num_r = al[n + 1] * ga[n] - al[n] * ga[n + 1]
-        ok = less_equal(num_l * den_r, num_r * den_l, exact, margin)
-        step.record(n, ok, (num_l / den_l, num_r / den_r))
+        step.record(n, num_l * den_r <= num_r * den_l, (num_l / den_l, num_r / den_r))
 
     init = _Cond(COND_INIT)
     lhs = ga[0] - ga[1]
     rhs = al[1] * ga[0] * ga[0]
-    init.record(0, less_equal(lhs, rhs, exact, margin), (lhs, rhs))
+    init.record(0, lhs <= rhs, (lhs, rhs))
 
     return CriterionReport.assemble(
         THEOREM1, N, (a.done(), b.done(), c.done(), step.done(), init.done()))
 
 
-def check_szw_normalized(nf, N: int, margin: float = DEFAULT_MARGIN) -> CriterionReport:
+def check_szw_normalized(nf, N: int) -> CriterionReport:
     """Criterion on normalized coefficients: alpha-tilde nondecreasing and <= 1/2.
 
     Accepts a NormalizedFamily or any family that is already normalized at 1
@@ -246,16 +237,14 @@ def check_szw_normalized(nf, N: int, margin: float = DEFAULT_MARGIN) -> Criterio
     """
     if N < 1:
         raise ParamError("check_szw_normalized needs N >= 1")
-    at = [nf.alpha(n) for n in range(N + 1)]
-    exact = nf.exact
-    half = _half(exact)
+    at = [exact_value(nf.alpha(n)) for n in range(N + 1)]
 
     mono = _Cond("alpha-tilde-nondecreasing")
     bound = _Cond("alpha-tilde-le-half")
     for n in range(N + 1):
         if n >= 1:
-            mono.record(n, less_equal(at[n - 1], at[n], exact, margin), (at[n - 1], at[n]))
-        bound.record(n, less_equal(at[n], half, exact, margin), (at[n], half))
+            mono.record(n, at[n - 1] <= at[n], (at[n - 1], at[n]))
+        bound.record(n, at[n] <= _HALF, (at[n], _HALF))
     return CriterionReport.assemble(SZW_THEOREM1, N, (mono.done(), bound.done()))
 
 
@@ -287,26 +276,31 @@ def as_delta(obj) -> DeltaSeq:
     return DeltaSeq.from_values(obj)
 
 
-def _delta_conditions(alpha_const, gamma_const, d: DeltaSeq, dv: list, exact: bool,
-                      margin: float, tail_threshold: float):
+def _shape_values(alpha_const, gamma_const, delta, N: int):
+    """The exact values of A, G and delta_0..delta_N, each read once."""
+    d = as_delta(delta)
+    return (exact_value(alpha_const), exact_value(gamma_const), d,
+            [exact_value(d(n)) for n in range(N + 1)])
+
+
+def _delta_conditions(alpha_const, gamma_const, d: DeltaSeq, dv: list,
+                      tail_threshold: float):
     """Conditions shared by both shifted-constant-shape criteria."""
-    zero = Fraction(0) if exact else 0.0
+    zero = Fraction(0)
     order = _Cond("alpha-ge-gamma-positive")
-    ok = (strictly_less(zero, gamma_const, exact, margin)
-          and less_equal(gamma_const, alpha_const, exact, margin))
-    order.record(0, ok, (gamma_const, alpha_const))
+    order.record(0, zero < gamma_const <= alpha_const, (gamma_const, alpha_const))
 
     dec = _Cond("delta-positive-decreasing")
     N = len(dv) - 1
     for n in range(N + 1):
-        dec.record(n, strictly_less(zero, dv[n], exact, margin), (zero, dv[n]))
+        dec.record(n, zero < dv[n], (zero, dv[n]))
         if n >= 1:
-            dec.record(n, strictly_less(dv[n], dv[n - 1], exact, margin), (dv[n], dv[n - 1]))
+            dec.record(n, dv[n] < dv[n - 1], (dv[n], dv[n - 1]))
 
     lim = _Cond("delta-limit-zero")
     if d.limit is not None:
         lim.record(N, d.limit == 0, (d.limit, zero))
-    elif float(dv[N]) < tail_threshold:
+    elif dv[N] < tail_threshold:
         lim.record(N, True, (dv[N], tail_threshold))
     else:
         lim.record(N, None, (dv[N], tail_threshold))
@@ -314,8 +308,7 @@ def _delta_conditions(alpha_const, gamma_const, d: DeltaSeq, dv: list, exact: bo
 
 
 def check_corollary1(alpha_const, gamma_const, delta, N: int, *, family=None,
-                     tail_threshold: float = 1e-6,
-                     margin: float = DEFAULT_MARGIN) -> CriterionReport:
+                     tail_threshold: float = 1e-6) -> CriterionReport:
     """Shape alpha_n = 1/2 - A*delta_n, gamma_n = 1/2 + G*delta_n with A >= G > 0,
     delta decreasing to 0 and A*delta_0 = 1/2.
 
@@ -324,93 +317,71 @@ def check_corollary1(alpha_const, gamma_const, delta, N: int, *, family=None,
     """
     if N < 1:
         raise ParamError("check_corollary1 needs N >= 1")
-    d = as_delta(delta)
-    dv = [d(n) for n in range(N + 1)]
-    exact = all(is_exact(v) for v in (alpha_const, gamma_const, *dv))
+    A, G, d, dv = _shape_values(alpha_const, gamma_const, delta, N)
     if family is not None:
-        _assert_corollary_shape(family, alpha_const, gamma_const, dv, margin, first_shifted=0)
+        _assert_corollary_shape(family, A, G, dv, first_shifted=0)
 
-    order, dec, lim = _delta_conditions(alpha_const, gamma_const, d, dv, exact, margin,
-                                        tail_threshold)
+    order, dec, lim = _delta_conditions(A, G, d, dv, tail_threshold)
     prod = _Cond("alpha-times-delta0-is-half")
-    val = alpha_const * dv[0]
-    prod.record(0, close_to(val, _half(exact), exact, margin), (val, _half(exact)))
+    val = A * dv[0]
+    prod.record(0, val == _HALF, (val, _HALF))
 
     return CriterionReport.assemble(
         COROLLARY1, N, (order.done(), dec.done(), lim.done(), prod.done()))
 
 
 def check_corollary2(alpha_const, gamma_const, delta, N: int, *, family=None,
-                     tail_threshold: float = 1e-6,
-                     margin: float = DEFAULT_MARGIN) -> CriterionReport:
+                     tail_threshold: float = 1e-6) -> CriterionReport:
     """Same shape but alpha_0 = 0 directly, with delta_0 confined to the window
     (3G - A)/(2G(A + G)) <= delta_0 <= 1/(2A)."""
     if N < 1:
         raise ParamError("check_corollary2 needs N >= 1")
-    d = as_delta(delta)
-    dv = [d(n) for n in range(N + 1)]
-    exact = all(is_exact(v) for v in (alpha_const, gamma_const, *dv))
+    A, G, d, dv = _shape_values(alpha_const, gamma_const, delta, N)
     if family is not None:
-        _assert_corollary_shape(family, alpha_const, gamma_const, dv, margin, first_shifted=1)
+        _assert_corollary_shape(family, A, G, dv, first_shifted=1)
 
-    order, dec, lim = _delta_conditions(alpha_const, gamma_const, d, dv, exact, margin,
-                                        tail_threshold)
-    a_c = Fraction(alpha_const) if exact else alpha_const
-    g_c = Fraction(gamma_const) if exact else gamma_const
+    order, dec, lim = _delta_conditions(A, G, d, dv, tail_threshold)
+    a_c, g_c = Fraction(A), Fraction(G)
     lower = (3 * g_c - a_c) / (2 * g_c * (a_c + g_c))
     upper = 1 / (2 * a_c)
     low = _Cond("delta0-above-lower-bound")
-    low.record(0, less_equal(lower, dv[0], exact, margin), (lower, dv[0]))
+    low.record(0, lower <= dv[0], (lower, dv[0]))
     up = _Cond("delta0-below-upper-bound")
-    up.record(0, less_equal(dv[0], upper, exact, margin), (dv[0], upper))
+    up.record(0, dv[0] <= upper, (dv[0], upper))
 
     return CriterionReport.assemble(
         COROLLARY2, N, (order.done(), dec.done(), lim.done(), low.done(), up.done()))
 
 
-def _assert_corollary_shape(family, alpha_const, gamma_const, deltas: list, tol: float,
-                            first_shifted: int) -> None:
+def _assert_corollary_shape(family, A, G, deltas: list, first_shifted: int) -> None:
     """Raise StructuralMismatch unless alpha_n = 1/2 - A*delta_n (from index
-    ``first_shifted``) and gamma_n = 1/2 + G*delta_n for all supplied deltas."""
-    exact = family.exact and all(is_exact(v) for v in (alpha_const, gamma_const, *deltas))
-    half = _half(exact)
+    ``first_shifted``) and gamma_n = 1/2 + G*delta_n exactly, for the exact
+    values A, G and ``deltas`` and the exact values of the coefficients."""
     for n, dn in enumerate(deltas):
-        if exact:
-            want_a = half - alpha_const * dn
-            want_g = half + gamma_const * dn
-        else:
-            want_a = 0.5 - float(alpha_const) * float(dn)
-            want_g = 0.5 + float(gamma_const) * float(dn)
-        if n >= first_shifted:
-            got_a = family.alpha(n)
-            if not close_to(got_a, want_a, exact, tol):
-                raise StructuralMismatch(n, "alpha", want_a, got_a)
-        elif family.alpha(n) != 0:
-            raise StructuralMismatch(n, "alpha", 0, family.alpha(n))
-        got_g = family.gamma(n)
-        if not close_to(got_g, want_g, exact, tol):
+        want_a = _HALF - A * dn if n >= first_shifted else 0
+        got_a = exact_value(family.alpha(n))
+        if got_a != want_a:
+            raise StructuralMismatch(n, "alpha", want_a, got_a)
+        want_g, got_g = _HALF + G * dn, exact_value(family.gamma(n))
+        if got_g != want_g:
             raise StructuralMismatch(n, "gamma", want_g, got_g)
 
 
-def matches_corollary1(family, alpha_const, gamma_const, delta, N: int,
-                       tol: float = DEFAULT_MARGIN) -> bool:
+def matches_corollary1(family, alpha_const, gamma_const, delta, N: int) -> bool:
     """Whether the family's first N+1 coefficients follow the Corollary-1 shape."""
-    d = as_delta(delta)
+    A, G, _, dv = _shape_values(alpha_const, gamma_const, delta, N)
     try:
-        _assert_corollary_shape(family, alpha_const, gamma_const,
-                                [d(n) for n in range(N + 1)], tol, first_shifted=0)
+        _assert_corollary_shape(family, A, G, dv, first_shifted=0)
     except StructuralMismatch:
         return False
     return True
 
 
-def matches_corollary2(family, alpha_const, gamma_const, delta, N: int,
-                       tol: float = DEFAULT_MARGIN) -> bool:
+def matches_corollary2(family, alpha_const, gamma_const, delta, N: int) -> bool:
     """Same but with alpha_0 pinned to 0 instead of following the shape."""
-    d = as_delta(delta)
+    A, G, _, dv = _shape_values(alpha_const, gamma_const, delta, N)
     try:
-        _assert_corollary_shape(family, alpha_const, gamma_const,
-                                [d(n) for n in range(N + 1)], tol, first_shifted=1)
+        _assert_corollary_shape(family, A, G, dv, first_shifted=1)
     except StructuralMismatch:
         return False
     return True
@@ -471,7 +442,7 @@ def y_from_lambda(lam):
     return (1 + lam) / (1 - lam)
 
 
-def check_lambda_route(family, N: int, margin: float = DEFAULT_MARGIN) -> CriterionReport:
+def check_lambda_route(family, N: int) -> CriterionReport:
     """Step-ratio route to the step inequality.
 
     Condition (i): the ratio (gamma_n - 1/2)/(1/2 - alpha_n) is nondecreasing
@@ -487,25 +458,23 @@ def check_lambda_route(family, N: int, margin: float = DEFAULT_MARGIN) -> Criter
     """
     if N < 1:
         raise ParamError("check_lambda_route needs N >= 1")
-    return _lambda_route(family, lambda_data(family, N), margin)
+    table = _materialize(family, N + 1, exact=True)
+    return _lambda_route(table, lambda_data(table, N))
 
 
-def _lambda_route(family, ld: LambdaData, margin: float) -> CriterionReport:
-    """check_lambda_route on the step data ``ld`` of ``family``."""
-    N, exact = ld.N, family.exact
-    al, ga = coefficients(family, N)
-    half = _half(exact)
-    zero = Fraction(0) if exact else 0.0
+def _lambda_route(table, ld: LambdaData) -> CriterionReport:
+    """check_lambda_route on the step data ``ld`` of the exact-valued ``table``."""
+    N = ld.N
+    al, ga = coefficients(table, N)
 
     ratio = _Cond("ratio-nondecreasing")
-    s = [half - al[n] for n in range(N + 1)]
-    t = [ga[n] - half for n in range(N + 1)]
+    s = [_HALF - al[n] for n in range(N + 1)]
+    t = [ga[n] - _HALF for n in range(N + 1)]
     for n in range(2, N + 1):
-        if not (strictly_less(zero, s[n - 1], exact, margin)
-                and strictly_less(zero, s[n], exact, margin)):
+        if not (s[n - 1] > 0 and s[n] > 0):
             ratio.record(n, None, (s[n - 1], s[n]))
             continue
-        ok = less_equal(t[n - 1] * s[n], t[n] * s[n - 1], exact, margin)
+        ok = t[n - 1] * s[n] <= t[n] * s[n - 1]
         ratio.record(n, ok, (t[n - 1] / s[n - 1], t[n] / s[n]))
 
     pair = _Cond("pair-inequality")
@@ -513,17 +482,13 @@ def _lambda_route(family, ld: LambdaData, margin: float) -> CriterionReport:
     for n in range(1, N + 1):
         lhs = 4 * u[n - 1] * v[n]
         rhs = (u[n - 1] + v[n - 1]) * (u[n] + v[n])
-        ok = less_equal(lhs, rhs, exact, margin)
         if lam[n - 1] is not None and lam[n] is not None and lam[n - 1] != 3:
-            pair.record(n, ok, (lam[n], lambda_step_bound(lam[n - 1])))
+            pair.record(n, lhs <= rhs, (lam[n], lambda_step_bound(lam[n - 1])))
         else:
-            pair.record(n, ok, (lhs, rhs))
+            pair.record(n, lhs <= rhs, (lhs, rhs))
 
-    third = Fraction(1, 3) if exact else 1.0 / 3.0
-    shortcut = all(
-        lam[n] is not None and less_equal(lam[n], third, exact, margin)
-        for n in range(1, N + 1)
-    )
+    third = Fraction(1, 3)
+    shortcut = all(lam[n] is not None and lam[n] <= third for n in range(1, N + 1))
     notes = {
         "shortcut_lambda_le_one_third": shortcut,
         "lambda_invalid_indices": [n for n in range(N + 1) if not ld.valid[n]],
@@ -531,21 +496,20 @@ def _lambda_route(family, ld: LambdaData, margin: float) -> CriterionReport:
     return CriterionReport.assemble(LAMBDA_ROUTE, N, (ratio.done(), pair.done()), notes)
 
 
-def check_y_route(family, N: int, margin: float = DEFAULT_MARGIN) -> CriterionReport:
+def check_y_route(family, N: int) -> CriterionReport:
     """Transformed route: with y_n = (1 + lambda_n)/(1 - lambda_n), the step
     condition becomes y_n <= y_{n-1} + 1. Requires every lambda_n (n <= N) to
     lie in (0, 1); raises InvalidLambda otherwise.
 
-    The y-transform amplifies rounding in float coefficients (the 1 - lambda_n
-    denominator), so boundary-tight families can flip to Violated in float
-    mode; use exact coefficients or check_lambda_route's division-free form
-    when the increments sit on the boundary."""
+    The step data is formed from the exact values of the coefficients, so the
+    y-route decides what check_lambda_route decides: a family whose doubles
+    break the pair inequality is Violated on both routes."""
     if N < 1:
         raise ParamError("check_y_route needs N >= 1")
-    return _y_route(lambda_data(family, N), family.exact, margin)
+    return _y_route(lambda_data(_materialize(family, N + 1, exact=True), N))
 
 
-def _y_route(ld: LambdaData, exact: bool, margin: float) -> CriterionReport:
+def _y_route(ld: LambdaData) -> CriterionReport:
     """check_y_route on the step data ``ld``."""
     N = ld.N
     for n, ln in enumerate(ld.lam):
@@ -554,5 +518,5 @@ def _y_route(ld: LambdaData, exact: bool, margin: float) -> CriterionReport:
     y = ld.y
     cond = _Cond("y-increments-at-most-one")
     for n in range(1, N + 1):
-        cond.record(n, less_equal(y[n], y[n - 1] + 1, exact, margin), (y[n], y[n - 1] + 1))
+        cond.record(n, y[n] <= y[n - 1] + 1, (y[n], y[n - 1] + 1))
     return CriterionReport.assemble(Y_ROUTE, N, (cond.done(),))

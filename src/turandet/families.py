@@ -12,8 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .arith import DEFAULT_MARGIN, Num, close_to, is_exact, to_fraction
+from .arith import Num, is_exact, to_fraction
 from .criteria import (
+    COROLLARY1,
+    COROLLARY2,
     CRITERION_NAMES,
     LAMBDA_ROUTE,
     SZW_THEOREM1,
@@ -33,7 +35,13 @@ from .criteria import (
     check_theorem1,
     lambda_data,
 )
-from .errors import InvalidLambda, NonpositiveRatio, ParamError, TableRangeError
+from .errors import (
+    InvalidLambda,
+    NonpositiveRatio,
+    ParamError,
+    StructuralMismatch,
+    TableRangeError,
+)
 from .recurrence import CoefficientFamily, _materialize, _table, normalize
 
 __all__ = [
@@ -256,7 +264,7 @@ def example2(eps, delta, delta0=None) -> CoefficientFamily:
     else:
         prod = e0 * (1 + delta0)
         target = Fraction(1, 6) if exact else 1 / 6
-        if not close_to(prod, target, exact):
+        if prod != target:
             raise ParamError(
                 f"Example2 needs eps_0*(1 + delta_0) = 1/6 (got {prod})")
 
@@ -329,7 +337,7 @@ def corollary1_family(alpha_const, gamma_const, delta, name: str = "shape1") -> 
     exact = is_exact(alpha_const) and is_exact(gamma_const) and is_exact(d(0))
     half = Fraction(1, 2) if exact else 0.5
     prod = alpha_const * d(0)
-    if not close_to(prod, half, exact):
+    if prod != half:
         raise ParamError(f"need alpha_const*delta_0 = 1/2 for alpha_0 = 0 (got {prod})")
     return CoefficientFamily(
         name=name,
@@ -438,38 +446,45 @@ def _error_report(criterion: str, N: int, exc: Exception) -> CriterionReport:
     return CriterionReport(criterion, N, (), Verdict.INCONCLUSIVE, {"error": str(exc)})
 
 
-def _route_reports(table, ld: LambdaData, margin: float) -> list[CriterionReport]:
-    """LambdaRoute and YRoute reports, both from the one step data ``ld``."""
-    reports = [_lambda_route(table, ld, margin)]
+def _route_reports(table, ld: LambdaData) -> list[CriterionReport]:
+    """LambdaRoute and YRoute reports, both from the one step data ``ld`` of
+    the exact-valued ``table``."""
+    reports = [_lambda_route(table, ld)]
     try:
-        reports.append(_y_route(ld, table.exact, margin))
+        reports.append(_y_route(ld))
     except InvalidLambda as exc:
         reports.append(_error_report(Y_ROUTE, ld.N, exc))
     return reports
 
 
-def criterion_reports(family, N: int, margin: float = DEFAULT_MARGIN) -> list[CriterionReport]:
+def criterion_reports(family, N: int) -> list[CriterionReport]:
     """The report of every applicable checker up to N, each checker run once.
 
-    The coefficients are read once, up to index N+1, and every checker works
-    on that table. Order: Theorem1, SzwTheorem1, LambdaRoute, YRoute, then
-    the corollary whose shape the family carries in ``meta``. A nonpositive
-    ratio g_n or a step ratio lambda_n outside (0, 1) turns the SzwTheorem1 or
-    YRoute report into an Inconclusive one whose notes carry the error.
+    The coefficients are read once, up to index N+1, as exact values, and
+    every checker decides on that table. Order: Theorem1, SzwTheorem1,
+    LambdaRoute, YRoute, then the corollary whose shape the family carries in
+    ``meta``. A nonpositive ratio g_n, a step ratio lambda_n outside (0, 1), or
+    coefficients off the declared shape (as the doubles of a float family
+    are) turn the SzwTheorem1, YRoute or corollary report into an
+    Inconclusive one whose notes carry the error.
     """
-    table = _materialize(family, N + 1)
-    reports = [check_theorem1(table, N, margin)]
+    table = _materialize(family, N + 1, exact=True)
+    reports = [check_theorem1(table, N)]
     try:
-        reports.append(check_szw_normalized(normalize(table, N), N, margin))
+        reports.append(check_szw_normalized(normalize(table, N), N))
     except NonpositiveRatio as exc:
         reports.append(_error_report(SZW_THEOREM1, N, exc))
-    reports += _route_reports(table, lambda_data(table, N), margin)
+    reports += _route_reports(table, lambda_data(table, N))
 
-    for key, check in (("corollary1", check_corollary1), ("corollary2", check_corollary2)):
+    for key, name, check in (("corollary1", COROLLARY1, check_corollary1),
+                             ("corollary2", COROLLARY2, check_corollary2)):
         shape = table.meta.get(key)
         if shape is not None:
-            reports.append(check(shape.alpha_const, shape.gamma_const, shape.delta, N,
-                                 family=table, margin=margin))
+            try:
+                reports.append(check(shape.alpha_const, shape.gamma_const, shape.delta, N,
+                                     family=table))
+            except StructuralMismatch as exc:
+                reports.append(_error_report(name, N, exc))
     return reports
 
 

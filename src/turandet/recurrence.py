@@ -19,13 +19,11 @@ import mpmath
 
 from .arith import (
     DEFAULT_DIGIT_CAP,
-    DEFAULT_MARGIN,
     EXTENDED_DPS,
     Num,
+    exact_value,
     exceeds_digit_cap,
     is_exact,
-    less_equal,
-    strictly_less,
     to_mpf,
 )
 from .errors import NonpositiveRatio, ParamError, TableRangeError
@@ -104,14 +102,22 @@ def coefficients(family, hi: int):
     return [family.alpha(n) for n in ns], [family.gamma(n) for n in ns]
 
 
-def _materialize(family, hi: int) -> CoefficientFamily:
-    """``family`` over finite tables of its coefficients 0..hi, read once.
+def _exact_coefficients(family, hi: int):
+    """coefficients() with each value replaced by its exact value (exact_value)."""
+    al, ga = coefficients(family, hi)
+    return [exact_value(v) for v in al], [exact_value(v) for v in ga]
+
+
+def _materialize(family, hi: int, exact: bool = False) -> CoefficientFamily:
+    """``family`` over finite tables of its coefficients 0..hi, read once; with
+    ``exact``, of their exact values, which every criterion decides on.
 
     A negative hi reads index 0 only, so the caller's own bound check reports it.
     """
-    al, ga = coefficients(family, max(hi, 0))
+    al, ga = (_exact_coefficients if exact else coefficients)(family, max(hi, 0))
     return CoefficientFamily(name=family.name, alpha=_table(al), gamma=_table(ga),
-                             exact=family.exact, params=family.params, meta=family.meta)
+                             exact=exact or family.exact, params=family.params,
+                             meta=family.meta)
 
 
 def _rows(al, ga, x, hi: int, one=1, start=None):
@@ -303,16 +309,14 @@ class ScalingSequence:
     def __call__(self, n: int):
         return self.sigma(n)
 
-    def log_concave_up_to(self, n_max: int, margin: float = 1e-15) -> bool:
-        """Whether sigma_n^2 >= sigma_{n-1}*sigma_{n+1} for 1 <= n <= n_max."""
-        vals = [self.sigma(n) for n in range(n_max + 2)]
+    def log_concave_up_to(self, n_max: int) -> bool:
+        """Whether sigma_n^2 >= sigma_{n-1}*sigma_{n+1} for 1 <= n <= n_max,
+        decided on the exact values of sigma_0..sigma_{n_max+1}."""
+        vals = [exact_value(self.sigma(n)) for n in range(n_max + 2)]
         if any(not v > 0 for v in vals):
             raise ParamError("scaling values must be positive")
-        exact = all(is_exact(v) for v in vals)
-        return all(
-            less_equal(vals[n - 1] * vals[n + 1], vals[n] * vals[n], exact, margin)
-            for n in range(1, n_max + 1)
-        )
+        return all(vals[n - 1] * vals[n + 1] <= vals[n] * vals[n]
+                   for n in range(1, n_max + 1))
 
 
 def _sigma_callable(sigma) -> Callable[[int], Num]:
@@ -368,32 +372,32 @@ class SandwichRow:
     gamma_step_decreasing: bool
 
 
-def ratio_sandwich(family, N: int, margin: float = DEFAULT_MARGIN) -> list[SandwichRow]:
+def ratio_sandwich(family, N: int) -> list[SandwichRow]:
     """Check 1 <= g_n <= (alpha_{n+1}*gamma_n - alpha_n*gamma_{n+1})/(gamma_n - gamma_{n+1}).
 
-    The upper bound needs gamma_n > gamma_{n+1}; rows where that fails carry
-    upper = +inf, upper_ok = True and gamma_step_decreasing = False so the
-    hypothesis breach stays visible.
+    The ratios are formed from the exact values of the coefficients, and each
+    bound is decided on the exact value of g_n (an mpf after a digit-cap
+    fallback). The upper bound needs gamma_n > gamma_{n+1}; rows where that
+    fails carry upper = +inf, upper_ok = True and gamma_step_decreasing = False
+    so the hypothesis breach stays visible.
     """
-    table = _materialize(family, N)
-    rs = ratios_at_one(table, N)
-    exact = rs.exact
+    table = _materialize(family, N, exact=True)
     rows = []
-    for n, g in enumerate(rs.values):
+    for n, g in enumerate(ratios_at_one(table, N).values):
         a0, a1 = table.alpha(n), table.alpha(n + 1)
         c0, c1 = table.gamma(n), table.gamma(n + 1)
         den = c0 - c1
-        dec = strictly_less(0, den, exact, margin)
-        if dec:
+        g_exact = exact_value(g)
+        if den > 0:
             upper = (a1 * c0 - a0 * c1) / den
-            upper_ok = less_equal(g, upper, exact, margin)
+            upper_ok = g_exact <= upper
         else:
             upper = math.inf
             upper_ok = True
         rows.append(SandwichRow(
             n=n, g=g, upper=upper,
-            lower_ok=less_equal(1, g, exact, margin),
+            lower_ok=1 <= g_exact,
             upper_ok=upper_ok,
-            gamma_step_decreasing=dec,
+            gamma_step_decreasing=den > 0,
         ))
     return rows

@@ -60,8 +60,10 @@ def turan_det(family, n: int, x, normalized: bool = True, dps: int | None = None
     """
     if n < 1:
         raise ParamError("turan_det needs n >= 1")
-    fam = normalize(family, n + 1) if normalized else family
-    return dict(_dets(eval_polys(fam, n + 1, x, dps=dps), {n}))[n]
+    if normalized and not isinstance(family, NormalizedFamily):
+        # one read of the coefficients serves the ratios and the evaluation
+        family = normalize(_materialize(family, n), n + 1)
+    return dict(_dets(eval_polys(family, n + 1, x, dps=dps), {n}))[n]
 
 
 def scan_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -249,9 +251,10 @@ def scaled_scan(family, sigma, n_max: int, grid_points: int = DEFAULT_GRID_POINT
 
     Requires an already normalized family (alpha_n + gamma_n = 1); raises
     ParamError otherwise. Each row is scaled by sigma_n as it is made; the
-    verdict rule is grid_scan's. The report carries sigma_log_concave: when
-    the unscaled determinants are nonnegative, log-concavity of sigma is
-    exactly the condition for the scaled ones to stay nonnegative.
+    verdict rule is grid_scan's. The report carries sigma_log_concave,
+    decided on the exact values of sigma_0..sigma_{n_max+1}: when the
+    unscaled determinants are nonnegative, log-concavity of sigma is exactly
+    the condition for the scaled ones to stay nonnegative.
     """
     if n_max < 1:
         raise ParamError("scaled_scan needs n_max >= 1")
@@ -266,8 +269,7 @@ def scaled_scan(family, sigma, n_max: int, grid_points: int = DEFAULT_GRID_POINT
 
     sfn = _sigma_callable(sigma)
     sigma_src = [sfn(n) for n in range(n_max + 2)]
-    if any(not v > 0 for v in sigma_src):
-        raise ParamError("scaling values must be positive")
+    # raises ParamError unless every value is positive
+    log_concave = ScalingSequence.from_values(sigma_src).log_concave_up_to(n_max)
     return _scan(al_src, ga_src, n_max, grid_points, tolerance, confirm_dps,
-                 sigma_src=sigma_src,
-                 sigma_log_concave=ScalingSequence(sfn).log_concave_up_to(n_max))
+                 sigma_src=sigma_src, sigma_log_concave=log_concave)

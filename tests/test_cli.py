@@ -2,10 +2,12 @@ import collections
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from turandet import build, cli
+from turandet import build, cli, example4
+from turandet.arith import format_number
 from turandet.cli import RunConfig, main, run
 
 EX3 = '{"kind": "Example3", "params": {"a": 1}}'
@@ -143,7 +145,38 @@ def test_float_mode_coerces(capsys):
     payload = _json_out(capsys)
     step = [c for r in payload["criteria"] if r["criterion"] == "Theorem1"
             for c in r["conditions"] if c["label"] == "step-inequality"][0]
-    assert "/" not in str(step["witness"][0])  # floats, not rationals
+    # the witness is the exact rational compared at n = 1: the step ratios
+    # of the exact values of the doubles
+    fam = example4(1, 1)
+    al = [Fraction(float(fam.alpha(n))) for n in range(3)]
+    ga = [Fraction(float(fam.gamma(n))) for n in range(3)]
+    lhs = (al[1] - al[0]) / (al[1] * ga[0] - al[0] * ga[1])
+    rhs = (al[2] * ga[1] - al[1] * ga[2]) / (ga[1] - ga[2])
+    assert step["witness"] == [format_number(lhs), format_number(rhs)]
+
+
+def test_float_mode_corollary_off_its_shape_is_inconclusive(capsys):
+    """The doubles of Pollaczek(2, 1) miss its Corollary1 shape by an ulp:
+    the corollary report says so instead of failing the command."""
+    code = main(["check", "--family", '{"kind": "Pollaczek", "params": {"lambda": 2, "a": 1}}',
+                 "--N", "30", "--mode", "float", "--reproducible"])
+    payload = _json_out(capsys)
+    by_name = {r["criterion"]: r for r in payload["criteria"]}
+    cor = by_name["Corollary1"]
+    assert cor["overall"] == "Inconclusive"
+    assert cor["conditions"] == []
+    assert "does not match the declared shape" in cor["notes"]["error"]
+    assert "Corollary1" not in payload["certified"]
+    assert by_name["LambdaRoute"]["overall"] == "Violated"  # on the doubles
+    assert code == 1
+
+
+@pytest.mark.parametrize("command", ["check", "ratios", "lambda"])
+def test_criterion_commands_take_no_tol(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--family", "Legendre", "--N", "10", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_float_mode_scan_stays_nonnegative(capsys):
@@ -153,16 +186,20 @@ def test_float_mode_scan_stays_nonnegative(capsys):
 
 
 def test_float_mode_boundary_tight_y_route_flips(capsys):
-    """Example-3's y-increments equal 1 exactly; the y-transform amplifies
-    coefficient rounding past the margin, so float mode may honestly report
-    the y-route Violated while the division-free lambda-route stays green."""
+    """Example-3's step ratios sit exactly on the admissible boundary; the
+    doubles of its coefficients cross it at n = 2, so both routes are
+    Violated on them, while the step inequality keeps its slack."""
     code = main(["check", "--family", EX3, "--N", "20", "--mode", "float",
                  "--reproducible"])
     payload = _json_out(capsys)
     by_name = {r["criterion"]: r for r in payload["criteria"]}
     assert by_name["Theorem1"]["overall"] == "Satisfied"
-    assert by_name["LambdaRoute"]["overall"] == "Satisfied"
-    assert code == (1 if by_name["YRoute"]["overall"] == "Violated" else 0)
+    assert by_name["LambdaRoute"]["overall"] == "Violated"
+    pair = [c for c in by_name["LambdaRoute"]["conditions"]
+            if c["label"] == "pair-inequality"][0]
+    assert pair["first_violation"] == 2
+    assert by_name["YRoute"]["overall"] == "Violated"
+    assert code == 1
 
 
 def test_density_cli(capsys):
@@ -206,10 +243,10 @@ def test_run_config_direct():
     assert run(RunConfig(command="bogus")) == 2
 
 
-def test_certified_agrees_with_the_reports_under_tol(capsys):
-    """certified is derived from the listed reports, judged with the same --tol."""
+def test_certified_agrees_with_the_reports(capsys):
+    """certified is derived from the listed reports."""
     code = main(["check", "--family", "Legendre", "--N", "600", "--mode", "float",
-                 "--tol", "1e-3", "--reproducible"])
+                 "--reproducible"])
     payload = _json_out(capsys)
     overall = {r["criterion"]: r["overall"] for r in payload["criteria"]}
     assert overall["Theorem1"] == "Violated"

@@ -20,6 +20,7 @@ from turandet import (
     example2,
     example3,
     example4,
+    float_view,
     lambda_data,
     lambda_step_bound,
     legendre,
@@ -83,13 +84,30 @@ def test_sum_violation_witness():
     assert lhs > rhs  # recomputing the comparison reproduces the verdict
 
 
-def test_float_margin_tolerates_representation_noise():
-    # alpha_2 + gamma_2 overshoots 1 by 5e-15: inside the relative margin,
-    # so float mode treats the sum as boundary-equal instead of violated
+def test_float_overshoot_is_violated():
+    # alpha_2 + gamma_2 overshoots 1 by 5e-15: the exact values of the
+    # doubles break the condition, and no margin forgives it
     fam = table_family([0.0, 0.2, 0.45, 0.46],
                        [0.75, 0.7, 0.55 + 5e-15, 0.3])
-    rep = check_theorem1(fam, 2)
-    assert rep.condition("sum-le-one").holds is True
+    c = check_theorem1(fam, 2).condition("sum-le-one")
+    assert c.holds is False
+    assert c.first_violation == 2
+    assert c.witness == (F(0.45) + F(0.55 + 5e-15), 1)
+
+
+def test_float_check_catches_a_shrunk_gamma_step():
+    """Example3(1) with the gamma step at n = 2501 shrunk 50x breaks the step
+    inequality by a gap far below the doubles' relative size; the float view
+    must report it where the exact table does."""
+    fam = example3(1)
+    al = [fam.alpha(n) for n in range(3003)]
+    ga = [fam.gamma(n) for n in range(3003)]
+    ga[2501] = ga[2500] - (ga[2500] - ga[2501]) / 50
+    table = table_family(al, ga)
+    for t in (table, float_view(table)):
+        rep = check_theorem1(t, 3000)
+        assert rep.overall is Verdict.VIOLATED
+        assert rep.condition("step-inequality").first_violation == 2501
 
 
 # ---------------------------------------------------- normalized (prior) criterion

@@ -3,17 +3,23 @@ import random
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import monotone_ratio_table
 from turandet import (
     ScalingSequence,
     check_lambda_route,
     check_y_route,
+    criterion_reports,
     eval_polys,
+    example3,
+    example4,
     float_view,
+    gegenbauer,
     lambda_data,
     lambda_step_bound,
+    legendre,
+    pollaczek,
     scan_grid,
     table_family,
     turan_det,
@@ -155,3 +161,31 @@ def test_routes_agree_on_monotone_ratio_families(seed, steps):
     assert pair.holds == step.holds
     assert pair.first_violation == step.first_violation
     assert lam_report.overall == y_report.overall
+
+
+_BUILDERS = {"Example3": example3, "Example4": example4, "Gegenbauer": gegenbauer,
+             "Pollaczek": pollaczek, "Legendre": legendre}
+_ARITY = {"Example3": 1, "Example4": 2, "Gegenbauer": 1, "Pollaczek": 2}
+
+
+@st.composite
+def builtin_cases(draw):
+    kind = draw(st.sampled_from(sorted(_ARITY)))
+    params = [draw(positive) for _ in range(_ARITY[kind])]
+    return kind, params, draw(st.integers(min_value=2, max_value=80))
+
+
+@settings(max_examples=30, deadline=None)
+@given(builtin_cases())
+@example(("Legendre", [], 3000))
+def test_float_verdicts_are_the_exact_verdicts_on_the_doubles(case):
+    """Float mode decides on the exact values of the doubles: each verdict
+    equals that of the exact table of Fraction(float(v)). The float view keeps
+    its corollary shape, which its doubles miss; the table carries none."""
+    kind, params, N = case
+    fv = float_view(_BUILDERS[kind](*params))
+    doubles = table_family([Fraction(fv.alpha(n)) for n in range(N + 2)],
+                           [Fraction(fv.gamma(n)) for n in range(N + 2)])
+    got = {r.criterion: r.overall for r in criterion_reports(fv, N)}
+    want = {r.criterion: r.overall for r in criterion_reports(doubles, N)}
+    assert {name: got[name] for name in want} == want

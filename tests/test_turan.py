@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -125,6 +127,38 @@ def test_scaled_scan_requires_normalized_family():
 def test_scaled_scan_rejects_nonpositive_sigma():
     with pytest.raises(ParamError):
         scaled_scan(chebyshev_t(), lambda n: n, 4)  # sigma_0 = 0
+
+
+def test_turan_det_reads_each_coefficient_once():
+    reads = collections.Counter()
+    fam = pollaczek(2, 1)
+
+    def counted(kind, fn):
+        def at(n):
+            reads[kind, n] += 1
+            return fn(n)
+        return at
+
+    fam = dataclasses.replace(fam, alpha=counted("alpha", fam.alpha),
+                              gamma=counted("gamma", fam.gamma))
+    reads.clear()  # the construction checks alpha_0 and gamma_0
+    value = turan_det(fam, 10, F(1, 2))
+    assert value == turan_det(pollaczek(2, 1), 10, F(1, 2))
+    assert set(reads) == {(kind, n) for kind in ("alpha", "gamma") for n in range(11)}
+    assert max(reads.values()) == 1
+
+
+def test_scaled_scan_evaluates_each_sigma_once():
+    calls = collections.Counter()
+
+    def sigma(n):
+        calls[n] += 1
+        return 2 * n + 1
+
+    rep = scaled_scan(legendre(), sigma, 50, grid_points=101)
+    assert rep.sigma_log_concave is True
+    assert set(calls) == set(range(52))
+    assert max(calls.values()) == 1
 
 
 def test_turan_det_requires_positive_degree():
