@@ -316,7 +316,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scan", help="grid-scan normalized Turán determinants")
     _add_family_flags(sp, n_help="largest degree to scan", n_default=50,
                       n_flag="--n-max", grid_default=DEFAULT_GRID_POINTS,
-                      tol_help=f"relative tolerance for negative minima "
+                      tol_help="relative tolerance for negative minima "
                                f"(default {DEFAULT_TOLERANCE})")
     _add_output_flags(sp)
 
