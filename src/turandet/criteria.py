@@ -151,12 +151,20 @@ class _Cond:
         self._first_none: tuple | None = None
         self._sample: tuple | None = None
 
-    def record(self, n: int, ok: bool | None, witness: tuple) -> None:
+    def record(self, n: int, ok: bool | None, witness) -> None:
+        """Record the comparison at n. ``witness`` is the pair, or a function
+        that makes it, called only when this comparison is kept."""
+        keep_false = ok is False and self._first_false is None
+        keep_none = ok is None and self._first_none is None
+        if not (self._sample is None or keep_false or keep_none):
+            return
+        if callable(witness):
+            witness = witness()
         if self._sample is None:
             self._sample = witness
-        if ok is False and self._first_false is None:
+        if keep_false:
             self._first_false = (n, witness)
-        elif ok is None and self._first_none is None:
+        elif keep_none:
             self._first_none = (n, witness)
 
     def done(self) -> ConditionCheck:
@@ -218,7 +226,8 @@ def check_theorem1(family, N: int) -> CriterionReport:
             continue
         num_l = al[n] - al[n - 1]
         num_r = al[n + 1] * ga[n] - al[n] * ga[n + 1]
-        step.record(n, num_l * den_r <= num_r * den_l, (num_l / den_l, num_r / den_r))
+        step.record(n, num_l * den_r <= num_r * den_l,
+                    lambda: (num_l / den_l, num_r / den_r))
 
     init = _Cond(COND_INIT)
     lhs = ga[0] - ga[1]
@@ -475,7 +484,7 @@ def _lambda_route(table, ld: LambdaData) -> CriterionReport:
             ratio.record(n, None, (s[n - 1], s[n]))
             continue
         ok = t[n - 1] * s[n] <= t[n] * s[n - 1]
-        ratio.record(n, ok, (t[n - 1] / s[n - 1], t[n] / s[n]))
+        ratio.record(n, ok, lambda: (t[n - 1] / s[n - 1], t[n] / s[n]))
 
     pair = _Cond("pair-inequality")
     u, v, lam = ld.u, ld.v, ld.lam
@@ -483,7 +492,7 @@ def _lambda_route(table, ld: LambdaData) -> CriterionReport:
         lhs = 4 * u[n - 1] * v[n]
         rhs = (u[n - 1] + v[n - 1]) * (u[n] + v[n])
         if lam[n - 1] is not None and lam[n] is not None and lam[n - 1] != 3:
-            pair.record(n, lhs <= rhs, (lam[n], lambda_step_bound(lam[n - 1])))
+            pair.record(n, lhs <= rhs, lambda: (lam[n], lambda_step_bound(lam[n - 1])))
         else:
             pair.record(n, lhs <= rhs, (lhs, rhs))
 
