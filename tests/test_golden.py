@@ -40,7 +40,8 @@ def _cli(*argv):
 # (spec, N) of the check/lambda/ratios cases: Pollaczek(2, 1) carries a
 # Corollary1 shape, Legendre's YRoute is an InvalidLambda error report,
 # ChebyshevT is Violated, the table's g_1 = -1/5 makes SzwTheorem1 an error
-# report, and Example3(1/3) passes its digit-cap fallback at N = 990.
+# report, Example3(1/3) passes its digit-cap fallback at N = 990, and
+# Example4(2, 1/2) and Gegenbauer(3) are two more families the benchmark runs.
 CRITERIA_FAMILIES = {
     "example3": (FAMILIES["example3"], 60),
     "pollaczek": (FAMILIES["pollaczek"], 60),
@@ -49,6 +50,8 @@ CRITERIA_FAMILIES = {
     "nonpositive_table": ('{"kind": "Table", "alpha": [0, "3/5", "1/2", "1/2", "1/2", "1/2"], '
                           '"gamma": [2, 1, 1, 1, 1, 1]}', 4),
     "example3_third": ('{"kind": "Example3", "params": {"a": "1/3"}}', 1000),
+    "example4": ('{"kind": "Example4", "params": {"a": 2, "b": "1/2"}}', 60),
+    "gegenbauer": ('{"kind": "Gegenbauer", "params": {"lambda": 3}}', 60),
 }
 
 
