@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
-import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -31,7 +29,7 @@ from .families import (
     certified,
     criterion_reports,
 )
-from .recurrence import _materialize, float_view, ratio_sandwich
+from .recurrence import _step_table, float_view, ratio_sandwich
 from .turan import DEFAULT_GRID_POINTS, DEFAULT_TOLERANCE, grid_scan
 
 __all__ = ["RunConfig", "run", "main"]
@@ -79,17 +77,30 @@ def _apply_mode(family, mode: str):
     return family
 
 
-def _sanitize(obj):
-    """JSON-safe copy: Fractions -> 'num/den', non-finite floats -> strings."""
+def _json_default(obj):
     if isinstance(obj, Fraction):
         return format_number(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# How the encoder spells a non-finite float, and the string that replaces it.
+_NON_FINITE = (("-Infinity", '"-inf"'), ("Infinity", '"inf"'), ("NaN", '"nan"'))
+
+
+def _json_chunks(payload: dict):
+    """The indented JSON text of ``payload``, piece by piece and never whole.
+
+    Fractions become "num/den" strings and non-finite floats the strings
+    "inf", "-inf" and "nan". The encoder yields such a float as a bare token
+    at the end of its piece, where no other value can end in those letters.
+    """
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=_json_default)
+    for chunk in encoder.iterencode(payload):
+        if chunk.endswith(("Infinity", "NaN")):
+            token, text = next(t for t in _NON_FINITE if chunk.endswith(t[0]))
+            chunk = chunk[:-len(token)] + text
+        yield chunk
+    yield "\n"
 
 
 def _family_echo(family):
@@ -98,26 +109,23 @@ def _family_echo(family):
                        for k, v in family.params.items()}}
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(write, out: str | None) -> None:
+    """Call ``write`` on the output stream: the file ``out``, or stdout."""
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 def _emit_json(payload: dict, cfg: RunConfig) -> None:
     if not cfg.reproducible:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    _emit(json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n", cfg.output)
+    _emit(lambda fh: fh.writelines(_json_chunks(payload)), cfg.output)
 
 
 def _emit_csv(rows, cfg: RunConfig) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    _emit(buf.getvalue(), cfg.output)
+    _emit(lambda fh: csv.writer(fh, lineterminator="\n").writerows(rows), cfg.output)
 
 
 # Per command: highest coefficient index read, less its --N (--n-max for scan),
@@ -181,48 +189,52 @@ def _cmd_scan(cfg: RunConfig) -> int:
     return 0 if report.all_nonnegative else 1
 
 
+def _ratio_rows(family, N: int) -> list[dict]:
+    """The rows of ``ratios`` as printed; the exact rows are freed on return."""
+    return [{"n": r.n, "g": format_number(r.g), "upper": format_number(r.upper),
+             "lower_ok": r.lower_ok, "upper_ok": r.upper_ok,
+             "gamma_step_decreasing": r.gamma_step_decreasing}
+            for r in ratio_sandwich(family, N)]
+
+
 def _cmd_ratios(cfg: RunConfig) -> int:
     family = _apply_mode(_load_family(cfg.family_spec), cfg.mode)
-    rows = ratio_sandwich(family, cfg.N)
-    ok = all(r.lower_ok and r.upper_ok for r in rows)
+    rows = _ratio_rows(family, cfg.N)
+    ok = all(r["lower_ok"] and r["upper_ok"] for r in rows)
     if cfg.format == "csv":
-        out = [["n", "g", "upper", "lower_ok", "upper_ok", "gamma_step_decreasing"]]
-        for r in rows:
-            out.append([r.n, format_number(r.g), format_number(r.upper),
-                        r.lower_ok, r.upper_ok, r.gamma_step_decreasing])
-        _emit_csv(out, cfg)
+        keys = ("n", "g", "upper", "lower_ok", "upper_ok", "gamma_step_decreasing")
+        _emit_csv([keys, *([r[k] for k in keys] for r in rows)], cfg)
     else:
         _emit_json({
             "command": "ratios",
             "family": _family_echo(family),
             "N": cfg.N,
             "all_bounds_hold": ok,
-            "rows": [{"n": r.n, "g": format_number(r.g),
-                      "upper": format_number(r.upper), "lower_ok": r.lower_ok,
-                      "upper_ok": r.upper_ok,
-                      "gamma_step_decreasing": r.gamma_step_decreasing}
-                     for r in rows],
+            "rows": rows,
         }, cfg)
     return 0 if ok else 1
 
 
+def _lambda_rows(family, N: int):
+    """The rows of ``lambda`` as printed, and its route reports. The step
+    table and the step data are freed on return."""
+    table = _step_table(family, N)
+    data = lambda_data(table, N)
+    return list(data.rows()), _route_reports(table)
+
+
 def _cmd_lambda(cfg: RunConfig) -> int:
     family = _apply_mode(_load_family(cfg.family_spec), cfg.mode)
-    table = _materialize(family, cfg.N + 1, exact=True)
-    data = lambda_data(table, cfg.N)
-    reports = _route_reports(table, data)
+    rows, reports = _lambda_rows(family, cfg.N)
     if cfg.format == "csv":
-        out = [["n", "u", "v", "lambda", "y", "valid"]]
-        for row in data.rows():
-            out.append([row["n"], row["u"], row["v"], row["lambda"], row["y"],
-                        row["valid"]])
-        _emit_csv(out, cfg)
+        keys = ("n", "u", "v", "lambda", "y", "valid")
+        _emit_csv([keys, *([r[k] for k in keys] for r in rows)], cfg)
     else:
         _emit_json({
             "command": "lambda",
             "family": _family_echo(family),
             "N": cfg.N,
-            "rows": list(data.rows()),
+            "rows": rows,
             "criteria": [r.to_json() for r in reports],
         }, cfg)
     return 1 if any(r.overall is Verdict.VIOLATED for r in reports) else 0

@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 from .arith import Num, exact_value, format_number
 from .errors import InvalidLambda, ParamError, StructuralMismatch
-from .recurrence import _exact_coefficients, _materialize, _table, coefficients
+from .recurrence import _step_table, _table
 
 __all__ = [
     "Verdict",
@@ -180,6 +180,11 @@ class _Cond:
 _HALF = Fraction(1, 2)
 
 
+def _pair(x):
+    """An exact value as its (numerator, positive denominator) ints."""
+    return x.numerator, x.denominator
+
+
 def check_theorem1(family, N: int) -> CriterionReport:
     """Main sufficient criterion on raw coefficients.
 
@@ -191,51 +196,54 @@ def check_theorem1(family, N: int) -> CriterionReport:
     Satisfied implies every Turan determinant of the normalized family is
     nonnegative on [-1, 1].
 
-    The step inequality is decided by cross-multiplication (denominators must
-    be positive; a nonpositive one makes that index inconclusive, witnessing
-    the two denominators).
+    The step inequality is u_{n-1}/w_{n-1} <= w_n/v_n on the step table,
+    decided by cross-multiplication (denominators must be positive; a
+    nonpositive one makes that index inconclusive, witnessing the two
+    denominators).
     """
     if N < 2:
         raise ParamError("check_theorem1 needs N >= 2")
-    al, ga = _exact_coefficients(family, N + 1)
+    t = _step_table(family, N)
+    al, ga, a, g, u, v, w = t.al, t.ga, t.a, t.g, t.u, t.v, t.w
     one, zero = Fraction(1), Fraction(0)
 
-    a = _Cond(COND_ALPHA)
+    inc = _Cond(COND_ALPHA)
     for n in range(N + 1):
         if n >= 1:
-            a.record(n, al[n - 1] < al[n], (al[n - 1], al[n]))
-        a.record(n, al[n] <= _HALF, (al[n], _HALF))
+            inc.record(n, u[n - 1][0] > 0, (al[n - 1], al[n]))
+        p, q = a[n]
+        inc.record(n, 2 * p <= q, (al[n], _HALF))
 
-    b = _Cond(COND_GAMMA)
+    dec = _Cond(COND_GAMMA)
     for n in range(N + 1):
         if n >= 1:
-            b.record(n, ga[n] < ga[n - 1], (ga[n], ga[n - 1]))
-        b.record(n, zero < ga[n], (zero, ga[n]))
+            dec.record(n, v[n - 1][0] > 0, (ga[n], ga[n - 1]))
+        dec.record(n, g[n][0] > 0, (zero, ga[n]))
 
-    c = _Cond(COND_SUM)
+    total = _Cond(COND_SUM)
     for n in range(N + 1):
-        s = al[n] + ga[n]
-        c.record(n, s <= one, (s, one))
+        (p, q), (r, s) = a[n], g[n]
+        total.record(n, p * s + r * q <= q * s, lambda: (al[n] + ga[n], one))
 
     step = _Cond(COND_STEP)
     for n in range(1, N + 1):
-        den_l = al[n] * ga[n - 1] - al[n - 1] * ga[n]
-        den_r = ga[n] - ga[n + 1]
-        if not (den_l > 0 and den_r > 0):
-            step.record(n, None, (den_l, den_r))
+        (wl, wld), (vr, vrd) = w[n - 1], v[n]
+        if not (wl > 0 and vr > 0):
+            step.record(n, None, lambda: (al[n] * ga[n - 1] - al[n - 1] * ga[n],
+                                          ga[n] - ga[n + 1]))
             continue
-        num_l = al[n] - al[n - 1]
-        num_r = al[n + 1] * ga[n] - al[n] * ga[n + 1]
-        step.record(n, num_l * den_r <= num_r * den_l,
-                    lambda: (num_l / den_l, num_r / den_r))
+        (ul, uld), (wr, wrd) = u[n - 1], w[n]
+        step.record(n, ul * vr * wld * wrd <= wr * wl * uld * vrd, lambda: (
+            (al[n] - al[n - 1]) / (al[n] * ga[n - 1] - al[n - 1] * ga[n]),
+            (al[n + 1] * ga[n] - al[n] * ga[n + 1]) / (ga[n] - ga[n + 1])))
 
     init = _Cond(COND_INIT)
-    lhs = ga[0] - ga[1]
-    rhs = al[1] * ga[0] * ga[0]
-    init.record(0, lhs <= rhs, (lhs, rhs))
+    (vn, vd), (p, q), (r, s) = v[0], a[1], g[0]
+    init.record(0, vn * q * s * s <= p * r * r * vd,
+                lambda: (ga[0] - ga[1], al[1] * ga[0] * ga[0]))
 
     return CriterionReport.assemble(
-        THEOREM1, N, (a.done(), b.done(), c.done(), step.done(), init.done()))
+        THEOREM1, N, (inc.done(), dec.done(), total.done(), step.done(), init.done()))
 
 
 def check_szw_normalized(nf, N: int) -> CriterionReport:
@@ -296,15 +304,18 @@ def _delta_conditions(alpha_const, gamma_const, d: DeltaSeq, dv: list,
                       tail_threshold: float):
     """Conditions shared by both shifted-constant-shape criteria."""
     zero = Fraction(0)
+    (ap, aq), (gp, gq) = _pair(alpha_const), _pair(gamma_const)
     order = _Cond("alpha-ge-gamma-positive")
-    order.record(0, zero < gamma_const <= alpha_const, (gamma_const, alpha_const))
+    order.record(0, 0 < gp and gp * aq <= ap * gq, (gamma_const, alpha_const))
 
     dec = _Cond("delta-positive-decreasing")
     N = len(dv) - 1
-    for n in range(N + 1):
-        dec.record(n, zero < dv[n], (zero, dv[n]))
+    d_pairs = [_pair(x) for x in dv]
+    for n, (p, q) in enumerate(d_pairs):
+        dec.record(n, p > 0, (zero, dv[n]))
         if n >= 1:
-            dec.record(n, dv[n] < dv[n - 1], (dv[n], dv[n - 1]))
+            p0, q0 = d_pairs[n - 1]
+            dec.record(n, p * q0 < p0 * q, (dv[n], dv[n - 1]))
 
     lim = _Cond("delta-limit-zero")
     if d.limit is not None:
@@ -365,15 +376,23 @@ def check_corollary2(alpha_const, gamma_const, delta, N: int, *, family=None,
 def _assert_corollary_shape(family, A, G, deltas: list, first_shifted: int) -> None:
     """Raise StructuralMismatch unless alpha_n = 1/2 - A*delta_n (from index
     ``first_shifted``) and gamma_n = 1/2 + G*delta_n exactly, for the exact
-    values A, G and ``deltas`` and the exact values of the coefficients."""
+    values A, G and ``deltas`` and the exact values of the coefficients.
+
+    With A = a/b and delta_n = p/q, 1/2 - A*delta_n = (b*q - 2*a*p)/(2*b*q),
+    so each equality is one cross-multiplication of ints; the Fractions of a
+    mismatch are built only for its message."""
+    (a, b), (c, d) = _pair(A), _pair(G)
     for n, dn in enumerate(deltas):
-        want_a = _HALF - A * dn if n >= first_shifted else 0
+        p, q = _pair(dn)
         got_a = exact_value(family.alpha(n))
-        if got_a != want_a:
-            raise StructuralMismatch(n, "alpha", want_a, got_a)
-        want_g, got_g = _HALF + G * dn, exact_value(family.gamma(n))
-        if got_g != want_g:
-            raise StructuralMismatch(n, "gamma", want_g, got_g)
+        if n < first_shifted:
+            if got_a != 0:
+                raise StructuralMismatch(n, "alpha", 0, got_a)
+        elif 2 * got_a.numerator * b * q != got_a.denominator * (b * q - 2 * a * p):
+            raise StructuralMismatch(n, "alpha", _HALF - A * dn, got_a)
+        got_g = exact_value(family.gamma(n))
+        if 2 * got_g.numerator * d * q != got_g.denominator * (d * q + 2 * c * p):
+            raise StructuralMismatch(n, "gamma", _HALF + G * dn, got_g)
 
 
 def matches_corollary1(family, alpha_const, gamma_const, delta, N: int) -> bool:
@@ -423,21 +442,20 @@ class LambdaData:
 
 
 def lambda_data(family, N: int) -> LambdaData:
-    """Step data for indices 0..N (consumes coefficients up to N+1)."""
+    """Step data for indices 0..N (consumes coefficients up to N+1), formed
+    from the exact values of the coefficients."""
     if N < 1:
         raise ParamError("lambda_data needs N >= 1")
-    al, ga = coefficients(family, N + 1)
+    t = _step_table(family, N)
+    al, ga = t.al, t.ga
     u, v, lam, y, valid = [], [], [], [], []
     for n in range(N + 1):
-        un = al[n + 1] - al[n]
-        vn = ga[n] - ga[n + 1]
-        ln = vn / un if un != 0 else None
-        yn = y_from_lambda(ln) if ln is not None and ln != 1 else None
-        u.append(un)
-        v.append(vn)
-        lam.append(ln)
-        y.append(yn)
-        valid.append(bool(un > 0 and vn > 0 and ln is not None and ln <= 1))
+        (un, ud), (vn, vd) = t.u[n], t.v[n]
+        u.append(al[n + 1] - al[n])
+        v.append(ga[n] - ga[n + 1])
+        lam.append(v[n] / u[n] if un else None)
+        y.append(y_from_lambda(lam[n]) if un and vn * ud != un * vd else None)
+        valid.append(un > 0 and vn > 0 and vn * ud <= un * vd)
     return LambdaData(tuple(u), tuple(v), tuple(lam), tuple(y), tuple(valid), N)
 
 
@@ -449,6 +467,20 @@ def lambda_step_bound(x):
 def y_from_lambda(lam):
     """y = (1 + lambda)/(1 - lambda); inverse of lambda = (y - 1)/(y + 1)."""
     return (1 + lam) / (1 - lam)
+
+
+def _step_values(t):
+    """Functions k -> u_k, v_k and lambda_k of the exact values of step table
+    ``t``, for building the witnesses that are kept."""
+    al, ga = t.al, t.ga
+
+    def u(k):
+        return al[k + 1] - al[k]
+
+    def v(k):
+        return ga[k] - ga[k + 1]
+
+    return u, v, lambda k: v(k) / u(k)
 
 
 def check_lambda_route(family, N: int) -> CriterionReport:
@@ -467,40 +499,46 @@ def check_lambda_route(family, N: int) -> CriterionReport:
     """
     if N < 1:
         raise ParamError("check_lambda_route needs N >= 1")
-    table = _materialize(family, N + 1, exact=True)
-    return _lambda_route(table, lambda_data(table, N))
+    return _lambda_route(_step_table(family, N))
 
 
-def _lambda_route(table, ld: LambdaData) -> CriterionReport:
-    """check_lambda_route on the step data ``ld`` of the exact-valued ``table``."""
-    N = ld.N
-    al, ga = coefficients(table, N)
+def _lambda_route(t) -> CriterionReport:
+    """check_lambda_route on the step table ``t``."""
+    N, al, ga, a, g, u, v = t.N, t.al, t.ga, t.a, t.g, t.u, t.v
+    u_at, v_at, lam_at = _step_values(t)
 
+    # s_n = 1/2 - alpha_n = (q - 2p)/(2q) and t_n = gamma_n - 1/2 = (2r - s)/(2s)
+    # for alpha_n = p/q, gamma_n = r/s; the ratio is t_n/s_n
     ratio = _Cond("ratio-nondecreasing")
-    s = [_HALF - al[n] for n in range(N + 1)]
-    t = [ga[n] - _HALF for n in range(N + 1)]
     for n in range(2, N + 1):
-        if not (s[n - 1] > 0 and s[n] > 0):
-            ratio.record(n, None, (s[n - 1], s[n]))
+        (p0, q0), (p1, q1) = a[n - 1], a[n]
+        s0, s1 = q0 - 2 * p0, q1 - 2 * p1
+        if not (s0 > 0 and s1 > 0):
+            ratio.record(n, None, lambda: (_HALF - al[n - 1], _HALF - al[n]))
             continue
-        ok = t[n - 1] * s[n] <= t[n] * s[n - 1]
-        ratio.record(n, ok, lambda: (t[n - 1] / s[n - 1], t[n] / s[n]))
+        (r0, d0), (r1, d1) = g[n - 1], g[n]
+        ratio.record(n, (2 * r0 - d0) * s1 * d1 * q0 <= (2 * r1 - d1) * s0 * d0 * q1,
+                     lambda: ((ga[n - 1] - _HALF) / (_HALF - al[n - 1]),
+                              (ga[n] - _HALF) / (_HALF - al[n])))
 
     pair = _Cond("pair-inequality")
-    u, v, lam = ld.u, ld.v, ld.lam
     for n in range(1, N + 1):
-        lhs = 4 * u[n - 1] * v[n]
-        rhs = (u[n - 1] + v[n - 1]) * (u[n] + v[n])
-        if lam[n - 1] is not None and lam[n] is not None and lam[n - 1] != 3:
-            pair.record(n, lhs <= rhs, lambda: (lam[n], lambda_step_bound(lam[n - 1])))
+        (u0, ud0), (v0, vd0) = u[n - 1], v[n - 1]
+        (u1, ud1), (v1, vd1) = u[n], v[n]
+        ok = 4 * u0 * v1 * vd0 * ud1 <= (u0 * vd0 + v0 * ud0) * (u1 * vd1 + v1 * ud1)
+        if u0 and u1 and v0 * ud0 != 3 * u0 * vd0:
+            pair.record(n, ok, lambda: (lam_at(n), lambda_step_bound(lam_at(n - 1))))
         else:
-            pair.record(n, lhs <= rhs, (lhs, rhs))
+            pair.record(n, ok, lambda: (4 * u_at(n - 1) * v_at(n),
+                                        (u_at(n - 1) + v_at(n - 1)) * (u_at(n) + v_at(n))))
 
-    third = Fraction(1, 3)
-    shortcut = all(lam[n] is not None and lam[n] <= third for n in range(1, N + 1))
+    # lambda_n = L/D with L = v_n*ud, D = u_n*vd; L/D <= 1/3 iff (3L - D)*D <= 0
+    shortcut = all(un and (3 * vn * ud - un * vd) * un * vd <= 0
+                   for (un, ud), (vn, vd) in zip(u[1:], v[1:]))
     notes = {
         "shortcut_lambda_le_one_third": shortcut,
-        "lambda_invalid_indices": [n for n in range(N + 1) if not ld.valid[n]],
+        "lambda_invalid_indices": [n for n, ((un, ud), (vn, vd)) in enumerate(zip(u, v))
+                                   if not (un > 0 and vn > 0 and vn * ud <= un * vd)],
     }
     return CriterionReport.assemble(LAMBDA_ROUTE, N, (ratio.done(), pair.done()), notes)
 
@@ -515,17 +553,26 @@ def check_y_route(family, N: int) -> CriterionReport:
     break the pair inequality is Violated on both routes."""
     if N < 1:
         raise ParamError("check_y_route needs N >= 1")
-    return _y_route(lambda_data(_materialize(family, N + 1, exact=True), N))
+    return _y_route(_step_table(family, N))
 
 
-def _y_route(ld: LambdaData) -> CriterionReport:
-    """check_y_route on the step data ``ld``."""
-    N = ld.N
-    for n, ln in enumerate(ld.lam):
-        if ln is None or not 0 < ln < 1:
-            raise InvalidLambda(n, ln)
-    y = ld.y
+def _y_route(t) -> CriterionReport:
+    """check_y_route on the step table ``t``."""
+    _, _, lam_at = _step_values(t)
+    # lambda_n = L/D as in _lambda_route; y_n = (D + L)/(D - L), kept as an
+    # int pair with a positive denominator
+    ys = []
+    for n, ((un, ud), (vn, vd)) in enumerate(zip(t.u, t.v)):
+        L, D = vn * ud, un * vd
+        if not (0 < L < D or D < L < 0):
+            raise InvalidLambda(n, lam_at(n) if un else None)
+        ys.append((D + L, D - L) if D > 0 else (-D - L, L - D))
+
+    def y_at(k):
+        return y_from_lambda(lam_at(k))
+
     cond = _Cond("y-increments-at-most-one")
-    for n in range(1, N + 1):
-        cond.record(n, y[n] <= y[n - 1] + 1, (y[n], y[n - 1] + 1))
-    return CriterionReport.assemble(Y_ROUTE, N, (cond.done(),))
+    for n in range(1, t.N + 1):
+        (y0, yd0), (y1, yd1) = ys[n - 1], ys[n]
+        cond.record(n, y1 * yd0 <= (y0 + yd0) * yd1, lambda: (y_at(n), y_at(n - 1) + 1))
+    return CriterionReport.assemble(Y_ROUTE, t.N, (cond.done(),))

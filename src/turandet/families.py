@@ -24,7 +24,6 @@ from .criteria import (
     Y_ROUTE,
     CriterionReport,
     DeltaSeq,
-    LambdaData,
     Verdict,
     _lambda_route,
     _y_route,
@@ -33,7 +32,6 @@ from .criteria import (
     check_corollary2,
     check_szw_normalized,
     check_theorem1,
-    lambda_data,
 )
 from .errors import (
     InvalidLambda,
@@ -42,7 +40,7 @@ from .errors import (
     StructuralMismatch,
     TableRangeError,
 )
-from .recurrence import CoefficientFamily, _materialize, _table, normalize
+from .recurrence import CoefficientFamily, _step_table, _table, normalize
 
 __all__ = [
     "FAMILY_KINDS",
@@ -446,35 +444,34 @@ def _error_report(criterion: str, N: int, exc: Exception) -> CriterionReport:
     return CriterionReport(criterion, N, (), Verdict.INCONCLUSIVE, {"error": str(exc)})
 
 
-def _route_reports(table, ld: LambdaData) -> list[CriterionReport]:
-    """LambdaRoute and YRoute reports, both from the one step data ``ld`` of
-    the exact-valued ``table``."""
-    reports = [_lambda_route(table, ld)]
+def _route_reports(table) -> list[CriterionReport]:
+    """LambdaRoute and YRoute reports, both from the one step table ``table``."""
+    reports = [_lambda_route(table)]
     try:
-        reports.append(_y_route(ld))
+        reports.append(_y_route(table))
     except InvalidLambda as exc:
-        reports.append(_error_report(Y_ROUTE, ld.N, exc))
+        reports.append(_error_report(Y_ROUTE, table.N, exc))
     return reports
 
 
 def criterion_reports(family, N: int) -> list[CriterionReport]:
     """The report of every applicable checker up to N, each checker run once.
 
-    The coefficients are read once, up to index N+1, as exact values, and
-    every checker decides on that table. Order: Theorem1, SzwTheorem1,
-    LambdaRoute, YRoute, then the corollary whose shape the family carries in
-    ``meta``. A nonpositive ratio g_n, a step ratio lambda_n outside (0, 1), or
-    coefficients off the declared shape (as the doubles of a float family
-    are) turn the SzwTheorem1, YRoute or corollary report into an
-    Inconclusive one whose notes carry the error.
+    The coefficients are read once, up to index N+1, as exact values into one
+    step table, and every checker decides on that table. Order: Theorem1,
+    SzwTheorem1, LambdaRoute, YRoute, then the corollary whose shape the
+    family carries in ``meta``. A nonpositive ratio g_n, a step ratio lambda_n
+    outside (0, 1), or coefficients off the declared shape (as the doubles of
+    a float family are) turn the SzwTheorem1, YRoute or corollary report into
+    an Inconclusive one whose notes carry the error.
     """
-    table = _materialize(family, N + 1, exact=True)
+    table = _step_table(family, N)
     reports = [check_theorem1(table, N)]
     try:
         reports.append(check_szw_normalized(normalize(table, N), N))
     except NonpositiveRatio as exc:
         reports.append(_error_report(SZW_THEOREM1, N, exc))
-    reports += _route_reports(table, lambda_data(table, N))
+    reports += _route_reports(table)
 
     for key, name, check in (("corollary1", COROLLARY1, check_corollary1),
                              ("corollary2", COROLLARY2, check_corollary2)):

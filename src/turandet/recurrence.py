@@ -108,16 +108,57 @@ def _exact_coefficients(family, hi: int):
     return [exact_value(v) for v in al], [exact_value(v) for v in ga]
 
 
-def _materialize(family, hi: int, exact: bool = False) -> CoefficientFamily:
-    """``family`` over finite tables of its coefficients 0..hi, read once; with
-    ``exact``, of their exact values, which every criterion decides on.
+def _materialize(family, hi: int) -> CoefficientFamily:
+    """``family`` over finite tables of its coefficients 0..hi, read once.
 
     A negative hi reads index 0 only, so the caller's own bound check reports it.
     """
-    al, ga = (_exact_coefficients if exact else coefficients)(family, max(hi, 0))
+    al, ga = coefficients(family, max(hi, 0))
     return CoefficientFamily(name=family.name, alpha=_table(al), gamma=_table(ga),
-                             exact=exact or family.exact, params=family.params,
-                             meta=family.meta)
+                             exact=family.exact, params=family.params, meta=family.meta)
+
+
+class _StepTable:
+    """The exact coefficient table of a family for steps 0..N, and its steps.
+
+    Reads alpha_0..alpha_{N+1} and gamma_0..gamma_{N+1} once, as exact values
+    (``al``, ``ga``), and duck-types CoefficientFamily over them, so a checker
+    handed a step table reuses it. Every criterion decides by integer
+    cross-multiplication on its pairs: ``a[n]``/``g[n]`` are alpha_n/gamma_n
+    and, for n <= N,
+
+        u[n] = alpha_{n+1} - alpha_n
+        v[n] = gamma_n - gamma_{n+1}
+        w[n] = alpha_{n+1}*gamma_n - alpha_n*gamma_{n+1}
+
+    each an unreduced (numerator, positive denominator) pair of ints. Kept
+    witnesses and printed values are built from ``al``/``ga`` instead.
+    """
+
+    exact = True
+
+    def __init__(self, family, N: int):
+        self.N = N
+        self.name, self.params, self.meta = family.name, family.params, family.meta
+        self.al, self.ga = al, ga = _exact_coefficients(family, max(N + 1, 0))
+        self.alpha, self.gamma = _table(al), _table(ga)
+        self.a = a = [(x.numerator, x.denominator) for x in al]
+        self.g = g = [(x.numerator, x.denominator) for x in ga]
+        self.u, self.v, self.w = u, v, w = [], [], []
+        for n in range(N + 1):
+            (p0, q0), (p1, q1) = a[n], a[n + 1]
+            (r0, s0), (r1, s1) = g[n], g[n + 1]
+            u.append((p1 * q0 - p0 * q1, q0 * q1))
+            v.append((r0 * s1 - r1 * s0, s0 * s1))
+            w.append((p1 * r0 * q0 * s1 - p0 * r1 * q1 * s0, q0 * q1 * s0 * s1))
+
+
+def _step_table(family, N: int) -> _StepTable:
+    """The step table of ``family`` for steps 0..N; a step table for exactly
+    those steps is returned as it is."""
+    if isinstance(family, _StepTable) and family.N == N:
+        return family
+    return _StepTable(family, N)
 
 
 def _rows(al, ga, x, hi: int, one=1, start=None):
@@ -377,27 +418,28 @@ def ratio_sandwich(family, N: int) -> list[SandwichRow]:
 
     The ratios are formed from the exact values of the coefficients, and each
     bound is decided on the exact value of g_n (an mpf after a digit-cap
-    fallback). The upper bound needs gamma_n > gamma_{n+1}; rows where that
-    fails carry upper = +inf, upper_ok = True and gamma_step_decreasing = False
-    so the hypothesis breach stays visible.
+    fallback) against w_n/v_n of the step table. The upper bound needs
+    gamma_n > gamma_{n+1}; rows where that fails carry upper = +inf,
+    upper_ok = True and gamma_step_decreasing = False so the hypothesis breach
+    stays visible.
     """
-    table = _materialize(family, N, exact=True)
+    table = _step_table(family, N - 1)
+    al, ga, v, w = table.al, table.ga, table.v, table.w
     rows = []
     for n, g in enumerate(ratios_at_one(table, N).values):
-        a0, a1 = table.alpha(n), table.alpha(n + 1)
-        c0, c1 = table.gamma(n), table.gamma(n + 1)
-        den = c0 - c1
         g_exact = exact_value(g)
-        if den > 0:
-            upper = (a1 * c0 - a0 * c1) / den
-            upper_ok = g_exact <= upper
+        gp, gq = g_exact.numerator, g_exact.denominator
+        (vn, vd), (wn, wd) = v[n], w[n]
+        if vn > 0:
+            upper = (al[n + 1] * ga[n] - al[n] * ga[n + 1]) / (ga[n] - ga[n + 1])
+            upper_ok = gp * wd * vn <= wn * vd * gq
         else:
             upper = math.inf
             upper_ok = True
         rows.append(SandwichRow(
             n=n, g=g, upper=upper,
-            lower_ok=1 <= g_exact,
+            lower_ok=gq <= gp,
             upper_ok=upper_ok,
-            gamma_step_decreasing=den > 0,
+            gamma_step_decreasing=vn > 0,
         ))
     return rows

@@ -1,0 +1,180 @@
+"""Reference implementations that decide every step condition in Fraction
+arithmetic, one Fraction operation per intermediate value.
+
+These are the checkers as they stood before the integer step table
+(``recurrence._StepTable``) took over the decisions. test_step_table.py
+requires the package to agree with them report for report, witnesses
+included. Only tests import this module.
+"""
+import math
+from fractions import Fraction
+
+from turandet.arith import exact_value
+from turandet.criteria import (
+    _HALF,
+    COND_ALPHA,
+    COND_GAMMA,
+    COND_INIT,
+    COND_STEP,
+    COND_SUM,
+    LAMBDA_ROUTE,
+    THEOREM1,
+    Y_ROUTE,
+    CriterionReport,
+    LambdaData,
+    _Cond,
+    lambda_step_bound,
+    y_from_lambda,
+)
+from turandet.errors import InvalidLambda
+from turandet.recurrence import (
+    CoefficientFamily,
+    SandwichRow,
+    _exact_coefficients,
+    _table,
+    coefficients,
+    ratios_at_one,
+)
+
+
+def exact_table(family, hi: int) -> CoefficientFamily:
+    """``family`` over the exact values of its coefficients 0..hi, read once."""
+    al, ga = _exact_coefficients(family, max(hi, 0))
+    return CoefficientFamily(name=family.name, alpha=_table(al), gamma=_table(ga),
+                             exact=True, params=family.params, meta=family.meta)
+
+
+def check_theorem1(family, N: int) -> CriterionReport:
+    al, ga = _exact_coefficients(family, N + 1)
+    one, zero = Fraction(1), Fraction(0)
+
+    a = _Cond(COND_ALPHA)
+    for n in range(N + 1):
+        if n >= 1:
+            a.record(n, al[n - 1] < al[n], (al[n - 1], al[n]))
+        a.record(n, al[n] <= _HALF, (al[n], _HALF))
+
+    b = _Cond(COND_GAMMA)
+    for n in range(N + 1):
+        if n >= 1:
+            b.record(n, ga[n] < ga[n - 1], (ga[n], ga[n - 1]))
+        b.record(n, zero < ga[n], (zero, ga[n]))
+
+    c = _Cond(COND_SUM)
+    for n in range(N + 1):
+        s = al[n] + ga[n]
+        c.record(n, s <= one, (s, one))
+
+    step = _Cond(COND_STEP)
+    for n in range(1, N + 1):
+        den_l = al[n] * ga[n - 1] - al[n - 1] * ga[n]
+        den_r = ga[n] - ga[n + 1]
+        if not (den_l > 0 and den_r > 0):
+            step.record(n, None, (den_l, den_r))
+            continue
+        num_l = al[n] - al[n - 1]
+        num_r = al[n + 1] * ga[n] - al[n] * ga[n + 1]
+        step.record(n, num_l * den_r <= num_r * den_l,
+                    lambda: (num_l / den_l, num_r / den_r))
+
+    init = _Cond(COND_INIT)
+    lhs = ga[0] - ga[1]
+    rhs = al[1] * ga[0] * ga[0]
+    init.record(0, lhs <= rhs, (lhs, rhs))
+
+    return CriterionReport.assemble(
+        THEOREM1, N, (a.done(), b.done(), c.done(), step.done(), init.done()))
+
+
+def lambda_data(family, N: int) -> LambdaData:
+    """Step data of the raw coefficients (doubles stay doubles)."""
+    al, ga = coefficients(family, N + 1)
+    u, v, lam, y, valid = [], [], [], [], []
+    for n in range(N + 1):
+        un = al[n + 1] - al[n]
+        vn = ga[n] - ga[n + 1]
+        ln = vn / un if un != 0 else None
+        yn = y_from_lambda(ln) if ln is not None and ln != 1 else None
+        u.append(un)
+        v.append(vn)
+        lam.append(ln)
+        y.append(yn)
+        valid.append(bool(un > 0 and vn > 0 and ln is not None and ln <= 1))
+    return LambdaData(tuple(u), tuple(v), tuple(lam), tuple(y), tuple(valid), N)
+
+
+def lambda_route(table, ld: LambdaData) -> CriterionReport:
+    N = ld.N
+    al, ga = coefficients(table, N)
+
+    ratio = _Cond("ratio-nondecreasing")
+    s = [_HALF - al[n] for n in range(N + 1)]
+    t = [ga[n] - _HALF for n in range(N + 1)]
+    for n in range(2, N + 1):
+        if not (s[n - 1] > 0 and s[n] > 0):
+            ratio.record(n, None, (s[n - 1], s[n]))
+            continue
+        ok = t[n - 1] * s[n] <= t[n] * s[n - 1]
+        ratio.record(n, ok, lambda: (t[n - 1] / s[n - 1], t[n] / s[n]))
+
+    pair = _Cond("pair-inequality")
+    u, v, lam = ld.u, ld.v, ld.lam
+    for n in range(1, N + 1):
+        lhs = 4 * u[n - 1] * v[n]
+        rhs = (u[n - 1] + v[n - 1]) * (u[n] + v[n])
+        if lam[n - 1] is not None and lam[n] is not None and lam[n - 1] != 3:
+            pair.record(n, lhs <= rhs, lambda: (lam[n], lambda_step_bound(lam[n - 1])))
+        else:
+            pair.record(n, lhs <= rhs, (lhs, rhs))
+
+    third = Fraction(1, 3)
+    shortcut = all(lam[n] is not None and lam[n] <= third for n in range(1, N + 1))
+    notes = {
+        "shortcut_lambda_le_one_third": shortcut,
+        "lambda_invalid_indices": [n for n in range(N + 1) if not ld.valid[n]],
+    }
+    return CriterionReport.assemble(LAMBDA_ROUTE, N, (ratio.done(), pair.done()), notes)
+
+
+def y_route(ld: LambdaData) -> CriterionReport:
+    N = ld.N
+    for n, ln in enumerate(ld.lam):
+        if ln is None or not 0 < ln < 1:
+            raise InvalidLambda(n, ln)
+    y = ld.y
+    cond = _Cond("y-increments-at-most-one")
+    for n in range(1, N + 1):
+        cond.record(n, y[n] <= y[n - 1] + 1, (y[n], y[n - 1] + 1))
+    return CriterionReport.assemble(Y_ROUTE, N, (cond.done(),))
+
+
+def check_lambda_route(family, N: int) -> CriterionReport:
+    table = exact_table(family, N + 1)
+    return lambda_route(table, lambda_data(table, N))
+
+
+def check_y_route(family, N: int) -> CriterionReport:
+    return y_route(lambda_data(exact_table(family, N + 1), N))
+
+
+def ratio_sandwich(family, N: int) -> list:
+    table = exact_table(family, N)
+    rows = []
+    for n, g in enumerate(ratios_at_one(table, N).values):
+        a0, a1 = table.alpha(n), table.alpha(n + 1)
+        c0, c1 = table.gamma(n), table.gamma(n + 1)
+        den = c0 - c1
+        g_exact = exact_value(g)
+        if den > 0:
+            upper = (a1 * c0 - a0 * c1) / den
+            upper_ok = g_exact <= upper
+        else:
+            upper = math.inf
+            upper_ok = True
+        rows.append(SandwichRow(
+            n=n, g=g, upper=upper,
+            lower_ok=1 <= g_exact,
+            upper_ok=upper_ok,
+            gamma_step_decreasing=den > 0,
+        ))
+    return rows
