@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -87,19 +88,28 @@ def _json_default(obj):
 _NON_FINITE = (("-Infinity", '"-inf"'), ("Infinity", '"inf"'), ("NaN", '"nan"'))
 
 
-def _json_chunks(payload: dict):
-    """The indented JSON text of ``payload``, piece by piece and never whole.
+def _quote_non_finite(chunk: str) -> str:
+    """A piece of encoder output with its non-finite float, if any, quoted.
 
-    Fractions become "num/den" strings and non-finite floats the strings
-    "inf", "-inf" and "nan". The encoder yields such a float as a bare token
-    at the end of its piece, where no other value can end in those letters.
-    """
-    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=_json_default)
-    for chunk in encoder.iterencode(payload):
-        if chunk.endswith(("Infinity", "NaN")):
-            token, text = next(t for t in _NON_FINITE if chunk.endswith(t[0]))
-            chunk = chunk[:-len(token)] + text
-        yield chunk
+    The encoder yields such a float as a bare token at the end of its piece,
+    where no other value can end in those letters."""
+    for token, text in _NON_FINITE:
+        if chunk.endswith(token):
+            return chunk[:-len(token)] + text
+    return chunk
+
+
+def _json_chunks(payload: dict, batch: int = 4096):
+    """The indented JSON text of ``payload`` in pieces of ``batch`` encoder
+    chunks, never whole: Fractions become "num/den" strings and non-finite
+    floats the strings "inf", "-inf" and "nan"."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True,
+                              default=_json_default).iterencode(payload)
+    while piece := list(itertools.islice(chunks, batch)):
+        text = "".join(piece)
+        if "Infinity" in text or "NaN" in text:
+            text = "".join(map(_quote_non_finite, piece))
+        yield text
     yield "\n"
 
 

@@ -6,10 +6,25 @@ witness pair, plus an overall Satisfied/Violated/Inconclusive verdict. All of
 them are one-sided — Violated means "hypotheses not met", never "determinant
 negative".
 
-Every decision is a plain comparison on exact values. Each public checker
-reads its coefficients once through ``exact_value``: ints and Fractions pass
-through, and a double or an mpf is judged on the rational value it holds, so
-no overshoot is forgiven.
+Every decision is a comparison of exact values. Each public checker reads its
+coefficients once through ``exact_value``: ints and Fractions pass through,
+and a double or an mpf is judged on the rational value it holds, so no
+overshoot is forgiven. The comparisons cross-multiply the numerators and
+positive denominators as ints instead of going through Fraction arithmetic.
+The step conditions read one step table (``recurrence._StepTable``) of
+
+    u_n = alpha_{n+1} - alpha_n,   v_n = gamma_n - gamma_{n+1},
+    w_n = alpha_{n+1}*gamma_n - alpha_n*gamma_{n+1},
+
+through these identities:
+
+- Theorem 1 step at n: u_{n-1}/w_{n-1} <= w_n/v_n;
+- ratio_sandwich upper bound: w_n/v_n;
+- step ratios: lambda_n = v_n/u_n and y_n = (u_n + v_n)/(u_n - v_n);
+- pair inequality: 4*u_{n-1}*v_n <= (u_{n-1} + v_{n-1})*(u_n + v_n).
+
+Fractions are built only for what is printed or kept: a witness when its
+condition keeps it, and the values of lambda_data.
 
 Witness convention: a witness is the pair (lhs, rhs) of the comparison the
 condition makes at that index, oriented so the condition holds iff lhs < rhs
@@ -255,13 +270,15 @@ def check_szw_normalized(nf, N: int) -> CriterionReport:
     if N < 1:
         raise ParamError("check_szw_normalized needs N >= 1")
     at = [exact_value(nf.alpha(n)) for n in range(N + 1)]
+    pairs = [_pair(x) for x in at]
 
     mono = _Cond("alpha-tilde-nondecreasing")
     bound = _Cond("alpha-tilde-le-half")
-    for n in range(N + 1):
+    for n, (p, q) in enumerate(pairs):
         if n >= 1:
-            mono.record(n, at[n - 1] <= at[n], (at[n - 1], at[n]))
-        bound.record(n, at[n] <= _HALF, (at[n], _HALF))
+            p0, q0 = pairs[n - 1]
+            mono.record(n, p0 * q <= p * q0, (at[n - 1], at[n]))
+        bound.record(n, 2 * p <= q, (at[n], _HALF))
     return CriterionReport.assemble(SZW_THEOREM1, N, (mono.done(), bound.done()))
 
 
