@@ -99,13 +99,13 @@ def _quote_non_finite(chunk: str) -> str:
     return chunk
 
 
-def _json_chunks(payload: dict, batch: int = 4096):
-    """The indented JSON text of ``payload`` in pieces of ``batch`` encoder
-    chunks, never whole: Fractions become "num/den" strings and non-finite
-    floats the strings "inf", "-inf" and "nan"."""
+def _json_chunks(payload: dict):
+    """The indented JSON text of ``payload`` in pieces of 4096 encoder chunks,
+    never whole: Fractions become "num/den" strings and non-finite floats the
+    strings "inf", "-inf" and "nan"."""
     chunks = json.JSONEncoder(indent=2, sort_keys=True,
                               default=_json_default).iterencode(payload)
-    while piece := list(itertools.islice(chunks, batch)):
+    while piece := list(itertools.islice(chunks, 4096)):
         text = "".join(piece)
         if "Infinity" in text or "NaN" in text:
             text = "".join(map(_quote_non_finite, piece))

@@ -40,7 +40,7 @@ from typing import Callable, Mapping, Sequence
 
 from .arith import Num, exact_value, format_number
 from .errors import InvalidLambda, ParamError, StructuralMismatch
-from .recurrence import _step_table, _table
+from .recurrence import _pair, _step_table, _table
 
 __all__ = [
     "Verdict",
@@ -193,11 +193,6 @@ class _Cond:
 
 
 _HALF = Fraction(1, 2)
-
-
-def _pair(x):
-    """An exact value as its (numerator, positive denominator) ints."""
-    return x.numerator, x.denominator
 
 
 def check_theorem1(family, N: int) -> CriterionReport:
@@ -464,15 +459,13 @@ def lambda_data(family, N: int) -> LambdaData:
     if N < 1:
         raise ParamError("lambda_data needs N >= 1")
     t = _step_table(family, N)
-    al, ga = t.al, t.ga
     u, v, lam, y, valid = [], [], [], [], []
-    for n in range(N + 1):
-        (un, ud), (vn, vd) = t.u[n], t.v[n]
-        u.append(al[n + 1] - al[n])
-        v.append(ga[n] - ga[n + 1])
+    for n, ((un, ud), (vn, vd)) in enumerate(zip(t.u, t.v)):
+        u.append(t.u_value(n))
+        v.append(t.v_value(n))
         lam.append(v[n] / u[n] if un else None)
         y.append(y_from_lambda(lam[n]) if un and vn * ud != un * vd else None)
-        valid.append(un > 0 and vn > 0 and vn * ud <= un * vd)
+        valid.append(_valid_step(t.u[n], t.v[n]))
     return LambdaData(tuple(u), tuple(v), tuple(lam), tuple(y), tuple(valid), N)
 
 
@@ -486,18 +479,11 @@ def y_from_lambda(lam):
     return (1 + lam) / (1 - lam)
 
 
-def _step_values(t):
-    """Functions k -> u_k, v_k and lambda_k of the exact values of step table
-    ``t``, for building the witnesses that are kept."""
-    al, ga = t.al, t.ga
-
-    def u(k):
-        return al[k + 1] - al[k]
-
-    def v(k):
-        return ga[k] - ga[k + 1]
-
-    return u, v, lambda k: v(k) / u(k)
+def _valid_step(u, v) -> bool:
+    """Whether u_n > 0, v_n > 0 and lambda_n = v_n/u_n <= 1, for the int
+    pairs ``u`` and ``v`` of a step table."""
+    (un, ud), (vn, vd) = u, v
+    return un > 0 and vn > 0 and vn * ud <= un * vd
 
 
 def check_lambda_route(family, N: int) -> CriterionReport:
@@ -522,7 +508,6 @@ def check_lambda_route(family, N: int) -> CriterionReport:
 def _lambda_route(t) -> CriterionReport:
     """check_lambda_route on the step table ``t``."""
     N, al, ga, a, g, u, v = t.N, t.al, t.ga, t.a, t.g, t.u, t.v
-    u_at, v_at, lam_at = _step_values(t)
 
     # s_n = 1/2 - alpha_n = (q - 2p)/(2q) and t_n = gamma_n - 1/2 = (2r - s)/(2s)
     # for alpha_n = p/q, gamma_n = r/s; the ratio is t_n/s_n
@@ -544,18 +529,18 @@ def _lambda_route(t) -> CriterionReport:
         (u1, ud1), (v1, vd1) = u[n], v[n]
         ok = 4 * u0 * v1 * vd0 * ud1 <= (u0 * vd0 + v0 * ud0) * (u1 * vd1 + v1 * ud1)
         if u0 and u1 and v0 * ud0 != 3 * u0 * vd0:
-            pair.record(n, ok, lambda: (lam_at(n), lambda_step_bound(lam_at(n - 1))))
+            pair.record(n, ok, lambda: (t.lam_value(n), lambda_step_bound(t.lam_value(n - 1))))
         else:
-            pair.record(n, ok, lambda: (4 * u_at(n - 1) * v_at(n),
-                                        (u_at(n - 1) + v_at(n - 1)) * (u_at(n) + v_at(n))))
+            pair.record(n, ok, lambda: (
+                4 * t.u_value(n - 1) * t.v_value(n),
+                (t.u_value(n - 1) + t.v_value(n - 1)) * (t.u_value(n) + t.v_value(n))))
 
     # lambda_n = L/D with L = v_n*ud, D = u_n*vd; L/D <= 1/3 iff (3L - D)*D <= 0
     shortcut = all(un and (3 * vn * ud - un * vd) * un * vd <= 0
                    for (un, ud), (vn, vd) in zip(u[1:], v[1:]))
     notes = {
         "shortcut_lambda_le_one_third": shortcut,
-        "lambda_invalid_indices": [n for n, ((un, ud), (vn, vd)) in enumerate(zip(u, v))
-                                   if not (un > 0 and vn > 0 and vn * ud <= un * vd)],
+        "lambda_invalid_indices": [n for n in range(N + 1) if not _valid_step(u[n], v[n])],
     }
     return CriterionReport.assemble(LAMBDA_ROUTE, N, (ratio.done(), pair.done()), notes)
 
@@ -575,18 +560,17 @@ def check_y_route(family, N: int) -> CriterionReport:
 
 def _y_route(t) -> CriterionReport:
     """check_y_route on the step table ``t``."""
-    _, _, lam_at = _step_values(t)
     # lambda_n = L/D as in _lambda_route; y_n = (D + L)/(D - L), kept as an
     # int pair with a positive denominator
     ys = []
     for n, ((un, ud), (vn, vd)) in enumerate(zip(t.u, t.v)):
         L, D = vn * ud, un * vd
         if not (0 < L < D or D < L < 0):
-            raise InvalidLambda(n, lam_at(n) if un else None)
+            raise InvalidLambda(n, t.lam_value(n) if un else None)
         ys.append((D + L, D - L) if D > 0 else (-D - L, L - D))
 
     def y_at(k):
-        return y_from_lambda(lam_at(k))
+        return y_from_lambda(t.lam_value(k))
 
     cond = _Cond("y-increments-at-most-one")
     for n in range(1, t.N + 1):

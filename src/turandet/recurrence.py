@@ -118,6 +118,11 @@ def _materialize(family, hi: int) -> CoefficientFamily:
                              exact=family.exact, params=family.params, meta=family.meta)
 
 
+def _pair(x):
+    """An exact value as its (numerator, positive denominator) ints."""
+    return x.numerator, x.denominator
+
+
 class _StepTable:
     """The exact coefficient table of a family for steps 0..N, and its steps.
 
@@ -132,7 +137,8 @@ class _StepTable:
         w[n] = alpha_{n+1}*gamma_n - alpha_n*gamma_{n+1}
 
     each an unreduced (numerator, positive denominator) pair of ints. Kept
-    witnesses and printed values are built from ``al``/``ga`` instead.
+    witnesses and printed values are built from ``al``/``ga`` instead, by the
+    ``*_value`` methods among others.
     """
 
     exact = True
@@ -142,8 +148,8 @@ class _StepTable:
         self.name, self.params, self.meta = family.name, family.params, family.meta
         self.al, self.ga = al, ga = _exact_coefficients(family, max(N + 1, 0))
         self.alpha, self.gamma = _table(al), _table(ga)
-        self.a = a = [(x.numerator, x.denominator) for x in al]
-        self.g = g = [(x.numerator, x.denominator) for x in ga]
+        self.a = a = [_pair(x) for x in al]
+        self.g = g = [_pair(x) for x in ga]
         self.u, self.v, self.w = u, v, w = [], [], []
         for n in range(N + 1):
             (p0, q0), (p1, q1) = a[n], a[n + 1]
@@ -151,6 +157,15 @@ class _StepTable:
             u.append((p1 * q0 - p0 * q1, q0 * q1))
             v.append((r0 * s1 - r1 * s0, s0 * s1))
             w.append((p1 * r0 * q0 * s1 - p0 * r1 * q1 * s0, q0 * q1 * s0 * s1))
+
+    def u_value(self, n: int):
+        return self.al[n + 1] - self.al[n]
+
+    def v_value(self, n: int):
+        return self.ga[n] - self.ga[n + 1]
+
+    def lam_value(self, n: int):
+        return self.v_value(n) / self.u_value(n)
 
 
 def _step_table(family, N: int) -> _StepTable:
