@@ -40,7 +40,7 @@ from typing import Callable, Mapping, Sequence
 
 from .arith import Num, exact_value, format_number
 from .errors import InvalidLambda, ParamError, StructuralMismatch
-from .recurrence import _pair, _step_table, _table
+from .recurrence import _step_table, _table
 
 __all__ = [
     "Verdict",
@@ -195,6 +195,11 @@ class _Cond:
 _HALF = Fraction(1, 2)
 
 
+def _pair(x):
+    """An exact value as its (numerator, positive denominator) ints."""
+    return x.numerator, x.denominator
+
+
 def check_theorem1(family, N: int) -> CriterionReport:
     """Main sufficient criterion on raw coefficients.
 
@@ -214,42 +219,40 @@ def check_theorem1(family, N: int) -> CriterionReport:
     if N < 2:
         raise ParamError("check_theorem1 needs N >= 2")
     t = _step_table(family, N)
-    al, ga, a, g, u, v, w = t.al, t.ga, t.a, t.g, t.u, t.v, t.w
+    al, ga, ap, aq, gp, gq = t.al, t.ga, t.ap, t.aq, t.gp, t.gq
+    un, ud, vn, vd, wn, wd = t.un, t.ud, t.vn, t.vd, t.wn, t.wd
     one, zero = Fraction(1), Fraction(0)
 
     inc = _Cond(COND_ALPHA)
     for n in range(N + 1):
         if n >= 1:
-            inc.record(n, u[n - 1][0] > 0, (al[n - 1], al[n]))
-        p, q = a[n]
-        inc.record(n, 2 * p <= q, (al[n], _HALF))
+            inc.record(n, un[n - 1] > 0, (al[n - 1], al[n]))
+        inc.record(n, 2 * ap[n] <= aq[n], (al[n], _HALF))
 
     dec = _Cond(COND_GAMMA)
     for n in range(N + 1):
         if n >= 1:
-            dec.record(n, v[n - 1][0] > 0, (ga[n], ga[n - 1]))
-        dec.record(n, g[n][0] > 0, (zero, ga[n]))
+            dec.record(n, vn[n - 1] > 0, (ga[n], ga[n - 1]))
+        dec.record(n, gp[n] > 0, (zero, ga[n]))
 
     total = _Cond(COND_SUM)
     for n in range(N + 1):
-        (p, q), (r, s) = a[n], g[n]
-        total.record(n, p * s + r * q <= q * s, lambda: (al[n] + ga[n], one))
+        total.record(n, ap[n] * gq[n] + gp[n] * aq[n] <= aq[n] * gq[n],
+                     lambda: (al[n] + ga[n], one))
 
     step = _Cond(COND_STEP)
     for n in range(1, N + 1):
-        (wl, wld), (vr, vrd) = w[n - 1], v[n]
-        if not (wl > 0 and vr > 0):
+        if not (wn[n - 1] > 0 and vn[n] > 0):
             step.record(n, None, lambda: (al[n] * ga[n - 1] - al[n - 1] * ga[n],
                                           ga[n] - ga[n + 1]))
             continue
-        (ul, uld), (wr, wrd) = u[n - 1], w[n]
-        step.record(n, ul * vr * wld * wrd <= wr * wl * uld * vrd, lambda: (
+        ok = un[n - 1] * vn[n] * wd[n - 1] * wd[n] <= wn[n] * wn[n - 1] * ud[n - 1] * vd[n]
+        step.record(n, ok, lambda: (
             (al[n] - al[n - 1]) / (al[n] * ga[n - 1] - al[n - 1] * ga[n]),
             (al[n + 1] * ga[n] - al[n] * ga[n + 1]) / (ga[n] - ga[n + 1])))
 
     init = _Cond(COND_INIT)
-    (vn, vd), (p, q), (r, s) = v[0], a[1], g[0]
-    init.record(0, vn * q * s * s <= p * r * r * vd,
+    init.record(0, vn[0] * aq[1] * gq[0] ** 2 <= ap[1] * gp[0] ** 2 * vd[0],
                 lambda: (ga[0] - ga[1], al[1] * ga[0] * ga[0]))
 
     return CriterionReport.assemble(
@@ -265,15 +268,14 @@ def check_szw_normalized(nf, N: int) -> CriterionReport:
     if N < 1:
         raise ParamError("check_szw_normalized needs N >= 1")
     at = [exact_value(nf.alpha(n)) for n in range(N + 1)]
-    pairs = [_pair(x) for x in at]
+    p, q = [x.numerator for x in at], [x.denominator for x in at]
 
     mono = _Cond("alpha-tilde-nondecreasing")
     bound = _Cond("alpha-tilde-le-half")
-    for n, (p, q) in enumerate(pairs):
+    for n in range(N + 1):
         if n >= 1:
-            p0, q0 = pairs[n - 1]
-            mono.record(n, p0 * q <= p * q0, (at[n - 1], at[n]))
-        bound.record(n, 2 * p <= q, (at[n], _HALF))
+            mono.record(n, p[n - 1] * q[n] <= p[n] * q[n - 1], (at[n - 1], at[n]))
+        bound.record(n, 2 * p[n] <= q[n], (at[n], _HALF))
     return CriterionReport.assemble(SZW_THEOREM1, N, (mono.done(), bound.done()))
 
 
@@ -322,12 +324,11 @@ def _delta_conditions(alpha_const, gamma_const, d: DeltaSeq, dv: list,
 
     dec = _Cond("delta-positive-decreasing")
     N = len(dv) - 1
-    d_pairs = [_pair(x) for x in dv]
-    for n, (p, q) in enumerate(d_pairs):
-        dec.record(n, p > 0, (zero, dv[n]))
+    p, q = [x.numerator for x in dv], [x.denominator for x in dv]
+    for n in range(N + 1):
+        dec.record(n, p[n] > 0, (zero, dv[n]))
         if n >= 1:
-            p0, q0 = d_pairs[n - 1]
-            dec.record(n, p * q0 < p0 * q, (dv[n], dv[n - 1]))
+            dec.record(n, p[n] * q[n - 1] < p[n - 1] * q[n], (dv[n], dv[n - 1]))
 
     lim = _Cond("delta-limit-zero")
     if d.limit is not None:
@@ -459,13 +460,14 @@ def lambda_data(family, N: int) -> LambdaData:
     if N < 1:
         raise ParamError("lambda_data needs N >= 1")
     t = _step_table(family, N)
+    un, ud, vn, vd = t.un, t.ud, t.vn, t.vd
     u, v, lam, y, valid = [], [], [], [], []
-    for n, ((un, ud), (vn, vd)) in enumerate(zip(t.u, t.v)):
+    for n in range(N + 1):
         u.append(t.u_value(n))
         v.append(t.v_value(n))
-        lam.append(v[n] / u[n] if un else None)
-        y.append(y_from_lambda(lam[n]) if un and vn * ud != un * vd else None)
-        valid.append(_valid_step(t.u[n], t.v[n]))
+        lam.append(v[n] / u[n] if un[n] else None)
+        y.append(y_from_lambda(lam[n]) if un[n] and vn[n] * ud[n] != un[n] * vd[n] else None)
+        valid.append(_valid_step(t, n))
     return LambdaData(tuple(u), tuple(v), tuple(lam), tuple(y), tuple(valid), N)
 
 
@@ -479,11 +481,9 @@ def y_from_lambda(lam):
     return (1 + lam) / (1 - lam)
 
 
-def _valid_step(u, v) -> bool:
-    """Whether u_n > 0, v_n > 0 and lambda_n = v_n/u_n <= 1, for the int
-    pairs ``u`` and ``v`` of a step table."""
-    (un, ud), (vn, vd) = u, v
-    return un > 0 and vn > 0 and vn * ud <= un * vd
+def _valid_step(t, n: int) -> bool:
+    """Whether u_n > 0, v_n > 0 and lambda_n = v_n/u_n <= 1 on step table ``t``."""
+    return t.un[n] > 0 and t.vn[n] > 0 and t.vn[n] * t.ud[n] <= t.un[n] * t.vd[n]
 
 
 def check_lambda_route(family, N: int) -> CriterionReport:
@@ -507,26 +507,26 @@ def check_lambda_route(family, N: int) -> CriterionReport:
 
 def _lambda_route(t) -> CriterionReport:
     """check_lambda_route on the step table ``t``."""
-    N, al, ga, a, g, u, v = t.N, t.al, t.ga, t.a, t.g, t.u, t.v
+    N, al, ga, ap, aq, gp, gq = t.N, t.al, t.ga, t.ap, t.aq, t.gp, t.gq
+    un, ud, vn, vd = t.un, t.ud, t.vn, t.vd
 
-    # s_n = 1/2 - alpha_n = (q - 2p)/(2q) and t_n = gamma_n - 1/2 = (2r - s)/(2s)
-    # for alpha_n = p/q, gamma_n = r/s; the ratio is t_n/s_n
+    # s_n = 1/2 - alpha_n = (aq - 2ap)/(2aq) and t_n = gamma_n - 1/2 =
+    # (2gp - gq)/(2gq); the ratio is t_n/s_n
     ratio = _Cond("ratio-nondecreasing")
     for n in range(2, N + 1):
-        (p0, q0), (p1, q1) = a[n - 1], a[n]
-        s0, s1 = q0 - 2 * p0, q1 - 2 * p1
+        s0, s1 = aq[n - 1] - 2 * ap[n - 1], aq[n] - 2 * ap[n]
         if not (s0 > 0 and s1 > 0):
             ratio.record(n, None, lambda: (_HALF - al[n - 1], _HALF - al[n]))
             continue
-        (r0, d0), (r1, d1) = g[n - 1], g[n]
-        ratio.record(n, (2 * r0 - d0) * s1 * d1 * q0 <= (2 * r1 - d1) * s0 * d0 * q1,
+        t0, t1 = 2 * gp[n - 1] - gq[n - 1], 2 * gp[n] - gq[n]
+        ratio.record(n, t0 * s1 * gq[n] * aq[n - 1] <= t1 * s0 * gq[n - 1] * aq[n],
                      lambda: ((ga[n - 1] - _HALF) / (_HALF - al[n - 1]),
                               (ga[n] - _HALF) / (_HALF - al[n])))
 
     pair = _Cond("pair-inequality")
     for n in range(1, N + 1):
-        (u0, ud0), (v0, vd0) = u[n - 1], v[n - 1]
-        (u1, ud1), (v1, vd1) = u[n], v[n]
+        u0, ud0, v0, vd0 = un[n - 1], ud[n - 1], vn[n - 1], vd[n - 1]
+        u1, ud1, v1, vd1 = un[n], ud[n], vn[n], vd[n]
         ok = 4 * u0 * v1 * vd0 * ud1 <= (u0 * vd0 + v0 * ud0) * (u1 * vd1 + v1 * ud1)
         if u0 and u1 and v0 * ud0 != 3 * u0 * vd0:
             pair.record(n, ok, lambda: (t.lam_value(n), lambda_step_bound(t.lam_value(n - 1))))
@@ -535,12 +535,12 @@ def _lambda_route(t) -> CriterionReport:
                 4 * t.u_value(n - 1) * t.v_value(n),
                 (t.u_value(n - 1) + t.v_value(n - 1)) * (t.u_value(n) + t.v_value(n))))
 
-    # lambda_n = L/D with L = v_n*ud, D = u_n*vd; L/D <= 1/3 iff (3L - D)*D <= 0
-    shortcut = all(un and (3 * vn * ud - un * vd) * un * vd <= 0
-                   for (un, ud), (vn, vd) in zip(u[1:], v[1:]))
+    # lambda_n = L/D with L = vn*ud, D = un*vd; L/D <= 1/3 iff (3L - D)*D <= 0
+    shortcut = all(un[n] and (3 * vn[n] * ud[n] - un[n] * vd[n]) * un[n] * vd[n] <= 0
+                   for n in range(1, N + 1))
     notes = {
         "shortcut_lambda_le_one_third": shortcut,
-        "lambda_invalid_indices": [n for n in range(N + 1) if not _valid_step(u[n], v[n])],
+        "lambda_invalid_indices": [n for n in range(N + 1) if not _valid_step(t, n)],
     }
     return CriterionReport.assemble(LAMBDA_ROUTE, N, (ratio.done(), pair.done()), notes)
 
@@ -560,20 +560,22 @@ def check_y_route(family, N: int) -> CriterionReport:
 
 def _y_route(t) -> CriterionReport:
     """check_y_route on the step table ``t``."""
-    # lambda_n = L/D as in _lambda_route; y_n = (D + L)/(D - L), kept as an
-    # int pair with a positive denominator
-    ys = []
-    for n, ((un, ud), (vn, vd)) in enumerate(zip(t.u, t.v)):
-        L, D = vn * ud, un * vd
+    # lambda_n = L/D as in _lambda_route, so y_n = (D + L)/(D - L), kept as
+    # yn[n]/yd[n] with a positive denominator
+    yn, yd = [], []
+    for n in range(t.N + 1):
+        L, D = t.vn[n] * t.ud[n], t.un[n] * t.vd[n]
         if not (0 < L < D or D < L < 0):
-            raise InvalidLambda(n, t.lam_value(n) if un else None)
-        ys.append((D + L, D - L) if D > 0 else (-D - L, L - D))
+            raise InvalidLambda(n, t.lam_value(n) if t.un[n] else None)
+        sign = 1 if D > 0 else -1
+        yn.append(sign * (D + L))
+        yd.append(sign * (D - L))
 
     def y_at(k):
         return y_from_lambda(t.lam_value(k))
 
     cond = _Cond("y-increments-at-most-one")
     for n in range(1, t.N + 1):
-        (y0, yd0), (y1, yd1) = ys[n - 1], ys[n]
-        cond.record(n, y1 * yd0 <= (y0 + yd0) * yd1, lambda: (y_at(n), y_at(n - 1) + 1))
+        cond.record(n, yn[n] * yd[n - 1] <= (yn[n - 1] + yd[n - 1]) * yd[n],
+                    lambda: (y_at(n), y_at(n - 1) + 1))
     return CriterionReport.assemble(Y_ROUTE, t.N, (cond.done(),))

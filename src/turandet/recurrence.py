@@ -118,25 +118,21 @@ def _materialize(family, hi: int) -> CoefficientFamily:
                              exact=family.exact, params=family.params, meta=family.meta)
 
 
-def _pair(x):
-    """An exact value as its (numerator, positive denominator) ints."""
-    return x.numerator, x.denominator
-
-
 class _StepTable:
     """The exact coefficient table of a family for steps 0..N, and its steps.
 
     Reads alpha_0..alpha_{N+1} and gamma_0..gamma_{N+1} once, as exact values
     (``al``, ``ga``), and duck-types CoefficientFamily over them, so a checker
     handed a step table reuses it. Every criterion decides by integer
-    cross-multiplication on its pairs: ``a[n]``/``g[n]`` are alpha_n/gamma_n
-    and, for n <= N,
+    cross-multiplication on its ints: alpha_n = ap[n]/aq[n] and
+    gamma_n = gp[n]/gq[n] and, for n <= N,
 
-        u[n] = alpha_{n+1} - alpha_n
-        v[n] = gamma_n - gamma_{n+1}
-        w[n] = alpha_{n+1}*gamma_n - alpha_n*gamma_{n+1}
+        u_n = alpha_{n+1} - alpha_n                   = un[n]/ud[n]
+        v_n = gamma_n - gamma_{n+1}                   = vn[n]/vd[n]
+        w_n = alpha_{n+1}*gamma_n - alpha_n*gamma_{n+1} = wn[n]/wd[n]
 
-    each an unreduced (numerator, positive denominator) pair of ints. Kept
+    with positive, unreduced denominators. Numerators and denominators sit in
+    parallel lists, which hold a third of the memory of a list of pairs. Kept
     witnesses and printed values are built from ``al``/``ga`` instead, by the
     ``*_value`` methods among others.
     """
@@ -148,15 +144,19 @@ class _StepTable:
         self.name, self.params, self.meta = family.name, family.params, family.meta
         self.al, self.ga = al, ga = _exact_coefficients(family, max(N + 1, 0))
         self.alpha, self.gamma = _table(al), _table(ga)
-        self.a = a = [_pair(x) for x in al]
-        self.g = g = [_pair(x) for x in ga]
-        self.u, self.v, self.w = u, v, w = [], [], []
+        self.ap, self.aq = ap, aq = [x.numerator for x in al], [x.denominator for x in al]
+        self.gp, self.gq = gp, gq = [x.numerator for x in ga], [x.denominator for x in ga]
+        self.un, self.ud, self.vn, self.vd, self.wn, self.wd = un, ud, vn, vd, wn, wd = (
+            [], [], [], [], [], [])
         for n in range(N + 1):
-            (p0, q0), (p1, q1) = a[n], a[n + 1]
-            (r0, s0), (r1, s1) = g[n], g[n + 1]
-            u.append((p1 * q0 - p0 * q1, q0 * q1))
-            v.append((r0 * s1 - r1 * s0, s0 * s1))
-            w.append((p1 * r0 * q0 * s1 - p0 * r1 * q1 * s0, q0 * q1 * s0 * s1))
+            p0, q0, p1, q1 = ap[n], aq[n], ap[n + 1], aq[n + 1]
+            r0, s0, r1, s1 = gp[n], gq[n], gp[n + 1], gq[n + 1]
+            un.append(p1 * q0 - p0 * q1)
+            ud.append(q0 * q1)
+            vn.append(r0 * s1 - r1 * s0)
+            vd.append(s0 * s1)
+            wn.append(p1 * r0 * q0 * s1 - p0 * r1 * q1 * s0)
+            wd.append(q0 * q1 * s0 * s1)
 
     def u_value(self, n: int):
         return self.al[n + 1] - self.al[n]
@@ -439,15 +439,14 @@ def ratio_sandwich(family, N: int) -> list[SandwichRow]:
     stays visible.
     """
     table = _step_table(family, N - 1)
-    al, ga, v, w = table.al, table.ga, table.v, table.w
+    al, ga, vn, vd, wn, wd = table.al, table.ga, table.vn, table.vd, table.wn, table.wd
     rows = []
     for n, g in enumerate(ratios_at_one(table, N).values):
         g_exact = exact_value(g)
         gp, gq = g_exact.numerator, g_exact.denominator
-        (vn, vd), (wn, wd) = v[n], w[n]
-        if vn > 0:
+        if vn[n] > 0:
             upper = (al[n + 1] * ga[n] - al[n] * ga[n + 1]) / (ga[n] - ga[n + 1])
-            upper_ok = gp * wd * vn <= wn * vd * gq
+            upper_ok = gp * wd[n] * vn[n] <= wn[n] * vd[n] * gq
         else:
             upper = math.inf
             upper_ok = True
@@ -455,6 +454,6 @@ def ratio_sandwich(family, N: int) -> list[SandwichRow]:
             n=n, g=g, upper=upper,
             lower_ok=gq <= gp,
             upper_ok=upper_ok,
-            gamma_step_decreasing=vn > 0,
+            gamma_step_decreasing=vn[n] > 0,
         ))
     return rows

@@ -11,7 +11,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fraction_reference as ref
 from conftest import monotone_ratio_table
