@@ -220,7 +220,7 @@ def check_theorem1(family, N: int) -> CriterionReport:
         raise ParamError("check_theorem1 needs N >= 2")
     t = _step_table(family, N)
     al, ga, ap, aq, gp, gq = t.al, t.ga, t.ap, t.aq, t.gp, t.gq
-    un, ud, vn, vd, wn, wd = t.un, t.ud, t.vn, t.vd, t.wn, t.wd
+    un, ud, vn, vd, wn, wd = t.steps
     one, zero = Fraction(1), Fraction(0)
 
     inc = _Cond(COND_ALPHA)
@@ -460,14 +460,14 @@ def lambda_data(family, N: int) -> LambdaData:
     if N < 1:
         raise ParamError("lambda_data needs N >= 1")
     t = _step_table(family, N)
-    un, ud, vn, vd = t.un, t.ud, t.vn, t.vd
+    un, ud, vn, vd, _, _ = t.steps
     u, v, lam, y, valid = [], [], [], [], []
     for n in range(N + 1):
         u.append(t.u_value(n))
         v.append(t.v_value(n))
         lam.append(v[n] / u[n] if un[n] else None)
         y.append(y_from_lambda(lam[n]) if un[n] and vn[n] * ud[n] != un[n] * vd[n] else None)
-        valid.append(_valid_step(t, n))
+        valid.append(_valid_step(t.steps, n))
     return LambdaData(tuple(u), tuple(v), tuple(lam), tuple(y), tuple(valid), N)
 
 
@@ -481,9 +481,11 @@ def y_from_lambda(lam):
     return (1 + lam) / (1 - lam)
 
 
-def _valid_step(t, n: int) -> bool:
-    """Whether u_n > 0, v_n > 0 and lambda_n = v_n/u_n <= 1 on step table ``t``."""
-    return t.un[n] > 0 and t.vn[n] > 0 and t.vn[n] * t.ud[n] <= t.un[n] * t.vd[n]
+def _valid_step(steps, n: int) -> bool:
+    """Whether u_n > 0, v_n > 0 and lambda_n = v_n/u_n <= 1, for the ``steps``
+    of a step table."""
+    un, ud, vn, vd, _, _ = steps
+    return un[n] > 0 and vn[n] > 0 and vn[n] * ud[n] <= un[n] * vd[n]
 
 
 def check_lambda_route(family, N: int) -> CriterionReport:
@@ -508,7 +510,7 @@ def check_lambda_route(family, N: int) -> CriterionReport:
 def _lambda_route(t) -> CriterionReport:
     """check_lambda_route on the step table ``t``."""
     N, al, ga, ap, aq, gp, gq = t.N, t.al, t.ga, t.ap, t.aq, t.gp, t.gq
-    un, ud, vn, vd = t.un, t.ud, t.vn, t.vd
+    un, ud, vn, vd, _, _ = t.steps
 
     # s_n = 1/2 - alpha_n = (aq - 2ap)/(2aq) and t_n = gamma_n - 1/2 =
     # (2gp - gq)/(2gq); the ratio is t_n/s_n
@@ -540,7 +542,7 @@ def _lambda_route(t) -> CriterionReport:
                    for n in range(1, N + 1))
     notes = {
         "shortcut_lambda_le_one_third": shortcut,
-        "lambda_invalid_indices": [n for n in range(N + 1) if not _valid_step(t, n)],
+        "lambda_invalid_indices": [n for n in range(N + 1) if not _valid_step(t.steps, n)],
     }
     return CriterionReport.assemble(LAMBDA_ROUTE, N, (ratio.done(), pair.done()), notes)
 
@@ -562,11 +564,12 @@ def _y_route(t) -> CriterionReport:
     """check_y_route on the step table ``t``."""
     # lambda_n = L/D as in _lambda_route, so y_n = (D + L)/(D - L), kept as
     # yn[n]/yd[n] with a positive denominator
+    un, ud, vn, vd, _, _ = t.steps
     yn, yd = [], []
     for n in range(t.N + 1):
-        L, D = t.vn[n] * t.ud[n], t.un[n] * t.vd[n]
+        L, D = vn[n] * ud[n], un[n] * vd[n]
         if not (0 < L < D or D < L < 0):
-            raise InvalidLambda(n, t.lam_value(n) if t.un[n] else None)
+            raise InvalidLambda(n, t.lam_value(n) if un[n] else None)
         sign = 1 if D > 0 else -1
         yn.append(sign * (D + L))
         yd.append(sign * (D - L))

@@ -465,13 +465,16 @@ def criterion_reports(family, N: int) -> list[CriterionReport]:
     a float family are) turn the SzwTheorem1, YRoute or corollary report into
     an Inconclusive one whose notes carry the error.
     """
+    if N < 2:
+        raise ParamError("criterion_reports needs N >= 2")
     table = _step_table(family, N)
-    reports = [check_theorem1(table, N)]
+    # SzwTheorem1 goes first, so that the ratios it normalizes by are freed
+    # before the step table builds its steps
     try:
-        reports.append(check_szw_normalized(normalize(table, N), N))
+        szw = check_szw_normalized(normalize(table, N), N)
     except NonpositiveRatio as exc:
-        reports.append(_error_report(SZW_THEOREM1, N, exc))
-    reports += _route_reports(table)
+        szw = _error_report(SZW_THEOREM1, N, exc)
+    reports = [check_theorem1(table, N), szw, *_route_reports(table)]
 
     for key, name, check in (("corollary1", COROLLARY1, check_corollary1),
                              ("corollary2", COROLLARY2, check_corollary2)):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -131,8 +132,9 @@ class _StepTable:
         v_n = gamma_n - gamma_{n+1}                   = vn[n]/vd[n]
         w_n = alpha_{n+1}*gamma_n - alpha_n*gamma_{n+1} = wn[n]/wd[n]
 
-    with positive, unreduced denominators. Numerators and denominators sit in
-    parallel lists, which hold a third of the memory of a list of pairs. Kept
+    with positive, unreduced denominators. ``steps`` holds the six lists
+    un, ud, vn, vd, wn, wd, built on first use: numerators and denominators
+    in parallel lists take a third of the memory of a list of pairs. Kept
     witnesses and printed values are built from ``al``/``ga`` instead, by the
     ``*_value`` methods among others.
     """
@@ -144,11 +146,14 @@ class _StepTable:
         self.name, self.params, self.meta = family.name, family.params, family.meta
         self.al, self.ga = al, ga = _exact_coefficients(family, max(N + 1, 0))
         self.alpha, self.gamma = _table(al), _table(ga)
-        self.ap, self.aq = ap, aq = [x.numerator for x in al], [x.denominator for x in al]
-        self.gp, self.gq = gp, gq = [x.numerator for x in ga], [x.denominator for x in ga]
-        self.un, self.ud, self.vn, self.vd, self.wn, self.wd = un, ud, vn, vd, wn, wd = (
-            [], [], [], [], [], [])
-        for n in range(N + 1):
+        self.ap, self.aq = [x.numerator for x in al], [x.denominator for x in al]
+        self.gp, self.gq = [x.numerator for x in ga], [x.denominator for x in ga]
+
+    @functools.cached_property
+    def steps(self):
+        ap, aq, gp, gq = self.ap, self.aq, self.gp, self.gq
+        un, ud, vn, vd, wn, wd = [], [], [], [], [], []
+        for n in range(self.N + 1):
             p0, q0, p1, q1 = ap[n], aq[n], ap[n + 1], aq[n + 1]
             r0, s0, r1, s1 = gp[n], gq[n], gp[n + 1], gq[n + 1]
             un.append(p1 * q0 - p0 * q1)
@@ -157,6 +162,7 @@ class _StepTable:
             vd.append(s0 * s1)
             wn.append(p1 * r0 * q0 * s1 - p0 * r1 * q1 * s0)
             wd.append(q0 * q1 * s0 * s1)
+        return un, ud, vn, vd, wn, wd
 
     def u_value(self, n: int):
         return self.al[n + 1] - self.al[n]
@@ -439,9 +445,10 @@ def ratio_sandwich(family, N: int) -> list[SandwichRow]:
     stays visible.
     """
     table = _step_table(family, N - 1)
-    al, ga, vn, vd, wn, wd = table.al, table.ga, table.vn, table.vd, table.wn, table.wd
+    ratios = ratios_at_one(table, N).values
+    al, ga, (_, _, vn, vd, wn, wd) = table.al, table.ga, table.steps
     rows = []
-    for n, g in enumerate(ratios_at_one(table, N).values):
+    for n, g in enumerate(ratios):
         g_exact = exact_value(g)
         gp, gq = g_exact.numerator, g_exact.denominator
         if vn[n] > 0:
