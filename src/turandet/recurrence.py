@@ -134,7 +134,7 @@ class _StepTable:
 
     with positive, unreduced denominators. ``steps`` holds the six lists
     un, ud, vn, vd, wn, wd, built on first use: numerators and denominators
-    in parallel lists take a third of the memory of a list of pairs. Kept
+    in parallel lists take half the memory of a list of pairs. Kept
     witnesses and printed values are built from ``al``/``ga`` instead, by the
     ``*_value`` methods among others.
     """
