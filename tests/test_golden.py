@@ -113,6 +113,13 @@ CASES = {
         "--N", "2000"),
     "density_pollaczek.json": lambda: _cli(
         "density", "--family", FAMILIES["pollaczek"], "--N", "2000"),
+    # the per-index paths of orthonormal_offdiag: the doubles of a float
+    # view, and ChebyshevT, which has no closed integer form
+    "density_gegenbauer_float.json": lambda: _cli(
+        "density", "--family", '{"kind": "Gegenbauer", "params": {"lambda": "3/2"}}',
+        "--N", "2000", "--mode", "float"),
+    "density_chebyshev_t.json": lambda: _cli(
+        "density", "--family", '{"kind": "ChebyshevT"}', "--N", "2000"),
     "eval_polys.json": _eval_polys,
     **{f"demo_{path.stem}.txt": _demo(path) for path in sorted(DEMOS.glob("*.py"))},
 }
