@@ -144,10 +144,20 @@ def _halved(c, d):
     """n -> (n + c)/(2(n + d)) as one Fraction built from integers.
 
     ``c >= 0`` and ``d > 0`` are ints or Fractions; each coefficient costs one
-    gcd instead of the several normalized Fractions of the closed form.
+    gcd instead of the several normalized Fractions of the closed form. The
+    callable carries its integer form as ``pair``: n -> (num, den), unreduced,
+    with den > 0 (see CoefficientFamily).
     """
     u, v, p, q = c.numerator, c.denominator, d.numerator, d.denominator
-    return lambda n: Fraction((n * v + u) * q, 2 * v * (n * q + p))
+
+    def pair(n: int):
+        return (n * v + u) * q, 2 * v * (n * q + p)
+
+    def at(n: int):
+        return Fraction(*pair(n))
+
+    at.pair = pair
+    return at
 
 
 def chebyshev_u() -> CoefficientFamily:

@@ -54,6 +54,12 @@ class CoefficientFamily:
     ``alpha`` and ``gamma`` must be pure callables on n >= 0 with alpha(0) = 0
     and gamma(0) > 0. ``exact`` marks families whose coefficients are ints or
     Fractions, enabling the rational arithmetic paths.
+
+    An exact callable may carry its integer form as an attribute ``pair``:
+    n -> (num, den), two ints with den > 0 and num/den equal to its value at
+    n, not necessarily reduced. ``orthonormal_offdiag`` reads the pairs when
+    both callables carry one and builds no Fraction. ``functools.wraps``
+    copies the attribute, so a wrapper of such a callable keeps it.
     """
 
     name: str
@@ -189,6 +195,12 @@ def _rows(al, ga, x, hi: int, one=1, start=None):
     floats, a float64 vector x, or mpfs used under the caller's workdps. Only
     two rows are held. The stream starts at p_0 = one, p_1 = x/gamma_0;
     ``start = (k, p_{k-1}, p_k)`` resumes it and yields p_{k+1} onward.
+
+    Each new row is finished in place before it is yielded: x*p_n, then
+    minus alpha_n*p_{n-1}, then over gamma_n, the operations and order of
+    (x*p_n - alpha_n*p_{n-1})/gamma_n. A vector row thus costs two
+    temporaries per step, scalars only rebind, and a yielded row is never
+    touched again.
     """
     if start is None:
         yield one
@@ -199,7 +211,10 @@ def _rows(al, ga, x, hi: int, one=1, start=None):
     else:
         k, p_prev, p = start
     for n in range(k, hi):
-        p_prev, p = p, (x * p - al[n] * p_prev) / ga[n]
+        q = x * p
+        q -= al[n] * p_prev
+        q /= ga[n]
+        p_prev, p = p, q
         yield p
 
 
@@ -268,7 +283,8 @@ def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSe
     """g_0..g_{N-1} where g_0 = 1/gamma_0 and g_n = (1 - alpha_n/g_{n-1})/gamma_n.
 
     Raises NonpositiveRatio as soon as some g_n <= 0 (normalization at 1 is
-    then impossible past that index). An exact g_n past ``digit_cap`` digits
+    then impossible past that index), and ParamError at a gamma_n = 0, which
+    g_n would divide by. An exact g_n past ``digit_cap`` digits
     switches the rest of the run to EXTENDED_DPS-digit mpfs, and the result
     is flagged inexact.
     """
@@ -281,6 +297,8 @@ def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSe
         for n in range(N):
             if n:
                 a, c = family.alpha(n), family.gamma(n)
+                if c == 0:
+                    raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
                 if fallback:
                     a, c = to_mpf(a), to_mpf(c)
                 g = (1 - a / g) / c
@@ -403,10 +421,26 @@ def scaled_polys(family, sigma, n_max: int, x, dps: int | None = None) -> list:
 
 
 def orthonormal_offdiag(family, N: int) -> list[float]:
-    """Jacobi-matrix off-diagonals a_k = sqrt(alpha_k*gamma_{k-1}), k = 1..N."""
+    """Jacobi-matrix off-diagonals a_k = sqrt(alpha_k*gamma_{k-1}), k = 1..N.
+
+    An exact family whose callables both carry an integer form ``pair`` (see
+    CoefficientFamily) is read through it, one index at a time; any other
+    family through its values. Both give the same doubles.
+    """
     if N < 1:
         raise ParamError("N must be >= 1")
     alpha, gamma, out = family.alpha, family.gamma, []
+    a_pair, g_pair = getattr(alpha, "pair", None), getattr(gamma, "pair", None)
+    if family.exact and a_pair is not None and g_pair is not None:
+        for k in range(1, N + 1):
+            (na, da), (ng, dg) = a_pair(k), g_pair(k - 1)
+            num, den = na * ng, da * dg
+            if not num > 0:
+                raise ParamError(f"alpha_{k}*gamma_{k - 1} must be positive "
+                                 f"(got {Fraction(num, den)})")
+            # int/int true division rounds the exact product correctly
+            out.append(math.sqrt(num / den))
+        return out
     for k in range(1, N + 1):
         a, g = alpha(k), gamma(k - 1)
         if isinstance(a, (int, Fraction)) and isinstance(g, (int, Fraction)):

@@ -1,22 +1,28 @@
+import functools
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from turandet import (
     CoefficientFamily,
     ParamError,
+    associated_family,
     chebyshev_u,
     coefficients,
     default_density_grid,
     estimate_density,
+    example3,
     example4,
     float_view,
     gegenbauer,
     legendre,
     orthonormal_offdiag,
     orthonormal_turan,
+    pollaczek,
     table_family,
 )
 
@@ -63,6 +69,83 @@ def test_offdiag_rejects_a_nonpositive_exact_product():
                             gamma=lambda n: F(1, 2))
     with pytest.raises(ParamError, match=r"alpha_1\*gamma_0 must be positive \(got -1/6\)"):
         orthonormal_offdiag(fam, 2)
+
+
+def _counted(fn, calls):
+    """A functools.wraps wrapper of ``fn`` that counts its value calls."""
+    @functools.wraps(fn)
+    def wrapper(n):
+        calls.append(n)
+        return fn(n)
+    return wrapper
+
+
+positive = st.fractions(min_value=F(1, 64), max_value=8, max_denominator=64)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lam=positive, a=positive, b=st.fractions(min_value=0, max_value=8, max_denominator=64))
+def test_offdiag_integer_forms_are_the_float_of_the_exact_product(lam, a, b):
+    """Read through their integer forms, directly or through wrappers, the
+    builtins give the float of the exact product bit for bit, and no value
+    of a wrapper is read."""
+    N = 300
+    for fam in (chebyshev_u(), legendre(), gegenbauer(lam), pollaczek(lam, a), example3(a),
+                example4(a, b)):
+        expected = [math.sqrt(float(fam.alpha(k) * fam.gamma(k - 1))) for k in range(1, N + 1)]
+        assert orthonormal_offdiag(fam, N) == expected, fam.name
+        calls: list = []
+        wrapped = CoefficientFamily(name=fam.name, alpha=_counted(fam.alpha, calls),
+                                    gamma=_counted(fam.gamma, calls))
+        assert wrapped.alpha.pair is fam.alpha.pair and wrapped.gamma.pair is fam.gamma.pair
+        calls.clear()
+        assert orthonormal_offdiag(wrapped, N) == expected, fam.name
+        assert calls == []
+
+
+def test_offdiag_per_index_families_keep_their_values():
+    """A float view and an associated family carry no integer form and keep
+    the per-index products: of the doubles, and of the shifted Fractions."""
+    N = 2000
+    fam = gegenbauer(F(3, 2))
+    view, assoc = float_view(fam), associated_family(fam, 2)
+    for derived in (view, assoc):
+        assert not hasattr(derived.alpha, "pair") and not hasattr(derived.gamma, "pair")
+    assert orthonormal_offdiag(view, N) == [
+        math.sqrt(float(fam.alpha(k)) * float(fam.gamma(k - 1))) for k in range(1, N + 1)]
+    assert orthonormal_offdiag(assoc, N) == [
+        math.sqrt(float(fam.alpha(k + 2) * fam.gamma(k + 1))) for k in range(1, N + 1)]
+
+
+def test_offdiag_integer_form_rejects_a_nonpositive_product():
+    """The integer-form path names the index and the reduced product, as the
+    per-index path does."""
+    def alpha(n):
+        return F(*alpha.pair(n))
+    alpha.pair = lambda n: (0, 1) if n == 0 else (-2, 6)
+    def gamma(n):
+        return F(*gamma.pair(n))
+    gamma.pair = lambda n: (2, 4)
+    fam = CoefficientFamily(name="neg", alpha=alpha, gamma=gamma)
+    with pytest.raises(ParamError, match=r"alpha_1\*gamma_0 must be positive \(got -1/6\)"):
+        orthonormal_offdiag(fam, 2)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_offdiag_and_density_memory_stay_flat():
+    """The integer forms are streamed one index at a time: no list of
+    coefficients, pairs or products is built beside the output."""
+    fam = gegenbauer(F(1, 3))
+    assert _traced_peak(lambda: orthonormal_offdiag(fam, 100_001)) <= 4.0e6
+    assert _traced_peak(lambda: estimate_density(fam, 100_000)) <= 5.0e6
 
 
 def test_default_grid():

@@ -72,6 +72,29 @@ def test_builtin_coefficients_equal_their_closed_forms(lam, a, b):
         assert shape.delta(n) == 1 / (2 * (n + lam + 2 * a))
 
 
+def test_integer_forms_are_the_documented_closed_forms():
+    """Each builtin's ``pair`` gives ints over a positive int whose quotient is
+    the docstring closed form, and the value is that quotient, for n <= 50."""
+    lam, a, b = F(3, 7), F(5, 3), F(1, 4)
+    half, s = F(1, 2), lam + a
+    closed = [
+        (chebyshev_u(), lambda n: F(n, 2 * (n + 1)), lambda n: F(n + 2, 2 * (n + 1))),
+        (legendre(), lambda n: F(n, 2 * n + 1), lambda n: F(n + 1, 2 * n + 1)),
+        (gegenbauer(lam), lambda n: n / (2 * (n + lam)),
+         lambda n: (n + 2 * lam) / (2 * (n + lam))),
+        (pollaczek(lam, a), lambda n: n / (2 * (n + s)), lambda n: (n + 2 * lam) / (2 * (n + s))),
+        (example3(a), lambda n: half - a / (2 * (n + a)), lambda n: half + a / (2 * (n + a + 1))),
+        (example4(a, b), lambda n: half - a / (2 * (n + a)),
+         lambda n: half + a / (2 * (n + a + b + 1))),
+    ]
+    for fam, alpha, gamma in closed:
+        for n in range(51):
+            for coeff, form in ((fam.alpha, alpha), (fam.gamma, gamma)):
+                num, den = coeff.pair(n)
+                assert type(num) is int and type(den) is int and den > 0, (fam.name, n)
+                assert coeff(n) == F(num, den) == form(n), (fam.name, n)
+
+
 def test_gegenbauer_one_is_chebyshev_u():
     a1, g1 = coefficients(gegenbauer(1), 20)
     a2, g2 = coefficients(chebyshev_u(), 20)

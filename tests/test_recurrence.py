@@ -30,6 +30,8 @@ from turandet import (
     table_family,
 )
 from turandet.arith import EXTENDED_DPS
+from turandet.families import criterion_reports
+from turandet.recurrence import _rows, _table
 
 
 def test_chebyshev_t_values_at_zero():
@@ -264,3 +266,31 @@ def test_normalized_coefficients_keep_extended_precision_after_fallback():
         a, g = nf.alpha_tilde(n), nf.gamma_tilde(n)  # outside any workdps
         with mpmath.workdps(EXTENDED_DPS):
             assert abs(a + g - 1) < mpmath.mpf("1e-45")
+
+
+def test_rows_equal_an_out_of_place_reference():
+    """Rows finished in place equal the out-of-place recurrence, and the
+    list of all yielded rows shows that none was touched after its yield."""
+    fam = pollaczek(2, 1)
+    al, ga = coefficients(fam, 60)
+    al, ga = [float(v) for v in al], [float(v) for v in ga]
+    xs = np.linspace(-0.97, 0.97, 41)
+    expected = [1.0, xs / ga[0]]
+    for n in range(1, 60):
+        expected.append((xs * expected[n] - al[n] * expected[n - 1]) / ga[n])
+    rows = list(_rows(al, ga, xs, 60, 1.0))
+    assert rows[0] == 1.0 and len(rows) == len(expected)
+    for row, ref in zip(rows[1:], expected[1:]):
+        assert np.array_equal(row, ref)
+
+
+def test_zero_gamma_is_a_param_error():
+    """A gamma_n = 0 stops the ratios g_n with a ParamError naming n, not a
+    ZeroDivisionError, in every caller."""
+    half = F(1, 2)
+    fam = CoefficientFamily(name="zero", alpha=_table([0, half, half, half]),
+                            gamma=_table([1, 0, half, half]))
+    for call in (lambda: ratios_at_one(fam, 3), lambda: normalize(fam, 3),
+                 lambda: ratio_sandwich(fam, 3), lambda: criterion_reports(fam, 2)):
+        with pytest.raises(ParamError, match=r"gamma_1 must be nonzero"):
+            call()

@@ -19,6 +19,7 @@ from turandet import (
     DeltaSeq,
     InvalidLambda,
     NonpositiveRatio,
+    ParamError,
     StructuralMismatch,
     check_corollary1,
     check_lambda_route,
@@ -53,10 +54,10 @@ def _outcome(check, family, N):
 
 def _sandwich(sandwich, family, N):
     """The rows and their reprs, or the error ratios_at_one raised (a zero
-    gamma_n divides by zero there)."""
+    gamma_n is a ParamError there)."""
     try:
         rows = sandwich(family, N)
-    except (NonpositiveRatio, ZeroDivisionError) as exc:
+    except (NonpositiveRatio, ParamError) as exc:
         return f"{type(exc).__name__}: {exc}"
     return rows, [repr(r) for r in rows]
 
