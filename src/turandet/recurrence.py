@@ -424,8 +424,9 @@ def orthonormal_offdiag(family, N: int) -> list[float]:
     """Jacobi-matrix off-diagonals a_k = sqrt(alpha_k*gamma_{k-1}), k = 1..N.
 
     An exact family whose callables both carry an integer form ``pair`` (see
-    CoefficientFamily) is read through it, one index at a time; any other
-    family through its values. Both give the same doubles.
+    CoefficientFamily) is read through it, one index at a time, and any other
+    family through its values; an exact family gives the same doubles either
+    way.
     """
     if N < 1:
         raise ParamError("N must be >= 1")

@@ -16,6 +16,7 @@ from turandet import (
     chebyshev_t,
     chebyshev_u,
     coefficients,
+    criterion_reports,
     eval_polys,
     example3,
     float_view,
@@ -30,7 +31,6 @@ from turandet import (
     table_family,
 )
 from turandet.arith import EXTENDED_DPS
-from turandet.families import criterion_reports
 from turandet.recurrence import _rows, _table
 
 
