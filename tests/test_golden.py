@@ -27,6 +27,7 @@ FAMILIES = {
     "legendre": '{"kind": "Legendre"}',
     "example3": '{"kind": "Example3", "params": {"a": 1}}',
     "pollaczek": '{"kind": "Pollaczek", "params": {"lambda": 2, "a": 1}}',
+    "example3_third": '{"kind": "Example3", "params": {"a": "1/3"}}',
 }
 
 
@@ -49,7 +50,7 @@ CRITERIA_FAMILIES = {
     "chebyshev_t": ('{"kind": "ChebyshevT"}', 60),
     "nonpositive_table": ('{"kind": "Table", "alpha": [0, "3/5", "1/2", "1/2", "1/2", "1/2"], '
                           '"gamma": [2, 1, 1, 1, 1, 1]}', 4),
-    "example3_third": ('{"kind": "Example3", "params": {"a": "1/3"}}', 1000),
+    "example3_third": (FAMILIES["example3_third"], 1000),
     "example4": ('{"kind": "Example4", "params": {"a": 2, "b": "1/2"}}', 60),
     "gegenbauer": ('{"kind": "Gegenbauer", "params": {"lambda": 3}}', 60),
 }
@@ -60,12 +61,12 @@ def _criteria(command, kind, fmt, *extra):
     return lambda: _cli(command, "--family", spec, "--N", str(N), "--format", fmt, *extra)
 
 
-def _scan(kind, fmt):
-    return lambda: _cli("scan", "--family", FAMILIES[kind], "--n-max", "300", "--format", fmt)
+def _scan(kind, fmt, n_max=300):
+    return lambda: _cli("scan", "--family", FAMILIES[kind], "--n-max", str(n_max), "--format", fmt)
 
 
-def _scaled_scan():
-    rep = scaled_scan(legendre(), lambda n: 2 * n + 1, 300)
+def _scaled_scan(sigma):
+    rep = scaled_scan(legendre(), sigma, 300)
     lines = [",".join(str(v) for v in row) for row in rep.csv_rows()]
     return json.dumps(rep.to_json(), indent=2, sort_keys=True) + "\n" + "\n".join(lines) + "\n"
 
@@ -106,8 +107,14 @@ CASES = {
     **{f"check_example3_float.{fmt}": _criteria("check", "example3", fmt, "--mode", "float")
        for fmt in ("json", "csv")},
     **{f"scan_{kind}.{fmt}": _scan(kind, fmt)
-       for kind in FAMILIES for fmt in ("json", "csv")},
-    "scaled_scan_legendre_2n+1.txt": _scaled_scan,
+       for kind in ("legendre", "example3", "pollaczek") for fmt in ("json", "csv")},
+    # the normalized coefficients past the digit-cap fallback at g_990 reach
+    # the scan and its confirmation as mpfs
+    **{f"scan_example3_third.{fmt}": _scan("example3_third", fmt, 1200)
+       for fmt in ("json", "csv")},
+    "scaled_scan_legendre_2n+1.txt": lambda: _scaled_scan(lambda n: 2 * n + 1),
+    # every degree is a confirmed negative: -4/((2n+1)^2(2n-1)(2n+3)) at x = -1
+    "scaled_scan_legendre_1_over_2n+1.txt": lambda: _scaled_scan(lambda n: F(1, 2 * n + 1)),
     "density_gegenbauer.json": lambda: _cli(
         "density", "--family", '{"kind": "Gegenbauer", "params": {"lambda": "3/2"}}',
         "--N", "2000"),
