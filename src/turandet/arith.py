@@ -49,13 +49,20 @@ def exact_value(x):
     if isinstance(x, (int, Fraction)):
         return x
     if isinstance(x, mpmath.mpf):
-        if not mpmath.isfinite(x):
-            raise ParamError(f"{x} is not a finite number")
-        man, exp = x.man_exp
+        man, exp = _man_exp(x)
         return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     if not math.isfinite(x):
         raise ParamError(f"{x!r} is not a finite number")
     return Fraction(x)
+
+
+def _man_exp(x: mpmath.mpf) -> tuple[int, int]:
+    """(man, exp) with x = man*2**exp exactly, man carrying the sign, which
+    mpmath's own ``man_exp`` drops; ParamError if x is not finite."""
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:  # mpmath's special values: +-inf and nan
+        raise ParamError(f"{x} is not a finite number")
+    return (-man if sign else man), exp
 
 
 def to_fraction(value) -> Fraction:

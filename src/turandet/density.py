@@ -127,6 +127,9 @@ def estimate_density(family, N: int = DEFAULT_N, xs=None, *,
             "the limit formula may not apply", stacklevel=2)
     bv = float(np.abs(np.diff(a[:N])).sum())
 
+    # the sweep steps faster on Python floats than on numpy scalars; the
+    # rebinding frees the array, so the list is the only copy held
+    a = a.tolist()
     dets = _orthonormal_dets(a, grid, {N - 1, N})
     d_before, d_at = dets[N - 1], dets[N]
     f = d_at

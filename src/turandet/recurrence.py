@@ -192,7 +192,8 @@ def _rows(al, ga, x, hi: int, one=1, start=None):
     """Yield the rows p_n(x) of x*p_n = gamma_n*p_{n+1} + alpha_n*p_{n-1}, n <= hi.
 
     ``al``, ``ga``, ``x`` and ``one`` share one number domain: Fractions,
-    floats, a float64 vector x, or mpfs used under the caller's workdps. Only
+    floats, a float64 vector x, mpfs used under the caller's workdps, or
+    Decimals used under the caller's decimal context. Only
     two rows are held. The stream starts at p_0 = one, p_1 = x/gamma_0;
     ``start = (k, p_{k-1}, p_k)`` resumes it and yields p_{k+1} onward.
 
@@ -219,12 +220,18 @@ def _rows(al, ga, x, hi: int, one=1, start=None):
 
 
 def _dets(rows, degrees=None):
-    """(n, Delta_n) from the rows p_0, p_1, ...: every n >= 1, or only ``degrees``."""
+    """(n, Delta_n) from the rows p_0, p_1, ...: every n >= 1, or only ``degrees``.
+
+    Delta_n is p_n*p_n, then minus p_{n-1}*p_{n+1} in place: the operations
+    of p_n*p_n - p_{n-1}*p_{n+1}, one temporary fewer for a vector row.
+    """
     rows = iter(rows)
     p_prev, p = next(rows), next(rows)
     for n, p_next in enumerate(rows, start=1):
         if degrees is None or n in degrees:
-            yield n, p * p - p_prev * p_next
+            d = p * p
+            d -= p_prev * p_next
+            yield n, d
         p_prev, p = p, p_next
 
 
@@ -279,21 +286,22 @@ class RatioSequence:
         return out
 
 
-def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSequence:
-    """g_0..g_{N-1} where g_0 = 1/gamma_0 and g_n = (1 - alpha_n/g_{n-1})/gamma_n.
-
-    Raises NonpositiveRatio as soon as some g_n <= 0 (normalization at 1 is
-    then impossible past that index), and ParamError at a gamma_n = 0, which
-    g_n would divide by. An exact g_n past ``digit_cap`` digits
-    switches the rest of the run to EXTENDED_DPS-digit mpfs, and the result
-    is flagged inexact.
+def _ratio_pass(family, N: int, digit_cap: int, keep_tail: bool = False):
+    """g_0..g_{N-1} as a list, whether the run fell back to mpfs, and, with
+    ``keep_tail``, the tail (k, alpha_tilde_k.., gamma_tilde_k..) of the
+    normalized coefficients the pass computes in mpf: alpha_tilde_n =
+    alpha_n/g_{n-1} and gamma_tilde_n = gamma_n*g_n for k <= n < N, where k
+    is the first index read after the fallback (k = N without one). See
+    ratios_at_one for the rules.
     """
     if N < 1:
         raise ParamError("N must be >= 1")
     values: list = []
     fallback = False
+    tail_start, al_tail, ga_tail = N, [], []
     with mpmath.workdps(EXTENDED_DPS):  # only the mpfs of a fallback use it
-        g = 1 / family.gamma(0)
+        # an int gamma_0 of an exact family must not start a run of doubles
+        g = (Fraction(1) if family.exact else 1) / family.gamma(0)
         for n in range(N):
             if n:
                 a, c = family.alpha(n), family.gamma(n)
@@ -301,12 +309,33 @@ def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSe
                     raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
                 if fallback:
                     a, c = to_mpf(a), to_mpf(c)
-                g = (1 - a / g) / c
+                    a = a / g  # alpha_tilde_n
+                    g = (1 - a) / c
+                    if keep_tail:
+                        al_tail.append(a)
+                        ga_tail.append(c * g)
+                else:
+                    g = (1 - a / g) / c
             if not g > 0:
                 raise NonpositiveRatio(n, g)
             if family.exact and exceeds_digit_cap(g, digit_cap):
                 values, g, fallback = [to_mpf(v) for v in values], to_mpf(g), True
+                tail_start = n + 1
             values.append(g)
+    return values, fallback, (tail_start, al_tail, ga_tail)
+
+
+def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSequence:
+    """g_0..g_{N-1} where g_0 = 1/gamma_0 and g_n = (1 - alpha_n/g_{n-1})/gamma_n.
+
+    Raises NonpositiveRatio as soon as some g_n <= 0 (normalization at 1 is
+    then impossible past that index), and ParamError at a gamma_n = 0, which
+    g_n would divide by. The ratios of an exact family are Fractions, for int
+    coefficients too, until an exact g_n past ``digit_cap`` digits
+    switches the rest of the run to EXTENDED_DPS-digit mpfs, and the result
+    is flagged inexact.
+    """
+    values, fallback, _ = _ratio_pass(family, N, digit_cap)
     return RatioSequence(tuple(values), family.exact and not fallback)
 
 
@@ -316,11 +345,17 @@ class NormalizedFamily:
     alpha_tilde(n) = alpha_n/g_{n-1} and gamma_tilde(n) = gamma_n*g_n, which
     makes alpha_tilde + gamma_tilde = 1 identically. Built from the ratios
     g_0..g_{N-1}, it defines alpha_tilde for n <= N and gamma_tilde for n < N;
-    reading past them raises TableRangeError.
+    reading past them raises TableRangeError. Each value is formed on read,
+    except that ``normalize`` hands over the mpf values its ratio pass
+    already formed past a digit-cap fallback: the same operands at the same
+    precision, so the same mpfs.
 
     Duck-types CoefficientFamily (.alpha/.gamma/.exact/...), so every
     evaluation helper in this module accepts it directly.
     """
+
+    # (k, alpha_tilde_k.., gamma_tilde_k..) from the ratio pass; see _ratio_pass
+    _tail = (0, (), ())
 
     def __init__(self, base: CoefficientFamily, ratios: RatioSequence):
         self.base = base
@@ -331,6 +366,9 @@ class NormalizedFamily:
         self.meta: Mapping[str, object] = {}
 
     def alpha_tilde(self, n: int):
+        k, al_tail, _ = self._tail
+        if 0 <= n - k < len(al_tail):
+            return al_tail[n - k]
         if n == 0:
             return self.base.alpha(0)
         g = self.ratio(n - 1)
@@ -342,6 +380,9 @@ class NormalizedFamily:
         return self.base.alpha(n) / g
 
     def gamma_tilde(self, n: int):
+        k, _, ga_tail = self._tail
+        if 0 <= n - k < len(ga_tail):
+            return ga_tail[n - k]
         g = self.ratio(n)
         if isinstance(g, mpmath.mpf):
             with mpmath.workdps(EXTENDED_DPS):
@@ -357,7 +398,11 @@ def normalize(family, N: int) -> NormalizedFamily:
     """Normalized view of ``family``; validates g_0..g_{N-1} stay positive."""
     if isinstance(family, NormalizedFamily):
         return family
-    return NormalizedFamily(family, ratios_at_one(family, N))
+    values, fallback, tail = _ratio_pass(family, N, DEFAULT_DIGIT_CAP, keep_tail=True)
+    normalized = NormalizedFamily(family, RatioSequence(tuple(values),
+                                                        family.exact and not fallback))
+    normalized._tail = tail
+    return normalized
 
 
 def associated_family(family: CoefficientFamily, k: int) -> CoefficientFamily:

@@ -3,20 +3,22 @@
 The scanner streams the recurrence over a fixed symmetric grid in double
 precision, three rows at a time, so its memory stays flat in the degree. It
 keeps each degree's grid minimum, its abscissa and max|Delta_n|, and
-re-evaluates any minimum inside a near-zero band with 50-digit arithmetic;
-the sign of that confirmed value, up to its rounding bound, is the verdict —
-sign near zero is the entire point of the exercise. Minima that were never
-confirmed, and confirmed ones of families with double-precision coefficients,
-are judged against the tolerance.
+re-evaluates any minimum inside a near-zero band with 50-digit decimal
+arithmetic (the standard library's ``decimal``, whose C core costs far less
+per operation than mpmath); the sign of that confirmed value, up to its
+rounding bound, is the verdict — sign near zero is the entire point of the
+exercise. Minima that were never confirmed, and confirmed ones of families
+with double-precision coefficients, are judged against the tolerance.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 
 import mpmath
 import numpy as np
 
-from .arith import EXTENDED_DPS, is_exact, to_mpf
+from .arith import EXTENDED_DPS, _man_exp, exact_value, is_exact
 from .errors import ParamError
 from .recurrence import (
     NormalizedFamily,
@@ -99,8 +101,9 @@ class TuranReport:
 
     min_value/argmin_x are raw double-precision grid values (bit-identical to
     turan_det at the same point in float mode). The nonnegative verdict of a
-    minimum inside the near-zero band is the sign of its extended-precision
-    confirmation, up to that evaluation's rounding bound, or up to
+    minimum inside the near-zero band is the sign of its confirmation in
+    ``decimal`` arithmetic at confirm_dps digits, up to that evaluation's
+    rounding bound, or up to
     ``tolerance`` when a coefficient or sigma is a double; every other
     minimum is judged against ``tolerance``.
     """
@@ -151,6 +154,20 @@ def _scaled(rows, sigma):
     return (r * s for r, s in zip(rows, sigma))
 
 
+def _to_decimal(v) -> Decimal:
+    """``v`` as a Decimal in the current decimal context: an int or a double
+    exactly, a Fraction as its numerator over its denominator and an mpf as
+    its binary mantissa times a power of two, each rounded once."""
+    if isinstance(v, (int, float)):
+        return Decimal(v)
+    if isinstance(v, mpmath.mpf):
+        man, exp = _man_exp(v)
+        # man*2**exp = man*5**-exp * 10**exp for exp < 0
+        return Decimal(man << exp) if exp >= 0 else Decimal(man * 5 ** -exp).scaleb(exp)
+    q = exact_value(v)
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
 def _confirm_tolerance(confirm_dps: int, tolerance: float, *sources) -> float:
     """Relative bound under which a confirmed minimum counts as zero.
 
@@ -167,10 +184,40 @@ def _confirm_tolerance(confirm_dps: int, tolerance: float, *sources) -> float:
     return 10.0 ** (CONFIRM_GUARD_DIGITS - digits)
 
 
+def _min_and_scale(D) -> tuple[int, float, float]:
+    """argmin i, D[i] and scale_n = max(1, max|D|) of one row of Delta_n.
+
+    max|D| is max(D.max(), -D[i]), which needs no |D| vector. A NaN in D
+    gives scale 1, as max(1.0, nan) is 1.0, and an infinity gives inf."""
+    i = int(np.argmin(D))
+    m = float(D[i])
+    return i, m, max(1.0, float(D.max()), -m)
+
+
+def _confirm(al_src, ga_src, pending: dict, confirm_dps: int, sigma_src=None) -> dict:
+    """{n: Delta_n(x)} in decimal arithmetic at confirm_dps digits, for each
+    abscissa x of ``pending`` and each of its degrees n: one sweep per x."""
+    hi = max(max(degrees) for degrees in pending.values()) + 1
+    confirmed = {}
+    with localcontext(Context(prec=confirm_dps, rounding=ROUND_HALF_EVEN,
+                              Emin=MIN_EMIN, Emax=MAX_EMAX)):
+        al = [_to_decimal(v) for v in al_src[:hi]]
+        ga = [_to_decimal(v) for v in ga_src[:hi]]
+        sigma = None if sigma_src is None else [_to_decimal(v) for v in sigma_src[:hi + 1]]
+        one = Decimal(1)
+        for x, degrees in pending.items():
+            rows = _rows(al, ga, Decimal(x), max(degrees) + 1, one)
+            if sigma is not None:
+                rows = _scaled(rows, sigma)
+            confirmed.update(_dets(rows, degrees))
+    return confirmed
+
+
 def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
           confirm_dps: int, sigma_src=None, sigma_log_concave=None) -> TuranReport:
     """Stream the float64 rows over the grid, keep min, argmin and max|Delta_n|
-    per degree, confirm the near-zero minima at confirm_dps digits, judge."""
+    per degree, confirm the near-zero minima in decimal arithmetic at
+    confirm_dps digits, judge."""
     if confirm_dps <= CONFIRM_GUARD_DIGITS:
         raise ParamError(f"confirm_dps must exceed {CONFIRM_GUARD_DIGITS} guard digits")
     xs = scan_grid(grid_points)
@@ -179,28 +226,18 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
         rows = _scaled(rows, [float(v) for v in sigma_src])
     mins, args, scales = [], [], []
     for _, D in _dets(rows):
-        i = int(np.argmin(D))
-        mins.append(float(D[i]))
+        i, m, scale = _min_and_scale(D)
+        mins.append(m)
         args.append(float(xs[i]))
-        scales.append(max(1.0, float(np.max(np.abs(D)))))
+        scales.append(scale)
 
     # group the near-zero minima by abscissa: one high-precision sweep per x
     pending: dict[float, set[int]] = {}
     for n, m, x, scale in zip(range(1, n_max + 1), mins, args, scales):
         if abs(m) < CONFIRM_BAND * scale:
             pending.setdefault(x, set()).add(n)
-    confirmed: dict[int, float] = {}
-    if pending:
-        hi = max(max(degrees) for degrees in pending.values()) + 1
-        with mpmath.workdps(confirm_dps):
-            al = [to_mpf(v) for v in al_src[:hi]]
-            ga = [to_mpf(v) for v in ga_src[:hi]]
-            sigma = None if sigma_src is None else [to_mpf(v) for v in sigma_src[:hi + 1]]
-            for x, degrees in pending.items():
-                rows = _rows(al, ga, mpmath.mpf(x), max(degrees) + 1, mpmath.mpf(1))
-                if sigma is not None:
-                    rows = _scaled(rows, sigma)
-                confirmed.update((n, float(v)) for n, v in _dets(rows, degrees))
+    confirmed = {n: float(v) for n, v in _confirm(
+        al_src, ga_src, pending, confirm_dps, sigma_src).items()} if pending else {}
 
     confirm_tol = _confirm_tolerance(confirm_dps, tolerance, al_src, ga_src, sigma_src or ())
     entries = tuple(
@@ -225,7 +262,9 @@ def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
     The recurrence runs over the whole grid in float64, three rows at a time,
     so memory stays flat in n_max. Verdict per degree, with scale_n =
     max(1, max|Delta_n| on the grid): a grid minimum inside the
-    1e-10*scale_n band is re-evaluated at confirm_dps digits, and that
+    1e-10*scale_n band is re-evaluated in ``decimal`` arithmetic at
+    confirm_dps significant digits, from the exact value of every int and
+    double and every Fraction and mpf rounded once to that precision, and that
     confirmed value decides, up to its rounding bound
     scale_n*10**(CONFIRM_GUARD_DIGITS - confirm_dps) when every coefficient
     is exact or extended precision, and up to tolerance*scale_n when one is

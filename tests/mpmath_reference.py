@@ -1,0 +1,29 @@
+"""Reference confirmation pass in mpmath arithmetic.
+
+This is the confirmation of near-zero scan minima as it stood before the
+standard library's ``decimal`` took it over (``turan._confirm``): the same
+recurrence kernel on mpfs under ``mpmath.workdps(confirm_dps)``.
+test_turan.py requires the package to agree with it verdict for verdict and
+value for value, up to a small fraction of the rounding bound. Only tests
+import this module.
+"""
+import mpmath
+
+from turandet.arith import to_mpf
+from turandet.recurrence import _dets, _rows
+
+
+def confirm(al_src, ga_src, pending: dict, confirm_dps: int, sigma_src=None) -> dict:
+    """{n: Delta_n(x)} as mpfs at confirm_dps digits; see turan._confirm."""
+    hi = max(max(degrees) for degrees in pending.values()) + 1
+    confirmed = {}
+    with mpmath.workdps(confirm_dps):
+        al = [to_mpf(v) for v in al_src[:hi]]
+        ga = [to_mpf(v) for v in ga_src[:hi]]
+        sigma = None if sigma_src is None else [to_mpf(v) for v in sigma_src[:hi + 1]]
+        for x, degrees in pending.items():
+            rows = _rows(al, ga, mpmath.mpf(x), max(degrees) + 1, mpmath.mpf(1))
+            if sigma is not None:
+                rows = (r * s for r, s in zip(rows, sigma))
+            confirmed.update(_dets(rows, degrees))
+    return confirmed

@@ -108,7 +108,7 @@ CASES = {
        for fmt in ("json", "csv")},
     **{f"scan_{kind}.{fmt}": _scan(kind, fmt)
        for kind in ("legendre", "example3", "pollaczek") for fmt in ("json", "csv")},
-    # the normalized coefficients past the digit-cap fallback at g_990 reach
+    # the normalized coefficients past the digit-cap fallback at g_989 reach
     # the scan and its confirmation as mpfs
     **{f"scan_example3_third.{fmt}": _scan("example3_third", fmt, 1200)
        for fmt in ("json", "csv")},

@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from turandet import (
     CoefficientFamily,
@@ -30,8 +32,9 @@ from turandet import (
     scaled_polys,
     table_family,
 )
-from turandet.arith import EXTENDED_DPS
-from turandet.recurrence import _rows, _table
+from turandet import recurrence
+from turandet.arith import EXTENDED_DPS, _man_exp, exceeds_digit_cap
+from turandet.recurrence import RatioSequence, _dets, _rows, _table
 
 
 def test_chebyshev_t_values_at_zero():
@@ -294,3 +297,89 @@ def test_zero_gamma_is_a_param_error():
                  lambda: ratio_sandwich(fam, 3), lambda: criterion_reports(fam, 2)):
         with pytest.raises(ParamError, match=r"gamma_1 must be nonzero"):
             call()
+
+
+def _same_number(u, v) -> bool:
+    """u and v are the same value of the same type; mpfs down to the bit."""
+    if type(u) is not type(v):
+        return False
+    return _man_exp(u) == _man_exp(v) if isinstance(u, mpmath.mpf) else u == v
+
+
+# N per digit cap: far enough past the fallback for a tail of mpf indices
+TAIL_N = {60: 150, 200: 400, 4096: 1600}
+
+
+@settings(max_examples=15, deadline=None)
+@given(kind=st.sampled_from(["Example3", "Pollaczek"]),
+       p=st.fractions(min_value=F(1, 8), max_value=6, max_denominator=12),
+       q=st.fractions(min_value=F(1, 8), max_value=6, max_denominator=12),
+       cap=st.sampled_from(sorted(TAIL_N)))
+def test_kept_tail_equals_the_per_index_formula(kind, p, q, cap):
+    """normalize keeps the alpha_tilde/gamma_tilde its ratio pass formed in
+    mpf past the fallback; each equals the per-index formula bit for bit."""
+    fam = example3(p) if kind == "Example3" else pollaczek(p, q)
+    N = TAIL_N[cap]
+    with mock.patch.object(recurrence, "DEFAULT_DIGIT_CAP", cap):
+        try:
+            kept = normalize(fam, N)
+        except NonpositiveRatio:
+            reject()
+    ratios = [kept.ratio(n) for n in range(N)]
+    lazy = NormalizedFamily(fam, RatioSequence(tuple(ratios), kept.exact))
+    # the tail starts after the first g_n past the cap
+    g, fallback = F(1) / fam.gamma(0), N - 1
+    for n in range(N):
+        if n:
+            g = (1 - fam.alpha(n) / g) / fam.gamma(n)
+        if exceeds_digit_cap(g, cap):
+            fallback = n
+            break
+    k, al_tail, ga_tail = kept._tail
+    assert k == fallback + 1 and len(al_tail) == len(ga_tail) == N - k
+    for n in range(N + 1):
+        assert _same_number(kept.alpha(n), lazy.alpha(n))
+    for n in range(N):
+        assert _same_number(kept.gamma(n), lazy.gamma(n))
+
+
+def test_tail_starts_after_the_fallback_index():
+    """Example3(1/3) falls back at g_989: alpha_tilde_990.. and
+    gamma_tilde_990.. come from the ratio pass, and earlier indices keep
+    their exact values."""
+    fam = normalize(example3(F(1, 3)), 1201)
+    k, al_tail, ga_tail = fam._tail
+    assert k == 990 and len(al_tail) == len(ga_tail) == 1201 - 990
+    assert type(normalize(example3(F(1, 3)), 989).ratio(988)) is F
+    assert al_tail[0] is fam.alpha(990) and ga_tail[-1] is fam.gamma(1200)
+    assert isinstance(fam.alpha(989), mpmath.mpf)  # alpha_989/g_988, g_988 made an mpf
+
+
+def test_int_coefficients_keep_the_ratios_exact():
+    """An int gamma_0 made 1/gamma_0, and so every later ratio, a double."""
+    quarter, three_quarters = F(1, 4), F(3, 4)
+    fam = CoefficientFamily("mixed", _table([0, quarter, quarter, quarter]),
+                            _table([1, three_quarters, three_quarters, three_quarters]))
+    seq = ratios_at_one(fam, 3)
+    assert seq.exact
+    assert seq.values == (1, 1, 1) and all(type(g) is F for g in seq.values)
+    nf = normalize(fam, 3)
+    assert [nf.alpha(n) for n in range(4)] == [0, quarter, quarter, quarter]
+    assert all(type(nf.alpha(n)) is F for n in range(1, 4))
+
+
+def test_dets_equal_an_out_of_place_reference():
+    """Delta_n finished in place equals p_n*p_n - p_{n-1}*p_{n+1}, and leaves
+    the rows it reads untouched."""
+    al, ga = coefficients(pollaczek(2, 1), 60)
+    al, ga = [float(v) for v in al], [float(v) for v in ga]
+    xs = np.linspace(-1.0, 1.0, 41)
+    rows = list(_rows(al, ga, xs, 60, 1.0))
+    copies = [np.copy(r) for r in rows]
+    dets = list(_dets(rows))
+    assert [n for n, _ in dets] == list(range(1, 60))
+    for n, D in dets:
+        assert np.array_equal(D, rows[n] * rows[n] - rows[n - 1] * rows[n + 1])
+    assert all(np.array_equal(r, c) for r, c in zip(rows, copies))
+    some = dict(_dets(rows, {3, 17}))
+    assert some.keys() == {3, 17} and np.array_equal(some[17], dict(dets)[17])

@@ -2,8 +2,11 @@ import collections
 import dataclasses
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
+import mpmath
+import mpmath_reference
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from turandet import (
     ParamError,
     chebyshev_t,
     chebyshev_u,
+    example3,
     float_view,
     grid_scan,
     legendre,
@@ -19,8 +23,11 @@ from turandet import (
     scaled_scan,
     scan_grid,
     table_family,
+    turan,
     turan_det,
 )
+from turandet.arith import exact_value
+from turandet.turan import CONFIRM_GUARD_DIGITS
 
 
 def test_chebyshev_t_closed_form_exact():
@@ -239,3 +246,106 @@ def test_scan_memory_stays_flat_in_n_max(scan):
         tracemalloc.stop()
     assert rep.n_range == (1, 2000) and rep.grid.points == 2002
     assert peak < 8e6
+
+
+# Scans whose confirmation passes run. Legendre's minima sit at x = -1, where
+# Delta_n is exactly 0; Example3(1/3) passes its digit-cap fallback at g_989,
+# so its later coefficients are mpfs; the float table and Legendre's float
+# view take the tolerance path; every degree of the 1/(2n+1) scaling is a
+# confirmed negative; confirm_dps=11 is the least precision allowed.
+CONFIRMED_SCANS = {
+    "Legendre": lambda: grid_scan(legendre(), 300),
+    "Example3(1/3)-past-fallback": lambda: grid_scan(example3(F(1, 3)), 1200),
+    "float-Table": lambda: grid_scan(
+        table_family([0, 0.3, 0.4, 0.45], [1.0, 0.7, 0.6, 0.55]), 3),
+    "float_view-Legendre": lambda: grid_scan(float_view(legendre()), 300),
+    "sigma-1/(2n+1)": lambda: scaled_scan(legendre(), lambda n: F(1, 2 * n + 1), 300),
+    "confirm_dps=11": lambda: grid_scan(legendre(), 300, confirm_dps=11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIRMED_SCANS))
+def test_decimal_confirmation_agrees_with_mpmath(monkeypatch, name):
+    """The decimal confirmation gives the mpmath reference's verdicts, and
+    each confirmed value lies within a thousandth of the rounding bound
+    scale_n*10**(CONFIRM_GUARD_DIGITS - confirm_dps) of the reference value."""
+    calls, scales = [], []
+    confirm, min_and_scale = turan._confirm, turan._min_and_scale
+
+    def recording_confirm(*args):
+        calls.append((args, confirm(*args)))
+        return calls[-1][1]
+
+    def recording_scale(D):
+        scales.append(min_and_scale(D)[2])
+        return min_and_scale(D)
+
+    monkeypatch.setattr(turan, "_confirm", recording_confirm)
+    monkeypatch.setattr(turan, "_min_and_scale", recording_scale)
+    report = CONFIRMED_SCANS[name]()
+    [(args, got)] = calls
+    confirm_dps = args[3]
+    want = mpmath_reference.confirm(*args)
+    assert got and got.keys() == want.keys()
+    bound = F(10) ** (CONFIRM_GUARD_DIGITS - confirm_dps) / 1000
+    for n, value in got.items():
+        assert isinstance(value, Decimal)
+        assert abs(F(value) - exact_value(want[n])) <= bound * F(scales[n - 1])
+
+    monkeypatch.setattr(turan, "_confirm", mpmath_reference.confirm)
+    assert CONFIRMED_SCANS[name]().to_json() == report.to_json()
+
+
+@pytest.mark.parametrize("row", [
+    [-math.inf, 0.0, 1.0],
+    [math.inf, -3.0, 0.5],
+    [-math.inf, math.inf],
+    [math.nan, -5.0, 2.0],
+    [-2.0, math.nan, math.inf],
+    [math.nan, -math.inf],
+    [math.nan],
+    [3.0, -7.0],
+    [-7.0, 3.0],
+    [-3.0, -1.0],
+    [0.1, -0.2],
+    [-0.0, 0.0],
+], ids=str)
+def test_scale_equals_max_abs(row):
+    """scale_n from D.max() and the minimum equals max(1, max|D|), as
+    max(1.0, nan) is 1.0 for a row holding a NaN."""
+    D = np.array(row)
+    i, m, scale = turan._min_and_scale(D)
+    assert i == int(np.argmin(D))
+    assert m == D[i] or (math.isnan(m) and math.isnan(D[i]))
+    assert scale == max(1.0, float(np.max(np.abs(D))))
+
+
+def test_scan_past_the_fallback_stays_within_its_memory_bound():
+    """Example3(5) falls back to mpfs near g_1000; the kept tail of the
+    normalized coefficients must not add to the scan's peak."""
+    tracemalloc.start()
+    try:
+        rep = grid_scan(example3(5), 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.all_nonnegative
+    assert peak <= 6.0e6
+
+
+def test_decimal_inputs_keep_their_exact_values_and_signs():
+    """Ints and doubles convert exactly; Fractions and mpfs round once, and a
+    negative mpf stays negative (mpmath's own man_exp drops the sign)."""
+    assert exact_value(mpmath.mpf(-0.75)) == F(-3, 4)
+    with pytest.raises(ParamError):
+        exact_value(mpmath.mpf("-inf"))
+    with localcontext() as ctx:
+        ctx.prec = 30
+        assert turan._to_decimal(-0.1) == Decimal(-0.1)  # all 55 digits
+        assert turan._to_decimal(10**40 + 1) == Decimal(10**40 + 1)
+        assert turan._to_decimal(F(-2, 3)) == Decimal("-0.666666666666666666666666666667")
+        assert turan._to_decimal(mpmath.mpf(-0.75)) == Decimal("-0.75")
+        assert turan._to_decimal(mpmath.mpf(3) * 2**200) == Decimal(3 * 2**200)
+        with mpmath.workdps(50):
+            third = -mpmath.mpf(1) / 3
+        assert turan._to_decimal(third) == Decimal("-0.333333333333333333333333333333")
