@@ -1,4 +1,4 @@
-"""Golden outputs: check, lambda, ratios, scans, a scaled scan, density,
+"""Golden outputs: check, lambda, ratios, scans, scaled scans, density,
 eval_polys and the stdout of every demo, byte for byte.
 
 Each case renders one output as text and compares it with the file of the
