@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from turandet import build, cli, example4
+from turandet import FamilySpec, build, cli, example3, example4
 from turandet.arith import format_number
 from turandet.cli import RunConfig, main, run
 
@@ -304,3 +304,68 @@ def test_each_coefficient_is_read_once(monkeypatch, capsys, command):
         expected -= {("alpha", 0), ("gamma", hi)}
     assert set(reads) == expected
     assert max(reads.values()) == 1
+
+
+def test_family_spec_read_from_a_file(tmp_path, capsys):
+    """--family takes the path of a JSON spec file, as in the README."""
+    path = tmp_path / "spec.json"
+    path.write_text('{"kind": "Example3", "params": {"a": "1/2"}}', encoding="utf-8")
+    assert main(["check", "--family", str(path), "--N", "20", "--reproducible"]) == 0
+    from_file = capsys.readouterr().out
+    assert json.loads(from_file)["family"] == {"name": "Example3", "params": {"a": "1/2"}}
+    main(["check", "--family", path.read_text(encoding="utf-8"), "--N", "20", "--reproducible"])
+    assert capsys.readouterr().out == from_file
+
+
+@pytest.mark.parametrize("value, want", [("0.5", Fraction(1, 2)), ("[1, 3]", Fraction(1, 3))])
+def test_float_and_pair_params_build_exact_families(value, want):
+    family = build(FamilySpec.from_json(json.loads(
+        f'{{"kind": "Example3", "params": {{"a": {value}}}}}')))
+    assert family.params == {"a": want}
+    closed = example3(want)
+    for n in range(6):
+        assert (family.alpha(n), family.gamma(n)) == (closed.alpha(n), closed.gamma(n))
+        assert type(family.alpha(n)) is Fraction and type(family.gamma(n)) is Fraction
+
+
+@pytest.mark.parametrize("value, message", [
+    ("[1, 0]", "rational pair must be two ints with nonzero denominator: [1, 0]"),
+    ("[1.5, 2]", "rational pair must be two ints with nonzero denominator: [1.5, 2]"),
+    ("[1, 2, 3]", "cannot interpret [1, 2, 3] as a rational number"),
+    ("true", "cannot interpret True as a number"),
+])
+def test_bad_numeric_params_exit_two(capsys, value, message):
+    spec = f'{{"kind": "Example3", "params": {{"a": {value}}}}}'
+    assert main(["check", "--family", spec, "--N", "10"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_example2_list_and_table_sequence_specs(capsys):
+    """eps as a plain list and delta as a "table" spec: finite tables that
+    bound the --N a command accepts."""
+    spec = json.dumps({"kind": "Example2", "params": {
+        "eps": ["1/6", "1/12", "1/24", "1/48"],
+        "delta": {"kind": "table", "values": [0, "1/2", "1/4", "1/8"]}}})
+    family = build(FamilySpec.from_json(json.loads(spec)))
+    assert [family.alpha(n) for n in range(4)] == [0, Fraction(1, 8), Fraction(11, 32),
+                                                   Fraction(55, 128)]
+    assert [family.gamma(n) for n in range(4)] == [Fraction(2, 3), Fraction(7, 12),
+                                                   Fraction(13, 24), Fraction(25, 48)]
+    assert main(["lambda", "--family", spec, "--N", "2", "--reproducible"]) in (0, 1)
+    capsys.readouterr()
+    assert main(["lambda", "--family", spec, "--N", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the coefficient table has 4 entries; the largest valid --N for lambda is 2\n")
+
+
+@pytest.mark.parametrize("eps, message", [
+    ('{"kind": "cubic"}', "eps: unknown sequence kind 'cubic'"),
+    ("3", "eps: sequence spec must be a list or an object with 'kind'"),
+    ('{"kind": "harmonic", "scale": 0}', "eps: harmonic needs scale > 0 and shift >= 0"),
+    ('{"kind": "harmonic", "shift": -1}', "eps: harmonic needs scale > 0 and shift >= 0"),
+    ('{"kind": "harmonic"}', "eps: harmonic term undefined at n = 0 with shift 0"),
+])
+def test_bad_example2_sequence_specs_exit_two(capsys, eps, message):
+    spec = f'{{"kind": "Example2", "params": {{"eps": {eps}, "delta": [0, 1, 1]}}}}'
+    assert main(["check", "--family", spec, "--N", "10"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

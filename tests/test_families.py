@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,6 +220,50 @@ def test_family_spec_rejects_unknown_kind_and_params():
         build(FamilySpec.from_json({"kind": "Legendre", "params": {"a": 1}}))
     with pytest.raises(ParamError):
         build(FamilySpec.from_json({"kind": "Gegenbauer"}))  # missing lambda
+
+
+# Every message build gives for the params of a kind, as printed: an
+# unexpected param is named before a missing one.
+_BUILD_MESSAGES = [
+    ("ChebyshevT", {"a": 1}, "ChebyshevT: unexpected params ['a']"),
+    ("ChebyshevU", {"x": 2, "lambda": 1}, "ChebyshevU: unexpected params ['lambda', 'x']"),
+    ("Legendre", {"a": 1}, "Legendre: unexpected params ['a']"),
+    ("Gegenbauer", {}, "Gegenbauer: missing required param 'lambda'"),
+    ("Gegenbauer", {"lambda": 1, "a": 1}, "Gegenbauer: unexpected params ['a']"),
+    ("Pollaczek", {"a": 1}, "Pollaczek: missing required param 'lambda'"),
+    ("Pollaczek", {"lambda": 1}, "Pollaczek: missing required param 'a'"),
+    ("Pollaczek", {"lambda": 1, "b": 1}, "Pollaczek: unexpected params ['b']"),
+    ("Example3", {}, "Example3: missing required param 'a'"),
+    ("Example3", {"b": 1}, "Example3: unexpected params ['b']"),
+    ("Example4", {"b": 1}, "Example4: missing required param 'a'"),
+    ("Example4", {"a": 1}, "Example4: missing required param 'b'"),
+    ("Example4", {"a": 1, "b": 1, "lambda": 1}, "Example4: unexpected params ['lambda']"),
+    ("Example2", {"eps": [1]}, "Example2: missing required param 'delta'"),
+    ("Example2", {"a": 1}, "Example2: unexpected params ['a']"),
+    ("Table", {"alpha": [0]}, "Table: unexpected params ['alpha']"),
+    ("Table", {"name": "T"}, "Table spec needs alpha/gamma lists"),
+]
+
+
+@pytest.mark.parametrize("kind, params, message", _BUILD_MESSAGES)
+def test_build_messages(kind, params, message):
+    with pytest.raises(ParamError) as err:
+        build(FamilySpec(kind, params))
+    assert str(err.value) == message
+
+
+def test_unknown_kind_and_table_spec_messages():
+    known = ("ChebyshevT, ChebyshevU, Legendre, Gegenbauer, Pollaczek, Example2, "
+             "Example3, Example4, Table")
+    with pytest.raises(ParamError) as err:
+        FamilySpec.from_json({"kind": "Hermite"})
+    assert str(err.value) == f"unknown family kind 'Hermite'; known: {known}"
+    with pytest.raises(ParamError) as err:
+        build(SimpleNamespace(kind="Hermite", params={}, table=None))
+    assert str(err.value) == "unknown family kind 'Hermite'"
+    with pytest.raises(ParamError) as err:
+        FamilySpec.from_json({"kind": "Table", "alpha": [0]})
+    assert str(err.value) == "Table spec needs 'alpha' and 'gamma' lists"
 
 
 def test_sequence_specs_via_build():

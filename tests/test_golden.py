@@ -1,5 +1,5 @@
 """Golden outputs: check, lambda, ratios, scans, scaled scans, density,
-eval_polys and the stdout of every demo, byte for byte.
+families, eval_polys and the stdout of every demo, byte for byte.
 
 Each case renders one output as text and compares it with the file of the
 same name under tests/golden. Refresh the files only for an intended change
@@ -127,6 +127,8 @@ CASES = {
         "--N", "2000", "--mode", "float"),
     "density_chebyshev_t.json": lambda: _cli(
         "density", "--family", '{"kind": "ChebyshevT"}', "--N", "2000"),
+    "families.json": lambda: _cli("families"),
+    "families.csv": lambda: _cli("families", "--format", "csv"),
     "eval_polys.json": _eval_polys,
     **{f"demo_{path.stem}.txt": _demo(path) for path in sorted(DEMOS.glob("*.py"))},
 }
