@@ -3,14 +3,17 @@ families, eval_polys and the stdout of every demo, byte for byte.
 
 Each case renders one output as text and compares it with the file of the
 same name under tests/golden. Refresh the files only for an intended change
-of output:
+of output, naming the cases whose output changed:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py eval_polys.json families.csv
+
+With no names, every file is rewritten.
 """
 import contextlib
 import io
 import json
 import runpy
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -140,6 +143,10 @@ def test_golden_output(name):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden cases: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, render in CASES.items():
-        (GOLDEN / name).write_text(render(), encoding="utf-8")
+    for name in names:
+        (GOLDEN / name).write_text(CASES[name](), encoding="utf-8")
