@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from turandet import eval_polys, example3, legendre, pollaczek, scaled_scan
-from turandet.arith import format_number
+from turandet.arith import _man_exp, format_number
 from turandet.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -79,7 +79,7 @@ def _text(v):
         return format_number(v)
     if isinstance(v, float):
         return repr(v)
-    man, exp = v.man_exp  # an mpf, exactly
+    man, exp = _man_exp(v)  # an mpf, exactly, with its sign
     return f"{man}*2^{exp}"
 
 
