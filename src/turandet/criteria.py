@@ -504,12 +504,8 @@ def check_lambda_route(family, N: int) -> CriterionReport:
     """
     if N < 1:
         raise ParamError("check_lambda_route needs N >= 1")
-    return _lambda_route(_step_table(family, N))
-
-
-def _lambda_route(t) -> CriterionReport:
-    """check_lambda_route on the step table ``t``."""
-    N, al, ga, ap, aq, gp, gq = t.N, t.al, t.ga, t.ap, t.aq, t.gp, t.gq
+    t = _step_table(family, N)
+    al, ga, ap, aq, gp, gq = t.al, t.ga, t.ap, t.aq, t.gp, t.gq
     un, ud, vn, vd, _, _ = t.steps
 
     # s_n = 1/2 - alpha_n = (aq - 2ap)/(2aq) and t_n = gamma_n - 1/2 =
@@ -557,16 +553,12 @@ def check_y_route(family, N: int) -> CriterionReport:
     break the pair inequality is Violated on both routes."""
     if N < 1:
         raise ParamError("check_y_route needs N >= 1")
-    return _y_route(_step_table(family, N))
-
-
-def _y_route(t) -> CriterionReport:
-    """check_y_route on the step table ``t``."""
-    # lambda_n = L/D as in _lambda_route, so y_n = (D + L)/(D - L), kept as
-    # yn[n]/yd[n] with a positive denominator
+    # lambda_n = L/D as in check_lambda_route, so y_n = (D + L)/(D - L), kept
+    # as yn[n]/yd[n] with a positive denominator
+    t = _step_table(family, N)
     un, ud, vn, vd, _, _ = t.steps
     yn, yd = [], []
-    for n in range(t.N + 1):
+    for n in range(N + 1):
         L, D = vn[n] * ud[n], un[n] * vd[n]
         if not (0 < L < D or D < L < 0):
             raise InvalidLambda(n, t.lam_value(n) if un[n] else None)
@@ -578,7 +570,7 @@ def _y_route(t) -> CriterionReport:
         return y_from_lambda(t.lam_value(k))
 
     cond = _Cond("y-increments-at-most-one")
-    for n in range(1, t.N + 1):
+    for n in range(1, N + 1):
         cond.record(n, yn[n] * yd[n - 1] <= (yn[n - 1] + yd[n - 1]) * yd[n],
                     lambda: (y_at(n), y_at(n - 1) + 1))
-    return CriterionReport.assemble(Y_ROUTE, t.N, (cond.done(),))
+    return CriterionReport.assemble(Y_ROUTE, N, (cond.done(),))

@@ -25,13 +25,13 @@ from .criteria import (
     CriterionReport,
     DeltaSeq,
     Verdict,
-    _lambda_route,
-    _y_route,
     as_delta,
     check_corollary1,
     check_corollary2,
+    check_lambda_route,
     check_szw_normalized,
     check_theorem1,
+    check_y_route,
 )
 from .errors import (
     InvalidLambda,
@@ -456,9 +456,9 @@ def _error_report(criterion: str, N: int, exc: Exception) -> CriterionReport:
 
 def _route_reports(table) -> list[CriterionReport]:
     """LambdaRoute and YRoute reports, both from the one step table ``table``."""
-    reports = [_lambda_route(table)]
+    reports = [check_lambda_route(table, table.N)]
     try:
-        reports.append(_y_route(table))
+        reports.append(check_y_route(table, table.N))
     except InvalidLambda as exc:
         reports.append(_error_report(Y_ROUTE, table.N, exc))
     return reports

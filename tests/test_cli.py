@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from turandet import FamilySpec, build, cli, example3, example4
+from turandet import FamilySpec, build, cli, example3, example4, families
 from turandet.arith import format_number
 from turandet.cli import RunConfig, main, run
 
@@ -369,3 +369,21 @@ def test_bad_example2_sequence_specs_exit_two(capsys, eps, message):
     spec = f'{{"kind": "Example2", "params": {{"eps": {eps}, "delta": [0, 1, 1]}}}}'
     assert main(["check", "--family", spec, "--N", "10"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_routes_run_through_the_public_checkers(monkeypatch, capsys):
+    """check, lambda and classify decide both routes through the
+    check_lambda_route and check_y_route that families binds: one entry point
+    per route criterion."""
+    calls = collections.Counter()
+    for name in ("check_lambda_route", "check_y_route"):
+        def counted(family, N, _name=name, _check=getattr(families, name)):
+            calls[_name] += 1
+            return _check(family, N)
+        monkeypatch.setattr(families, name, counted)
+    for command in ("check", "lambda"):
+        assert main([command, "--family", EX3, "--N", "10", "--reproducible"]) == 0
+    capsys.readouterr()
+    assert families.classify(example3(1), 10) == ["Theorem1", "SzwTheorem1", "LambdaRoute",
+                                                  "YRoute"]
+    assert calls == {"check_lambda_route": 3, "check_y_route": 3}
