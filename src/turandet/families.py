@@ -69,23 +69,6 @@ FAMILY_KINDS = (
     "Example2", "Example3", "Example4", "Table",
 )
 
-FAMILY_INFO: Mapping[str, Mapping[str, str]] = {
-    "ChebyshevT": {"params": "none", "constraints": "none (gamma_0 = 1, alpha_n = gamma_n = 1/2)"},
-    "ChebyshevU": {"params": "none", "constraints": "none (normalized at 1)"},
-    "Legendre": {"params": "none", "constraints": "none (normalized at 1)"},
-    "Gegenbauer": {"params": "lambda", "constraints": "lambda > 0 (normalized at 1)"},
-    "Pollaczek": {"params": "lambda, a", "constraints": "lambda > 0, a > 0"},
-    "Example2": {
-        "params": "eps, delta (sequence specs), optional delta0",
-        "constraints": "eps strictly decreasing > 0, delta nonincreasing >= 0 for n >= 1, "
-                       "eps_0*(1 + delta_0) = 1/6",
-    },
-    "Example3": {"params": "a", "constraints": "a > 0"},
-    "Example4": {"params": "a, b", "constraints": "a > 0, b >= 0"},
-    "Table": {"params": "alpha, gamma lists", "constraints": "alpha_0 = 0, alpha_n > 0 (n >= 1), gamma_n > 0"},
-}
-
-
 @dataclass(frozen=True)
 class CorollaryShape:
     """Constants and delta sequence of the shifted-constant coefficient shape."""
@@ -374,6 +357,32 @@ def corollary2_family(alpha_const, gamma_const, delta, name: str = "shape2") -> 
     )
 
 
+# The kinds whose params are numbers: builder, parameter names (all required,
+# passed in this order) and the constraints on them. Example2 and Table parse
+# their own params in build.
+_PLAIN_KINDS = {
+    "ChebyshevT": (chebyshev_t, (), "none (gamma_0 = 1, alpha_n = gamma_n = 1/2)"),
+    "ChebyshevU": (chebyshev_u, (), "none (normalized at 1)"),
+    "Legendre": (legendre, (), "none (normalized at 1)"),
+    "Gegenbauer": (gegenbauer, ("lambda",), "lambda > 0 (normalized at 1)"),
+    "Pollaczek": (pollaczek, ("lambda", "a"), "lambda > 0, a > 0"),
+    "Example3": (example3, ("a",), "a > 0"),
+    "Example4": (example4, ("a", "b"), "a > 0, b >= 0"),
+}
+
+_INFO = {
+    **{kind: {"params": ", ".join(names) or "none", "constraints": constraints}
+       for kind, (_, names, constraints) in _PLAIN_KINDS.items()},
+    "Example2": {
+        "params": "eps, delta (sequence specs), optional delta0",
+        "constraints": "eps strictly decreasing > 0, delta nonincreasing >= 0 for n >= 1, "
+                       "eps_0*(1 + delta_0) = 1/6",
+    },
+    "Table": {"params": "alpha, gamma lists", "constraints": "alpha_0 = 0, alpha_n > 0 (n >= 1), gamma_n > 0"},
+}
+FAMILY_INFO: Mapping[str, Mapping[str, str]] = {kind: _INFO[kind] for kind in FAMILY_KINDS}
+
+
 def _seq_from_spec(obj, role: str) -> DeltaSeq:
     """Sequence spec: geometric/harmonic closed forms or explicit tables."""
     if isinstance(obj, (list, tuple)):
@@ -416,32 +425,15 @@ def build(spec: FamilySpec) -> CoefficientFamily:
             if r not in p:
                 raise ParamError(f"{kind}: missing required param {r!r}")
 
-    if kind == "ChebyshevT":
-        take()
-        return chebyshev_t()
-    if kind == "ChebyshevU":
-        take()
-        return chebyshev_u()
-    if kind == "Legendre":
-        take()
-        return legendre()
-    if kind == "Gegenbauer":
-        take("lambda", required=("lambda",))
-        return gegenbauer(p["lambda"])
-    if kind == "Pollaczek":
-        take("lambda", "a", required=("lambda", "a"))
-        return pollaczek(p["lambda"], p["a"])
+    if kind in _PLAIN_KINDS:
+        builder, names, _ = _PLAIN_KINDS[kind]
+        take(*names, required=names)
+        return builder(*(p[name] for name in names))
     if kind == "Example2":
         take("eps", "delta", "delta0", required=("eps", "delta"))
         d0 = to_fraction(p["delta0"]) if "delta0" in p else None
         return example2(_seq_from_spec(p["eps"], "eps"),
                         _seq_from_spec(p["delta"], "delta"), d0)
-    if kind == "Example3":
-        take("a", required=("a",))
-        return example3(p["a"])
-    if kind == "Example4":
-        take("a", "b", required=("a", "b"))
-        return example4(p["a"], p["b"])
     if kind == "Table":
         take("name")
         if spec.table is None:
