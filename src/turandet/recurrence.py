@@ -129,10 +129,11 @@ class _StepTable:
     """The exact coefficient table of a family for steps 0..N, and its steps.
 
     Reads alpha_0..alpha_{N+1} and gamma_0..gamma_{N+1} once, as exact values
-    (``al``, ``ga``), and duck-types CoefficientFamily over them, so a checker
-    handed a step table reuses it. Every criterion decides by integer
-    cross-multiplication on its ints: alpha_n = ap[n]/aq[n] and
-    gamma_n = gp[n]/gq[n] and, for n <= N,
+    (``al``, ``ga``) with each int read as a Fraction, so that the step
+    ratios, witnesses and bounds formed from an int table are exact too. It
+    duck-types CoefficientFamily over them, so a checker handed a step table
+    reuses it. Every criterion decides by integer cross-multiplication on its
+    ints: alpha_n = ap[n]/aq[n] and gamma_n = gp[n]/gq[n] and, for n <= N,
 
         u_n = alpha_{n+1} - alpha_n                   = un[n]/ud[n]
         v_n = gamma_n - gamma_{n+1}                   = vn[n]/vd[n]
@@ -150,7 +151,9 @@ class _StepTable:
     def __init__(self, family, N: int):
         self.N = N
         self.name, self.params, self.meta = family.name, family.params, family.meta
-        self.al, self.ga = al, ga = _exact_coefficients(family, max(N + 1, 0))
+        self.al, self.ga = al, ga = [
+            [Fraction(x) if isinstance(x, int) else x for x in values]
+            for values in _exact_coefficients(family, max(N + 1, 0))]
         self.alpha, self.gamma = _table(al), _table(ga)
         self.ap, self.aq = [x.numerator for x in al], [x.denominator for x in al]
         self.gp, self.gq = [x.numerator for x in ga], [x.denominator for x in ga]

@@ -62,24 +62,26 @@ def _sandwich(sandwich, family, N):
     return rows, [repr(r) for r in rows]
 
 
-def assert_matches_reference(family, N, *, y_route=True, sandwich=True):
-    """Every step-table decision on ``family`` up to N equals the Fraction one.
+def assert_matches_reference(family, N, *, reference=None, sandwich=True):
+    """Every step-table decision on ``family`` up to N equals the Fraction one
+    on ``reference`` (by default ``family`` itself).
 
     ``repr`` tells an int from an equal Fraction, and a Fraction from an equal
     float, so the printed values are compared as well as the numbers."""
+    reference = family if reference is None else reference
     if N >= 2:
-        assert check_theorem1(family, N).to_json() == ref.check_theorem1(family, N).to_json()
-    assert _outcome(check_lambda_route, family, N) == _outcome(ref.check_lambda_route, family, N)
-    if y_route:
-        assert _outcome(check_y_route, family, N) == _outcome(ref.check_y_route, family, N)
+        assert check_theorem1(family, N).to_json() == ref.check_theorem1(reference, N).to_json()
+    for check, check_ref in ((check_lambda_route, ref.check_lambda_route),
+                             (check_y_route, ref.check_y_route)):
+        assert _outcome(check, family, N) == _outcome(check_ref, reference, N)
     got = lambda_data(family, N)
-    want = ref.lambda_data(ref.exact_table(family, N + 1), N)
+    want = ref.lambda_data(ref.exact_table(reference, N + 1), N)
     assert got == want
     assert repr(got) == repr(want)
     assert list(got.rows()) == list(want.rows())
     if sandwich:
         assert (_sandwich(ratio_sandwich, family, N + 1)
-                == _sandwich(ref.ratio_sandwich, family, N + 1))
+                == _sandwich(ref.ratio_sandwich, reference, N + 1))
 
 
 # Steps drawn so that u_n = 0, u_n < 0, lambda_n = 1, lambda_n = 3 and
@@ -124,41 +126,33 @@ def test_monotone_ratio_tables_match_the_fraction_reference(seed, steps):
     assert_matches_reference(family, steps - 1)
 
 
-def _exact_y_tie(family, N):
-    """Whether some y_n = y_{n-1} + 1 exactly, with every lambda_n in (0, 1)."""
-    al = [Fraction(family.alpha(n)) for n in range(N + 2)]
-    ga = [Fraction(family.gamma(n)) for n in range(N + 2)]
-    lam = [(ga[n] - ga[n + 1]) / (al[n + 1] - al[n]) if al[n + 1] != al[n] else None
-           for n in range(N + 1)]
-    if not all(x is not None and 0 < x < 1 for x in lam):
-        return False
-    y = [(1 + x) / (1 - x) for x in lam]
-    return any(y[n] == y[n - 1] + 1 for n in range(1, N + 1))
-
-
 @settings(max_examples=200, deadline=None)
 @given(step_tables(values=st.integers(min_value=-3, max_value=4),
                    gamma0=st.integers(min_value=1, max_value=20)))
 @example((_family([0, 1, 2, 3], [7, 6, 5, 4]), 2))  # every lambda_n = 1
+@example((_family([0, 3, 10, 11], [20, 18, 13, 12]), 1))  # y_1 = y_0 + 1
 def test_int_tables_match_the_fraction_reference(case):
-    """Int coefficients give int differences, printed 1 and not 1/1, and
-    float step ratios. Where some y_n = y_{n-1} + 1 exactly, the reference's
-    float y-values decide the tie by rounding; see the next test."""
+    """The step table reads int coefficients as Fractions: it decides and
+    prints on an int table what the reference does on the Fractions of the
+    same table, exact step ratios and y-route ties included."""
     family, N = case
-    assert_matches_reference(family, N, y_route=not _exact_y_tie(family, N))
+    fractions = _family([Fraction(family.alpha(n)) for n in range(N + 2)],
+                        [Fraction(family.gamma(n)) for n in range(N + 2)])
+    assert_matches_reference(family, N, reference=fractions)
 
 
 def test_int_table_y_route_decides_a_tie_exactly():
     """lambda = 2/3 then 5/7, so y = 5 then 6: y_1 <= y_0 + 1 holds with
-    equality. The float step ratios of int coefficients round y_1 up and
-    y_0 down, so the Fraction reference called the tie Violated; the step
-    table decides it exactly and agrees with the pair inequality 60 <= 60."""
+    equality. The float step ratios that int/int division gives round y_1 up
+    and y_0 down, so the Fraction reference called the tie Violated on the
+    ints; the step table reads them as Fractions, decides the tie exactly,
+    agrees with the pair inequality 60 <= 60 and prints the witness (6, 6)."""
     family = _family([0, 3, 10, 11], [20, 18, 13, 12])
     assert ref.check_y_route(family, 1).overall.value == "Violated"
     rep = check_y_route(family, 1)
     assert rep.overall.value == "Satisfied"
-    assert rep.condition("y-increments-at-most-one").witness == (6.000000000000001,
-                                                                 5.999999999999999)
+    witness = rep.condition("y-increments-at-most-one").witness
+    assert witness == (6, 6) and all(type(w) is Fraction for w in witness)
     assert check_lambda_route(family, 1).overall.value == "Satisfied"
 
 
