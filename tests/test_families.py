@@ -212,14 +212,20 @@ def test_family_spec_table_round_trip():
 
 
 def test_family_spec_rejects_unknown_kind_and_params():
-    with pytest.raises(ParamError):
-        FamilySpec.from_json({"kind": "Hermite"})
-    with pytest.raises(ParamError):
-        FamilySpec.from_json(["Legendre"])
-    with pytest.raises(ParamError):
-        build(FamilySpec.from_json({"kind": "Legendre", "params": {"a": 1}}))
-    with pytest.raises(ParamError):
-        build(FamilySpec.from_json({"kind": "Gegenbauer"}))  # missing lambda
+    known = ("ChebyshevT, ChebyshevU, Legendre, Gegenbauer, Pollaczek, Example2, "
+             "Example3, Example4, Table")
+    for bad, message in (
+            (lambda: FamilySpec.from_json({"kind": "Hermite"}),
+             f"unknown family kind 'Hermite'; known: {known}"),
+            (lambda: FamilySpec.from_json(["Legendre"]),
+             "family spec must be an object with a 'kind' field"),
+            (lambda: FamilySpec.from_json({"kind": "Table", "alpha": [0]}),
+             "Table spec needs 'alpha' and 'gamma' lists"),
+            (lambda: build(SimpleNamespace(kind="Hermite", params={}, table=None)),
+             "unknown family kind 'Hermite'")):
+        with pytest.raises(ParamError) as err:
+            bad()
+        assert str(err.value) == message
 
 
 # Every message build gives for the params of a kind, as printed: an
@@ -250,20 +256,6 @@ def test_build_messages(kind, params, message):
     with pytest.raises(ParamError) as err:
         build(FamilySpec(kind, params))
     assert str(err.value) == message
-
-
-def test_unknown_kind_and_table_spec_messages():
-    known = ("ChebyshevT, ChebyshevU, Legendre, Gegenbauer, Pollaczek, Example2, "
-             "Example3, Example4, Table")
-    with pytest.raises(ParamError) as err:
-        FamilySpec.from_json({"kind": "Hermite"})
-    assert str(err.value) == f"unknown family kind 'Hermite'; known: {known}"
-    with pytest.raises(ParamError) as err:
-        build(SimpleNamespace(kind="Hermite", params={}, table=None))
-    assert str(err.value) == "unknown family kind 'Hermite'"
-    with pytest.raises(ParamError) as err:
-        FamilySpec.from_json({"kind": "Table", "alpha": [0]})
-    assert str(err.value) == "Table spec needs 'alpha' and 'gamma' lists"
 
 
 def test_sequence_specs_via_build():
