@@ -1,5 +1,6 @@
 """Golden outputs: check, lambda, ratios, scans, scaled scans, density,
-families, eval_polys and the stdout of every demo, byte for byte.
+families, eval_polys and the stdout of every demo, byte for byte, and the
+SHA-256 digests of check, lambda and ratios at the benchmark's N = 3000.
 
 Each case renders one output as text and compares it with the file of the
 same name under tests/golden. Refresh the files only for an intended change
@@ -10,6 +11,7 @@ of output, naming the cases whose output changed:
 With no names, every file is rewritten.
 """
 import contextlib
+import hashlib
 import io
 import json
 import runpy
@@ -62,6 +64,35 @@ CRITERIA_FAMILIES = {
 def _criteria(command, kind, fmt, *extra):
     spec, N = CRITERIA_FAMILIES[kind]
     return lambda: _cli(command, "--family", spec, "--N", str(N), "--format", fmt, *extra)
+
+
+# The benchmark-size runs, kept as digests: N = 3000 reaches the digit-cap
+# fallback of Example3(2) (at g_1329) and Pollaczek(3/2, 1) (at g_1631), and
+# the 4000-digit exact values before it, which the N = 60 cases do not.
+BENCHMARK_SIZE_RUNS = {
+    **{f"{command} {kind} {fmt}": [command, "--family", spec, "--N", "3000", "--format", fmt]
+       for command in ("check", "lambda", "ratios")
+       for kind, spec in (("Example3(2)", '{"kind": "Example3", "params": {"a": 2}}'),
+                          ("Pollaczek(3/2,1)",
+                           '{"kind": "Pollaczek", "params": {"lambda": "3/2", "a": 1}}'),
+                          ("Legendre", FAMILIES["legendre"]))
+       for fmt in ("json", "csv")},
+    **{f"check-float Example4(3,1/2) {fmt}": [
+        "check", "--family", '{"kind": "Example4", "params": {"a": 3, "b": "1/2"}}',
+        "--N", "3000", "--mode", "float", "--format", fmt] for fmt in ("json", "csv")},
+}
+
+
+def _benchmark_size_digests():
+    """One line per run: the SHA-256 of its stdout, its exit code, its name."""
+    lines = []
+    for name, argv in BENCHMARK_SIZE_RUNS.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main([*argv, "--reproducible"])
+        digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+        lines.append(f"{digest}  exit {code}  {name}\n")
+    return "".join(lines)
 
 
 def _scan(kind, fmt, n_max=300):
@@ -133,6 +164,7 @@ CASES = {
     "families.json": lambda: _cli("families"),
     "families.csv": lambda: _cli("families", "--format", "csv"),
     "eval_polys.json": _eval_polys,
+    "benchmark_size.sha256": _benchmark_size_digests,
     **{f"demo_{path.stem}.txt": _demo(path) for path in sorted(DEMOS.glob("*.py"))},
 }
 
