@@ -20,7 +20,7 @@ from .arith import format_number
 from .criteria import Verdict, lambda_data
 from .density import DEFAULT_N as DENSITY_DEFAULT_N
 from .density import default_density_grid, estimate_density
-from .errors import TableRangeError, TuranError
+from .errors import ParamError, TableRangeError, TuranError
 from .families import (
     FAMILY_INFO,
     FAMILY_KINDS,
@@ -64,6 +64,10 @@ def _load_family(text: str):
             raise OSError(
                 f"family spec not found: {s!r} (pass a file path, a kind name "
                 f"among {', '.join(FAMILY_KINDS)}, or inline JSON)") from None
+        except OSError as exc:
+            raise OSError(f"cannot read family spec file {s!r}: {exc.strerror}") from None
+        except ValueError as exc:  # a JSON syntax error, or bytes that are not UTF-8
+            raise ParamError(f"family spec file {s!r} is not valid JSON: {exc}") from None
     return build(FamilySpec.from_json(obj))
 
 

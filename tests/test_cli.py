@@ -317,6 +317,20 @@ def test_family_spec_read_from_a_file(tmp_path, capsys):
     assert capsys.readouterr().out == from_file
 
 
+def test_unreadable_family_spec_file_names_the_path(tmp_path, capsys):
+    """A spec file that is not JSON, or a directory, exits 2 with a message
+    that names the path and says it was read as a family spec."""
+    bad = tmp_path / "spec.json"
+    bad.write_text('{"kind": "Example3"\n "params": {"a": 1}}', encoding="utf-8")
+    assert main(["check", "--family", str(bad), "--N", "10"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: family spec file {str(bad)!r} is not valid JSON: "
+        "Expecting ',' delimiter: line 2 column 2 (char 21)\n")
+    assert main(["check", "--family", str(tmp_path), "--N", "10"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read family spec file {str(tmp_path)!r}: Is a directory\n")
+
+
 @pytest.mark.parametrize("value, want", [("0.5", Fraction(1, 2)), ("[1, 3]", Fraction(1, 3))])
 def test_float_and_pair_params_build_exact_families(value, want):
     family = build(FamilySpec.from_json(json.loads(
