@@ -24,9 +24,10 @@ __all__ = [
     "is_exact",
     "exact_value",
     "to_fraction",
+    "coprime_fraction",
     "to_mpf",
     "format_number",
-    "frac_digits",
+    "pair_digits",
     "exceeds_digit_cap",
 ]
 
@@ -92,6 +93,16 @@ def to_fraction(value) -> Fraction:
     raise ParamError(f"cannot interpret {value!r} as a rational number")
 
 
+# coprime_fraction(p, q): the Fraction p/q of coprime ints p and q > 0, built
+# without the gcd that Fraction(p, q) runs. On two 4000-digit ints that gcd
+# costs more than the arithmetic that made them coprime.
+if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 and later
+    coprime_fraction = Fraction._from_coprime_ints
+else:  # Python 3.11 spells it as a keyword of the constructor
+    def coprime_fraction(p: int, q: int) -> Fraction:
+        return Fraction(p, q, _normalize=False)
+
+
 def to_mpf(x) -> mpmath.mpf:
     """Convert to mpmath float at the current working precision."""
     if isinstance(x, Fraction):
@@ -110,11 +121,11 @@ def format_number(x):
     return float(x)
 
 
-def frac_digits(x: Fraction) -> int:
-    """Rough decimal-digit size of a Fraction (max of numerator/denominator)."""
-    bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+def pair_digits(p: int, q: int) -> int:
+    """Rough decimal-digit size of p/q (max of numerator/denominator)."""
+    bits = max(p.bit_length(), q.bit_length())
     return int(bits / _BITS_PER_DIGIT) + 1
 
 
 def exceeds_digit_cap(x, cap: int = DEFAULT_DIGIT_CAP) -> bool:
-    return isinstance(x, Fraction) and frac_digits(x) > cap
+    return isinstance(x, Fraction) and pair_digits(x.numerator, x.denominator) > cap

@@ -219,41 +219,39 @@ def check_theorem1(family, N: int) -> CriterionReport:
     if N < 2:
         raise ParamError("check_theorem1 needs N >= 2")
     t = _step_table(family, N)
-    al, ga, ap, aq, gp, gq = t.al, t.ga, t.ap, t.aq, t.gp, t.gq
+    al, ga, ap, aq, gp, gq = t.alpha, t.gamma, t.ap, t.aq, t.gp, t.gq
     un, ud, vn, vd, wn, wd = t.steps
     one, zero = Fraction(1), Fraction(0)
 
     inc = _Cond(COND_ALPHA)
     for n in range(N + 1):
         if n >= 1:
-            inc.record(n, un[n - 1] > 0, (al[n - 1], al[n]))
-        inc.record(n, 2 * ap[n] <= aq[n], (al[n], _HALF))
+            inc.record(n, un[n - 1] > 0, lambda: (al(n - 1), al(n)))
+        inc.record(n, 2 * ap[n] <= aq[n], lambda: (al(n), _HALF))
 
     dec = _Cond(COND_GAMMA)
     for n in range(N + 1):
         if n >= 1:
-            dec.record(n, vn[n - 1] > 0, (ga[n], ga[n - 1]))
-        dec.record(n, gp[n] > 0, (zero, ga[n]))
+            dec.record(n, vn[n - 1] > 0, lambda: (ga(n), ga(n - 1)))
+        dec.record(n, gp[n] > 0, lambda: (zero, ga(n)))
 
     total = _Cond(COND_SUM)
     for n in range(N + 1):
         total.record(n, ap[n] * gq[n] + gp[n] * aq[n] <= aq[n] * gq[n],
-                     lambda: (al[n] + ga[n], one))
+                     lambda: (al(n) + ga(n), one))
 
     step = _Cond(COND_STEP)
     for n in range(1, N + 1):
         if not (wn[n - 1] > 0 and vn[n] > 0):
-            step.record(n, None, lambda: (al[n] * ga[n - 1] - al[n - 1] * ga[n],
-                                          ga[n] - ga[n + 1]))
+            step.record(n, None, lambda: (t.w_value(n - 1), t.v_value(n)))
             continue
         ok = un[n - 1] * vn[n] * wd[n - 1] * wd[n] <= wn[n] * wn[n - 1] * ud[n - 1] * vd[n]
-        step.record(n, ok, lambda: (
-            (al[n] - al[n - 1]) / (al[n] * ga[n - 1] - al[n - 1] * ga[n]),
-            (al[n + 1] * ga[n] - al[n] * ga[n + 1]) / (ga[n] - ga[n + 1])))
+        step.record(n, ok, lambda: (t.u_value(n - 1) / t.w_value(n - 1),
+                                    t.w_value(n) / t.v_value(n)))
 
     init = _Cond(COND_INIT)
     init.record(0, vn[0] * aq[1] * gq[0] ** 2 <= ap[1] * gp[0] ** 2 * vd[0],
-                lambda: (ga[0] - ga[1], al[1] * ga[0] * ga[0]))
+                lambda: (t.v_value(0), al(1) * ga(0) * ga(0)))
 
     return CriterionReport.assemble(
         THEOREM1, N, (inc.done(), dec.done(), total.done(), step.done(), init.done()))
@@ -459,14 +457,16 @@ def lambda_data(family, N: int) -> LambdaData:
     from the exact values of the coefficients."""
     if N < 1:
         raise ParamError("lambda_data needs N >= 1")
+    # lambda_n = L/D with L = vn*ud and D = un*vd, so y_n = (D + L)/(D - L)
     t = _step_table(family, N)
     un, ud, vn, vd, _, _ = t.steps
     u, v, lam, y, valid = [], [], [], [], []
     for n in range(N + 1):
-        u.append(t.u_value(n))
-        v.append(t.v_value(n))
-        lam.append(v[n] / u[n] if un[n] else None)
-        y.append(y_from_lambda(lam[n]) if un[n] and vn[n] * ud[n] != un[n] * vd[n] else None)
+        L, D = vn[n] * ud[n], un[n] * vd[n]
+        u.append(Fraction(un[n], ud[n]))
+        v.append(Fraction(vn[n], vd[n]))
+        lam.append(Fraction(L, D) if D else None)
+        y.append(Fraction(D + L, D - L) if D and D != L else None)
         valid.append(_valid_step(t.steps, n))
     return LambdaData(tuple(u), tuple(v), tuple(lam), tuple(y), tuple(valid), N)
 
@@ -505,7 +505,7 @@ def check_lambda_route(family, N: int) -> CriterionReport:
     if N < 1:
         raise ParamError("check_lambda_route needs N >= 1")
     t = _step_table(family, N)
-    al, ga, ap, aq, gp, gq = t.al, t.ga, t.ap, t.aq, t.gp, t.gq
+    al, ga, ap, aq, gp, gq = t.alpha, t.gamma, t.ap, t.aq, t.gp, t.gq
     un, ud, vn, vd, _, _ = t.steps
 
     # s_n = 1/2 - alpha_n = (aq - 2ap)/(2aq) and t_n = gamma_n - 1/2 =
@@ -514,12 +514,12 @@ def check_lambda_route(family, N: int) -> CriterionReport:
     for n in range(2, N + 1):
         s0, s1 = aq[n - 1] - 2 * ap[n - 1], aq[n] - 2 * ap[n]
         if not (s0 > 0 and s1 > 0):
-            ratio.record(n, None, lambda: (_HALF - al[n - 1], _HALF - al[n]))
+            ratio.record(n, None, lambda: (_HALF - al(n - 1), _HALF - al(n)))
             continue
         t0, t1 = 2 * gp[n - 1] - gq[n - 1], 2 * gp[n] - gq[n]
         ratio.record(n, t0 * s1 * gq[n] * aq[n - 1] <= t1 * s0 * gq[n - 1] * aq[n],
-                     lambda: ((ga[n - 1] - _HALF) / (_HALF - al[n - 1]),
-                              (ga[n] - _HALF) / (_HALF - al[n])))
+                     lambda: ((ga(n - 1) - _HALF) / (_HALF - al(n - 1)),
+                              (ga(n) - _HALF) / (_HALF - al(n))))
 
     pair = _Cond("pair-inequality")
     for n in range(1, N + 1):
@@ -566,11 +566,8 @@ def check_y_route(family, N: int) -> CriterionReport:
         yn.append(sign * (D + L))
         yd.append(sign * (D - L))
 
-    def y_at(k):
-        return y_from_lambda(t.lam_value(k))
-
     cond = _Cond("y-increments-at-most-one")
     for n in range(1, N + 1):
         cond.record(n, yn[n] * yd[n - 1] <= (yn[n - 1] + yd[n - 1]) * yd[n],
-                    lambda: (y_at(n), y_at(n - 1) + 1))
+                    lambda: (Fraction(yn[n], yd[n]), Fraction(yn[n - 1], yd[n - 1]) + 1))
     return CriterionReport.assemble(Y_ROUTE, N, (cond.done(),))

@@ -22,9 +22,11 @@ from .arith import (
     DEFAULT_DIGIT_CAP,
     EXTENDED_DPS,
     Num,
+    coprime_fraction,
     exact_value,
     exceeds_digit_cap,
     is_exact,
+    pair_digits,
     to_mpf,
 )
 from .errors import NonpositiveRatio, ParamError, TableRangeError
@@ -109,10 +111,40 @@ def coefficients(family, hi: int):
     return [family.alpha(n) for n in ns], [family.gamma(n) for n in ns]
 
 
-def _exact_coefficients(family, hi: int):
-    """coefficients() with each value replaced by its exact value (exact_value)."""
-    al, ga = coefficients(family, hi)
-    return [exact_value(v) for v in al], [exact_value(v) for v in ga]
+def _coprime_reader(coeff) -> Callable[[int], tuple[int, int]]:
+    """n -> (p, q): the exact value of coeff(n) as coprime ints with q > 0.
+
+    A callable that carries its integer form ``pair`` is read through it,
+    with one gcd of two small ints and no Fraction; any other through
+    exact_value of its values."""
+    pair = getattr(coeff, "pair", None)
+    if pair is None:
+        def read(n: int):
+            x = exact_value(coeff(n))
+            return x.numerator, x.denominator
+    else:
+        def read(n: int):
+            p, q = pair(n)
+            g = math.gcd(p, q)
+            return p // g, q // g
+    return read
+
+
+def _int_table(ps: Sequence[int], qs: Sequence[int]) -> Callable[[int], Fraction]:
+    """Callable n -> ps[n]/qs[n] for coprime ps[n] and qs[n] > 0, carrying the
+    integer form ``pair``; an index outside the lists raises TableRangeError."""
+    size = len(ps)
+
+    def pair(n: int):
+        if not 0 <= n < size:
+            raise TableRangeError(n, size)
+        return ps[n], qs[n]
+
+    def at(n: int):
+        return coprime_fraction(*pair(n))
+
+    at.pair = pair
+    return at
 
 
 def _materialize(family, hi: int) -> CoefficientFamily:
@@ -128,12 +160,15 @@ def _materialize(family, hi: int) -> CoefficientFamily:
 class _StepTable:
     """The exact coefficient table of a family for steps 0..N, and its steps.
 
-    Reads alpha_0..alpha_{N+1} and gamma_0..gamma_{N+1} once, as exact values
-    (``al``, ``ga``) with each int read as a Fraction, so that the step
-    ratios, witnesses and bounds formed from an int table are exact too. It
-    duck-types CoefficientFamily over them, so a checker handed a step table
-    reuses it. Every criterion decides by integer cross-multiplication on its
-    ints: alpha_n = ap[n]/aq[n] and gamma_n = gp[n]/gq[n] and, for n <= N,
+    Reads alpha_0..alpha_{N+1} and gamma_0..gamma_{N+1} once, as the coprime
+    ints alpha_n = ap[n]/aq[n] and gamma_n = gp[n]/gq[n] of their exact
+    values (``_coprime_reader``: one small gcd per ``pair`` read). It
+    duck-types CoefficientFamily over them: ``alpha``/``gamma`` build the
+    Fraction of an index on read, an int read as a Fraction, so that the
+    witnesses and values formed from an int table are exact too, and carry
+    the ints as ``pair``. A checker handed a step table reuses it. Every
+    criterion decides by integer cross-multiplication on the ints and, for
+    n <= N,
 
         u_n = alpha_{n+1} - alpha_n                   = un[n]/ud[n]
         v_n = gamma_n - gamma_{n+1}                   = vn[n]/vd[n]
@@ -141,9 +176,9 @@ class _StepTable:
 
     with positive, unreduced denominators. ``steps`` holds the six lists
     un, ud, vn, vd, wn, wd, built on first use: numerators and denominators
-    in parallel lists take half the memory of a list of pairs. Kept
-    witnesses and printed values are built from ``al``/``ga`` instead, by the
-    ``*_value`` methods among others.
+    in parallel lists take half the memory of a list of pairs. Fractions are
+    built only for what is printed or kept: one per value, from these ints
+    (``*_value``), with no Fraction arithmetic in a loop.
     """
 
     exact = True
@@ -151,12 +186,11 @@ class _StepTable:
     def __init__(self, family, N: int):
         self.N = N
         self.name, self.params, self.meta = family.name, family.params, family.meta
-        self.al, self.ga = al, ga = [
-            [Fraction(x) if isinstance(x, int) else x for x in values]
-            for values in _exact_coefficients(family, max(N + 1, 0))]
-        self.alpha, self.gamma = _table(al), _table(ga)
-        self.ap, self.aq = [x.numerator for x in al], [x.denominator for x in al]
-        self.gp, self.gq = [x.numerator for x in ga], [x.denominator for x in ga]
+        indices = range(max(N + 1, 0) + 1)
+        self.ap, self.aq = map(list, zip(*map(_coprime_reader(family.alpha), indices)))
+        self.gp, self.gq = map(list, zip(*map(_coprime_reader(family.gamma), indices)))
+        self.alpha = _int_table(self.ap, self.aq)
+        self.gamma = _int_table(self.gp, self.gq)
 
     @functools.cached_property
     def steps(self):
@@ -173,14 +207,23 @@ class _StepTable:
             wd.append(q0 * q1 * s0 * s1)
         return un, ud, vn, vd, wn, wd
 
-    def u_value(self, n: int):
-        return self.al[n + 1] - self.al[n]
+    def u_value(self, n: int) -> Fraction:
+        un, ud, *_ = self.steps
+        return Fraction(un[n], ud[n])
 
-    def v_value(self, n: int):
-        return self.ga[n] - self.ga[n + 1]
+    def v_value(self, n: int) -> Fraction:
+        _, _, vn, vd, _, _ = self.steps
+        return Fraction(vn[n], vd[n])
 
-    def lam_value(self, n: int):
-        return self.v_value(n) / self.u_value(n)
+    def w_value(self, n: int) -> Fraction:
+        *_, wn, wd = self.steps
+        return Fraction(wn[n], wd[n])
+
+    def lam_value(self, n: int) -> Fraction:
+        """lambda_n = v_n/u_n = L/D with L = vn*ud and D = un*vd
+        (ZeroDivisionError where u_n = 0)."""
+        un, ud, vn, vd, _, _ = self.steps
+        return Fraction(vn[n] * ud[n], un[n] * vd[n])
 
 
 def _step_table(family, N: int) -> _StepTable:
@@ -280,13 +323,49 @@ class RatioSequence:
     exact: bool
 
     def poly_at_one(self, n: int):
-        """p_n(1) as the cumulative product g_0*...*g_{n-1}."""
+        """p_n(1) as the cumulative product g_0*...*g_{n-1}; past a digit-cap
+        fallback, multiplied at the EXTENDED_DPS digits that the ratios carry."""
         if n > len(self.values):
             raise ParamError(f"need {n} ratios, have {len(self.values)}")
         out = Fraction(1) if self.exact else 1.0
-        for g in self.values[:n]:
-            out = out * g
+        with mpmath.workdps(EXTENDED_DPS):  # only the mpfs of a fallback use it
+            for g in self.values[:n]:
+                out = out * g
         return out
+
+
+def _exact_ratios(family, N: int, digit_cap: int):
+    """The exact g_0.. of an exact family as Fractions, up to g_{N-1} or up to
+    the first g_n past ``digit_cap`` digits, and whether it stopped there.
+
+    g_{n-1} = P/Q is carried as coprime ints. With alpha_n = a/b and gamma_n =
+    c/d coprime (``_coprime_reader``), alpha_tilde_n = alpha_n/g_{n-1} = A/B
+    in lowest terms through gcd(a, P) and gcd(b, Q), and g_n = (1 - A/B)/gamma_n
+    = (B - A)*d/(B*c) in lowest terms through gcd(B - A, c) and gcd(d, B):
+    each gcd pairs a coefficient's small int with a big one. Each g_n becomes
+    one Fraction, without the gcd of two big ints that Fraction(P, Q) runs.
+    """
+    alpha, gamma = _coprime_reader(family.alpha), _coprime_reader(family.gamma)
+    values = []
+    P, Q = 1, 1  # g_{-1}; with alpha_0 = 0 the step below gives g_0 = 1/gamma_0
+    for n in range(N):
+        (a, b), (c, d) = alpha(n) if n else (0, 1), gamma(n)
+        if c == 0:
+            raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
+        g1, g2 = math.gcd(a, P), math.gcd(b, Q)
+        A, B = (a // g1) * (Q // g2), (b // g2) * (P // g1)
+        E = B - A
+        h1, h2 = math.gcd(E, c), math.gcd(d, B)
+        P, Q = (E // h1) * (d // h2), (B // h2) * (c // h1)
+        if Q < 0:
+            P, Q = -P, -Q
+        g = coprime_fraction(P, Q)
+        if not P > 0:
+            raise NonpositiveRatio(n, g)
+        values.append(g)
+        if pair_digits(P, Q) > digit_cap:
+            return values, True
+    return values, False
 
 
 def _ratio_pass(family, N: int, digit_cap: int, keep_tail: bool = False):
@@ -296,36 +375,40 @@ def _ratio_pass(family, N: int, digit_cap: int, keep_tail: bool = False):
     alpha_n/g_{n-1} and gamma_tilde_n = gamma_n*g_n for k <= n < N, where k
     is the first index read after the fallback (k = N without one). See
     ratios_at_one for the rules.
+
+    An exact family runs on ints (``_exact_ratios``) up to the fallback, then
+    on EXTENDED_DPS-digit mpfs; any other family in its own arithmetic.
     """
     if N < 1:
         raise ParamError("N must be >= 1")
-    values: list = []
-    fallback = False
-    tail_start, al_tail, ga_tail = N, [], []
+    al_tail, ga_tail = [], []
     with mpmath.workdps(EXTENDED_DPS):  # only the mpfs of a fallback use it
-        # an int gamma_0 of an exact family must not start a run of doubles
-        g = (Fraction(1) if family.exact else 1) / family.gamma(0)
-        for n in range(N):
-            if n:
-                a, c = family.alpha(n), family.gamma(n)
-                if c == 0:
-                    raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
-                if fallback:
-                    a, c = to_mpf(a), to_mpf(c)
-                    a = a / g  # alpha_tilde_n
-                    g = (1 - a) / c
-                    if keep_tail:
-                        al_tail.append(a)
-                        ga_tail.append(c * g)
-                else:
-                    g = (1 - a / g) / c
+        if family.exact:
+            values, fallback = _exact_ratios(family, N, digit_cap)
+            if not fallback:
+                return values, False, (N, al_tail, ga_tail)
+            values, conv = [to_mpf(v) for v in values], to_mpf
+        else:
+            g = 1 / family.gamma(0)
+            if not g > 0:
+                raise NonpositiveRatio(0, g)
+            values, fallback, conv = [g], False, None
+        start, g = len(values), values[-1]
+        for n in range(start, N):
+            a, c = family.alpha(n), family.gamma(n)
+            if c == 0:
+                raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
+            if conv is not None:
+                a, c = conv(a), conv(c)
+            a = a / g  # alpha_tilde_n
+            g = (1 - a) / c
+            if fallback and keep_tail:
+                al_tail.append(a)
+                ga_tail.append(c * g)
             if not g > 0:
                 raise NonpositiveRatio(n, g)
-            if family.exact and exceeds_digit_cap(g, digit_cap):
-                values, g, fallback = [to_mpf(v) for v in values], to_mpf(g), True
-                tail_start = n + 1
             values.append(g)
-    return values, fallback, (tail_start, al_tail, ga_tail)
+    return values, fallback, (start if fallback else N, al_tail, ga_tail)
 
 
 def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSequence:
@@ -520,22 +603,24 @@ class SandwichRow:
 def ratio_sandwich(family, N: int) -> list[SandwichRow]:
     """Check 1 <= g_n <= (alpha_{n+1}*gamma_n - alpha_n*gamma_{n+1})/(gamma_n - gamma_{n+1}).
 
-    The ratios are formed from the exact values of the coefficients, and each
-    bound is decided on the exact value of g_n (an mpf after a digit-cap
-    fallback) against w_n/v_n of the step table. The upper bound needs
+    The ratios are formed from the int pairs of the step table (see
+    _exact_ratios), and each bound is decided on the exact value of g_n (an
+    mpf after a digit-cap fallback) against w_n/v_n of the step table, by
+    cross-multiplying ints. The printed bound is the one Fraction
+    wn*vd/(wd*vn) of those ints. The upper bound needs
     gamma_n > gamma_{n+1}; rows where that fails carry upper = +inf,
     upper_ok = True and gamma_step_decreasing = False so the hypothesis breach
     stays visible.
     """
     table = _step_table(family, N - 1)
     ratios = ratios_at_one(table, N).values
-    al, ga, (_, _, vn, vd, wn, wd) = table.al, table.ga, table.steps
+    _, _, vn, vd, wn, wd = table.steps
     rows = []
     for n, g in enumerate(ratios):
         g_exact = exact_value(g)
         gp, gq = g_exact.numerator, g_exact.denominator
         if vn[n] > 0:
-            upper = (al[n + 1] * ga[n] - al[n] * ga[n + 1]) / (ga[n] - ga[n + 1])
+            upper = Fraction(wn[n] * vd[n], wd[n] * vn[n])  # w_n/v_n
             upper_ok = gp * wd[n] * vn[n] <= wn[n] * vd[n] * gq
         else:
             upper = math.inf

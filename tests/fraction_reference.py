@@ -2,14 +2,18 @@
 arithmetic, one Fraction operation per intermediate value.
 
 These are the checkers as they stood before the integer step table
-(``recurrence._StepTable``) took over the decisions. test_step_table.py
-requires the package to agree with them report for report, witnesses
-included. Only tests import this module.
+(``recurrence._StepTable``) took over the decisions, and the g_n ratio pass
+as it stood before it carried each ratio as a pair of coprime ints.
+test_step_table.py requires the package to agree with them report for report,
+witnesses included, and the ratio pass bit for bit. Only tests import this
+module.
 """
 import math
 from fractions import Fraction
 
-from turandet.arith import exact_value
+import mpmath
+
+from turandet.arith import EXTENDED_DPS, exact_value, exceeds_digit_cap, to_mpf
 from turandet.criteria import (
     _HALF,
     COND_ALPHA,
@@ -26,15 +30,54 @@ from turandet.criteria import (
     lambda_step_bound,
     y_from_lambda,
 )
-from turandet.errors import InvalidLambda
+from turandet.errors import InvalidLambda, NonpositiveRatio, ParamError
 from turandet.recurrence import (
     CoefficientFamily,
     SandwichRow,
-    _exact_coefficients,
     _table,
     coefficients,
     ratios_at_one,
 )
+
+
+def _exact_coefficients(family, hi: int):
+    """coefficients() with each value replaced by its exact value (exact_value)."""
+    al, ga = coefficients(family, hi)
+    return [exact_value(v) for v in al], [exact_value(v) for v in ga]
+
+
+def ratio_pass(family, N: int, digit_cap: int, keep_tail: bool = False):
+    """recurrence._ratio_pass in Fraction arithmetic: g_0..g_{N-1}, the
+    fallback flag and the mpf tail (k, alpha_tilde_k.., gamma_tilde_k..)."""
+    if N < 1:
+        raise ParamError("N must be >= 1")
+    values: list = []
+    fallback = False
+    tail_start, al_tail, ga_tail = N, [], []
+    with mpmath.workdps(EXTENDED_DPS):  # only the mpfs of a fallback use it
+        # an int gamma_0 of an exact family must not start a run of doubles
+        g = (Fraction(1) if family.exact else 1) / family.gamma(0)
+        for n in range(N):
+            if n:
+                a, c = family.alpha(n), family.gamma(n)
+                if c == 0:
+                    raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
+                if fallback:
+                    a, c = to_mpf(a), to_mpf(c)
+                    a = a / g  # alpha_tilde_n
+                    g = (1 - a) / c
+                    if keep_tail:
+                        al_tail.append(a)
+                        ga_tail.append(c * g)
+                else:
+                    g = (1 - a / g) / c
+            if not g > 0:
+                raise NonpositiveRatio(n, g)
+            if family.exact and exceeds_digit_cap(g, digit_cap):
+                values, g, fallback = [to_mpf(v) for v in values], to_mpf(g), True
+                tail_start = n + 1
+            values.append(g)
+    return values, fallback, (tail_start, al_tail, ga_tail)
 
 
 def exact_table(family, hi: int) -> CoefficientFamily:

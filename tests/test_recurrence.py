@@ -33,7 +33,7 @@ from turandet import (
     table_family,
 )
 from turandet import recurrence
-from turandet.arith import EXTENDED_DPS, _man_exp, exceeds_digit_cap
+from turandet.arith import EXTENDED_DPS, _man_exp, exact_value, exceeds_digit_cap
 from turandet.recurrence import RatioSequence, _dets, _rows, _table
 
 
@@ -94,6 +94,16 @@ def test_poly_at_one_matches_eval():
     vals = eval_polys(fam, 6, F(1))
     for n in range(7):
         assert rs.poly_at_one(n) == vals[n]
+
+
+def test_poly_at_one_keeps_the_precision_of_a_fallback():
+    """Past a digit-cap fallback the ratios carry EXTENDED_DPS digits, and so
+    does their product: at mpmath's default 53 bits it would keep about 16."""
+    got = ratios_at_one(example3(1), 120, digit_cap=60).poly_at_one(120)
+    exact = ratios_at_one(example3(1), 120).poly_at_one(120)
+    assert isinstance(got, mpmath.mpf) and type(exact) is F
+    assert _man_exp(got)[0].bit_length() > 150
+    assert abs(exact_value(got) - exact) <= exact / 10**45
 
 
 def test_nonpositive_ratio_detected():

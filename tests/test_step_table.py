@@ -2,14 +2,17 @@
 
 Every checker that reads the step table is compared with its Fraction
 reference in fraction_reference.py: equal reports (witnesses included), equal
-LambdaData and equal SandwichRows, printed the same way.
+LambdaData and equal SandwichRows, printed the same way. The integer g_n ratio
+pass is compared with the Fraction one bit for bit.
 """
 import contextlib
 import io
+import math
 import random
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -36,8 +39,9 @@ from turandet import (
     pollaczek,
     ratio_sandwich,
 )
+from turandet.arith import _man_exp, coprime_fraction
 from turandet.cli import main
-from turandet.recurrence import CoefficientFamily, _table
+from turandet.recurrence import CoefficientFamily, _ratio_pass, _step_table, _table
 
 
 def _family(alphas, gammas, name="Random"):
@@ -218,11 +222,13 @@ def test_corollary_mismatch_message_names_the_exact_values():
     assert check_corollary1(3, 1, d, 5, family=fam).overall.value == "Satisfied"
 
 
-@pytest.mark.parametrize("command, rows", [("lambda", 3001), ("ratios", 3000)])
-def test_step_output_memory_stays_small(command, rows):
-    """The traced peak of a 3000-step lambda or ratios run: the exact table,
-    the step data and the rows are freed before the JSON text is written out
-    piece by piece."""
+@pytest.mark.parametrize("command, count", [("check", 4), ("lambda", 3001), ("ratios", 3000)])
+def test_step_output_memory_stays_small(command, count):
+    """The traced peak of a 3000-step check, lambda or ratios run: the exact
+    table, the ratios, the step data and the rows are freed before the JSON
+    text is written out piece by piece. ``count`` is the number of reports
+    (check) or rows (lambda, ratios) printed."""
+    marker = '"criterion": ' if command == "check" else '"n": '
     spec = '{"kind": "Example4", "params": {"a": 2, "b": "1/2"}}'
     out = io.StringIO()
     tracemalloc.start()
@@ -232,5 +238,84 @@ def test_step_output_memory_stays_small(command, rows):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.getvalue().count('"n": ') == rows
+    assert out.getvalue().count(marker) == count
     assert peak < 6.5e6
+
+
+def _number(v):
+    """v as plain data: a Fraction by its two ints (so an unreduced one shows),
+    an mpf by its signed mantissa and exponent, a double by its bits."""
+    if isinstance(v, Fraction):
+        return "Fraction", v.numerator, v.denominator
+    if isinstance(v, mpmath.mpf):
+        return "mpf", _man_exp(v)
+    return type(v).__name__, float.hex(v)
+
+
+def _ratio_outcome(ratio_pass, family, N, cap):
+    """The ratios, fallback flag and mpf tail of a ratio pass, or its error."""
+    try:
+        values, fallback, (k, al_tail, ga_tail) = ratio_pass(family, N, cap, keep_tail=True)
+    except NonpositiveRatio as exc:
+        return "NonpositiveRatio", str(exc), exc.n, _number(exc.value)
+    except ParamError as exc:
+        return "ParamError", str(exc)
+    return ([_number(v) for v in values], fallback, k,
+            [_number(v) for v in al_tail], [_number(v) for v in ga_tail])
+
+
+def assert_ratio_pass_matches_reference(family, N, cap):
+    assert (_ratio_outcome(_ratio_pass, family, N, cap)
+            == _ratio_outcome(ref.ratio_pass, family, N, cap))
+
+
+# N per digit cap: far enough past the fallback for a tail of mpf indices
+_RATIO_N = {60: 150, 200: 400}
+_VIEWS = {
+    "builtin": lambda fam, N: fam,  # read through its integer form ``pair``
+    "step table": lambda fam, N: _step_table(fam, N),
+    "float view": lambda fam, N: float_view(fam),  # doubles, no digit cap
+    "float step table": lambda fam, N: _step_table(float_view(fam), N),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["Example3", "Example4", "Pollaczek"]),
+       st.lists(_positive, min_size=2, max_size=2),
+       st.sampled_from(sorted(_RATIO_N)), st.sampled_from(sorted(_VIEWS)))
+@example("Example3", [Fraction(1), Fraction(1)], 60, "builtin")
+@example("Pollaczek", [Fraction(3, 2), Fraction(1)], 200, "step table")
+@example("Example4", [Fraction(2), Fraction(1, 2)], 60, "float step table")
+def test_integer_ratio_pass_matches_the_fraction_reference(kind, params, cap, view):
+    """Values, fallback flag, tail start and the mpf tail, bit for bit, past
+    the digit-cap fallback; a nonpositive g_n with the same index and value."""
+    build, arity = _BUILDERS[kind]
+    N = _RATIO_N[cap]
+    assert_ratio_pass_matches_reference(_VIEWS[view](build(*params[:arity]), N), N, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(step_tables(),
+                 step_tables(values=st.integers(min_value=-3, max_value=4),
+                             gamma0=st.integers(min_value=1, max_value=20))),
+       st.sampled_from([1, 60, 4096]))
+@example((_family([0, Fraction(1, 4), Fraction(1, 4)],
+                  [Fraction(10**61 + 1, 10**61), Fraction(1, 2), Fraction(1, 2)]), 1), 60)
+@example((_family([0, 1, 2, 3], [1, 0, 1, 1]), 2), 4096)  # gamma_1 = 0
+@example((_family([0, 2, 2, 2], [1, 1, 1, 1]), 2), 4096)  # g_1 = -1
+def test_integer_ratio_pass_matches_on_random_tables(case, cap):
+    """Random Fraction and int tables: zero gammas, negative ratios, a cap
+    that g_0 already passes (the 61-digit gamma_0, or cap 1)."""
+    family, N = case
+    for table in (family, _step_table(family, N)):
+        assert_ratio_pass_matches_reference(table, N + 1, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=-10**80, max_value=10**80), st.integers(min_value=1, max_value=10**80))
+def test_coprime_fraction_is_the_normalized_fraction(p, q):
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    got, want = coprime_fraction(p, q), Fraction(p, q)
+    assert type(got) is Fraction and (got.numerator, got.denominator) == (p, q)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
