@@ -98,7 +98,7 @@ def to_fraction(value) -> Fraction:
 # costs more than the arithmetic that made them coprime.
 if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 and later
     coprime_fraction = Fraction._from_coprime_ints
-else:  # Python 3.11 spells it as a keyword of the constructor
+else:  # Python 3.10 and 3.11 spell it as a keyword of the constructor
     def coprime_fraction(p: int, q: int) -> Fraction:
         return Fraction(p, q, _normalize=False)
 

@@ -387,19 +387,19 @@ def _ratio_pass(family, N: int, digit_cap: int, keep_tail: bool = False):
             values, fallback = _exact_ratios(family, N, digit_cap)
             if not fallback:
                 return values, False, (N, al_tail, ga_tail)
-            values, conv = [to_mpf(v) for v in values], to_mpf
+            values = [to_mpf(v) for v in values]
         else:
             g = 1 / family.gamma(0)
             if not g > 0:
                 raise NonpositiveRatio(0, g)
-            values, fallback, conv = [g], False, None
+            values, fallback = [g], False
         start, g = len(values), values[-1]
         for n in range(start, N):
             a, c = family.alpha(n), family.gamma(n)
             if c == 0:
                 raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
-            if conv is not None:
-                a, c = conv(a), conv(c)
+            if fallback:
+                a, c = to_mpf(a), to_mpf(c)
             a = a / g  # alpha_tilde_n
             g = (1 - a) / c
             if fallback and keep_tail:
