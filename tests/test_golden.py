@@ -1,6 +1,7 @@
 """Golden outputs: check, lambda, ratios, scans, scaled scans, density,
-families, eval_polys and the stdout of every demo, byte for byte, and the
-SHA-256 digests of check, lambda and ratios at the benchmark's N = 3000.
+families, eval_polys, the --help text of turandet and of each subcommand and
+the stdout of every demo, byte for byte, and the SHA-256 digests of check,
+lambda and ratios at the benchmark's N = 3000.
 
 Each case renders one output as text and compares it with the file of the
 same name under tests/golden. Refresh the files only for an intended change
@@ -14,10 +15,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import runpy
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -95,6 +98,18 @@ def _benchmark_size_digests():
     return "".join(lines)
 
 
+def _help():
+    """The --help text of turandet and of each subcommand, at 80 columns."""
+    buf = io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(buf):
+        for command in ((), ("families",), ("check",), ("scan",), ("ratios",), ("lambda",),
+                        ("density",)):
+            print("$", " ".join(("turandet", *command, "--help")))
+            with pytest.raises(SystemExit):
+                main([*command, "--help"])
+    return buf.getvalue()
+
+
 def _scan(kind, fmt, n_max=300):
     return lambda: _cli("scan", "--family", FAMILIES[kind], "--n-max", str(n_max), "--format", fmt)
 
@@ -164,6 +179,7 @@ CASES = {
     "families.json": lambda: _cli("families"),
     "families.csv": lambda: _cli("families", "--format", "csv"),
     "eval_polys.json": _eval_polys,
+    "help.txt": _help,
     "benchmark_size.sha256": _benchmark_size_digests,
     **{f"demo_{path.stem}.txt": _demo(path) for path in sorted(DEMOS.glob("*.py"))},
 }
