@@ -282,8 +282,9 @@ class DeltaSeq:
     """Positive decreasing sequence delta_n, optionally with a declared limit.
 
     ``limit`` records what the sequence tends to when that is known in closed
-    form (builders set it); None means unknown, and tail checks then fall back
-    to a numeric threshold heuristic.
+    form (builders set it); None means unknown, and the delta-limit-zero
+    condition is then undecided (holds None): no finite table of values
+    decides a limit.
     """
 
     fn: Callable[[int], Num]
@@ -312,8 +313,7 @@ def _shape_values(alpha_const, gamma_const, delta, N: int):
             [exact_value(d(n)) for n in range(N + 1)])
 
 
-def _delta_conditions(alpha_const, gamma_const, d: DeltaSeq, dv: list,
-                      tail_threshold: float):
+def _delta_conditions(alpha_const, gamma_const, d: DeltaSeq, dv: list):
     """Conditions shared by both shifted-constant-shape criteria."""
     zero = Fraction(0)
     (ap, aq), (gp, gq) = _pair(alpha_const), _pair(gamma_const)
@@ -331,15 +331,13 @@ def _delta_conditions(alpha_const, gamma_const, d: DeltaSeq, dv: list,
     lim = _Cond("delta-limit-zero")
     if d.limit is not None:
         lim.record(N, d.limit == 0, (d.limit, zero))
-    elif dv[N] < tail_threshold:
-        lim.record(N, True, (dv[N], tail_threshold))
     else:
-        lim.record(N, None, (dv[N], tail_threshold))
+        lim.record(N, None, (dv[N], zero))
     return order, dec, lim
 
 
-def check_corollary1(alpha_const, gamma_const, delta, N: int, *, family=None,
-                     tail_threshold: float = 1e-6) -> CriterionReport:
+def check_corollary1(alpha_const, gamma_const, delta, N: int, *,
+                     family=None) -> CriterionReport:
     """Shape alpha_n = 1/2 - A*delta_n, gamma_n = 1/2 + G*delta_n with A >= G > 0,
     delta decreasing to 0 and A*delta_0 = 1/2.
 
@@ -352,7 +350,7 @@ def check_corollary1(alpha_const, gamma_const, delta, N: int, *, family=None,
     if family is not None:
         _assert_corollary_shape(family, A, G, dv, first_shifted=0)
 
-    order, dec, lim = _delta_conditions(A, G, d, dv, tail_threshold)
+    order, dec, lim = _delta_conditions(A, G, d, dv)
     prod = _Cond("alpha-times-delta0-is-half")
     val = A * dv[0]
     prod.record(0, val == _HALF, (val, _HALF))
@@ -361,8 +359,8 @@ def check_corollary1(alpha_const, gamma_const, delta, N: int, *, family=None,
         COROLLARY1, N, (order.done(), dec.done(), lim.done(), prod.done()))
 
 
-def check_corollary2(alpha_const, gamma_const, delta, N: int, *, family=None,
-                     tail_threshold: float = 1e-6) -> CriterionReport:
+def check_corollary2(alpha_const, gamma_const, delta, N: int, *,
+                     family=None) -> CriterionReport:
     """Same shape but alpha_0 = 0 directly, with delta_0 confined to the window
     (3G - A)/(2G(A + G)) <= delta_0 <= 1/(2A)."""
     if N < 1:
@@ -371,7 +369,7 @@ def check_corollary2(alpha_const, gamma_const, delta, N: int, *, family=None,
     if family is not None:
         _assert_corollary_shape(family, A, G, dv, first_shifted=1)
 
-    order, dec, lim = _delta_conditions(A, G, d, dv, tail_threshold)
+    order, dec, lim = _delta_conditions(A, G, d, dv)
     a_c, g_c = Fraction(A), Fraction(G)
     lower = (3 * g_c - a_c) / (2 * g_c * (a_c + g_c))
     upper = 1 / (2 * a_c)

@@ -27,6 +27,7 @@ __all__ = [
 DEFAULT_N = 10_000
 DEFAULT_POINTS = 199
 DEFAULT_EDGE = 0.99
+DEFAULT_OFFDIAG_TOL = 0.01
 
 
 def orthonormal_turan(a, n: int, x: float) -> float:
@@ -102,16 +103,18 @@ class DensityEstimate:
 
 
 def estimate_density(family, N: int = DEFAULT_N, xs=None, *,
-                     offdiag_tol: float = 0.01) -> DensityEstimate:
+                     offdiag_tol: float = DEFAULT_OFFDIAG_TOL) -> DensityEstimate:
     """Estimate the orthogonality density of ``family`` on a grid inside (-1, 1).
 
     Needs the off-diagonals a_n = sqrt(alpha_n*gamma_{n-1}) to approach 1/2;
     |a_N - 1/2| >= offdiag_tol only warns (the estimate is still produced,
-    flagged unconverged). Points where Delta_N <= 0 are flagged invalid and get
-    NaN density.
+    flagged unconverged); offdiag_tol must be finite and >= 0. Points where
+    Delta_N <= 0 are flagged invalid and get NaN density.
     """
     if N < 10:
         raise ParamError("estimate_density needs N >= 10")
+    if not (math.isfinite(offdiag_tol) and offdiag_tol >= 0):
+        raise ParamError(f"offdiag_tol must be finite and >= 0 (got {offdiag_tol})")
     grid = default_density_grid() if xs is None else np.asarray(xs, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ParamError("xs must be a nonempty 1-d grid")

@@ -96,13 +96,16 @@ class FamilySpec:
     def from_json(cls, obj) -> "FamilySpec":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ParamError("family spec must be an object with a 'kind' field")
-        kind = obj["kind"]
+        kind, params = obj["kind"], obj.get("params", {})
+        if not isinstance(params, dict):
+            raise ParamError(f"family spec 'params' must be an object (got {params!r})")
         table = None
         if kind == "Table":
-            if "alpha" not in obj or "gamma" not in obj:
+            alpha, gamma = obj.get("alpha"), obj.get("gamma")
+            if not (isinstance(alpha, list) and isinstance(gamma, list)):
                 raise ParamError("Table spec needs 'alpha' and 'gamma' lists")
-            table = (list(obj["alpha"]), list(obj["gamma"]))
-        return cls(kind=kind, params=dict(obj.get("params", {})), table=table)
+            table = (list(alpha), list(gamma))
+        return cls(kind=kind, params=dict(params), table=table)
 
     def to_json(self):
         out: dict = {"kind": self.kind}

@@ -12,6 +12,7 @@ with double-precision coefficients, are judged against the tolerance.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 
@@ -220,6 +221,8 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
     confirm_dps digits, judge."""
     if confirm_dps <= CONFIRM_GUARD_DIGITS:
         raise ParamError(f"confirm_dps must exceed {CONFIRM_GUARD_DIGITS} guard digits")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ParamError(f"tolerance must be finite and >= 0 (got {tolerance})")
     xs = scan_grid(grid_points)
     rows = _rows([float(v) for v in al_src], [float(v) for v in ga_src], xs, n_max + 1, 1.0)
     if sigma_src is not None:
@@ -269,7 +272,8 @@ def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
     scale_n*10**(CONFIRM_GUARD_DIGITS - confirm_dps) when every coefficient
     is exact or extended precision, and up to tolerance*scale_n when one is
     a double; any other minimum is nonnegative when it is
-    >= -tolerance*scale_n. confirm_dps must exceed CONFIRM_GUARD_DIGITS.
+    >= -tolerance*scale_n. tolerance must be finite and >= 0, and confirm_dps
+    must exceed CONFIRM_GUARD_DIGITS.
     """
     if n_max < 1:
         raise ParamError("grid_scan needs n_max >= 1")

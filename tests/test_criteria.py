@@ -159,12 +159,15 @@ def test_corollary1_wrong_order_violated():
 
 
 def test_corollary1_tail_inconclusive_without_declared_limit():
-    d = DeltaSeq.from_values([F(1, 4), F(1, 8), F(1, 16)])
-    rep = check_corollary1(2, 1, d, 2)
-    # delta decreasing but the tail never gets below the threshold and no
-    # limit was declared: the limit condition is undecidable
-    assert rep.condition("delta-limit-zero").holds is None
-    assert rep.overall is Verdict.INCONCLUSIVE
+    # delta decreasing but no limit was declared: no finite table decides the
+    # limit, however small its last value, so the condition is undecided
+    for A, values in ((2, [F(1, 4), F(1, 8), F(1, 16)]),
+                      (1, [F(1, 2), F(1, 4), F(1, 10**7) + F(1, 10**9),
+                           F(1, 10**7) + F(1, 10**10)])):
+        d = DeltaSeq.from_values(values)
+        rep = check_corollary1(A, 1, d, len(values) - 1)
+        assert rep.condition("delta-limit-zero").holds is None
+        assert rep.overall is Verdict.INCONCLUSIVE
 
 
 def test_corollary2_window():
