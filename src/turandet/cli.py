@@ -12,13 +12,14 @@ import csv
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
 from .arith import format_number
 from .criteria import Verdict, lambda_data
 from .density import DEFAULT_N as DENSITY_DEFAULT_N
+from .density import DEFAULT_OFFDIAG_TOL as DENSITY_DEFAULT_TOL
+from .density import DEFAULT_POINTS as DENSITY_DEFAULT_POINTS
 from .density import default_density_grid, estimate_density
 from .errors import ParamError, TableRangeError, TuranError
 from .families import (
@@ -33,27 +34,17 @@ from .families import (
 from .recurrence import _step_table, float_view, ratio_sandwich
 from .turan import DEFAULT_GRID_POINTS, DEFAULT_TOLERANCE, grid_scan
 
-__all__ = ["RunConfig", "run", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    family_spec: str | None = None
-    N: int | None = None
-    grid_points: int | None = None
-    output: str | None = None
-    format: str = "json"
-    mode: str = "auto"
-    tolerance: float | None = None
-    reproducible: bool = False
+__all__ = ["main"]
 
 
 def _load_family(text: str):
     """Accept inline JSON, a bare builtin kind name, or a path to a JSON file."""
     s = text.strip()
     if s.startswith("{"):
-        obj = json.loads(s)
+        try:
+            obj = json.loads(s)
+        except ValueError as exc:
+            raise ParamError(f"inline family spec is not valid JSON: {exc}") from None
     elif s in FAMILY_KINDS:
         obj = {"kind": s}
     else:
@@ -71,15 +62,14 @@ def _load_family(text: str):
     return build(FamilySpec.from_json(obj))
 
 
+_MODES = ("auto", "rational", "float")
+
+
 def _apply_mode(family, mode: str):
-    if mode == "rational":
-        if not family.exact:
-            raise TuranError("rational mode needs exact coefficients; "
-                             "this family carries float data")
-        return family
-    if mode == "float":
-        return float_view(family)
-    return family
+    if mode == "rational" and not family.exact:
+        raise TuranError("rational mode needs exact coefficients; "
+                         "this family carries float data")
+    return float_view(family) if mode == "float" else family
 
 
 def _json_default(obj):
@@ -132,48 +122,40 @@ def _emit(write, out: str | None) -> None:
         write(sys.stdout)
 
 
-def _emit_json(payload: dict, cfg: RunConfig) -> None:
-    if not cfg.reproducible:
+def _emit_json(payload: dict, ns) -> None:
+    if not ns.reproducible:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    _emit(lambda fh: fh.writelines(_json_chunks(payload)), cfg.output)
+    _emit(lambda fh: fh.writelines(_json_chunks(payload)), ns.output)
 
 
-def _emit_csv(rows, cfg: RunConfig) -> None:
-    _emit(lambda fh: csv.writer(fh, lineterminator="\n").writerows(rows), cfg.output)
+def _emit_csv(rows, ns) -> None:
+    _emit(lambda fh: csv.writer(fh, lineterminator="\n").writerows(rows), ns.output)
 
 
-# Per command: highest coefficient index read, less its --N (--n-max for scan),
-# and the smallest N it accepts.
-_TABLE_REACH = {"check": (1, 2), "lambda": (1, 1), "ratios": (0, 1), "scan": (0, 1),
-                "density": (1, 10)}
-
-
-def _cmd_families(cfg: RunConfig) -> int:
+def _families(_, ns) -> int:
     kinds = [{"kind": k, **FAMILY_INFO[k]} for k in FAMILY_KINDS]
-    if cfg.format == "csv":
+    if ns.format == "csv":
         rows = [["kind", "params", "constraints"]]
         rows += [[k["kind"], k["params"], k["constraints"]] for k in kinds]
-        _emit_csv(rows, cfg)
+        _emit_csv(rows, ns)
     else:
-        _emit_json({"command": "families", "kinds": kinds}, cfg)
+        _emit_json({"command": "families", "kinds": kinds}, ns)
     return 0
 
 
-def _cmd_check(cfg: RunConfig) -> int:
-    family = _apply_mode(_load_family(cfg.family_spec), cfg.mode)
-    N = cfg.N
-    reports = criterion_reports(family, N)
+def _check(family, ns) -> int:
+    reports = criterion_reports(family, ns.N)
     payload = {
         "command": "check",
         "family": _family_echo(family),
-        "N": N,
+        "N": ns.N,
         "criteria": [r.to_json() for r in reports],
         "certified": certified(reports),
     }
     if "unchecked" in family.meta:
         payload["notes"] = {"unchecked": family.meta["unchecked"]}
 
-    if cfg.format == "csv":
+    if ns.format == "csv":
         rows = [["criterion", "overall", "label", "holds", "first_violation",
                  "witness_lhs", "witness_rhs"]]
         for r in reports:
@@ -183,23 +165,19 @@ def _cmd_check(cfg: RunConfig) -> int:
                 w = c.to_json()["witness"] or ["", ""]
                 rows.append([r.criterion, r.overall.value, c.label, c.holds,
                              c.first_violation, w[0], w[1]])
-        _emit_csv(rows, cfg)
+        _emit_csv(rows, ns)
     else:
-        _emit_json(payload, cfg)
+        _emit_json(payload, ns)
     return 1 if any(r.overall is Verdict.VIOLATED for r in reports) else 0
 
 
-def _cmd_scan(cfg: RunConfig) -> int:
-    family = _apply_mode(_load_family(cfg.family_spec), cfg.mode)
-    report = grid_scan(family, cfg.N,
-                       grid_points=cfg.grid_points or DEFAULT_GRID_POINTS,
-                       tolerance=cfg.tolerance if cfg.tolerance is not None
-                       else DEFAULT_TOLERANCE)
-    if cfg.format == "csv":
-        _emit_csv(report.csv_rows(), cfg)
+def _scan(family, ns) -> int:
+    report = grid_scan(family, ns.N, grid_points=ns.grid_points, tolerance=ns.tolerance)
+    if ns.format == "csv":
+        _emit_csv(report.csv_rows(), ns)
     else:
         _emit_json({"command": "scan", "family": _family_echo(family),
-                    **report.to_json()}, cfg)
+                    **report.to_json()}, ns)
     return 0 if report.all_nonnegative else 1
 
 
@@ -211,21 +189,20 @@ def _ratio_rows(family, N: int) -> list[dict]:
             for r in ratio_sandwich(family, N)]
 
 
-def _cmd_ratios(cfg: RunConfig) -> int:
-    family = _apply_mode(_load_family(cfg.family_spec), cfg.mode)
-    rows = _ratio_rows(family, cfg.N)
+def _ratios(family, ns) -> int:
+    rows = _ratio_rows(family, ns.N)
     ok = all(r["lower_ok"] and r["upper_ok"] for r in rows)
-    if cfg.format == "csv":
+    if ns.format == "csv":
         keys = ("n", "g", "upper", "lower_ok", "upper_ok", "gamma_step_decreasing")
-        _emit_csv([keys, *([r[k] for k in keys] for r in rows)], cfg)
+        _emit_csv([keys, *([r[k] for k in keys] for r in rows)], ns)
     else:
         _emit_json({
             "command": "ratios",
             "family": _family_echo(family),
-            "N": cfg.N,
+            "N": ns.N,
             "all_bounds_hold": ok,
             "rows": rows,
-        }, cfg)
+        }, ns)
     return 0 if ok else 1
 
 
@@ -237,94 +214,45 @@ def _lambda_rows(family, N: int):
     return list(data.rows()), _route_reports(table)
 
 
-def _cmd_lambda(cfg: RunConfig) -> int:
-    family = _apply_mode(_load_family(cfg.family_spec), cfg.mode)
-    rows, reports = _lambda_rows(family, cfg.N)
-    if cfg.format == "csv":
+def _lambda(family, ns) -> int:
+    rows, reports = _lambda_rows(family, ns.N)
+    if ns.format == "csv":
         keys = ("n", "u", "v", "lambda", "y", "valid")
-        _emit_csv([keys, *([r[k] for k in keys] for r in rows)], cfg)
+        _emit_csv([keys, *([r[k] for k in keys] for r in rows)], ns)
     else:
         _emit_json({
             "command": "lambda",
             "family": _family_echo(family),
-            "N": cfg.N,
+            "N": ns.N,
             "rows": rows,
             "criteria": [r.to_json() for r in reports],
-        }, cfg)
+        }, ns)
     return 1 if any(r.overall is Verdict.VIOLATED for r in reports) else 0
 
 
-def _cmd_density(cfg: RunConfig) -> int:
-    if cfg.mode == "rational":
+def _density(family, ns) -> int:
+    if ns.mode == "rational":
         raise TuranError("density estimation runs in float arithmetic; "
                          "use --mode auto or --mode float")
-    family = _apply_mode(_load_family(cfg.family_spec), cfg.mode)
-    xs = None if cfg.grid_points is None else default_density_grid(cfg.grid_points)
-    kw = {} if cfg.tolerance is None else {"offdiag_tol": cfg.tolerance}
-    est = estimate_density(family, N=cfg.N or DENSITY_DEFAULT_N, xs=xs, **kw)
-    if cfg.format == "csv":
-        _emit_csv(est.csv_rows(), cfg)
+    est = estimate_density(family, N=ns.N, xs=default_density_grid(ns.grid_points),
+                           offdiag_tol=ns.tolerance)
+    if ns.format == "csv":
+        _emit_csv(est.csv_rows(), ns)
     else:
         _emit_json({"command": "density", "family": _family_echo(family),
-                    **est.to_json()}, cfg)
+                    **est.to_json()}, ns)
     return 0 if est.all_valid else 1
 
 
-_COMMANDS = {
-    "families": _cmd_families,
-    "check": _cmd_check,
-    "scan": _cmd_scan,
-    "ratios": _cmd_ratios,
-    "lambda": _cmd_lambda,
-    "density": _cmd_density,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    if cfg.command not in _COMMANDS:
-        print(f"error: unknown command {cfg.command!r}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[cfg.command](cfg)
-    except TableRangeError as exc:
-        flag = "--n-max" if cfg.command == "scan" else "--N"
-        reach, least = _TABLE_REACH[cfg.command]
-        largest = exc.size - 1 - reach
-        advice = (f"the largest valid {flag} for {cfg.command} is {largest}" if largest >= least
-                  else f"{cfg.command} needs at least {least + reach + 1}")
-        print(f"error: the coefficient table has {exc.size} entries; {advice}", file=sys.stderr)
-        return 2
-    except (TuranError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _add_family_flags(sp, *, n_help: str, n_default: int | None,
-                      n_flag: str = "--N", grid_default: int | None = None,
-                      tol_help: str | None = None) -> None:
-    sp.add_argument("--family", required=True,
-                    help="family spec: path to JSON, inline JSON, or builtin kind name")
-    sp.add_argument(n_flag, dest="N", type=int, default=n_default, help=n_help)
-    if grid_default is not None:
-        sp.add_argument("--grid", dest="grid_points", type=int, default=None,
-                        help=f"grid point parameter (default {grid_default})")
-    sp.add_argument("--mode", choices=("auto", "rational", "float"), default="auto",
-                    help="arithmetic: rational = exact (requires exact input), "
-                         "float = round each coefficient to a double, auto = as built")
-    if tol_help is not None:
-        sp.add_argument("--tol", dest="tolerance", type=float, default=None, help=tol_help)
-
-
-def _add_output_flags(sp) -> None:
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--out", dest="output", default=None,
-                    help="write the report to this path instead of stdout")
-    sp.add_argument("--reproducible", action="store_true",
-                    help="suppress the timestamp field for byte-identical reruns")
+_FAMILY_HELP = "family spec: path to JSON, inline JSON, or builtin kind name"
+_MODE_HELP = ("arithmetic: rational = exact (requires exact input), "
+              "float = round each coefficient to a double, auto = as built")
 
 
 def _parser() -> argparse.ArgumentParser:
+    """Each subcommand with its flags, its handler and, when it reads a family,
+    its table reach: the flag that sets N, the highest coefficient index read
+    less N, and the smallest N it accepts."""
     p = argparse.ArgumentParser(
         prog="turandet",
         description="Turán-determinant nonnegativity criteria, grid scans, and "
@@ -332,52 +260,70 @@ def _parser() -> argparse.ArgumentParser:
                     "given three-term recurrence coefficients.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("families", help="list builtin family kinds")
-    _add_output_flags(sp)
+    def command(name, handler, help, reach=None):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler, reach=reach)
+        if reach is not None:
+            sp.add_argument("--family", required=True, help=_FAMILY_HELP)
+        return sp
 
-    sp = sub.add_parser("check", help="run every applicable criterion checker")
-    _add_family_flags(sp, n_help="check conditions for indices up to N", n_default=100)
-    _add_output_flags(sp)
+    command("families", _families, "list builtin family kinds")
 
-    sp = sub.add_parser("scan", help="grid-scan normalized Turán determinants")
-    _add_family_flags(sp, n_help="largest degree to scan", n_default=50,
-                      n_flag="--n-max", grid_default=DEFAULT_GRID_POINTS,
-                      tol_help="relative tolerance for negative minima "
-                               f"(default {DEFAULT_TOLERANCE})")
-    _add_output_flags(sp)
+    sp = command("check", _check, "run every applicable criterion checker", ("--N", 1, 2))
+    sp.add_argument("--N", type=int, default=100, help="check conditions for indices up to N")
+    sp.add_argument("--mode", choices=_MODES, default="auto", help=_MODE_HELP)
 
-    sp = sub.add_parser("ratios", help="ratio sequence g_n with two-sided bounds")
-    _add_family_flags(sp, n_help="compute g_0..g_{N-1}", n_default=100)
-    _add_output_flags(sp)
+    sp = command("scan", _scan, "grid-scan normalized Turán determinants", ("--n-max", 0, 1))
+    sp.add_argument("--n-max", dest="N", type=int, default=50, help="largest degree to scan")
+    sp.add_argument("--grid", dest="grid_points", type=int, default=DEFAULT_GRID_POINTS,
+                    help=f"grid point parameter (default {DEFAULT_GRID_POINTS})")
+    sp.add_argument("--mode", choices=_MODES, default="auto", help=_MODE_HELP)
+    sp.add_argument("--tol", dest="tolerance", type=float, default=DEFAULT_TOLERANCE,
+                    help=f"relative tolerance for negative minima (default {DEFAULT_TOLERANCE})")
 
-    sp = sub.add_parser("lambda", help="step ratios, route data, route verdicts")
-    _add_family_flags(sp, n_help="check route conditions up to N", n_default=100)
-    _add_output_flags(sp)
+    sp = command("ratios", _ratios, "ratio sequence g_n with two-sided bounds", ("--N", 0, 1))
+    sp.add_argument("--N", type=int, default=100, help="compute g_0..g_{N-1}")
+    sp.add_argument("--mode", choices=_MODES, default="auto", help=_MODE_HELP)
 
-    sp = sub.add_parser("density", help="estimate the orthogonality density")
-    _add_family_flags(sp, n_help="determinant degree used for the estimate",
-                      n_default=DENSITY_DEFAULT_N, grid_default=199,
-                      tol_help="off-diagonal convergence threshold |a_N - 1/2| "
-                               "(default 0.01)")
-    _add_output_flags(sp)
+    sp = command("lambda", _lambda, "step ratios, route data, route verdicts", ("--N", 1, 1))
+    sp.add_argument("--N", type=int, default=100, help="check route conditions up to N")
+    sp.add_argument("--mode", choices=_MODES, default="auto", help=_MODE_HELP)
 
+    sp = command("density", _density, "estimate the orthogonality density", ("--N", 1, 10))
+    sp.add_argument("--N", type=int, default=DENSITY_DEFAULT_N,
+                    help="determinant degree used for the estimate")
+    sp.add_argument("--grid", dest="grid_points", type=int, default=DENSITY_DEFAULT_POINTS,
+                    help=f"grid point parameter (default {DENSITY_DEFAULT_POINTS})")
+    sp.add_argument("--mode", choices=_MODES, default="auto", help=_MODE_HELP)
+    sp.add_argument("--tol", dest="tolerance", type=float, default=DENSITY_DEFAULT_TOL,
+                    help="off-diagonal convergence threshold |a_N - 1/2| "
+                         f"(default {DENSITY_DEFAULT_TOL})")
+
+    for sp in sub.choices.values():
+        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        sp.add_argument("--out", dest="output", default=None,
+                        help="write the report to this path instead of stdout")
+        sp.add_argument("--reproducible", action="store_true",
+                        help="suppress the timestamp field for byte-identical reruns")
     return p
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; returns the process exit code."""
     ns = _parser().parse_args(argv)
-    cfg = RunConfig(
-        command=ns.command,
-        family_spec=getattr(ns, "family", None),
-        N=getattr(ns, "N", None),
-        grid_points=getattr(ns, "grid_points", None),
-        output=ns.output,
-        format=ns.format,
-        mode=getattr(ns, "mode", "auto"),
-        tolerance=getattr(ns, "tolerance", None),
-        reproducible=ns.reproducible,
-    )
-    return run(cfg)
+    try:
+        family = None if ns.reach is None else _apply_mode(_load_family(ns.family), ns.mode)
+        return ns.handler(family, ns)
+    except TableRangeError as exc:
+        flag, reach, least = ns.reach
+        largest = exc.size - 1 - reach
+        advice = (f"the largest valid {flag} for {ns.command} is {largest}" if largest >= least
+                  else f"{ns.command} needs at least {least + reach + 1}")
+        print(f"error: the coefficient table has {exc.size} entries; {advice}", file=sys.stderr)
+        return 2
+    except (TuranError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ import pytest
 
 from turandet import FamilySpec, build, cli, example3, example4, families
 from turandet.arith import format_number
-from turandet.cli import RunConfig, main, run
+from turandet.cli import main
 
 EX3 = '{"kind": "Example3", "params": {"a": 1}}'
 
@@ -57,10 +57,19 @@ def test_non_finite_table_value_exits_two(capsys, bad):
 
 
 def test_malformed_spec_exits_two(capsys):
-    assert main(["check", "--family", "{not json", "--N", "10"]) == 2
     assert main(["check", "--family", "/nonexistent/path.json", "--N", "10"]) == 2
     assert main(["check", "--family", '{"kind": "Unknown"}', "--N", "10"]) == 2
     capsys.readouterr()
+    for spec, message in (
+            ("{not json", "inline family spec is not valid JSON: Expecting property name "
+                          "enclosed in double quotes: line 1 column 2 (char 1)"),
+            ('{"kind": "Legendre", "params": 5}', "family spec 'params' must be an object (got 5)"),
+            ('{"kind": "Legendre", "params": [1]}',
+             "family spec 'params' must be an object (got [1])"),
+            ('{"kind": "Table", "alpha": 5, "gamma": [1]}',
+             "Table spec needs 'alpha' and 'gamma' lists")):
+        assert main(["check", "--family", spec, "--N", "10"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_reproducible_outputs_are_identical(capsys):
@@ -212,6 +221,25 @@ def test_density_cli(capsys):
     assert all(r[4] == "True" for r in rows[1:])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--grid", "0"], "grid needs at least 3 points"),
+    (["density", "--N", "0"], "estimate_density needs N >= 10"),
+])
+def test_zero_grid_and_zero_n_exit_two(capsys, argv, message):
+    """An explicit 0 is passed on as given, not replaced by the default."""
+    assert main([*argv, "--family", "Legendre"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["scan", "--n-max", "20", "--mode", "float"],
+                                  ["density", "--N", "100"]])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_tolerance_must_be_finite_and_nonnegative(capsys, argv, tol):
+    assert main([*argv, "--family", "Legendre", f"--tol={tol}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite and >= 0" in err
+
+
 def test_density_rejects_rational_mode(capsys):
     assert main(["density", "--family", "Legendre", "--mode", "rational"]) == 2
     capsys.readouterr()
@@ -234,13 +262,6 @@ def test_pollaczek_unchecked_note_surfaces(capsys):
           "--N", "30", "--reproducible"])
     payload = _json_out(capsys)
     assert "unchecked" in payload.get("notes", {})
-
-
-def test_run_config_direct():
-    cfg = RunConfig(command="scan", family_spec="ChebyshevT", N=5,
-                    grid_points=25, format="json", reproducible=True)
-    assert run(cfg) == 0
-    assert run(RunConfig(command="bogus")) == 2
 
 
 def test_certified_agrees_with_the_reports(capsys):
@@ -298,7 +319,8 @@ def test_each_coefficient_is_read_once(monkeypatch, capsys, command):
     flag = "--n-max" if command == "scan" else "--N"
     main([command, "--family", spec, flag, "50", "--reproducible"])
     capsys.readouterr()
-    hi = 50 + cli._TABLE_REACH[command][0]
+    _, reach, _ = cli._parser().parse_args([command, "--family", spec]).reach
+    hi = 50 + reach
     expected = {(kind, n) for kind in ("alpha", "gamma") for n in range(hi + 1)}
     if command == "density":
         expected -= {("alpha", 0), ("gamma", hi)}
