@@ -1,19 +1,25 @@
 """Number handling: exact rationals, exact values, parsing and serialization.
 
-Every quantity in this package is exact (int/Fraction), a double, or an mpmath
-float. Every criterion decides with a plain comparison on exact values:
-``exact_value`` gives the rational value a double or an mpf already has, so a
-float input is judged on exactly the numbers it holds and an overshoot, however
-small, is a violation.
+Every quantity in this package is exact (int/Fraction), a double, or a
+``decimal.Decimal`` of extended precision. Every criterion decides with a
+plain comparison on exact values: ``exact_value`` gives the rational value a
+double or a Decimal already has, so a float input is judged on exactly the
+numbers it holds and an overshoot, however small, is a violation.
 """
 from __future__ import annotations
 
 import math
-from decimal import Decimal, InvalidOperation
+from decimal import (
+    MAX_EMAX,
+    MIN_EMIN,
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    InvalidOperation,
+    getcontext,
+)
 from fractions import Fraction
 from typing import Union
-
-import mpmath
 
 from .errors import ParamError
 
@@ -21,11 +27,13 @@ __all__ = [
     "Num",
     "DEFAULT_DIGIT_CAP",
     "EXTENDED_DPS",
+    "EXTENDED",
+    "decimal_context",
     "is_exact",
     "exact_value",
     "to_fraction",
     "coprime_fraction",
-    "to_mpf",
+    "to_decimal",
     "format_number",
     "pair_digits",
     "exceeds_digit_cap",
@@ -39,6 +47,16 @@ EXTENDED_DPS = 50
 _BITS_PER_DIGIT = 3.321928094887362
 
 
+def decimal_context(prec: int) -> Context:
+    """The decimal context of ``prec`` significant digits that every Decimal
+    of the package is computed in: round-half-even, widest exponent range."""
+    return Context(prec=prec, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX)
+
+
+# the extended precision of the ratios g_n past a digit-cap fallback
+EXTENDED = decimal_context(EXTENDED_DPS)
+
+
 def is_exact(x) -> bool:
     """True for ints and Fractions (bool excluded)."""
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
@@ -46,24 +64,13 @@ def is_exact(x) -> bool:
 
 def exact_value(x):
     """The exact rational value of x: ints and Fractions as they are, a double
-    or an mpf as the Fraction of its binary value (ParamError if not finite)."""
+    or a Decimal as the Fraction of the value it holds (ParamError if not
+    finite)."""
     if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, mpmath.mpf):
-        man, exp = _man_exp(x)
-        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    if not math.isfinite(x):
+    if not (x.is_finite() if isinstance(x, Decimal) else math.isfinite(x)):
         raise ParamError(f"{x!r} is not a finite number")
     return Fraction(x)
-
-
-def _man_exp(x: mpmath.mpf) -> tuple[int, int]:
-    """(man, exp) with x = man*2**exp exactly, man carrying the sign, which
-    mpmath's own ``man_exp`` drops; ParamError if x is not finite."""
-    sign, man, exp, _ = x._mpf_
-    if not man and exp:  # mpmath's special values: +-inf and nan
-        raise ParamError(f"{x} is not a finite number")
-    return (-man if sign else man), exp
 
 
 def to_fraction(value) -> Fraction:
@@ -103,11 +110,29 @@ else:  # Python 3.10 and 3.11 spell it as a keyword of the constructor
         return Fraction(p, q, _normalize=False)
 
 
-def to_mpf(x) -> mpmath.mpf:
-    """Convert to mpmath float at the current working precision."""
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
-    return mpmath.mpf(x)
+def to_decimal(x, ctx: Context | None = None) -> Decimal:
+    """``x`` as a Decimal: an int, a double or a Decimal exactly, and a
+    Fraction p/q rounded once to ``ctx`` (the current context by default),
+    to the Decimal that ``ctx.divide(Decimal(p), Decimal(q))`` gives.
+
+    A p/q of more than twice ctx.prec digits is first reduced to the integer
+    quotient Q of p*10**k by q with at least prec + 2 digits, and a sticky
+    last digit 1 when the remainder is not zero, so that Q*10**-(k+1) rounds
+    as p/q does: converting two long ints to Decimals and dividing them
+    would cost far more.
+    """
+    if not isinstance(x, Fraction):
+        return Decimal(x)
+    ctx = ctx or getcontext()
+    p, q = x.numerator, x.denominator
+    if pair_digits(p, q) <= 2 * ctx.prec:
+        return ctx.divide(Decimal(p), Decimal(q))
+    m = abs(p)
+    # pair_digits over-counts by at most one digit, so Q has >= prec + 2 digits
+    k = ctx.prec + 3 + pair_digits(q, 1) - pair_digits(m, 1)
+    Q, R = divmod(m * 10 ** k, q) if k >= 0 else divmod(m, q * 10 ** -k)
+    Q = 10 * Q + (R != 0)
+    return Decimal(Q if p > 0 else -Q).scaleb(-k - 1, ctx)
 
 
 def format_number(x):

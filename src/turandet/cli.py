@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import sys
@@ -249,10 +250,12 @@ _MODE_HELP = ("arithmetic: rational = exact (requires exact input), "
               "float = round each coefficient to a double, auto = as built")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     """Each subcommand with its flags, its handler and, when it reads a family,
     its table reach: the flag that sets N, the highest coefficient index read
-    less N, and the smallest N it accepts."""
+    less N, and the smallest N it accepts. Built once: parsing leaves the
+    parser unchanged, and argparse makes its help formatter at print time."""
     p = argparse.ArgumentParser(
         prog="turandet",
         description="Turán-determinant nonnegativity criteria, grid scans, and "
@@ -311,6 +314,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; returns the process exit code."""
     ns = _parser().parse_args(argv)
+    if ns.reach is not None:
+        flag, _, least = ns.reach
+        if ns.N < least:
+            print(f"error: the smallest valid {flag} for {ns.command} is {least}",
+                  file=sys.stderr)
+            return 2
     try:
         family = None if ns.reach is None else _apply_mode(_load_family(ns.family), ns.mode)
         return ns.handler(family, ns)

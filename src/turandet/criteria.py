@@ -8,7 +8,7 @@ negative".
 
 Every decision is a comparison of exact values. Each public checker reads its
 coefficients once through ``exact_value``: ints and Fractions pass through,
-and a double or an mpf is judged on the rational value it holds, so no
+and a double or a Decimal is judged on the rational value it holds, so no
 overshoot is forgiven. The comparisons cross-multiply the numerators and
 positive denominators as ints instead of going through Fraction arithmetic.
 The step conditions read one step table (``recurrence._StepTable``) of
@@ -362,7 +362,11 @@ def check_corollary1(alpha_const, gamma_const, delta, N: int, *,
 def check_corollary2(alpha_const, gamma_const, delta, N: int, *,
                      family=None) -> CriterionReport:
     """Same shape but alpha_0 = 0 directly, with delta_0 confined to the window
-    (3G - A)/(2G(A + G)) <= delta_0 <= 1/(2A)."""
+    (3G - A)/(2G(A + G)) <= delta_0 <= 1/(2A).
+
+    The window is decided only when A >= G > 0 (alpha-ge-gamma-positive),
+    which makes G, A and A + G positive; otherwise its bounds may not exist,
+    and both window conditions are left undecided (holds None)."""
     if N < 1:
         raise ParamError("check_corollary2 needs N >= 1")
     A, G, d, dv = _shape_values(alpha_const, gamma_const, delta, N)
@@ -370,13 +374,17 @@ def check_corollary2(alpha_const, gamma_const, delta, N: int, *,
         _assert_corollary_shape(family, A, G, dv, first_shifted=1)
 
     order, dec, lim = _delta_conditions(A, G, d, dv)
-    a_c, g_c = Fraction(A), Fraction(G)
-    lower = (3 * g_c - a_c) / (2 * g_c * (a_c + g_c))
-    upper = 1 / (2 * a_c)
     low = _Cond("delta0-above-lower-bound")
-    low.record(0, lower <= dv[0], (lower, dv[0]))
     up = _Cond("delta0-below-upper-bound")
-    up.record(0, dv[0] <= upper, (dv[0], upper))
+    if 0 < G <= A:
+        a_c, g_c = Fraction(A), Fraction(G)
+        lower = (3 * g_c - a_c) / (2 * g_c * (a_c + g_c))
+        upper = 1 / (2 * a_c)
+        low.record(0, lower <= dv[0], (lower, dv[0]))
+        up.record(0, dv[0] <= upper, (dv[0], upper))
+    else:
+        low.record(0, None, None)
+        up.record(0, None, None)
 
     return CriterionReport.assemble(
         COROLLARY2, N, (order.done(), dec.done(), lim.done(), low.done(), up.done()))

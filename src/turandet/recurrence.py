@@ -13,21 +13,21 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-import mpmath
-
 from .arith import (
     DEFAULT_DIGIT_CAP,
-    EXTENDED_DPS,
+    EXTENDED,
     Num,
     coprime_fraction,
+    decimal_context,
     exact_value,
     exceeds_digit_cap,
     is_exact,
     pair_digits,
-    to_mpf,
+    to_decimal,
 )
 from .errors import NonpositiveRatio, ParamError, TableRangeError
 
@@ -238,10 +238,10 @@ def _rows(al, ga, x, hi: int, one=1, start=None):
     """Yield the rows p_n(x) of x*p_n = gamma_n*p_{n+1} + alpha_n*p_{n-1}, n <= hi.
 
     ``al``, ``ga``, ``x`` and ``one`` share one number domain: Fractions,
-    floats, a float64 vector x, mpfs used under the caller's workdps, or
-    Decimals used under the caller's decimal context. Only
-    two rows are held. The stream starts at p_0 = one, p_1 = x/gamma_0;
-    ``start = (k, p_{k-1}, p_k)`` resumes it and yields p_{k+1} onward.
+    floats, a float64 vector x, or Decimals used under the caller's decimal
+    context. Only two rows are held. The stream starts at p_0 = one,
+    p_1 = x/gamma_0; ``start = (k, p_{k-1}, p_k)`` resumes it and yields
+    p_{k+1} onward.
 
     Each new row is finished in place before it is yielded: x*p_n, then
     minus alpha_n*p_{n-1}, then over gamma_n, the operations and order of
@@ -286,19 +286,20 @@ def eval_polys(family, n_max: int, x, dps: int | None = None,
     """Evaluate p_0(x)..p_{n_max}(x) by the forward recurrence.
 
     Arithmetic mode: exact Fractions when the family is exact and x is an
-    int/Fraction; mpmath at ``dps`` digits when given; doubles otherwise.
-    Exact runs that blow past ``digit_cap`` decimal digits per value fall back
-    to 50-digit floats for the remaining indices.
+    int/Fraction; Decimals at ``dps`` significant digits when given
+    (``arith.decimal_context``); doubles otherwise. Exact runs that blow past
+    ``digit_cap`` decimal digits per value fall back to EXTENDED_DPS-digit
+    Decimals for the remaining indices.
     """
     if n_max < 0:
         raise ParamError("n_max must be >= 0")
     al, ga = coefficients(family, max(n_max - 1, 0))
     if dps is not None:
-        conv, ctx = to_mpf, mpmath.workdps(dps)
+        conv, scope = to_decimal, localcontext(decimal_context(dps))
     else:
         conv = Fraction if family.exact and is_exact(x) else float
-        ctx = contextlib.nullcontext()
-    with ctx:
+        scope = contextlib.nullcontext()
+    with scope:
         p: list = []
         for v in _rows([conv(c) for c in al], [conv(c) for c in ga], conv(x), n_max, conv(1)):
             if exceeds_digit_cap(v, digit_cap):
@@ -306,12 +307,12 @@ def eval_polys(family, n_max: int, x, dps: int | None = None,
             p.append(v)
         else:
             return p
-    # rational blow-up guard: finish in extended floats
-    with mpmath.workdps(EXTENDED_DPS):
-        p = [to_mpf(u) for u in (*p, v)]
+    # rational blow-up guard: finish in extended precision
+    with localcontext(EXTENDED):
+        p = [to_decimal(u) for u in (*p, v)]
         k = len(p) - 1
-        p.extend(_rows([to_mpf(c) for c in al], [to_mpf(c) for c in ga], to_mpf(x), n_max,
-                       start=(k, p[k - 1], p[k])))
+        p.extend(_rows([to_decimal(c) for c in al], [to_decimal(c) for c in ga], to_decimal(x),
+                       n_max, start=(k, p[k - 1], p[k])))
     return p
 
 
@@ -327,11 +328,11 @@ class RatioSequence:
         fallback, multiplied at the EXTENDED_DPS digits that the ratios carry."""
         if n > len(self.values):
             raise ParamError(f"need {n} ratios, have {len(self.values)}")
-        out = Fraction(1) if self.exact else 1.0
-        with mpmath.workdps(EXTENDED_DPS):  # only the mpfs of a fallback use it
-            for g in self.values[:n]:
-                out = out * g
-        return out
+        if self.exact:
+            return math.prod(self.values[:n], start=Fraction(1))
+        fallback = self.values and isinstance(self.values[0], Decimal)
+        with localcontext(EXTENDED):  # only the Decimals of a fallback use it
+            return math.prod(self.values[:n], start=Decimal(1) if fallback else 1.0)
 
 
 def _exact_ratios(family, N: int, digit_cap: int):
@@ -368,61 +369,42 @@ def _exact_ratios(family, N: int, digit_cap: int):
     return values, False
 
 
-def _ratio_pass(family, N: int, digit_cap: int, keep_tail: bool = False):
-    """g_0..g_{N-1} as a list, whether the run fell back to mpfs, and, with
-    ``keep_tail``, the tail (k, alpha_tilde_k.., gamma_tilde_k..) of the
-    normalized coefficients the pass computes in mpf: alpha_tilde_n =
-    alpha_n/g_{n-1} and gamma_tilde_n = gamma_n*g_n for k <= n < N, where k
-    is the first index read after the fallback (k = N without one). See
-    ratios_at_one for the rules.
-
-    An exact family runs on ints (``_exact_ratios``) up to the fallback, then
-    on EXTENDED_DPS-digit mpfs; any other family in its own arithmetic.
-    """
-    if N < 1:
-        raise ParamError("N must be >= 1")
-    al_tail, ga_tail = [], []
-    with mpmath.workdps(EXTENDED_DPS):  # only the mpfs of a fallback use it
-        if family.exact:
-            values, fallback = _exact_ratios(family, N, digit_cap)
-            if not fallback:
-                return values, False, (N, al_tail, ga_tail)
-            values = [to_mpf(v) for v in values]
-        else:
-            g = 1 / family.gamma(0)
-            if not g > 0:
-                raise NonpositiveRatio(0, g)
-            values, fallback = [g], False
-        start, g = len(values), values[-1]
-        for n in range(start, N):
-            a, c = family.alpha(n), family.gamma(n)
-            if c == 0:
-                raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
-            if fallback:
-                a, c = to_mpf(a), to_mpf(c)
-            a = a / g  # alpha_tilde_n
-            g = (1 - a) / c
-            if fallback and keep_tail:
-                al_tail.append(a)
-                ga_tail.append(c * g)
-            if not g > 0:
-                raise NonpositiveRatio(n, g)
-            values.append(g)
-    return values, fallback, (start if fallback else N, al_tail, ga_tail)
-
-
 def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSequence:
     """g_0..g_{N-1} where g_0 = 1/gamma_0 and g_n = (1 - alpha_n/g_{n-1})/gamma_n.
 
     Raises NonpositiveRatio as soon as some g_n <= 0 (normalization at 1 is
     then impossible past that index), and ParamError at a gamma_n = 0, which
     g_n would divide by. The ratios of an exact family are Fractions, for int
-    coefficients too, until an exact g_n past ``digit_cap`` digits
-    switches the rest of the run to EXTENDED_DPS-digit mpfs, and the result
-    is flagged inexact.
+    coefficients too, formed on ints (``_exact_ratios``), until an exact g_n
+    past ``digit_cap`` digits switches the whole run to Decimals in the
+    EXTENDED context, and the result is flagged inexact. Any other family
+    runs in its own arithmetic.
     """
-    values, fallback, _ = _ratio_pass(family, N, digit_cap)
-    return RatioSequence(tuple(values), family.exact and not fallback)
+    if N < 1:
+        raise ParamError("N must be >= 1")
+    if family.exact:
+        values, fallback = _exact_ratios(family, N, digit_cap)
+        if not fallback:
+            return RatioSequence(tuple(values), True)
+        values = [to_decimal(v, EXTENDED) for v in values]
+    else:
+        g = 1 / family.gamma(0)
+        if not g > 0:
+            raise NonpositiveRatio(0, g)
+        values, fallback = [g], False
+    g = values[-1]
+    with localcontext(EXTENDED):  # only the Decimals of a fallback use it
+        for n in range(len(values), N):
+            a, c = family.alpha(n), family.gamma(n)
+            if c == 0:
+                raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
+            if fallback:
+                a, c = to_decimal(a), to_decimal(c)
+            g = (1 - a / g) / c  # a/g is alpha_tilde_n
+            if not g > 0:
+                raise NonpositiveRatio(n, g)
+            values.append(g)
+    return RatioSequence(tuple(values), False)
 
 
 class NormalizedFamily:
@@ -431,17 +413,14 @@ class NormalizedFamily:
     alpha_tilde(n) = alpha_n/g_{n-1} and gamma_tilde(n) = gamma_n*g_n, which
     makes alpha_tilde + gamma_tilde = 1 identically. Built from the ratios
     g_0..g_{N-1}, it defines alpha_tilde for n <= N and gamma_tilde for n < N;
-    reading past them raises TableRangeError. Each value is formed on read,
-    except that ``normalize`` hands over the mpf values its ratio pass
-    already formed past a digit-cap fallback: the same operands at the same
-    precision, so the same mpfs.
+    reading past them raises TableRangeError. Each value is formed on read.
+    Past a digit-cap fallback the ratios are Decimals, and the values are
+    formed in the EXTENDED context from the operands of the ratio pass, so
+    alpha_tilde(n) is the Decimal alpha_n/g_{n-1} that the pass formed.
 
     Duck-types CoefficientFamily (.alpha/.gamma/.exact/...), so every
     evaluation helper in this module accepts it directly.
     """
-
-    # (k, alpha_tilde_k.., gamma_tilde_k..) from the ratio pass; see _ratio_pass
-    _tail = (0, (), ())
 
     def __init__(self, base: CoefficientFamily, ratios: RatioSequence):
         self.base = base
@@ -452,27 +431,17 @@ class NormalizedFamily:
         self.meta: Mapping[str, object] = {}
 
     def alpha_tilde(self, n: int):
-        k, al_tail, _ = self._tail
-        if 0 <= n - k < len(al_tail):
-            return al_tail[n - k]
         if n == 0:
             return self.base.alpha(0)
         g = self.ratio(n - 1)
-        if isinstance(g, mpmath.mpf):
-            # after a digit-cap fallback the ratios carry EXTENDED_DPS digits;
-            # dividing at the caller's default 53 bits would throw them away
-            with mpmath.workdps(EXTENDED_DPS):
-                return to_mpf(self.base.alpha(n)) / g
+        if isinstance(g, Decimal):
+            return EXTENDED.divide(to_decimal(self.base.alpha(n), EXTENDED), g)
         return self.base.alpha(n) / g
 
     def gamma_tilde(self, n: int):
-        k, _, ga_tail = self._tail
-        if 0 <= n - k < len(ga_tail):
-            return ga_tail[n - k]
         g = self.ratio(n)
-        if isinstance(g, mpmath.mpf):
-            with mpmath.workdps(EXTENDED_DPS):
-                return to_mpf(self.base.gamma(n)) * g
+        if isinstance(g, Decimal):
+            return EXTENDED.multiply(to_decimal(self.base.gamma(n), EXTENDED), g)
         return self.base.gamma(n) * g
 
     # CoefficientFamily duck-type
@@ -481,14 +450,11 @@ class NormalizedFamily:
 
 
 def normalize(family, N: int) -> NormalizedFamily:
-    """Normalized view of ``family``; validates g_0..g_{N-1} stay positive."""
+    """Normalized view of ``family`` over ratios_at_one at the default digit
+    cap; validates g_0..g_{N-1} stay positive."""
     if isinstance(family, NormalizedFamily):
         return family
-    values, fallback, tail = _ratio_pass(family, N, DEFAULT_DIGIT_CAP, keep_tail=True)
-    normalized = NormalizedFamily(family, RatioSequence(tuple(values),
-                                                        family.exact and not fallback))
-    normalized._tail = tail
-    return normalized
+    return NormalizedFamily(family, ratios_at_one(family, N, DEFAULT_DIGIT_CAP))
 
 
 def associated_family(family: CoefficientFamily, k: int) -> CoefficientFamily:
@@ -542,13 +508,10 @@ def scaled_polys(family, sigma, n_max: int, x, dps: int | None = None) -> list:
     """[sigma_n * p_n(x)] for the normalized-at-1 recurrence values."""
     s = _sigma_callable(sigma)
     p = eval_polys(family, n_max, x, dps=dps)
-    out = []
-    for n in range(n_max + 1):
-        s_n, p_n = s(n), p[n]
-        if isinstance(p_n, mpmath.mpf) and is_exact(s_n):
-            s_n = to_mpf(s_n)
-        out.append(s_n * p_n)
-    return out
+    # a Decimal p_n carries dps digits, or EXTENDED_DPS past a digit-cap fallback
+    ctx = EXTENDED if dps is None else decimal_context(dps)
+    return [ctx.multiply(to_decimal(s(n), ctx), p_n) if isinstance(p_n, Decimal) else s(n) * p_n
+            for n, p_n in enumerate(p)]
 
 
 def orthonormal_offdiag(family, N: int) -> list[float]:
@@ -604,8 +567,8 @@ def ratio_sandwich(family, N: int) -> list[SandwichRow]:
     """Check 1 <= g_n <= (alpha_{n+1}*gamma_n - alpha_n*gamma_{n+1})/(gamma_n - gamma_{n+1}).
 
     The ratios are formed from the int pairs of the step table (see
-    _exact_ratios), and each bound is decided on the exact value of g_n (an
-    mpf after a digit-cap fallback) against w_n/v_n of the step table, by
+    _exact_ratios), and each bound is decided on the exact value of g_n (a
+    Decimal after a digit-cap fallback) against w_n/v_n of the step table, by
     cross-multiplying ints. The printed bound is the one Fraction
     wn*vd/(wd*vn) of those ints. The upper bound needs
     gamma_n > gamma_{n+1}; rows where that fails carry upper = +inf,

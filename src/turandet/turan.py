@@ -4,8 +4,7 @@ The scanner streams the recurrence over a fixed symmetric grid in double
 precision, three rows at a time, so its memory stays flat in the degree. It
 keeps each degree's grid minimum, its abscissa and max|Delta_n|, and
 re-evaluates any minimum inside a near-zero band with 50-digit decimal
-arithmetic (the standard library's ``decimal``, whose C core costs far less
-per operation than mpmath); the sign of that confirmed value, up to its
+arithmetic (the standard library's ``decimal``); the sign of that confirmed value, up to its
 rounding bound, is the verdict — sign near zero is the entire point of the
 exercise. Minima that were never confirmed, and confirmed ones of families
 with double-precision coefficients, are judged against the tolerance.
@@ -14,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
+from decimal import Decimal, localcontext
 
-import mpmath
 import numpy as np
 
-from .arith import EXTENDED_DPS, _man_exp, exact_value, is_exact
+from .arith import EXTENDED_DPS, decimal_context, is_exact, to_decimal
 from .errors import ParamError
 from .recurrence import (
     NormalizedFamily,
@@ -49,7 +47,7 @@ CONFIRM_BAND = 1e-10
 # Digits of a confirm_dps evaluation not relied on: roundoff of the recurrence
 # over many steps and of the coefficient conversion. A confirmed value within
 # scale_n*10**(CONFIRM_GUARD_DIGITS - digits) of zero counts as zero, where
-# digits is confirm_dps, or EXTENDED_DPS if fewer and a coefficient is an mpf.
+# digits is confirm_dps, or EXTENDED_DPS if fewer and a coefficient is a Decimal.
 CONFIRM_GUARD_DIGITS = 10
 
 
@@ -59,7 +57,7 @@ def turan_det(family, n: int, x, normalized: bool = True, dps: int | None = None
     normalized=True (default) rescales the family so p_k(1) = 1 first, which
     is the setting in which the nonnegativity criteria live. The arithmetic
     mode follows eval_polys (exact for exact family + rational x, else float,
-    or mpmath when dps is given).
+    or a Decimal of dps digits when dps is given).
     """
     if n < 1:
         raise ParamError("turan_det needs n >= 1")
@@ -155,20 +153,6 @@ def _scaled(rows, sigma):
     return (r * s for r, s in zip(rows, sigma))
 
 
-def _to_decimal(v) -> Decimal:
-    """``v`` as a Decimal in the current decimal context: an int or a double
-    exactly, a Fraction as its numerator over its denominator and an mpf as
-    its binary mantissa times a power of two, each rounded once."""
-    if isinstance(v, (int, float)):
-        return Decimal(v)
-    if isinstance(v, mpmath.mpf):
-        man, exp = _man_exp(v)
-        # man*2**exp = man*5**-exp * 10**exp for exp < 0
-        return Decimal(man << exp) if exp >= 0 else Decimal(man * 5 ** -exp).scaleb(exp)
-    q = exact_value(v)
-    return Decimal(q.numerator) / Decimal(q.denominator)
-
-
 def _confirm_tolerance(confirm_dps: int, tolerance: float, *sources) -> float:
     """Relative bound under which a confirmed minimum counts as zero.
 
@@ -178,7 +162,7 @@ def _confirm_tolerance(confirm_dps: int, tolerance: float, *sources) -> float:
     """
     digits = confirm_dps
     for v in (v for src in sources for v in src):
-        if isinstance(v, mpmath.mpf):
+        if isinstance(v, Decimal):
             digits = min(digits, EXTENDED_DPS)
         elif not is_exact(v):
             return tolerance
@@ -200,11 +184,10 @@ def _confirm(al_src, ga_src, pending: dict, confirm_dps: int, sigma_src=None) ->
     abscissa x of ``pending`` and each of its degrees n: one sweep per x."""
     hi = max(max(degrees) for degrees in pending.values()) + 1
     confirmed = {}
-    with localcontext(Context(prec=confirm_dps, rounding=ROUND_HALF_EVEN,
-                              Emin=MIN_EMIN, Emax=MAX_EMAX)):
-        al = [_to_decimal(v) for v in al_src[:hi]]
-        ga = [_to_decimal(v) for v in ga_src[:hi]]
-        sigma = None if sigma_src is None else [_to_decimal(v) for v in sigma_src[:hi + 1]]
+    with localcontext(decimal_context(confirm_dps)):
+        al = [to_decimal(v) for v in al_src[:hi]]
+        ga = [to_decimal(v) for v in ga_src[:hi]]
+        sigma = None if sigma_src is None else [to_decimal(v) for v in sigma_src[:hi + 1]]
         one = Decimal(1)
         for x, degrees in pending.items():
             rows = _rows(al, ga, Decimal(x), max(degrees) + 1, one)
@@ -266,8 +249,8 @@ def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
     so memory stays flat in n_max. Verdict per degree, with scale_n =
     max(1, max|Delta_n| on the grid): a grid minimum inside the
     1e-10*scale_n band is re-evaluated in ``decimal`` arithmetic at
-    confirm_dps significant digits, from the exact value of every int and
-    double and every Fraction and mpf rounded once to that precision, and that
+    confirm_dps significant digits, from the exact value of every int, double
+    and Decimal and every Fraction rounded once to that precision, and that
     confirmed value decides, up to its rounding bound
     scale_n*10**(CONFIRM_GUARD_DIGITS - confirm_dps) when every coefficient
     is exact or extended precision, and up to tolerance*scale_n when one is

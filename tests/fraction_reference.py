@@ -9,11 +9,10 @@ witnesses included, and the ratio pass bit for bit. Only tests import this
 module.
 """
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import mpmath
-
-from turandet.arith import EXTENDED_DPS, exact_value, exceeds_digit_cap, to_mpf
+from turandet.arith import EXTENDED, exact_value, exceeds_digit_cap
 from turandet.criteria import (
     _HALF,
     COND_ALPHA,
@@ -46,15 +45,26 @@ def _exact_coefficients(family, hi: int):
     return [exact_value(v) for v in al], [exact_value(v) for v in ga]
 
 
+def _decimal(v) -> Decimal:
+    """``v`` in the current decimal context: an int exactly, a Fraction as
+    its numerator over its denominator, rounded once."""
+    if isinstance(v, Fraction):
+        return Decimal(v.numerator) / Decimal(v.denominator)
+    return Decimal(v)
+
+
 def ratio_pass(family, N: int, digit_cap: int, keep_tail: bool = False):
-    """recurrence._ratio_pass in Fraction arithmetic: g_0..g_{N-1}, the
-    fallback flag and the mpf tail (k, alpha_tilde_k.., gamma_tilde_k..)."""
+    """recurrence.ratios_at_one in Fraction arithmetic: g_0..g_{N-1}, the
+    fallback flag and, with ``keep_tail``, the tail (k, alpha_tilde_k..,
+    gamma_tilde_k..) of the normalized coefficients past the fallback, formed
+    in the pass: k is the first index read after the fallback (N without
+    one), and the tail is Decimals in the EXTENDED context."""
     if N < 1:
         raise ParamError("N must be >= 1")
     values: list = []
     fallback = False
     tail_start, al_tail, ga_tail = N, [], []
-    with mpmath.workdps(EXTENDED_DPS):  # only the mpfs of a fallback use it
+    with localcontext(EXTENDED):  # only the Decimals of a fallback use it
         # an int gamma_0 of an exact family must not start a run of doubles
         g = (Fraction(1) if family.exact else 1) / family.gamma(0)
         for n in range(N):
@@ -63,7 +73,7 @@ def ratio_pass(family, N: int, digit_cap: int, keep_tail: bool = False):
                 if c == 0:
                     raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
                 if fallback:
-                    a, c = to_mpf(a), to_mpf(c)
+                    a, c = _decimal(a), _decimal(c)
                     a = a / g  # alpha_tilde_n
                     g = (1 - a) / c
                     if keep_tail:
@@ -74,7 +84,7 @@ def ratio_pass(family, N: int, digit_cap: int, keep_tail: bool = False):
             if not g > 0:
                 raise NonpositiveRatio(n, g)
             if family.exact and exceeds_digit_cap(g, digit_cap):
-                values, g, fallback = [to_mpf(v) for v in values], to_mpf(g), True
+                values, g, fallback = [_decimal(v) for v in values], _decimal(g), True
                 tail_start = n + 1
             values.append(g)
     return values, fallback, (tail_start, al_tail, ga_tail)

@@ -7,10 +7,28 @@ test_turan.py requires the package to agree with it verdict for verdict and
 value for value, up to a small fraction of the rounding bound. Only tests
 import this module.
 """
+from decimal import Decimal
+from fractions import Fraction
+
 import mpmath
 
-from turandet.arith import to_mpf
 from turandet.recurrence import _dets, _rows
+
+
+def _mpf(v) -> mpmath.mpf:
+    """``v`` as an mpf rounded once to the working precision: a Fraction or
+    a Decimal as its exact numerator over its denominator."""
+    if isinstance(v, (Fraction, Decimal)):
+        q = Fraction(v)
+        return mpmath.mpf(q.numerator) / q.denominator
+    return mpmath.mpf(v)
+
+
+def exact(x: mpmath.mpf) -> Fraction:
+    """The exact value of a finite mpf, sign included (mpmath's own
+    ``man_exp`` drops the sign)."""
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
 def confirm(al_src, ga_src, pending: dict, confirm_dps: int, sigma_src=None) -> dict:
@@ -18,9 +36,9 @@ def confirm(al_src, ga_src, pending: dict, confirm_dps: int, sigma_src=None) -> 
     hi = max(max(degrees) for degrees in pending.values()) + 1
     confirmed = {}
     with mpmath.workdps(confirm_dps):
-        al = [to_mpf(v) for v in al_src[:hi]]
-        ga = [to_mpf(v) for v in ga_src[:hi]]
-        sigma = None if sigma_src is None else [to_mpf(v) for v in sigma_src[:hi + 1]]
+        al = [_mpf(v) for v in al_src[:hi]]
+        ga = [_mpf(v) for v in ga_src[:hi]]
+        sigma = None if sigma_src is None else [_mpf(v) for v in sigma_src[:hi + 1]]
         for x, degrees in pending.items():
             rows = _rows(al, ga, mpmath.mpf(x), max(degrees) + 1, mpmath.mpf(1))
             if sigma is not None:

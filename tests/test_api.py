@@ -7,6 +7,9 @@ of its module, or the per-layer metrics silently read zero.
 """
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import turandet
@@ -64,3 +67,13 @@ def test_traced_functions_stay_module_level_names():
     for module, attr in spans:
         assert callable(getattr(importlib.import_module(f"turandet.{module}"), attr, None)), \
             f"turandet.{module}.{attr}"
+
+
+def test_import_leaves_mpmath_out():
+    """The package computes in the standard library's decimal: importing it
+    loads no mpmath, which only the test references use."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, turandet; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout == "False\n"

@@ -223,12 +223,28 @@ def test_density_cli(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["scan", "--grid", "0"], "grid needs at least 3 points"),
-    (["density", "--N", "0"], "estimate_density needs N >= 10"),
+    (["density", "--N", "0"], "the smallest valid --N for density is 10"),
 ])
 def test_zero_grid_and_zero_n_exit_two(capsys, argv, message):
     """An explicit 0 is passed on as given, not replaced by the default."""
     assert main([*argv, "--family", "Legendre"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, least", [
+    (["check", "--N", "1"], 2),
+    (["ratios", "--N", "0"], 1),
+    (["scan", "--n-max", "0"], 1),
+    (["density", "--N", "5"], 10),
+    (["lambda", "--N", "0"], 1),
+])
+def test_an_n_below_the_least_names_the_flag(capsys, argv, least):
+    """An N below a command's least is refused before the family is read,
+    with the flag to change and its smallest valid value."""
+    assert main([*argv, "--family", "no-such-spec.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the smallest valid {argv[1]} for {argv[0]} is {least}\n"
 
 
 @pytest.mark.parametrize("argv", [["scan", "--n-max", "20", "--mode", "float"],

@@ -187,6 +187,21 @@ def test_corollary2_window():
     assert rep.condition("delta0-above-lower-bound").holds is False
 
 
+@pytest.mark.parametrize("A, G", [(1, 0), (0, 1), (1, -1)])
+def test_corollary2_window_undecided_without_the_order(A, G):
+    """Unless A >= G > 0 the window's bounds may divide by zero (G, A + G or
+    A is 0): both window conditions are undecided and the report is
+    Violated by alpha-ge-gamma-positive, as Corollary1's is."""
+    d = [F(1, 2), F(1, 4), F(1, 8)]
+    rep = check_corollary2(A, G, d, 2)
+    assert rep.condition("alpha-ge-gamma-positive").holds is False
+    for label in ("delta0-above-lower-bound", "delta0-below-upper-bound"):
+        assert rep.condition(label).holds is None
+        assert rep.condition(label).witness is None
+    assert rep.overall is Verdict.VIOLATED
+    assert check_corollary1(A, G, d, 2).overall is Verdict.VIOLATED
+
+
 def test_structural_match_pollaczek():
     pol = pollaczek(1, F(1, 2))
     shape = pol.meta["corollary1"]

@@ -25,7 +25,7 @@ from unittest import mock
 import pytest
 
 from turandet import eval_polys, example3, legendre, pollaczek, scaled_scan
-from turandet.arith import _man_exp, format_number
+from turandet.arith import format_number
 from turandet.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -123,10 +123,7 @@ def _scaled_scan(sigma):
 def _text(v):
     if isinstance(v, F):
         return format_number(v)
-    if isinstance(v, float):
-        return repr(v)
-    man, exp = _man_exp(v)  # an mpf, exactly, with its sign
-    return f"{man}*2^{exp}"
+    return repr(v) if isinstance(v, float) else str(v)  # a Decimal, exactly
 
 
 def _eval_polys():
@@ -158,7 +155,7 @@ CASES = {
     **{f"scan_{kind}.{fmt}": _scan(kind, fmt)
        for kind in ("legendre", "example3", "pollaczek") for fmt in ("json", "csv")},
     # the normalized coefficients past the digit-cap fallback at g_989 reach
-    # the scan and its confirmation as mpfs
+    # the scan and its confirmation as Decimals
     **{f"scan_example3_third.{fmt}": _scan("example3_third", fmt, 1200)
        for fmt in ("json", "csv")},
     "scaled_scan_legendre_2n+1.txt": lambda: _scaled_scan(lambda n: 2 * n + 1),

@@ -1,5 +1,6 @@
 """Property tests for the structural invariants behind the checkers."""
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from turandet import (
     turan_det,
     y_from_lambda,
 )
+from turandet.arith import decimal_context, to_decimal
 
 unit_open = st.fractions(min_value=0, max_value=1, max_denominator=60).filter(
     lambda q: 0 < q < 1
@@ -189,3 +191,27 @@ def test_float_verdicts_are_the_exact_verdicts_on_the_doubles(case):
     got = {r.criterion: r.overall for r in criterion_reports(fv, N)}
     want = {r.criterion: r.overall for r in criterion_reports(doubles, N)}
     assert {name: got[name] for name in want} == want
+
+
+def _ints_of_up_to(digits: int):
+    """Ints of 1..digits decimal digits, each length about equally likely."""
+    return st.integers(min_value=1, max_value=digits).flatmap(
+        lambda d: st.integers(min_value=10 ** (d - 1) if d > 1 else 0, max_value=10**d - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(prec=st.integers(min_value=11, max_value=60), p=_ints_of_up_to(5000),
+       q=_ints_of_up_to(5000).filter(bool), negative=st.booleans())
+@example(prec=11, p=123456789025, q=100, negative=False)  # a tie, rounded to even
+@example(prec=11, p=123456789035, q=100, negative=True)
+@example(prec=50, p=10**4000 + 1, q=3 * 10**4000, negative=True)
+def test_to_decimal_rounds_a_fraction_as_context_divide_does(prec, p, q, negative):
+    """to_decimal(p/q) is the quotient of p and q correctly rounded once,
+    through the integer reduction of a long p/q as through plain division,
+    in the given context and in the current one."""
+    p = -p if negative else p
+    ctx = decimal_context(prec)
+    want = ctx.divide(Decimal(p), Decimal(q))
+    assert to_decimal(Fraction(p, q), ctx) == want
+    with localcontext(ctx):
+        assert to_decimal(Fraction(p, q)) == want

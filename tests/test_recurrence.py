@@ -1,8 +1,8 @@
 import math
 from fractions import Fraction as F
+from decimal import Decimal
 from unittest import mock
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -32,9 +32,10 @@ from turandet import (
     scaled_polys,
     table_family,
 )
+import fraction_reference as ref
 from turandet import recurrence
-from turandet.arith import EXTENDED_DPS, _man_exp, exact_value, exceeds_digit_cap
-from turandet.recurrence import RatioSequence, _dets, _rows, _table
+from turandet.arith import DEFAULT_DIGIT_CAP, EXTENDED_DPS, exact_value, exceeds_digit_cap
+from turandet.recurrence import _dets, _rows, _table
 
 
 def test_chebyshev_t_values_at_zero():
@@ -98,11 +99,11 @@ def test_poly_at_one_matches_eval():
 
 def test_poly_at_one_keeps_the_precision_of_a_fallback():
     """Past a digit-cap fallback the ratios carry EXTENDED_DPS digits, and so
-    does their product: at mpmath's default 53 bits it would keep about 16."""
+    does their product: in the default decimal context it would keep 28."""
     got = ratios_at_one(example3(1), 120, digit_cap=60).poly_at_one(120)
     exact = ratios_at_one(example3(1), 120).poly_at_one(120)
-    assert isinstance(got, mpmath.mpf) and type(exact) is F
-    assert _man_exp(got)[0].bit_length() > 150
+    assert isinstance(got, Decimal) and type(exact) is F
+    assert len(got.as_tuple().digits) == EXTENDED_DPS
     assert abs(exact_value(got) - exact) <= exact / 10**45
 
 
@@ -199,19 +200,18 @@ def test_sandwich_flat_gamma_has_infinite_upper():
     assert rows[1].upper_ok
 
 
-def test_eval_polys_mpmath_path():
+def test_eval_polys_decimal_path():
     fam = legendre()
     vals = eval_polys(fam, 20, F(1, 3), dps=40)
-    assert isinstance(vals[20], mpmath.mpf)
+    assert isinstance(vals[20], Decimal)
     exact = eval_polys(fam, 20, F(1, 3))
-    with mpmath.workdps(40):
-        assert abs(vals[20] - mpmath.mpf(exact[20].numerator) / exact[20].denominator) < mpmath.mpf(10) ** -30
+    assert abs(F(vals[20]) - exact[20]) < F(1, 10**30)
 
 
-def test_digit_cap_falls_back_to_mpf():
+def test_digit_cap_falls_back_to_decimal():
     fam = example3(1)
     vals = eval_polys(fam, 30, F(1, 3), digit_cap=25)
-    assert any(isinstance(v, mpmath.mpf) for v in vals)
+    assert any(isinstance(v, Decimal) for v in vals)
     exact = eval_polys(fam, 30, F(1, 3))
     last = vals[30]
     ref = float(exact[30])
@@ -276,9 +276,8 @@ def test_normalized_coefficients_keep_extended_precision_after_fallback():
     assert not rs.exact
     nf = NormalizedFamily(example3(1), rs)
     for n in range(1, 120):
-        a, g = nf.alpha_tilde(n), nf.gamma_tilde(n)  # outside any workdps
-        with mpmath.workdps(EXTENDED_DPS):
-            assert abs(a + g - 1) < mpmath.mpf("1e-45")
+        a, g = nf.alpha_tilde(n), nf.gamma_tilde(n)  # in the default 28-digit context
+        assert abs(F(a) + F(g) - 1) < F(1, 10**45)
 
 
 def test_rows_equal_an_out_of_place_reference():
@@ -310,13 +309,13 @@ def test_zero_gamma_is_a_param_error():
 
 
 def _same_number(u, v) -> bool:
-    """u and v are the same value of the same type; mpfs down to the bit."""
+    """u and v are the same value of the same type; Decimals digit for digit."""
     if type(u) is not type(v):
         return False
-    return _man_exp(u) == _man_exp(v) if isinstance(u, mpmath.mpf) else u == v
+    return u.as_tuple() == v.as_tuple() if isinstance(u, Decimal) else u == v
 
 
-# N per digit cap: far enough past the fallback for a tail of mpf indices
+# N per digit cap: far enough past the fallback for a tail of Decimal indices
 TAIL_N = {60: 150, 200: 400, 4096: 1600}
 
 
@@ -326,43 +325,44 @@ TAIL_N = {60: 150, 200: 400, 4096: 1600}
        q=st.fractions(min_value=F(1, 8), max_value=6, max_denominator=12),
        cap=st.sampled_from(sorted(TAIL_N)))
 def test_kept_tail_equals_the_per_index_formula(kind, p, q, cap):
-    """normalize keeps the alpha_tilde/gamma_tilde its ratio pass formed in
-    mpf past the fallback; each equals the per-index formula bit for bit."""
+    """Past the fallback, the alpha_tilde/gamma_tilde that normalize forms on
+    read equal, digit for digit, the tail that the reference ratio pass forms
+    in the pass."""
     fam = example3(p) if kind == "Example3" else pollaczek(p, q)
     N = TAIL_N[cap]
     with mock.patch.object(recurrence, "DEFAULT_DIGIT_CAP", cap):
         try:
-            kept = normalize(fam, N)
+            normalized = normalize(fam, N)
         except NonpositiveRatio:
             reject()
-    ratios = [kept.ratio(n) for n in range(N)]
-    lazy = NormalizedFamily(fam, RatioSequence(tuple(ratios), kept.exact))
+    _, fallback, (k, al_tail, ga_tail) = ref.ratio_pass(fam, N, cap, keep_tail=True)
     # the tail starts after the first g_n past the cap
-    g, fallback = F(1) / fam.gamma(0), N - 1
+    g, last = F(1) / fam.gamma(0), N - 1
     for n in range(N):
         if n:
             g = (1 - fam.alpha(n) / g) / fam.gamma(n)
         if exceeds_digit_cap(g, cap):
-            fallback = n
+            last = n
             break
-    k, al_tail, ga_tail = kept._tail
-    assert k == fallback + 1 and len(al_tail) == len(ga_tail) == N - k
-    for n in range(N + 1):
-        assert _same_number(kept.alpha(n), lazy.alpha(n))
-    for n in range(N):
-        assert _same_number(kept.gamma(n), lazy.gamma(n))
+    assert normalized.exact is not fallback
+    assert k == last + 1 and len(al_tail) == len(ga_tail) == N - k
+    for n in range(k, N):
+        assert _same_number(normalized.alpha(n), al_tail[n - k])
+        assert _same_number(normalized.gamma(n), ga_tail[n - k])
 
 
 def test_tail_starts_after_the_fallback_index():
     """Example3(1/3) falls back at g_989: alpha_tilde_990.. and
-    gamma_tilde_990.. come from the ratio pass, and earlier indices keep
-    their exact values."""
+    gamma_tilde_990.. equal the reference pass's tail digit for digit, and
+    earlier ratios keep their exact values."""
     fam = normalize(example3(F(1, 3)), 1201)
-    k, al_tail, ga_tail = fam._tail
-    assert k == 990 and len(al_tail) == len(ga_tail) == 1201 - 990
+    _, fallback, (k, al_tail, ga_tail) = ref.ratio_pass(example3(F(1, 3)), 1201,
+                                                        DEFAULT_DIGIT_CAP, keep_tail=True)
+    assert fallback and k == 990 and len(al_tail) == len(ga_tail) == 1201 - 990
     assert type(normalize(example3(F(1, 3)), 989).ratio(988)) is F
-    assert al_tail[0] is fam.alpha(990) and ga_tail[-1] is fam.gamma(1200)
-    assert isinstance(fam.alpha(989), mpmath.mpf)  # alpha_989/g_988, g_988 made an mpf
+    assert all(_same_number(fam.alpha(n), al_tail[n - k]) for n in range(k, 1201))
+    assert all(_same_number(fam.gamma(n), ga_tail[n - k]) for n in range(k, 1201))
+    assert isinstance(fam.alpha(989), Decimal)  # alpha_989/g_988, g_988 made a Decimal
 
 
 def test_int_coefficients_keep_the_ratios_exact():

@@ -10,9 +10,9 @@ import io
 import math
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -22,6 +22,7 @@ from turandet import (
     DeltaSeq,
     InvalidLambda,
     NonpositiveRatio,
+    NormalizedFamily,
     ParamError,
     StructuralMismatch,
     check_corollary1,
@@ -38,10 +39,11 @@ from turandet import (
     normalize,
     pollaczek,
     ratio_sandwich,
+    ratios_at_one,
 )
-from turandet.arith import _man_exp, coprime_fraction
+from turandet.arith import coprime_fraction
 from turandet.cli import main
-from turandet.recurrence import CoefficientFamily, _ratio_pass, _step_table, _table
+from turandet.recurrence import CoefficientFamily, _exact_ratios, _step_table, _table
 
 
 def _family(alphas, gammas, name="Random"):
@@ -179,8 +181,8 @@ def test_legendre_float_view_matches_at_3000():
 
 
 def test_table_normalized_past_its_digit_cap_fallback_matches():
-    """Example3(1/3) falls back to 50-digit mpfs at g_990; its normalized
-    coefficients past that index are mpfs, decided on their exact values."""
+    """Example3(1/3) falls back to 50-digit Decimals at g_989; its normalized
+    coefficients past that index are Decimals, decided on their exact values."""
     nf = normalize(example3(Fraction(1, 3)), 1002)
     assert not nf.exact
     assert_matches_reference(nf, 1000, sandwich=False)
@@ -244,16 +246,29 @@ def test_step_output_memory_stays_small(command, count):
 
 def _number(v):
     """v as plain data: a Fraction by its two ints (so an unreduced one shows),
-    an mpf by its signed mantissa and exponent, a double by its bits."""
+    a Decimal by its exact value, a double by its bits."""
     if isinstance(v, Fraction):
         return "Fraction", v.numerator, v.denominator
-    if isinstance(v, mpmath.mpf):
-        return "mpf", _man_exp(v)
+    if isinstance(v, Decimal):
+        return "Decimal", Fraction(v)
     return type(v).__name__, float.hex(v)
 
 
+def _package_ratio_pass(family, N, cap, keep_tail):
+    """ratios_at_one in the form of ref.ratio_pass: the ratios, the fallback
+    flag and the tail (k, alpha_tilde_k.., gamma_tilde_k..), read from the
+    NormalizedFamily over those ratios, from the first index k read after
+    the fallback (the length of the exact run)."""
+    ratios = ratios_at_one(family, N, cap)
+    fallback = family.exact and not ratios.exact
+    k = len(_exact_ratios(family, N, cap)[0]) if fallback else N
+    nf = NormalizedFamily(family, ratios)
+    return list(ratios.values), fallback, (k, [nf.alpha(n) for n in range(k, N)],
+                                           [nf.gamma(n) for n in range(k, N)])
+
+
 def _ratio_outcome(ratio_pass, family, N, cap):
-    """The ratios, fallback flag and mpf tail of a ratio pass, or its error."""
+    """The ratios, fallback flag and Decimal tail of a ratio pass, or its error."""
     try:
         values, fallback, (k, al_tail, ga_tail) = ratio_pass(family, N, cap, keep_tail=True)
     except NonpositiveRatio as exc:
@@ -265,11 +280,11 @@ def _ratio_outcome(ratio_pass, family, N, cap):
 
 
 def assert_ratio_pass_matches_reference(family, N, cap):
-    assert (_ratio_outcome(_ratio_pass, family, N, cap)
+    assert (_ratio_outcome(_package_ratio_pass, family, N, cap)
             == _ratio_outcome(ref.ratio_pass, family, N, cap))
 
 
-# N per digit cap: far enough past the fallback for a tail of mpf indices
+# N per digit cap: far enough past the fallback for a tail of Decimal indices
 _RATIO_N = {60: 150, 200: 400}
 _VIEWS = {
     "builtin": lambda fam, N: fam,  # read through its integer form ``pair``
@@ -287,8 +302,9 @@ _VIEWS = {
 @example("Pollaczek", [Fraction(3, 2), Fraction(1)], 200, "step table")
 @example("Example4", [Fraction(2), Fraction(1, 2)], 60, "float step table")
 def test_integer_ratio_pass_matches_the_fraction_reference(kind, params, cap, view):
-    """Values, fallback flag, tail start and the mpf tail, bit for bit, past
-    the digit-cap fallback; a nonpositive g_n with the same index and value."""
+    """Values, fallback flag, tail start and the Decimal tail, digit for digit,
+    past the digit-cap fallback; a nonpositive g_n with the same index and
+    value."""
     build, arity = _BUILDERS[kind]
     N = _RATIO_N[cap]
     assert_ratio_pass_matches_reference(_VIEWS[view](build(*params[:arity]), N), N, cap)

@@ -2,10 +2,9 @@ import collections
 import dataclasses
 import math
 import tracemalloc
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction as F
 
-import mpmath
 import mpmath_reference
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from turandet import (
     turan,
     turan_det,
 )
-from turandet.arith import exact_value
+from turandet.arith import exact_value, to_decimal
 from turandet.turan import CONFIRM_GUARD_DIGITS
 
 
@@ -250,7 +249,7 @@ def test_scan_memory_stays_flat_in_n_max(scan):
 
 # Scans whose confirmation passes run. Legendre's minima sit at x = -1, where
 # Delta_n is exactly 0; Example3(1/3) passes its digit-cap fallback at g_989,
-# so its later coefficients are mpfs; the float table and Legendre's float
+# so its later coefficients are Decimals; the float table and Legendre's float
 # view take the tolerance path; every degree of the 1/(2n+1) scaling is a
 # confirmed negative; confirm_dps=11 is the least precision allowed.
 CONFIRMED_SCANS = {
@@ -290,7 +289,7 @@ def test_decimal_confirmation_agrees_with_mpmath(monkeypatch, name):
     bound = F(10) ** (CONFIRM_GUARD_DIGITS - confirm_dps) / 1000
     for n, value in got.items():
         assert isinstance(value, Decimal)
-        assert abs(F(value) - exact_value(want[n])) <= bound * F(scales[n - 1])
+        assert abs(F(value) - mpmath_reference.exact(want[n])) <= bound * F(scales[n - 1])
 
     monkeypatch.setattr(turan, "_confirm", mpmath_reference.confirm)
     assert CONFIRMED_SCANS[name]().to_json() == report.to_json()
@@ -321,8 +320,9 @@ def test_scale_equals_max_abs(row):
 
 
 def test_scan_past_the_fallback_stays_within_its_memory_bound():
-    """Example3(5) falls back to mpfs near g_1000; the kept tail of the
-    normalized coefficients must not add to the scan's peak."""
+    """Example3(5) falls back to Decimals near g_1000; its normalized
+    coefficients past there, formed on read, must not add to the scan's
+    peak."""
     tracemalloc.start()
     try:
         rep = grid_scan(example3(5), 5000)
@@ -334,18 +334,16 @@ def test_scan_past_the_fallback_stays_within_its_memory_bound():
 
 
 def test_decimal_inputs_keep_their_exact_values_and_signs():
-    """Ints and doubles convert exactly; Fractions and mpfs round once, and a
-    negative mpf stays negative (mpmath's own man_exp drops the sign)."""
-    assert exact_value(mpmath.mpf(-0.75)) == F(-3, 4)
-    with pytest.raises(ParamError):
-        exact_value(mpmath.mpf("-inf"))
+    """Ints, doubles and Decimals convert exactly and Fractions round once; a
+    Decimal's exact value keeps its sign, and a non-finite one is refused."""
+    assert exact_value(Decimal("-0.75")) == F(-3, 4)
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ParamError):
+            exact_value(Decimal(bad))
     with localcontext() as ctx:
         ctx.prec = 30
-        assert turan._to_decimal(-0.1) == Decimal(-0.1)  # all 55 digits
-        assert turan._to_decimal(10**40 + 1) == Decimal(10**40 + 1)
-        assert turan._to_decimal(F(-2, 3)) == Decimal("-0.666666666666666666666666666667")
-        assert turan._to_decimal(mpmath.mpf(-0.75)) == Decimal("-0.75")
-        assert turan._to_decimal(mpmath.mpf(3) * 2**200) == Decimal(3 * 2**200)
-        with mpmath.workdps(50):
-            third = -mpmath.mpf(1) / 3
-        assert turan._to_decimal(third) == Decimal("-0.333333333333333333333333333333")
+        assert to_decimal(-0.1) == Decimal(-0.1)  # all 55 digits
+        assert to_decimal(10**40 + 1) == Decimal(10**40 + 1)
+        assert to_decimal(F(-2, 3)) == Decimal("-0.666666666666666666666666666667")
+        third = Context(prec=50).divide(-1, 3)
+        assert to_decimal(third) == third  # all 50 digits
