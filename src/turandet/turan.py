@@ -4,10 +4,11 @@ The scanner streams the recurrence over a fixed symmetric grid in double
 precision, three rows at a time, so its memory stays flat in the degree. It
 keeps each degree's grid minimum, its abscissa and max|Delta_n|, and
 re-evaluates any minimum inside a near-zero band with 50-digit decimal
-arithmetic (the standard library's ``decimal``); the sign of that confirmed value, up to its
-rounding bound, is the verdict — sign near zero is the entire point of the
-exercise. Minima that were never confirmed, and confirmed ones of families
-with double-precision coefficients, are judged against the tolerance.
+arithmetic (the standard library's ``decimal``); the sign of that confirmed
+value, up to its rounding bound, is the verdict — sign near zero is the
+entire point of the exercise. Minima that were never confirmed, and
+confirmed ones of families with double-precision coefficients, are judged
+against the tolerance.
 """
 from __future__ import annotations
 

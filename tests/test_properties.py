@@ -204,6 +204,8 @@ def _ints_of_up_to(digits: int):
        q=_ints_of_up_to(5000).filter(bool), negative=st.booleans())
 @example(prec=11, p=123456789025, q=100, negative=False)  # a tie, rounded to even
 @example(prec=11, p=123456789035, q=100, negative=True)
+@example(prec=11, p=24691357803, q=2 * 10**40, negative=False)  # a tie of a reduced p/q
+@example(prec=11, p=24691357805, q=2 * 10**40, negative=True)
 @example(prec=50, p=10**4000 + 1, q=3 * 10**4000, negative=True)
 def test_to_decimal_rounds_a_fraction_as_context_divide_does(prec, p, q, negative):
     """to_decimal(p/q) is the quotient of p and q correctly rounded once,
