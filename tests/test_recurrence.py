@@ -1,12 +1,13 @@
 import math
-from fractions import Fraction as F
 from decimal import Decimal
+from fractions import Fraction as F
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+import fraction_reference as ref
 from turandet import (
     CoefficientFamily,
     NormalizedFamily,
@@ -32,7 +33,6 @@ from turandet import (
     scaled_polys,
     table_family,
 )
-import fraction_reference as ref
 from turandet import recurrence
 from turandet.arith import DEFAULT_DIGIT_CAP, EXTENDED_DPS, exact_value, exceeds_digit_cap
 from turandet.recurrence import _dets, _rows, _table
