@@ -1,7 +1,7 @@
 """Golden outputs: check, lambda, ratios, scans, scaled scans, density,
 families, eval_polys, the --help text of turandet and of each subcommand and
 the stdout of every demo, byte for byte, and the SHA-256 digests of check,
-lambda and ratios at the benchmark's N = 3000.
+lambda and ratios at the benchmark's N = 3000 and of its scans at n_max = 5000.
 
 Each case renders one output as text and compares it with the file of the
 same name under tests/golden. Refresh the files only for an intended change
@@ -83,6 +83,13 @@ BENCHMARK_SIZE_RUNS = {
     **{f"check-float Example4(3,1/2) {fmt}": [
         "check", "--family", '{"kind": "Example4", "params": {"a": 3, "b": "1/2"}}',
         "--N", "3000", "--mode", "float", "--format", fmt] for fmt in ("json", "csv")},
+    # the scans of the sweeps workload, at its n_max = 5000
+    **{f"scan {kind} {fmt}": ["scan", "--family", spec, "--n-max", "5000", "--format", fmt]
+       for kind, spec in (("Example3(2)", '{"kind": "Example3", "params": {"a": 2}}'),
+                          ("Legendre", FAMILIES["legendre"]),
+                          ("Pollaczek(3/2,1)",
+                           '{"kind": "Pollaczek", "params": {"lambda": "3/2", "a": 1}}'))
+       for fmt in ("json", "csv")},
 }
 
 
