@@ -5,9 +5,18 @@ orthonormal recurrence converges on (-1, 1) to a positive limit f(x), and the
 measure's density is w(x) = 2*sqrt(1 - x^2)/(pi*f(x)). The estimator evaluates
 Delta_N at one large N and reports the last-step change as its convergence
 diagnostic — no extrapolation, no claimed rate.
+
+The sweep runs on the first abscissa of each value of |x| in the grid, since
+Delta_n(-x) == Delta_n(x) bit for bit. It jumps to row N in blocks of K steps
+(``recurrence._jump``, K about 4*sqrt(N)) that step together as one array,
+then steps the last rows one by one: O(sqrt(N)) numpy calls instead of four
+per step. Its rounding differs from the step-by-step sweep's by up to about
+3e-12 of Delta_N at N = 10^5; the tests hold both determinants to 5e-12 of a
+40-digit sweep there.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamError
-from .recurrence import _dets, _rows, orthonormal_offdiag
+from .recurrence import _abs_classes, _dets, _jump, _rows, orthonormal_offdiag
 
 __all__ = [
     "DensityEstimate",
@@ -39,7 +48,7 @@ def orthonormal_turan(a, n: int, x: float) -> float:
         raise ParamError("orthonormal_turan needs n >= 1")
     if len(a) < n + 1:
         raise ParamError(f"need off-diagonals up to a_{n + 1}, got {len(a)}")
-    return float(_orthonormal_dets(a, float(x), {n})[n])
+    return float(_last_dets(np.asarray(a, dtype=float), np.array([float(x)]), n)[1][0])
 
 
 def default_density_grid(points: int = DEFAULT_POINTS, edge: float = DEFAULT_EDGE) -> np.ndarray:
@@ -51,9 +60,19 @@ def default_density_grid(points: int = DEFAULT_POINTS, edge: float = DEFAULT_EDG
     return np.linspace(-edge, edge, points)
 
 
-def _orthonormal_dets(a, x, degrees) -> dict:
-    """{n: Delta_n(x)} for n in ``degrees``; the recurrence with alpha_k = a_k, gamma_k = a_{k+1}."""
-    return dict(_dets(_rows([0.0, *a], a, x, max(degrees) + 1, 1.0), degrees))
+def _last_dets(a, xs, N: int):
+    """(Delta_{N-1}, Delta_N) at the float64 vector xs, for the recurrence
+    with alpha_k = a_k and gamma_k = a_{k+1} (a[k-1] is a_k).
+
+    ``_jump`` takes the rows to p_{m-1}, p_m with m <= N - 1, and ``_rows``
+    steps the last rows, fewer than K + 3 of them, to p_{N+1}.
+    """
+    ga = a[:N + 1]
+    al = np.concatenate(([0.0], ga))
+    start = _jump(al, ga, xs, N - 1, (0, np.zeros_like(xs), np.ones_like(xs)))
+    rows = itertools.chain(start[1:], _rows(al, ga, xs, N + 1, start=start))
+    dets = dict(_dets(rows, {N - 1, N}, first=start[0]))
+    return dets[N - 1], dets[N]
 
 
 @dataclass(frozen=True)
@@ -118,7 +137,7 @@ def estimate_density(family, N: int = DEFAULT_N, xs=None, *,
     grid = default_density_grid() if xs is None else np.asarray(xs, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ParamError("xs must be a nonempty 1-d grid")
-    if np.any(np.abs(grid) >= 1.0):
+    if not np.all(np.abs(grid) < 1.0):  # a NaN fails it too
         raise ParamError("density grid must lie strictly inside (-1, 1)")
 
     a = np.array(orthonormal_offdiag(family, N + 1))
@@ -130,11 +149,9 @@ def estimate_density(family, N: int = DEFAULT_N, xs=None, *,
             "the limit formula may not apply", stacklevel=2)
     bv = float(np.abs(np.diff(a[:N])).sum())
 
-    # the sweep steps faster on Python floats than on numpy scalars; the
-    # rebinding frees the array, so the list is the only copy held
-    a = a.tolist()
-    dets = _orthonormal_dets(a, grid, {N - 1, N})
-    d_before, d_at = dets[N - 1], dets[N]
+    # one abscissa per |x|: Delta_n(-x) == Delta_n(x) bit for bit
+    first, cls = _abs_classes(grid)
+    d_before, d_at = (d[cls] for d in _last_dets(a, grid[first], N))
     f = d_at
     valid = f > 0
     dens = np.full_like(f, math.nan)

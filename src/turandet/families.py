@@ -132,7 +132,8 @@ def _halved(c, d):
     ``c >= 0`` and ``d > 0`` are ints or Fractions; each coefficient costs one
     gcd instead of the several normalized Fractions of the closed form. The
     callable carries its integer form as ``pair``: n -> (num, den), unreduced,
-    with den > 0 (see CoefficientFamily).
+    with den > 0, and the same form as ``linear``: (v*q, u*q, 2*v*q, 2*v*p)
+    for pair(n) == (v*q*n + u*q, 2*v*q*n + 2*v*p) (see CoefficientFamily).
     """
     u, v, p, q = c.numerator, c.denominator, d.numerator, d.denominator
 
@@ -143,6 +144,7 @@ def _halved(c, d):
         return Fraction(*pair(n))
 
     at.pair = pair
+    at.linear = (v * q, u * q, 2 * v * q, 2 * v * p)
     return at
 
 

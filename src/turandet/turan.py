@@ -23,6 +23,7 @@ from .errors import ParamError
 from .recurrence import (
     NormalizedFamily,
     ScalingSequence,
+    _abs_classes,
     _dets,
     _materialize,
     _rows,
@@ -71,8 +72,10 @@ def turan_det(family, n: int, x, normalized: bool = True, dps: int | None = None
 def scan_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     """Sorted union of a uniform mesh and Chebyshev nodes on [-1, 1].
 
-    Both halves contain the endpoints, which are deliberately kept duplicated
-    so the scan always evaluates exactly 2*points abscissas.
+    Both halves contain the endpoints, which are deliberately kept duplicated,
+    so the grid always holds exactly 2*points abscissas. The scan evaluates
+    the first abscissa of each value of |x| among them, since
+    Delta_n(-x) == Delta_n(x) bit for bit.
     """
     if points < 3:
         raise ParamError("grid needs at least 3 points")
@@ -207,7 +210,10 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
         raise ParamError(f"confirm_dps must exceed {CONFIRM_GUARD_DIGITS} guard digits")
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ParamError(f"tolerance must be finite and >= 0 (got {tolerance})")
-    xs = scan_grid(grid_points)
+    grid = scan_grid(grid_points)
+    # Delta_n is even in x bit for bit, so the first abscissa of each |x|,
+    # in grid order, gives the grid's minimum, its first argmin and scale_n
+    xs = grid[_abs_classes(grid)[0]]
     rows = _rows([float(v) for v in al_src], [float(v) for v in ga_src], xs, n_max + 1, 1.0)
     if sigma_src is not None:
         rows = _scaled(rows, [float(v) for v in sigma_src])
@@ -234,7 +240,7 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
         for n, m, x, scale in zip(range(1, n_max + 1), mins, args, scales))
     return TuranReport(
         n_range=(1, n_max),
-        grid=GridInfo("uniform+chebyshev", int(xs.size)),
+        grid=GridInfo("uniform+chebyshev", int(grid.size)),
         per_n=entries,
         tolerance=tolerance,
         sigma_log_concave=sigma_log_concave,

@@ -1,6 +1,8 @@
 import functools
 import math
 import tracemalloc
+import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import numpy as np
@@ -25,6 +27,9 @@ from turandet import (
     pollaczek,
     table_family,
 )
+from turandet.arith import decimal_context
+from turandet.density import _last_dets
+from turandet.recurrence import _MIN_BLOCKS, _block_size, _dets, _linear_offdiag, _rows
 
 
 def test_constant_half_offdiagonals_give_one():
@@ -193,8 +198,7 @@ def test_last_change_shrinks_over_doublings():
 
 def test_warns_when_offdiagonals_far_from_half():
     # constant a_n = 0.3: limit formula inapplicable, estimate still returned
-    rows = 14
-    fam = table_family([0] + [0.3] * (rows - 1), [0.3] * rows)
+    fam = _unconverged(14)
     with pytest.warns(UserWarning, match="far from 1/2"):
         est = estimate_density(fam, N=10, xs=np.array([0.0]))
     assert not est.offdiag_converged
@@ -208,6 +212,8 @@ def test_estimate_validation():
         estimate_density(legendre(), N=100, xs=np.array([0.0, 1.0]))
     with pytest.raises(ParamError):
         estimate_density(legendre(), N=100, xs=np.array([]))
+    with pytest.raises(ParamError, match=r"strictly inside \(-1, 1\)"):
+        estimate_density(legendre(), N=100, xs=[0.1, math.nan, -0.1])
 
 
 def test_report_formats():
@@ -224,11 +230,7 @@ def test_report_formats():
 
 def test_invalid_points_get_nan_density():
     # an off-diagonal spike forces Delta_N <= 0 somewhere: flag, don't raise
-    rows = 14
-    alphas = [0] + [0.45] * (rows - 1)
-    gammas = [0.45] * rows
-    alphas[7] = 2.4  # a_7 jumps above 1
-    fam = table_family(alphas, gammas)
+    fam = _spiked(14)
     with pytest.warns(UserWarning):
         est = estimate_density(fam, N=12, xs=np.linspace(-0.8, 0.8, 17))
     if not est.all_valid:
@@ -236,3 +238,170 @@ def test_invalid_points_get_nan_density():
         for i in bad:
             assert math.isnan(est.density[i])
             assert est.f_values[i] <= 0
+
+
+def _unconverged(rows):
+    """Constant off-diagonals a_n = 0.3, far from 1/2."""
+    return table_family([0] + [0.3] * (rows - 1), [0.3] * rows)
+
+
+def _spiked(rows):
+    """Off-diagonals 0.45 but for a spike at alpha_7, which jumps above 1."""
+    alphas = [0] + [0.45] * (rows - 1)
+    alphas[7] = 2.4
+    return table_family(alphas, [0.45] * rows)
+
+
+def _dipped(N):
+    """Orthonormal off-diagonals a_k = 0.45 for k <= N and a_{N+1} = 0.1:
+    the rows stay bounded on (-0.9, 0.9), and Delta_N changes sign there."""
+    a = [0.45] * N + [0.1]
+    return table_family([0, *a], [*a, 0.1])
+
+
+def _forward_dets(a, xs, N):
+    """(Delta_{N-1}, Delta_N) from the forward rows of ``_rows``, every step
+    one after the other: the sweep that the block jump replaces."""
+    a = [float(v) for v in a[:N + 1]]
+    dets = dict(_dets(_rows([0.0, *a], a, xs, N + 1, 1.0), {N - 1, N}))
+    return dets[N - 1], dets[N]
+
+
+# (family builder of N, grid, whether Delta_N may change sign on the grid)
+JUMP_CASES = {
+    "Legendre": (lambda N: legendre(), default_density_grid(), False),
+    "Pollaczek(2,1)": (lambda N: pollaczek(2, 1), default_density_grid(), False),
+    # the rows of a_n = 0.3 grow exponentially for |x| > 0.6
+    "unconverged": (lambda N: _unconverged(N + 2), np.linspace(-0.55, 0.55, 23), False),
+    "spiked": (lambda N: _spiked(N + 2), np.linspace(-0.8, 0.8, 17), False),
+    "dipped": (_dipped, np.linspace(-0.85, 0.85, 35), True),
+}
+
+
+def _check_jump(case, N):
+    """The jump's Delta_{N-1} and Delta_N, and estimate_density's f_N and
+    valid flags, against the forward sweep: within 1e-10 of each value, or
+    of the row's largest |Delta_N| where Delta_N changes sign."""
+    build, xs, signed = JUMP_CASES[case]
+    fam = build(N)
+    a = np.array(orthonormal_offdiag(fam, N + 1))
+    ref = _forward_dets(a, xs, N)
+    for got, want in zip(_last_dets(a, xs, N), ref):
+        scale = np.abs(want).max() if signed else np.abs(want)
+        assert np.all(np.abs(got - want) <= 1e-10 * scale), (case, N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        est = estimate_density(fam, N, xs)
+    scale = np.abs(ref[1]).max() if signed else np.abs(ref[1])
+    assert np.all(np.abs(np.array(est.f_values) - ref[1]) <= 1e-10 * scale), (case, N)
+    assert est.valid == tuple(bool(v) for v in ref[1] > 0), (case, N)
+
+
+def _boundary_ns():
+    """N whose last jumped row N - 1 lies K - 1, 0, 1 and 2 rows past a block
+    boundary, near three sizes, and the least N that takes _MIN_BLOCKS
+    blocks with the N before it."""
+    ns = set()
+    for n0 in (300, 1000, 2500):
+        for r in (-1, 0, 1, 2):
+            ns.add(next(n for n in range(n0, 2 * n0)
+                        if (n - 1) % _block_size(n - 1) == r % _block_size(n - 1)))
+    least = next(n for n in range(10, 1000) if (n - 1) // _block_size(n - 1) >= _MIN_BLOCKS)
+    return sorted(ns | {least - 1, least})
+
+
+@pytest.mark.parametrize("case", sorted(JUMP_CASES))
+def test_block_jump_agrees_with_the_forward_sweep_at_block_boundaries(case):
+    for N in _boundary_ns():
+        _check_jump(case, N)
+
+
+@settings(max_examples=20, deadline=None)
+@given(N=st.integers(min_value=10, max_value=3000))
+def test_block_jump_agrees_with_the_forward_sweep(N):
+    for case in JUMP_CASES:
+        _check_jump(case, N)
+
+
+def _decimal_dets(a, x, N, digits):
+    """(Delta_{N-1}, Delta_N) at x, swept in ``digits``-digit decimal on the
+    exact values of the doubles a."""
+    with localcontext(decimal_context(digits)):
+        ga = [Decimal(v) for v in a[:N + 1]]
+        dets = dict(_dets(_rows([Decimal(0), *ga], ga, Decimal(x), N + 1, Decimal(1)),
+                          {N - 1, N}))
+    return dets[N - 1], dets[N]
+
+
+@pytest.mark.parametrize("fam", [legendre(), pollaczek(2, 1)], ids=lambda f: f.name)
+def test_density_at_full_size_matches_a_40_digit_sweep(fam):
+    """At N = 10^5 the block jump keeps Delta_{N-1} and Delta_N within 5e-12
+    of a 40-digit sweep of the same off-diagonals (1.3e-12 measured)."""
+    N, xs = 100_000, [-0.99, -0.5, 0.1, 0.73, 0.99]
+    a = orthonormal_offdiag(fam, N + 1)
+    got = _last_dets(np.array(a), np.array(xs), N)
+    for i, x in enumerate(xs):
+        for value, exact in zip((got[0][i], got[1][i]), _decimal_dets(a, x, N, 40)):
+            assert abs(Decimal(value) - exact) <= Decimal("5e-12") * abs(exact), x
+
+
+@pytest.mark.parametrize("N", [100, 2000])
+def test_a_grid_and_its_mirror_give_the_same_bits(N):
+    """Delta_N is even in x bit for bit: a grid, its mirror and each of its
+    points alone give the same estimate, though one abscissa per |x| is
+    swept."""
+    fam = pollaczek(F(3, 2), 1)
+    xs = np.concatenate([default_density_grid(), [0.3, -0.3, 0.0, -0.0, 0.3]])
+    est = estimate_density(fam, N, xs)
+    mirror = estimate_density(fam, N, -xs)
+    assert mirror.xs == tuple(-xs)
+    for field in ("f_values", "density", "last_change", "valid"):
+        assert getattr(mirror, field) == getattr(est, field), field
+    for i in (0, 37, 98, 99, 150, 198, 199, 200, 201, 202, 203):
+        alone = estimate_density(fam, N, xs[i:i + 1])
+        assert (alone.f_values[0], alone.last_change[0]) == (est.f_values[i], est.last_change[i])
+
+
+def _pairs_only(fam):
+    """``fam`` with callables that carry ``pair`` but no ``linear`` form."""
+    def strip(coeff):
+        def at(n):
+            return coeff(n)
+        at.pair = coeff.pair
+        return at
+    return CoefficientFamily(name=fam.name, alpha=strip(fam.alpha), gamma=strip(fam.gamma))
+
+
+def test_linear_form_equals_pair():
+    for fam in (chebyshev_u(), legendre(), gegenbauer(F(1, 3)), pollaczek(F(3, 2), 1),
+                example3(F(7, 5)), example4(3, F(1, 2))):
+        for coeff in (fam.alpha, fam.gamma):
+            a, b, c, d = coeff.linear
+            assert all(coeff.pair(n) == (a * n + b, c * n + d) for n in range(100_001)), fam.name
+
+
+def test_linear_offdiag_equals_the_per_index_path():
+    """Below 2^53 the int64 chunks give the doubles of the per-index pair
+    path bit for bit; a parameter whose products pass 2^53 takes that path."""
+    N = 100_000
+    for fam in (legendre(), gegenbauer(F(1, 3)), pollaczek(F(3, 2), 1), example4(3, F(1, 2))):
+        assert _linear_offdiag(fam.alpha.linear, fam.gamma.linear, N) is not None
+        assert orthonormal_offdiag(fam, N) == orthonormal_offdiag(_pairs_only(fam), N), fam.name
+    big = gegenbauer(F(1, 10**9))
+    assert _linear_offdiag(big.alpha.linear, big.gamma.linear, 3000) is None
+    expected = [math.sqrt(float(big.alpha(k) * big.gamma(k - 1))) for k in range(1, 3001)]
+    assert orthonormal_offdiag(big, 3000) == expected
+
+
+def test_linear_offdiag_rejects_a_nonpositive_product():
+    """The linear-form path names the index and the product, as the
+    per-index paths do."""
+    def alpha(n):
+        return F(*alpha.pair(n))
+    alpha.pair, alpha.linear = (lambda n: (0, n + 1)), (0, 0, 1, 1)
+    fam = CoefficientFamily(name="zero", alpha=alpha, gamma=chebyshev_u().gamma)
+    message = r"alpha_1\*gamma_0 must be positive \(got 0\)"
+    with pytest.raises(ParamError, match=message):
+        _linear_offdiag(alpha.linear, fam.gamma.linear, 5000)
+    with pytest.raises(ParamError, match=message):
+        orthonormal_offdiag(fam, 5000)

@@ -26,6 +26,7 @@ from turandet import (
     turan_det,
 )
 from turandet.arith import exact_value, to_decimal
+from turandet.recurrence import _abs_classes
 from turandet.turan import CONFIRM_GUARD_DIGITS
 
 
@@ -70,6 +71,29 @@ def test_scan_grid_shape():
     assert np.all(np.diff(xs) >= 0)
     with pytest.raises(ParamError):
         scan_grid(2)
+
+
+def test_abs_classes_pick_the_first_abscissa_of_each_abs_value():
+    xs = np.concatenate([scan_grid(101), [0.25, -0.25, 0.0, -0.0]])
+    first, cls = _abs_classes(xs)
+    assert np.all(np.diff(first) > 0)
+    assert np.array_equal(np.abs(xs[first[cls]]), np.abs(xs))
+    for i in range(xs.size):
+        assert first[cls[i]] == np.flatnonzero(np.abs(xs) == abs(xs[i]))[0]
+
+
+@pytest.mark.parametrize("scan", [
+    lambda: grid_scan(pollaczek(F(3, 2), 1), 400, grid_points=301),
+    lambda: grid_scan(example3(2), 300),
+    lambda: scaled_scan(legendre(), lambda n: 2 * n + 1, 200),
+    lambda: scaled_scan(legendre(), lambda n: F(1, 2 * n + 1), 200),
+])
+def test_scan_over_one_abscissa_per_abs_value_equals_the_full_grid(monkeypatch, scan):
+    """Sweeping every grid abscissa gives the same report: the same minima,
+    first argmins, scales, confirmations and verdicts."""
+    reduced = scan()
+    monkeypatch.setattr(turan, "_abs_classes", lambda xs: (np.arange(xs.size), None))
+    assert scan() == reduced
 
 
 def test_grid_scan_report_structure():
