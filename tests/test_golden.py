@@ -1,7 +1,8 @@
 """Golden outputs: check, lambda, ratios, scans, scaled scans, density,
 families, eval_polys, the --help text of turandet and of each subcommand and
 the stdout of every demo, byte for byte, and the SHA-256 digests of check,
-lambda and ratios at the benchmark's N = 3000 and of its scans at n_max = 5000.
+lambda and ratios at the benchmark's N = 3000, of its scans at n_max = 5000
+and of its density sweeps at N = 10^5.
 
 Each case renders one output as text and compares it with the file of the
 same name under tests/golden. Refresh the files only for an intended change
@@ -90,6 +91,13 @@ BENCHMARK_SIZE_RUNS = {
                           ("Pollaczek(3/2,1)",
                            '{"kind": "Pollaczek", "params": {"lambda": "3/2", "a": 1}}'))
        for fmt in ("json", "csv")},
+    # and its density sweeps, at N = 10^5
+    **{f"density {kind} json": ["density", "--family", spec, "--N", "100000"]
+       for kind, spec in (("Legendre", FAMILIES["legendre"]),
+                          ("Gegenbauer(3/2)",
+                           '{"kind": "Gegenbauer", "params": {"lambda": "3/2"}}'),
+                          ("Pollaczek(3/2,1)",
+                           '{"kind": "Pollaczek", "params": {"lambda": "3/2", "a": 1}}'))},
 }
 
 
