@@ -238,6 +238,15 @@ def test_invalid_points_get_nan_density():
         for i in bad:
             assert math.isnan(est.density[i])
             assert est.f_values[i] <= 0
+    # the spike leaves every point of that grid valid; a dip in the last
+    # off-diagonal does make some Delta_N negative, past the block boundary
+    with pytest.warns(UserWarning):
+        est = estimate_density(_dipped(400), N=400, xs=np.linspace(-0.85, 0.85, 35))
+    bad = [i for i, v in enumerate(est.valid) if not v]
+    assert bad and len(bad) < len(est.valid)
+    for i in bad:
+        assert math.isnan(est.density[i])
+        assert est.f_values[i] <= 0
 
 
 def _unconverged(rows):
@@ -283,37 +292,55 @@ def _check_jump(case, N):
     valid flags, against the forward sweep: within 1e-10 of each value, or
     of the row's largest |Delta_N| where Delta_N changes sign."""
     build, xs, signed = JUMP_CASES[case]
+
+    def close(got, want):
+        scale = np.abs(want).max() if signed else np.abs(want)
+        return np.all(np.abs(np.asarray(got) - want) <= 1e-10 * scale)
+
     fam = build(N)
     a = np.array(orthonormal_offdiag(fam, N + 1))
     ref = _forward_dets(a, xs, N)
     for got, want in zip(_last_dets(a, xs, N), ref):
-        scale = np.abs(want).max() if signed else np.abs(want)
-        assert np.all(np.abs(got - want) <= 1e-10 * scale), (case, N)
+        assert close(got, want), (case, N)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         est = estimate_density(fam, N, xs)
-    scale = np.abs(ref[1]).max() if signed else np.abs(ref[1])
-    assert np.all(np.abs(np.array(est.f_values) - ref[1]) <= 1e-10 * scale), (case, N)
+    assert close(est.f_values, ref[1]), (case, N)
     assert est.valid == tuple(bool(v) for v in ref[1] > 0), (case, N)
+
+
+# the least N whose jump takes _MIN_BLOCKS blocks (253)
+LEAST_JUMPED_N = next(n for n in range(10, 1000)
+                      if (n - 1) // _block_size(n - 1) >= _MIN_BLOCKS)
 
 
 def _boundary_ns():
     """N whose last jumped row N - 1 lies K - 1, 0, 1 and 2 rows past a block
     boundary, near three sizes, and the least N that takes _MIN_BLOCKS
     blocks with the N before it."""
-    ns = set()
+    ns = {LEAST_JUMPED_N - 1, LEAST_JUMPED_N}
     for n0 in (300, 1000, 2500):
         for r in (-1, 0, 1, 2):
             ns.add(next(n for n in range(n0, 2 * n0)
                         if (n - 1) % _block_size(n - 1) == r % _block_size(n - 1)))
-    least = next(n for n in range(10, 1000) if (n - 1) // _block_size(n - 1) >= _MIN_BLOCKS)
-    return sorted(ns | {least - 1, least})
+    return sorted(ns)
 
 
 @pytest.mark.parametrize("case", sorted(JUMP_CASES))
 def test_block_jump_agrees_with_the_forward_sweep_at_block_boundaries(case):
     for N in _boundary_ns():
         _check_jump(case, N)
+
+
+@pytest.mark.parametrize("case", sorted(JUMP_CASES))
+def test_below_the_least_blocks_the_sweep_is_the_forward_one(case):
+    """With fewer than _MIN_BLOCKS blocks nothing is jumped, and the rows
+    are the forward rows bit for bit."""
+    build, xs, _ = JUMP_CASES[case]
+    for N in (10, LEAST_JUMPED_N - 1):
+        a = np.array(orthonormal_offdiag(build(N), N + 1))
+        for got, want in zip(_last_dets(a, xs, N), _forward_dets(a, xs, N)):
+            assert np.array_equal(got, want), (case, N)
 
 
 @settings(max_examples=20, deadline=None)
