@@ -335,7 +335,7 @@ def _abs_classes(xs):
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return first[order], rank[inverse.ravel()]
+    return first[order], rank[inverse]
 
 
 def _dets(rows, degrees=None, first=1):
