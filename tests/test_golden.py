@@ -2,7 +2,8 @@
 families, eval_polys, the --help text of turandet and of each subcommand and
 the stdout of every demo, byte for byte, and the SHA-256 digests of check,
 lambda and ratios at the benchmark's N = 3000, of its scans at n_max = 5000
-and of its density sweeps at N = 10^5.
+and of its density sweeps at N = 10^5, with three more density sweeps at
+N = 10^5 whose off-diagonals are not read from int64 chunks.
 
 Each case renders one output as text and compares it with the file of the
 same name under tests/golden. Refresh the files only for an intended change
@@ -98,6 +99,15 @@ BENCHMARK_SIZE_RUNS = {
                            '{"kind": "Gegenbauer", "params": {"lambda": "3/2"}}'),
                           ("Pollaczek(3/2,1)",
                            '{"kind": "Pollaczek", "params": {"lambda": "3/2", "a": 1}}'))},
+    # density sweeps at N = 10^5 off the int64 chunks of the linear forms:
+    # Gegenbauer(1/10^9), whose products pass 2^53, ChebyshevT, which has no
+    # integer form, and the float view of Legendre
+    **{f"density {kind} json": ["density", "--family", spec, "--N", "100000", *extra]
+       for kind, spec, extra in (
+           ("Gegenbauer(1/10^9)",
+            '{"kind": "Gegenbauer", "params": {"lambda": "1/1000000000"}}', ()),
+           ("ChebyshevT", '{"kind": "ChebyshevT"}', ()),
+           ("Legendre float", FAMILIES["legendre"], ("--mode", "float")))},
 }
 
 
