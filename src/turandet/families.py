@@ -131,20 +131,22 @@ def _halved(c, d):
 
     ``c >= 0`` and ``d > 0`` are ints or Fractions; each coefficient costs one
     gcd instead of the several normalized Fractions of the closed form. The
-    callable carries its integer form as ``pair``: n -> (num, den), unreduced,
-    with den > 0, and the same form as ``linear``: (v*q, u*q, 2*v*q, 2*v*p)
-    for pair(n) == (v*q*n + u*q, 2*v*q*n + 2*v*p) (see CoefficientFamily).
+    callable carries its integer form as ``linear`` = (a1, a0, b1, b0) =
+    (v*q, u*q, 2*v*q, 2*v*p) for c = u/v and d = p/q, and as ``pair``:
+    n -> (a1*n + a0, b1*n + b0), unreduced, with b1*n + b0 > 0 (see
+    CoefficientFamily).
     """
     u, v, p, q = c.numerator, c.denominator, d.numerator, d.denominator
+    a1, a0, b1, b0 = linear = v * q, u * q, 2 * v * q, 2 * v * p
 
     def pair(n: int):
-        return (n * v + u) * q, 2 * v * (n * q + p)
+        return a1 * n + a0, b1 * n + b0
 
     def at(n: int):
         return Fraction(*pair(n))
 
     at.pair = pair
-    at.linear = (v * q, u * q, 2 * v * q, 2 * v * p)
+    at.linear = linear
     return at
 
 
@@ -198,8 +200,8 @@ def pollaczek(lam, a) -> CoefficientFamily:
                            Fraction(_q, 2 * (n * _q + _p)), limit=0),
         )
     else:
-        meta["unchecked"] = ("a >= lambda branch: covered by a prior criterion "
-                             "not implemented here")
+        meta["unchecked"] = ("a >= lambda branch: gamma_n does not strictly decrease, "
+                             "so Theorem1 and Corollary1 do not apply; see SzwTheorem1")
     return CoefficientFamily(
         name="Pollaczek",
         alpha=_halved(0, s),

@@ -61,12 +61,13 @@ class CoefficientFamily:
 
     An exact callable may carry its integer form as an attribute ``pair``:
     n -> (num, den), two ints with den > 0 and num/den equal to its value at
-    n, not necessarily reduced. ``orthonormal_offdiag`` reads the pairs when
-    both callables carry one and builds no Fraction. A callable with a pair
-    may also carry ``linear = (a, b, c, d)``, four ints >= 0 with pair(n) ==
-    (a*n + b, c*n + d), which ``orthonormal_offdiag`` reads in place of the
-    pairs. ``functools.wraps`` copies the attributes, so a wrapper of such a
-    callable keeps them.
+    n, not necessarily reduced. The step table and the exact ratio pass read
+    it (``_coprime_reader``) and build no Fraction. An exact callable may
+    also carry ``linear = (a, b, c, d)``, four ints >= 0 with value
+    (a*n + b)/(c*n + d) at n, which ``orthonormal_offdiag`` reads when both
+    callables carry one, with or without a ``pair``; a callable that carries
+    both has pair(n) == (a*n + b, c*n + d). ``functools.wraps`` copies the
+    attributes, so a wrapper of such a callable keeps them.
     """
 
     name: str
@@ -360,13 +361,15 @@ def eval_polys(family, n_max: int, x, dps: int | None = None,
     """Evaluate p_0(x)..p_{n_max}(x) by the forward recurrence.
 
     Arithmetic mode: exact Fractions when the family is exact and x is an
-    int/Fraction; Decimals at ``dps`` significant digits when given
-    (``arith.decimal_context``); doubles otherwise. Exact runs that blow past
-    ``digit_cap`` decimal digits per value fall back to EXTENDED_DPS-digit
-    Decimals for the remaining indices.
+    int/Fraction; Decimals at ``dps`` significant digits, an int >= 1, when
+    given (``arith.decimal_context``); doubles otherwise. Exact runs that
+    blow past ``digit_cap`` decimal digits per value fall back to
+    EXTENDED_DPS-digit Decimals for the remaining indices.
     """
     if n_max < 0:
         raise ParamError("n_max must be >= 0")
+    if dps is not None and (isinstance(dps, bool) or not isinstance(dps, int) or dps < 1):
+        raise ParamError(f"dps must be an int >= 1 (got {dps!r})")
     al, ga = coefficients(family, max(n_max - 1, 0))
     if dps is not None:
         conv, scope = to_decimal, localcontext(decimal_context(dps))
@@ -571,8 +574,6 @@ class ScalingSequence:
 
 
 def _sigma_callable(sigma) -> Callable[[int], Num]:
-    if isinstance(sigma, ScalingSequence):
-        return sigma
     if callable(sigma):
         return sigma
     return ScalingSequence.from_values(sigma)
@@ -601,7 +602,7 @@ def _linear_offdiag(a_lin, g_lin, N: int):
 
     Below 2^53 the int64 products of each chunk are exact, and so are their
     doubles; float64 division and np.sqrt round correctly, so every a_k is
-    the double math.sqrt(num/den) of the per-index path.
+    the double math.sqrt(alpha_k*gamma_{k-1}) of the per-index loop.
     """
     (a1, a0, b1, b0), (c1, c0, d1, d0) = a_lin, g_lin
     ends = (a1 * N + a0, c1 * (N - 1) + c0), (b1 * N + b0, d1 * (N - 1) + d0)
@@ -626,42 +627,25 @@ def orthonormal_offdiag(family, N: int) -> list[float]:
 
     An exact family whose callables both carry a ``linear`` form (see
     CoefficientFamily) is computed from it over int64 chunks while its
-    products stay below 2^53; one whose callables both carry an integer
-    form ``pair`` is read through it, one index at a time, and any other
-    family through its values. An exact family gives the same doubles on
-    every path.
+    products stay below 2^53; any other family from the product of its
+    values, one index at a time. An exact family gives the same doubles on
+    both paths: math.sqrt reads a Fraction through Fraction.__float__, the
+    correctly rounded int/int division.
     """
     if N < 1:
         raise ParamError("N must be >= 1")
-    alpha, gamma, out = family.alpha, family.gamma, []
-    a_pair, g_pair = getattr(alpha, "pair", None), getattr(gamma, "pair", None)
-    if family.exact and a_pair is not None and g_pair is not None:
-        a_lin, g_lin = getattr(alpha, "linear", None), getattr(gamma, "linear", None)
-        if a_lin is not None and g_lin is not None:
-            linear = _linear_offdiag(a_lin, g_lin, N)
-            if linear is not None:
-                return linear
-        for k in range(1, N + 1):
-            (na, da), (ng, dg) = a_pair(k), g_pair(k - 1)
-            num, den = na * ng, da * dg
-            if not num > 0:
-                raise ParamError(f"alpha_{k}*gamma_{k - 1} must be positive "
-                                 f"(got {Fraction(num, den)})")
-            # int/int true division rounds the exact product correctly
-            out.append(math.sqrt(num / den))
-        return out
+    alpha, gamma = family.alpha, family.gamma
+    a_lin, g_lin = getattr(alpha, "linear", None), getattr(gamma, "linear", None)
+    if family.exact and a_lin is not None and g_lin is not None:
+        linear = _linear_offdiag(a_lin, g_lin, N)
+        if linear is not None:
+            return linear
+    out = []
     for k in range(1, N + 1):
-        a, g = alpha(k), gamma(k - 1)
-        if isinstance(a, (int, Fraction)) and isinstance(g, (int, Fraction)):
-            # the float of the exact product without building its Fraction:
-            # int/int true division rounds correctly, as Fraction.__float__ does
-            num = a.numerator * g.numerator
-            value = num / (a.denominator * g.denominator)
-        else:
-            num = value = a * g
-        if not num > 0:
-            raise ParamError(f"alpha_{k}*gamma_{k - 1} must be positive (got {a * g})")
-        out.append(math.sqrt(value))
+        v = alpha(k) * gamma(k - 1)
+        if not v > 0:
+            raise ParamError(f"alpha_{k}*gamma_{k - 1} must be positive (got {v})")
+        out.append(math.sqrt(v))
     return out
 
 

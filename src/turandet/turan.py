@@ -13,7 +13,7 @@ against the tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -116,7 +116,6 @@ class TuranReport:
     per_n: tuple[TuranEntry, ...]
     tolerance: float
     sigma_log_concave: bool | None = None
-    notes: dict = field(default_factory=dict)
 
     @property
     def all_nonnegative(self) -> bool:
@@ -142,8 +141,6 @@ class TuranReport:
         }
         if self.sigma_log_concave is not None:
             out["sigma_log_concave"] = self.sigma_log_concave
-        if self.notes:
-            out["notes"] = dict(self.notes)
         return out
 
     def csv_rows(self):

@@ -278,6 +278,7 @@ def test_pollaczek_unchecked_note_surfaces(capsys):
           "--N", "30", "--reproducible"])
     payload = _json_out(capsys)
     assert "unchecked" in payload.get("notes", {})
+    assert "SzwTheorem1" in payload["notes"]["unchecked"]
 
 
 def test_certified_agrees_with_the_reports(capsys):

@@ -59,7 +59,8 @@ def test_legendre_limit_at_zero():
 
 
 def test_offdiag_is_the_float_of_the_exact_product():
-    """Exact coefficients skip the product Fraction, bit for bit; others keep it."""
+    """Every family gives the float of the exact product, bit for bit: a
+    builtin from its linear form, any other from the product of its values."""
     N = 3000
     exact = example4(F(7, 11), F(5, 7))
     al, ga = coefficients(exact, N)
@@ -123,8 +124,8 @@ def test_offdiag_per_index_families_keep_their_values():
 
 
 def test_offdiag_integer_form_rejects_a_nonpositive_product():
-    """The integer-form path names the index and the reduced product, as the
-    per-index path does."""
+    """A family whose callables carry only ``pair`` takes the per-index loop,
+    which names the index and the reduced product."""
     def alpha(n):
         return F(*alpha.pair(n))
     alpha.pair = lambda n: (0, 1) if n == 0 else (-2, 6)
@@ -146,8 +147,8 @@ def _traced_peak(fn):
 
 
 def test_offdiag_and_density_memory_stay_flat():
-    """The integer forms are streamed one index at a time: no list of
-    coefficients, pairs or products is built beside the output."""
+    """The linear forms are read in int64 chunks: no list of coefficients,
+    pairs or products is built beside the output."""
     fam = gegenbauer(F(1, 3))
     assert _traced_peak(lambda: orthonormal_offdiag(fam, 100_001)) <= 4.0e6
     assert _traced_peak(lambda: estimate_density(fam, 100_000)) <= 5.0e6
@@ -408,8 +409,8 @@ def test_linear_form_equals_pair():
 
 
 def test_linear_offdiag_equals_the_per_index_path():
-    """Below 2^53 the int64 chunks give the doubles of the per-index pair
-    path bit for bit; a parameter whose products pass 2^53 takes that path."""
+    """Below 2^53 the int64 chunks give the doubles of the per-index loop
+    bit for bit; a parameter whose products pass 2^53 takes that loop."""
     N = 100_000
     for fam in (legendre(), gegenbauer(F(1, 3)), pollaczek(F(3, 2), 1), example4(3, F(1, 2))):
         assert _linear_offdiag(fam.alpha.linear, fam.gamma.linear, N) is not None

@@ -32,6 +32,7 @@ from turandet import (
     ratios_at_one,
     scaled_polys,
     table_family,
+    turan_det,
 )
 from turandet import recurrence
 from turandet.arith import DEFAULT_DIGIT_CAP, EXTENDED_DPS, exact_value, exceeds_digit_cap
@@ -206,6 +207,14 @@ def test_eval_polys_decimal_path():
     assert isinstance(vals[20], Decimal)
     exact = eval_polys(fam, 20, F(1, 3))
     assert abs(F(vals[20]) - exact[20]) < F(1, 10**30)
+    # a dps that is not an int >= 1 is named, by its callers too
+    for bad in (0, -3, 2.5, "40", True):
+        message = rf"dps must be an int >= 1 \(got {bad!r}\)"
+        for call in (lambda: eval_polys(fam, 3, F(1, 3), dps=bad),
+                     lambda: turan_det(fam, 2, F(1, 3), dps=bad),
+                     lambda: scaled_polys(fam, lambda n: 1, 3, F(1, 3), dps=bad)):
+            with pytest.raises(ParamError, match=message):
+                call()
 
 
 def test_digit_cap_falls_back_to_decimal():
