@@ -6,7 +6,7 @@ measure's density is w(x) = 2*sqrt(1 - x^2)/(pi*f(x)). The estimator evaluates
 Delta_N at one large N and reports the last-step change as its convergence
 diagnostic — no extrapolation, no claimed rate.
 
-The sweep runs on the first abscissa of each value of |x| in the grid, since
+The sweep runs once for each value of |x| in the grid, since
 Delta_n(-x) == Delta_n(x) bit for bit. It jumps to row N in blocks of K steps
 (``recurrence._jump``, K about 4*sqrt(N)) that step together as one array,
 then steps the last rows one by one: O(sqrt(N)) numpy calls instead of four
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamError
-from .recurrence import _abs_classes, _dets, _jump, _rows, orthonormal_offdiag
+from .recurrence import _dets, _jump, _rows, orthonormal_offdiag
 
 __all__ = [
     "DensityEstimate",
@@ -42,22 +42,28 @@ DEFAULT_OFFDIAG_TOL = 0.01
 def orthonormal_turan(a, n: int, x: float) -> float:
     """Delta_n at x for the orthonormal recurrence x*p_k = a_{k+1}p_{k+1} + a_k p_{k-1}.
 
-    ``a`` lists a_1..a_m (so a[k-1] is a_k) and must reach a_{n+1}.
+    ``a`` lists a_1..a_m (so a[k-1] is a_k) and must reach a_{n+1}; x must
+    be finite.
     """
     if n < 1:
         raise ParamError("orthonormal_turan needs n >= 1")
     if len(a) < n + 1:
         raise ParamError(f"need off-diagonals up to a_{n + 1}, got {len(a)}")
+    if not math.isfinite(x):
+        raise ParamError(f"x must be a finite number (got {x!r})")
     return float(_last_dets(np.asarray(a, dtype=float), np.array([float(x)]), n)[1][0])
 
 
 def default_density_grid(points: int = DEFAULT_POINTS, edge: float = DEFAULT_EDGE) -> np.ndarray:
-    """Uniform grid on [-edge, edge]; stays clear of the +-1 blow-up."""
+    """Uniform grid on [-edge, edge], mirrored: the negative half of the mesh,
+    0.0 when ``points`` is odd, then that half negated, so xs == -xs[::-1]
+    exactly. It stays clear of the +-1 blow-up."""
     if points < 1:
         raise ParamError("grid needs at least one point")
     if not 0 < edge <= 1 - 1e-3:
         raise ParamError("edge must lie in (0, 0.999]")
-    return np.linspace(-edge, edge, points)
+    half = np.linspace(-edge, edge, points)[:points // 2]
+    return np.concatenate([half, [0.0] if points % 2 else [], -half[::-1]])
 
 
 def _last_dets(a, xs, N: int):
@@ -140,7 +146,7 @@ def estimate_density(family, N: int = DEFAULT_N, xs=None, *,
     if not np.all(np.abs(grid) < 1.0):  # a NaN fails it too
         raise ParamError("density grid must lie strictly inside (-1, 1)")
 
-    a = np.array(orthonormal_offdiag(family, N + 1))
+    a = orthonormal_offdiag(family, N + 1)
     gap = abs(float(a[N - 1]) - 0.5)  # a_N
     converged = gap < offdiag_tol
     if not converged:
@@ -149,9 +155,9 @@ def estimate_density(family, N: int = DEFAULT_N, xs=None, *,
             "the limit formula may not apply", stacklevel=2)
     bv = float(np.abs(np.diff(a[:N])).sum())
 
-    # one abscissa per |x|: Delta_n(-x) == Delta_n(x) bit for bit
-    first, cls = _abs_classes(grid)
-    d_before, d_at = (d[cls] for d in _last_dets(a, grid[first], N))
+    # one sweep per |x|: Delta_n(-x) == Delta_n(x) bit for bit
+    ax, cls = np.unique(np.abs(grid), return_inverse=True)
+    d_before, d_at = (d[cls] for d in _last_dets(a, ax, N))
     f = d_at
     valid = f > 0
     dens = np.full_like(f, math.nan)

@@ -28,6 +28,7 @@ from .arith import (
     exact_value,
     exceeds_digit_cap,
     is_exact,
+    is_finite,
     pair_digits,
     to_decimal,
 )
@@ -323,22 +324,6 @@ def _jump(al, ga, x, hi: int, start):
     return k + B * K, p_prev, p
 
 
-def _abs_classes(xs):
-    """(first, cls) for a float64 grid: ``first`` holds the index of the
-    first abscissa of each value of |x|, in grid order, and xs[i] falls in
-    the class of xs[first[cls[i]]].
-
-    The rows of ``_rows`` and ``_jump`` are odd or even in x bit for bit,
-    so Delta_n(-x) == Delta_n(x), and one abscissa per class gives every
-    value of a row of Delta_n.
-    """
-    _, first, inverse = np.unique(np.abs(xs), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[inverse]
-
-
 def _dets(rows, degrees=None, first=1):
     """(n, Delta_n) from the rows p_{first-1}, p_first, ...: every n >= first,
     or only ``degrees``.
@@ -362,7 +347,8 @@ def eval_polys(family, n_max: int, x, dps: int | None = None,
 
     Arithmetic mode: exact Fractions when the family is exact and x is an
     int/Fraction; Decimals at ``dps`` significant digits, an int >= 1, when
-    given (``arith.decimal_context``); doubles otherwise. Exact runs that
+    given (``arith.decimal_context``); doubles otherwise. x must be finite.
+    Exact runs that
     blow past ``digit_cap`` decimal digits per value fall back to
     EXTENDED_DPS-digit Decimals for the remaining indices.
     """
@@ -370,6 +356,8 @@ def eval_polys(family, n_max: int, x, dps: int | None = None,
         raise ParamError("n_max must be >= 0")
     if dps is not None and (isinstance(dps, bool) or not isinstance(dps, int) or dps < 1):
         raise ParamError(f"dps must be an int >= 1 (got {dps!r})")
+    if not is_finite(x):
+        raise ParamError(f"x must be a finite number (got {x!r})")
     al, ga = coefficients(family, max(n_max - 1, 0))
     if dps is not None:
         conv, scope = to_decimal, localcontext(decimal_context(dps))
@@ -608,7 +596,7 @@ def _linear_offdiag(a_lin, g_lin, N: int):
     ends = (a1 * N + a0, c1 * (N - 1) + c0), (b1 * N + b0, d1 * (N - 1) + d0)
     if min(*a_lin, *g_lin) < 0 or max(max(f, g, f * g) for f, g in ends) >= _EXACT_INT:
         return None
-    out: list[float] = []
+    out = np.empty(N)
     for lo in range(1, N + 1, _OFFDIAG_CHUNK):
         k = np.arange(lo, min(lo + _OFFDIAG_CHUNK, N + 1), dtype=np.int64)
         num = (a1 * k + a0) * (c1 * (k - 1) + c0)
@@ -618,12 +606,13 @@ def _linear_offdiag(a_lin, g_lin, N: int):
             i = bad[0]
             raise ParamError(f"alpha_{k[i]}*gamma_{k[i] - 1} must be positive "
                              f"(got {Fraction(int(num[i]), int(den[i]))})")
-        out += np.sqrt(num / den).tolist()
+        out[k - 1] = np.sqrt(num / den)
     return out
 
 
-def orthonormal_offdiag(family, N: int) -> list[float]:
-    """Jacobi-matrix off-diagonals a_k = sqrt(alpha_k*gamma_{k-1}), k = 1..N.
+def orthonormal_offdiag(family, N: int) -> np.ndarray:
+    """Jacobi-matrix off-diagonals a_k = sqrt(alpha_k*gamma_{k-1}), k = 1..N,
+    as a float64 array (out[k - 1] is a_k).
 
     An exact family whose callables both carry a ``linear`` form (see
     CoefficientFamily) is computed from it over int64 chunks while its
@@ -640,12 +629,12 @@ def orthonormal_offdiag(family, N: int) -> list[float]:
         linear = _linear_offdiag(a_lin, g_lin, N)
         if linear is not None:
             return linear
-    out = []
+    out = np.empty(N)
     for k in range(1, N + 1):
         v = alpha(k) * gamma(k - 1)
         if not v > 0:
             raise ParamError(f"alpha_{k}*gamma_{k - 1} must be positive (got {v})")
-        out.append(math.sqrt(v))
+        out[k - 1] = math.sqrt(v)
     return out
 
 

@@ -23,7 +23,6 @@ from .errors import ParamError
 from .recurrence import (
     NormalizedFamily,
     ScalingSequence,
-    _abs_classes,
     _dets,
     _materialize,
     _rows,
@@ -70,18 +69,19 @@ def turan_det(family, n: int, x, normalized: bool = True, dps: int | None = None
 
 
 def scan_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Sorted union of a uniform mesh and Chebyshev nodes on [-1, 1].
+    """Sorted union of a uniform mesh and Chebyshev nodes on [-1, 1], mirrored.
 
-    Both halves contain the endpoints, which are deliberately kept duplicated,
-    so the grid always holds exactly 2*points abscissas. The scan evaluates
-    the first abscissa of each value of |x| among them, since
-    Delta_n(-x) == Delta_n(x) bit for bit.
+    The positive half of both meshes is built once, and the negative half is
+    its negation, so xs == -xs[::-1] exactly; an odd ``points`` adds 0.0
+    twice. Both meshes contain the endpoints, which are deliberately kept
+    duplicated, so the grid always holds exactly 2*points abscissas.
     """
     if points < 3:
         raise ParamError("grid needs at least 3 points")
-    uniform = np.linspace(-1.0, 1.0, points)
-    cheb = np.cos(np.pi * np.arange(points) / (points - 1))
-    return np.sort(np.concatenate([uniform, cheb]))
+    half = np.sort(np.concatenate([
+        -np.linspace(-1.0, 1.0, points)[:points // 2],
+        np.cos(np.pi * np.arange(points // 2) / (points - 1))]))
+    return np.concatenate([-half[::-1], [0.0, 0.0] if points % 2 else [], half])
 
 
 @dataclass(frozen=True)
@@ -203,14 +203,17 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
     """Stream the float64 rows over the grid, keep min, argmin and max|Delta_n|
     per degree, confirm the near-zero minima in decimal arithmetic at
     confirm_dps digits, judge."""
-    if confirm_dps <= CONFIRM_GUARD_DIGITS:
-        raise ParamError(f"confirm_dps must exceed {CONFIRM_GUARD_DIGITS} guard digits")
+    if (isinstance(confirm_dps, bool) or not isinstance(confirm_dps, int)
+            or confirm_dps <= CONFIRM_GUARD_DIGITS):
+        raise ParamError(f"confirm_dps must be an int that exceeds {CONFIRM_GUARD_DIGITS} "
+                         f"guard digits (got {confirm_dps!r})")
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ParamError(f"tolerance must be finite and >= 0 (got {tolerance})")
     grid = scan_grid(grid_points)
-    # Delta_n is even in x bit for bit, so the first abscissa of each |x|,
-    # in grid order, gives the grid's minimum, its first argmin and scale_n
-    xs = grid[_abs_classes(grid)[0]]
+    # Delta_n is even in x bit for bit and the grid is mirrored, so its
+    # nonpositive half, in grid order, gives the grid's minimum, its first
+    # argmin and scale_n
+    xs = np.unique(grid[grid <= 0])
     rows = _rows([float(v) for v in al_src], [float(v) for v in ga_src], xs, n_max + 1, 1.0)
     if sigma_src is not None:
         rows = _scaled(rows, [float(v) for v in sigma_src])
@@ -260,7 +263,7 @@ def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
     is exact or extended precision, and up to tolerance*scale_n when one is
     a double; any other minimum is nonnegative when it is
     >= -tolerance*scale_n. tolerance must be finite and >= 0, and confirm_dps
-    must exceed CONFIRM_GUARD_DIGITS.
+    must be an int that exceeds CONFIRM_GUARD_DIGITS.
     """
     if n_max < 1:
         raise ParamError("grid_scan needs n_max >= 1")

@@ -137,6 +137,7 @@ def test_scan_grid_shape(points):
     assert xs[0] == -1.0 and xs[-1] == 1.0
     assert np.all(np.diff(xs) >= 0)
     assert np.all(np.abs(xs) <= 1.0)
+    assert np.array_equal(xs, -xs[::-1])
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction as F
 from unittest import mock
@@ -213,6 +214,14 @@ def test_eval_polys_decimal_path():
         for call in (lambda: eval_polys(fam, 3, F(1, 3), dps=bad),
                      lambda: turan_det(fam, 2, F(1, 3), dps=bad),
                      lambda: scaled_polys(fam, lambda n: 1, 3, F(1, 3), dps=bad)):
+            with pytest.raises(ParamError, match=message):
+                call()
+    # so is an abscissa that is not finite
+    for bad in (math.nan, math.inf, -math.inf, Decimal("NaN"), Decimal("-Infinity")):
+        message = rf"x must be a finite number \(got {re.escape(repr(bad))}\)"
+        for call in (lambda: eval_polys(fam, 3, bad),
+                     lambda: turan_det(fam, 2, bad),
+                     lambda: scaled_polys(fam, lambda n: 1, 3, bad, dps=30)):
             with pytest.raises(ParamError, match=message):
                 call()
 

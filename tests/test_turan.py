@@ -26,7 +26,6 @@ from turandet import (
     turan_det,
 )
 from turandet.arith import exact_value, to_decimal
-from turandet.recurrence import _abs_classes
 from turandet.turan import CONFIRM_GUARD_DIGITS
 
 
@@ -69,17 +68,9 @@ def test_scan_grid_shape():
     assert xs.size == 22  # uniform + Chebyshev abscissas, duplicates kept
     assert xs[0] == -1.0 and xs[-1] == 1.0
     assert np.all(np.diff(xs) >= 0)
+    assert np.array_equal(xs, -xs[::-1])
     with pytest.raises(ParamError):
         scan_grid(2)
-
-
-def test_abs_classes_pick_the_first_abscissa_of_each_abs_value():
-    xs = np.concatenate([scan_grid(101), [0.25, -0.25, 0.0, -0.0]])
-    first, cls = _abs_classes(xs)
-    assert np.all(np.diff(first) > 0)
-    assert np.array_equal(np.abs(xs[first[cls]]), np.abs(xs))
-    for i in range(xs.size):
-        assert first[cls[i]] == np.flatnonzero(np.abs(xs) == abs(xs[i]))[0]
 
 
 @pytest.mark.parametrize("scan", [
@@ -89,11 +80,38 @@ def test_abs_classes_pick_the_first_abscissa_of_each_abs_value():
     lambda: scaled_scan(legendre(), lambda n: F(1, 2 * n + 1), 200),
 ])
 def test_scan_over_one_abscissa_per_abs_value_equals_the_full_grid(monkeypatch, scan):
-    """Sweeping every grid abscissa gives the same report: the same minima,
-    first argmins, scales, confirmations and verdicts."""
-    reduced = scan()
-    monkeypatch.setattr(turan, "_abs_classes", lambda xs: (np.arange(xs.size), None))
-    assert scan() == reduced
+    """The scan sweeps the distinct nonpositive abscissas of its mirrored
+    grid. Sweeping every grid abscissa instead gives the same minima, first
+    argmins and scales, so the same confirmations and verdicts."""
+    build, rows, min_and_scale = turan.scan_grid, turan._rows, turan._min_and_scale
+    grids, scales = [], {"half": [], "full": []}
+
+    def recording_grid(points):
+        grids.append(build(points))
+        return grids[-1]
+
+    def recording_scale(key):
+        def record(D):
+            i, m, scale = min_and_scale(D)
+            scales[key].append(scale)
+            if key == "full":
+                # the swept index of the first argmin's abscissa; one past
+                # the nonpositive half has none, and the scan fails
+                grid = grids[-1]
+                i = int(np.searchsorted(np.unique(grid[grid <= 0]), grid[i]))
+            return i, m, scale
+        return record
+
+    monkeypatch.setattr(turan, "scan_grid", recording_grid)
+    monkeypatch.setattr(turan, "_min_and_scale", recording_scale("half"))
+    half = scan()
+    monkeypatch.setattr(turan, "_min_and_scale", recording_scale("full"))
+    # the float sweep over every abscissa of the grid; the confirmation's
+    # Decimal sweeps stay as they are
+    monkeypatch.setattr(turan, "_rows", lambda al, ga, x, *args: rows(
+        al, ga, grids[-1] if isinstance(x, np.ndarray) else x, *args))
+    assert scan() == half
+    assert len(scales["half"]) == half.n_range[1] and scales["full"] == scales["half"]
 
 
 def test_grid_scan_report_structure():
@@ -250,8 +268,10 @@ def test_double_coefficients_keep_the_tolerance_on_confirmed_minima(family, n_ma
 
 
 def test_scan_rejects_confirm_dps_within_guard_digits():
-    with pytest.raises(ParamError, match="confirm_dps"):
-        grid_scan(legendre(), 10, confirm_dps=10)
+    # too few digits, or not an int (bool included), is named
+    for bad in (10, 50.0, "50", True):
+        with pytest.raises(ParamError, match=rf"confirm_dps .*\(got {bad!r}\)"):
+            grid_scan(legendre(), 10, confirm_dps=bad)
     assert grid_scan(legendre(), 10, confirm_dps=11).all_nonnegative
 
 
