@@ -64,9 +64,7 @@ def is_exact(x) -> bool:
 
 def is_finite(x) -> bool:
     """Whether an int, Fraction, double or Decimal is finite."""
-    if isinstance(x, (int, Fraction)):
-        return True
-    return x.is_finite() if isinstance(x, Decimal) else math.isfinite(x)
+    return is_exact(x) or (x.is_finite() if isinstance(x, Decimal) else math.isfinite(x))
 
 
 def exact_value(x):

@@ -42,8 +42,7 @@ DEFAULT_OFFDIAG_TOL = 0.01
 def orthonormal_turan(a, n: int, x: float) -> float:
     """Delta_n at x for the orthonormal recurrence x*p_k = a_{k+1}p_{k+1} + a_k p_{k-1}.
 
-    ``a`` lists a_1..a_m (so a[k-1] is a_k) and must reach a_{n+1}; x must
-    be finite.
+    ``a`` lists a_1..a_m (so a[k-1] is a_k) and must reach a_{n+1}; x is finite.
     """
     if n < 1:
         raise ParamError("orthonormal_turan needs n >= 1")
@@ -55,9 +54,8 @@ def orthonormal_turan(a, n: int, x: float) -> float:
 
 
 def default_density_grid(points: int = DEFAULT_POINTS, edge: float = DEFAULT_EDGE) -> np.ndarray:
-    """Uniform grid on [-edge, edge], mirrored: the negative half of the mesh,
-    0.0 when ``points`` is odd, then that half negated, so xs == -xs[::-1]
-    exactly. It stays clear of the +-1 blow-up."""
+    """Uniform grid on [-edge, edge], clear of the +-1 blow-up; its positive
+    half is the negation of its negative half, so xs == -xs[::-1] exactly."""
     if points < 1:
         raise ParamError("grid needs at least one point")
     if not 0 < edge <= 1 - 1e-3:
@@ -157,8 +155,7 @@ def estimate_density(family, N: int = DEFAULT_N, xs=None, *,
 
     # one sweep per |x|: Delta_n(-x) == Delta_n(x) bit for bit
     ax, cls = np.unique(np.abs(grid), return_inverse=True)
-    d_before, d_at = (d[cls] for d in _last_dets(a, ax, N))
-    f = d_at
+    d_before, f = (d[cls] for d in _last_dets(a, ax, N))
     valid = f > 0
     dens = np.full_like(f, math.nan)
     dens[valid] = 2.0 * np.sqrt(1.0 - grid[valid] ** 2) / (math.pi * f[valid])
@@ -168,7 +165,7 @@ def estimate_density(family, N: int = DEFAULT_N, xs=None, *,
         f_values=tuple(float(v) for v in f),
         density=tuple(float(v) for v in dens),
         valid=tuple(bool(v) for v in valid),
-        last_change=tuple(float(v) for v in np.abs(d_at - d_before)),
+        last_change=tuple(float(v) for v in np.abs(f - d_before)),
         N=N,
         offdiag_gap=gap,
         offdiag_converged=converged,

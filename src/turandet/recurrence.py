@@ -345,12 +345,11 @@ def eval_polys(family, n_max: int, x, dps: int | None = None,
                digit_cap: int = DEFAULT_DIGIT_CAP) -> list:
     """Evaluate p_0(x)..p_{n_max}(x) by the forward recurrence.
 
-    Arithmetic mode: exact Fractions when the family is exact and x is an
-    int/Fraction; Decimals at ``dps`` significant digits, an int >= 1, when
-    given (``arith.decimal_context``); doubles otherwise. x must be finite.
-    Exact runs that
-    blow past ``digit_cap`` decimal digits per value fall back to
-    EXTENDED_DPS-digit Decimals for the remaining indices.
+    Arithmetic mode: exact Fractions when the family is exact and x, which
+    must be finite, is an int/Fraction; Decimals at ``dps`` significant
+    digits, an int >= 1, when given (``arith.decimal_context``); doubles
+    otherwise. Exact runs that blow past ``digit_cap`` decimal digits per
+    value fall back to EXTENDED_DPS-digit Decimals for the remaining indices.
     """
     if n_max < 0:
         raise ParamError("n_max must be >= 0")
@@ -611,8 +610,7 @@ def _linear_offdiag(a_lin, g_lin, N: int):
 
 
 def orthonormal_offdiag(family, N: int) -> np.ndarray:
-    """Jacobi-matrix off-diagonals a_k = sqrt(alpha_k*gamma_{k-1}), k = 1..N,
-    as a float64 array (out[k - 1] is a_k).
+    """Jacobi-matrix off-diagonals a_k = sqrt(alpha_k*gamma_{k-1}), k = 1..N, in a float64 array.
 
     An exact family whose callables both carry a ``linear`` form (see
     CoefficientFamily) is computed from it over int64 chunks while its

@@ -71,10 +71,9 @@ def turan_det(family, n: int, x, normalized: bool = True, dps: int | None = None
 def scan_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     """Sorted union of a uniform mesh and Chebyshev nodes on [-1, 1], mirrored.
 
-    The positive half of both meshes is built once, and the negative half is
-    its negation, so xs == -xs[::-1] exactly; an odd ``points`` adds 0.0
-    twice. Both meshes contain the endpoints, which are deliberately kept
-    duplicated, so the grid always holds exactly 2*points abscissas.
+    The negative half is the negation of the positive one, so xs == -xs[::-1]
+    exactly; an odd ``points`` adds 0.0 twice. The endpoints are deliberately
+    kept duplicated, so the grid always holds exactly 2*points abscissas.
     """
     if points < 3:
         raise ParamError("grid needs at least 3 points")
@@ -210,9 +209,8 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ParamError(f"tolerance must be finite and >= 0 (got {tolerance})")
     grid = scan_grid(grid_points)
-    # Delta_n is even in x bit for bit and the grid is mirrored, so its
-    # nonpositive half, in grid order, gives the grid's minimum, its first
-    # argmin and scale_n
+    # Delta_n is even in x bit for bit and the grid mirrored, so its nonpositive
+    # half, in grid order, gives the grid's minimum, first argmin and scale_n
     xs = np.unique(grid[grid <= 0])
     rows = _rows([float(v) for v in al_src], [float(v) for v in ga_src], xs, n_max + 1, 1.0)
     if sigma_src is not None:
