@@ -62,18 +62,13 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-def is_finite(x) -> bool:
-    """Whether an int, Fraction, double or Decimal is finite."""
-    return is_exact(x) or (x.is_finite() if isinstance(x, Decimal) else math.isfinite(x))
-
-
 def exact_value(x):
     """The exact rational value of x: ints and Fractions as they are, a double
     or a Decimal as the Fraction of the value it holds (ParamError if not
     finite)."""
     if isinstance(x, (int, Fraction)):
         return x
-    if not is_finite(x):
+    if not (x.is_finite() if isinstance(x, Decimal) else math.isfinite(x)):
         raise ParamError(f"{x!r} is not a finite number")
     return Fraction(x)
 

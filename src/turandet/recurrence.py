@@ -28,7 +28,6 @@ from .arith import (
     exact_value,
     exceeds_digit_cap,
     is_exact,
-    is_finite,
     pair_digits,
     to_decimal,
 )
@@ -355,7 +354,7 @@ def eval_polys(family, n_max: int, x, dps: int | None = None,
         raise ParamError("n_max must be >= 0")
     if dps is not None and (isinstance(dps, bool) or not isinstance(dps, int) or dps < 1):
         raise ParamError(f"dps must be an int >= 1 (got {dps!r})")
-    if not is_finite(x):
+    if not (is_exact(x) or (x.is_finite() if isinstance(x, Decimal) else math.isfinite(x))):
         raise ParamError(f"x must be a finite number (got {x!r})")
     al, ga = coefficients(family, max(n_max - 1, 0))
     if dps is not None:
