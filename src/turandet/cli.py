@@ -1,6 +1,12 @@
 """Command-line front end: family builders, criterion checks, grid scans,
 ratio bounds, step-ratio data, and density estimation with JSON/CSV output.
 
+JSON reports are laid out as ``json.dumps(report, indent=2, sort_keys=True)``
+lays them out, ASCII escapes included, with exact values as "num/den"
+strings and non-finite floats as the strings "inf", "-inf" and "nan". They
+are written in pieces, never whole: the C encoder writes each row table in
+batches of rows (``_json_pieces``).
+
 Exit codes: 0 all verdicts Satisfied / all values nonnegative (Inconclusive
 does not fail), 1 some Violated verdict or negative value, 2 usage or data
 error.
@@ -12,9 +18,11 @@ import csv
 import functools
 import itertools
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .arith import format_number
 from .criteria import Verdict, lambda_data
@@ -79,33 +87,83 @@ def _json_default(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-# How the encoder spells a non-finite float, and the string that replaces it.
-_NON_FINITE = (("-Infinity", '"-inf"'), ("Infinity", '"inf"'), ("NaN", '"nan"'))
+# Rows of a row table per encoder call, so no piece of a report holds more.
+# The C encoder keeps each token of a call as its own string until it joins
+# them: 128 rows keep that near 0.2 MB, and wrote scan and ratios reports
+# no slower than batches of 256 or 1024 rows.
+_BATCH = 128
+_CONTAINERS = (dict, list, tuple)
 
 
-def _quote_non_finite(chunk: str) -> str:
-    """A piece of encoder output with its non-finite float, if any, quoted.
-
-    The encoder yields such a float as a bare token at the end of its piece,
-    where no other value can end in those letters."""
-    for token, text in _NON_FINITE:
-        if chunk.endswith(token):
-            return chunk[:-len(token)] + text
-    return chunk
+def _spell(value):
+    """A non-finite float as the string a report prints: "inf", "-inf" or
+    "nan"; any other value as it is."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if value != value else "inf" if value > 0 else "-inf"
+    return value
 
 
-def _json_chunks(payload: dict):
-    """The indented JSON text of ``payload`` in pieces of 4096 encoder chunks,
-    never whole: Fractions become "num/den" strings and non-finite floats the
-    strings "inf", "-inf" and "nan"."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True,
-                              default=_json_default).iterencode(payload)
-    while piece := list(itertools.islice(chunks, 4096)):
-        text = "".join(piece)
-        if "Infinity" in text or "NaN" in text:
-            text = "".join(map(_quote_non_finite, piece))
-        yield text
-    yield "\n"
+def _encode(value, separator: str = ", ") -> str:
+    """A scalar, or a list of flat rows, as JSON from the C encoder: sorted
+    keys, ``separator`` between items, Fractions as "num/den" strings and
+    non-finite floats spelled by ``_spell``."""
+    encoder = json.JSONEncoder(separators=(separator, ": "), sort_keys=True,
+                               allow_nan=False, default=_json_default)
+    try:
+        return encoder.encode(value)
+    except ValueError:  # a non-finite float, which allow_nan=False refuses
+        value = ([{k: _spell(v) for k, v in row.items()} for row in value]
+                 if isinstance(value, list) else _spell(value))
+        return encoder.encode(value)
+
+
+def _flat_rows(batch) -> bool:
+    """Whether each item of ``batch`` is a nonempty dict of scalars."""
+    if not all(issubclass(t, dict) for t in set(map(type, batch))) or not all(batch):
+        return False
+    values = itertools.chain.from_iterable(map(dict.values, batch))
+    return not any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+
+
+def _json_pieces(value, indent: str = ""):
+    """The JSON text of ``value``, indented by two spaces a level from
+    ``indent``, in pieces: what ``json.dumps(value, indent=2, sort_keys=True)``
+    writes, but with string keys only, Fractions as "num/den" strings and
+    non-finite floats as the strings "inf", "-inf" and "nan".
+
+    Dicts and lists are walked here; scalars and each batch of _BATCH rows of
+    a row table, a list of nonempty dicts of scalars, are written by the C
+    encoder. A batch is encoded with its rows' own item separator and its
+    row boundaries re-indented by one replace: the encoder escapes each
+    newline inside a string, and no row holds a dict, so "},\n" + indent +
+    "{" is only ever a boundary."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        head = "{\n" + inner
+        for key, item in sorted(value.items()):
+            yield head + encode_basestring_ascii(key) + ": "
+            yield from _json_pieces(item, inner)
+            head = ",\n" + inner
+        yield "\n" + indent + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        head = "[\n" + inner
+        key_indent = inner + "  "
+        boundary = "},\n" + key_indent + "{"
+        for start in range(0, len(value), _BATCH):
+            batch = list(value[start:start + _BATCH])
+            if _flat_rows(batch):
+                text = _encode(batch, ",\n" + key_indent)[2:-2].replace(
+                    boundary, "\n" + inner + "},\n" + inner + "{\n" + key_indent)
+                yield head + "{\n" + key_indent + text + "\n" + inner + "}"
+                head = ",\n" + inner
+            else:
+                for item in batch:
+                    yield head
+                    yield from _json_pieces(item, inner)
+                    head = ",\n" + inner
+        yield "\n" + indent + "]"
+    else:
+        yield _encode(value)
 
 
 def _family_echo(family):
@@ -126,7 +184,7 @@ def _emit(write, out: str | None) -> None:
 def _emit_json(payload: dict, ns) -> None:
     if not ns.reproducible:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    _emit(lambda fh: fh.writelines(_json_chunks(payload)), ns.output)
+    _emit(lambda fh: fh.writelines(itertools.chain(_json_pieces(payload), "\n")), ns.output)
 
 
 def _emit_csv(rows, ns) -> None:
