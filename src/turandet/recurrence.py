@@ -340,6 +340,12 @@ def _dets(rows, degrees=None, first=1):
         p_prev, p = p, p_next
 
 
+def _require_count(name: str, value) -> None:
+    """ParamError naming ``name`` unless ``value`` is an int >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ParamError(f"{name} must be an int >= 1 (got {value!r})")
+
+
 def eval_polys(family, n_max: int, x, dps: int | None = None,
                digit_cap: int = DEFAULT_DIGIT_CAP) -> list:
     """Evaluate p_0(x)..p_{n_max}(x) by the forward recurrence.
@@ -348,12 +354,14 @@ def eval_polys(family, n_max: int, x, dps: int | None = None,
     must be finite, is an int/Fraction; Decimals at ``dps`` significant
     digits, an int >= 1, when given (``arith.decimal_context``); doubles
     otherwise. Exact runs that blow past ``digit_cap`` decimal digits per
-    value fall back to EXTENDED_DPS-digit Decimals for the remaining indices.
+    value, an int >= 1, fall back to EXTENDED_DPS-digit Decimals for the
+    remaining indices.
     """
     if n_max < 0:
         raise ParamError("n_max must be >= 0")
-    if dps is not None and (isinstance(dps, bool) or not isinstance(dps, int) or dps < 1):
-        raise ParamError(f"dps must be an int >= 1 (got {dps!r})")
+    if dps is not None:
+        _require_count("dps", dps)
+    _require_count("digit_cap", digit_cap)
     if not (is_exact(x) or (x.is_finite() if isinstance(x, Decimal) else math.isfinite(x))):
         raise ParamError(f"x must be a finite number (got {x!r})")
     al, ga = coefficients(family, max(n_max - 1, 0))
@@ -439,12 +447,13 @@ def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSe
     then impossible past that index), and ParamError at a gamma_n = 0, which
     g_n would divide by. The ratios of an exact family are Fractions, for int
     coefficients too, formed on ints (``_exact_ratios``), until an exact g_n
-    past ``digit_cap`` digits switches the whole run to Decimals in the
-    EXTENDED context, and the result is flagged inexact. Any other family
-    runs in its own arithmetic.
+    past ``digit_cap`` digits, an int >= 1, switches the whole run to
+    Decimals in the EXTENDED context, and the result is flagged inexact. Any
+    other family runs in its own arithmetic.
     """
     if N < 1:
         raise ParamError("N must be >= 1")
+    _require_count("digit_cap", digit_cap)
     if family.exact:
         values, fallback = _exact_ratios(family, N, digit_cap)
         if not fallback:

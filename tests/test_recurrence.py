@@ -216,6 +216,15 @@ def test_eval_polys_decimal_path():
                      lambda: scaled_polys(fam, lambda n: 1, 3, F(1, 3), dps=bad)):
             with pytest.raises(ParamError, match=message):
                 call()
+    # and so is a digit_cap, which ratios_at_one takes too; a cap of 0 would
+    # round every value
+    for bad in (0, -3, 2.5, True):
+        message = rf"digit_cap must be an int >= 1 \(got {bad!r}\)"
+        for call in (lambda: eval_polys(fam, 3, F(1, 3), digit_cap=bad),
+                     lambda: ratios_at_one(example3(1), 3, digit_cap=bad)):
+            with pytest.raises(ParamError, match=message):
+                call()
+    assert not ratios_at_one(example3(1), 3, digit_cap=1).exact  # g_1 = 39/32 passes it
     # so is an abscissa that is not finite
     for bad in (math.nan, math.inf, -math.inf, Decimal("NaN"), Decimal("-Infinity")):
         message = rf"x must be a finite number \(got {re.escape(repr(bad))}\)"

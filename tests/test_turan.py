@@ -212,6 +212,12 @@ def test_scaled_scan_evaluates_each_sigma_once():
 def test_turan_det_requires_positive_degree():
     with pytest.raises(ParamError):
         turan_det(legendre(), 0, 0.5)
+    # and so do the scans, which take no bool for a degree
+    for bad in (0, True):
+        for call in (lambda: grid_scan(legendre(), bad),
+                     lambda: scaled_scan(legendre(), lambda n: 1, bad)):
+            with pytest.raises(ParamError, match=rf"n_max >= 1 \(got {bad!r}\)"):
+                call()
 
 
 def test_report_csv_and_json():
