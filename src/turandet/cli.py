@@ -1,8 +1,8 @@
 """Command-line front end: family builders, criterion checks, grid scans,
 ratio bounds, step-ratio data, and density estimation with JSON/CSV output.
 
-JSON reports are laid out as ``json.dumps(report, indent=2, sort_keys=True)``
-lays them out, ASCII escapes included, with exact values as "num/den"
+JSON reports have the layout of ``json.dumps(report, indent=2,
+sort_keys=True)``, ASCII escapes included, with exact values as "num/den"
 strings and non-finite floats as the strings "inf", "-inf" and "nan". They
 are written in pieces, never whole: the C encoder writes each row table in
 batches of rows (``_json_pieces``).
@@ -92,7 +92,6 @@ def _json_default(obj):
 # them: 128 rows keep that near 0.2 MB, and wrote scan and ratios reports
 # no slower than batches of 256 or 1024 rows.
 _BATCH = 128
-_CONTAINERS = (dict, list, tuple)
 
 
 def _spell(value):
@@ -122,7 +121,7 @@ def _flat_rows(batch) -> bool:
     if not all(issubclass(t, dict) for t in set(map(type, batch))) or not all(batch):
         return False
     values = itertools.chain.from_iterable(map(dict.values, batch))
-    return not any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+    return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values)))
 
 
 def _json_pieces(value, indent: str = ""):
