@@ -26,6 +26,15 @@ through these identities:
 Fractions are built only for what is printed or kept: a witness when its
 condition keeps it, and the values of lambda_data.
 
+SzwTheorem1 compares the normalized alpha_tilde_n = alpha_n/g_{n-1}, whose
+exact values grow past thousands of digits within a few thousand indices.
+It decides on bounds instead: one pass of 50-digit Decimals, rounded
+outward, carries each g_n and alpha_tilde_n as [lo, hi] from the step
+table's ints (``recurrence._ratio_bounds``). A comparison whose two bounds
+do not separate, and only that one, is decided on the exact values, which
+the uncapped exact ratio pass forms up to its index. So this decision too
+is the one that the exact values give.
+
 Witness convention: a witness is the pair (lhs, rhs) of the comparison the
 condition makes at that index, oriented so the condition holds iff lhs < rhs
 (strict conditions) or lhs <= rhs (non-strict ones). Satisfied conditions keep
@@ -34,13 +43,14 @@ the first comparison made as a representative witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .arith import Num, exact_value, format_number
 from .errors import InvalidLambda, ParamError, StructuralMismatch
-from .recurrence import _step_table, _table
+from .recurrence import NormalizedFamily, _ExactRatios, _le, _ratio_bounds, _step_table, _table
 
 __all__ = [
     "Verdict",
@@ -193,6 +203,7 @@ class _Cond:
 
 
 _HALF = Fraction(1, 2)
+_DECIMAL_HALF = Decimal("0.5")
 
 
 def _pair(x):
@@ -260,20 +271,36 @@ def check_theorem1(family, N: int) -> CriterionReport:
 def check_szw_normalized(nf, N: int) -> CriterionReport:
     """Criterion on normalized coefficients: alpha-tilde nondecreasing and <= 1/2.
 
-    Accepts a NormalizedFamily or any family that is already normalized at 1
-    (alpha + gamma = 1), whose plain alpha is then used.
+    A NormalizedFamily is decided from its ``base``, on bounds of
+    alpha_tilde_0..alpha_tilde_N that one pass of outward-rounded 50-digit
+    Decimals carries from g_0 (``recurrence._ratio_bounds``) over the exact
+    values of the base's coefficients. A comparison is decided where the two
+    bounds separate, and else on the exact values of the uncapped exact ratio
+    pass, formed only up to that index; so is a g_n whose lower bound is not
+    positive (NonpositiveRatio where g_n <= 0). Witnesses are exact, formed
+    for the comparisons that are kept. Any other family is read as already
+    normalized at 1 (alpha + gamma = 1), and its plain alpha is decided on
+    its exact values.
     """
     if N < 1:
         raise ParamError("check_szw_normalized needs N >= 1")
-    at = [exact_value(nf.alpha(n)) for n in range(N + 1)]
-    p, q = [x.numerator for x in at], [x.denominator for x in at]
+    if isinstance(nf, NormalizedFamily):
+        table = _step_table(nf.base, N - 1)
+        exact = _ExactRatios(table)
+        lo, hi, _, _ = _ratio_bounds(table, N, exact)
+        at, half = exact.alpha_tilde, _DECIMAL_HALF
+    else:
+        lo = hi = [exact_value(nf.alpha(n)) for n in range(N + 1)]
+        at, half = lo.__getitem__, _HALF
 
     mono = _Cond("alpha-tilde-nondecreasing")
     bound = _Cond("alpha-tilde-le-half")
     for n in range(N + 1):
         if n >= 1:
-            mono.record(n, p[n - 1] * q[n] <= p[n] * q[n - 1], (at[n - 1], at[n]))
-        bound.record(n, 2 * p[n] <= q[n], (at[n], _HALF))
+            mono.record(n, _le(lo[n - 1], hi[n - 1], lo[n], hi[n], lambda: at(n - 1) <= at(n)),
+                        lambda: (at(n - 1), at(n)))
+        bound.record(n, _le(lo[n], hi[n], half, half, lambda: at(n) <= _HALF),
+                     lambda: (at(n), _HALF))
     return CriterionReport.assemble(SZW_THEOREM1, N, (mono.done(), bound.done()))
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamError
-from .recurrence import _dets, _jump, _rows, orthonormal_offdiag
+from .recurrence import _dets, _jump, _require_count, _rows, orthonormal_offdiag
 
 __all__ = [
     "DensityEstimate",
@@ -134,8 +134,7 @@ def estimate_density(family, N: int = DEFAULT_N, xs=None, *,
     flagged unconverged); offdiag_tol must be finite and >= 0. Points where
     Delta_N <= 0 are flagged invalid and get NaN density.
     """
-    if N < 10:
-        raise ParamError("estimate_density needs N >= 10")
+    N = _require_count("N", N, 10)
     if not (math.isfinite(offdiag_tol) and offdiag_tol >= 0):
         raise ParamError(f"offdiag_tol must be finite and >= 0 (got {offdiag_tol})")
     grid = default_density_grid() if xs is None else np.asarray(xs, dtype=float)

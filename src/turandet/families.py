@@ -40,7 +40,7 @@ from .errors import (
     StructuralMismatch,
     TableRangeError,
 )
-from .recurrence import CoefficientFamily, _step_table, _table, normalize
+from .recurrence import CoefficientFamily, NormalizedFamily, _step_table, _table, ratios_at_one
 
 __all__ = [
     "FAMILY_KINDS",
@@ -477,10 +477,9 @@ def criterion_reports(family, N: int) -> list[CriterionReport]:
     if N < 2:
         raise ParamError("criterion_reports needs N >= 2")
     table = _step_table(family, N)
-    # SzwTheorem1 goes first, so that the ratios it normalizes by are freed
-    # before the step table builds its steps
     try:
-        szw = check_szw_normalized(normalize(table, N), N)
+        # the view's ratios are never read: SzwTheorem1 decides from the table
+        szw = check_szw_normalized(NormalizedFamily(table, lambda: ratios_at_one(table, N)), N)
     except NonpositiveRatio as exc:
         szw = _error_report(SZW_THEOREM1, N, exc)
     reports = [check_theorem1(table, N), szw, *_route_reports(table)]

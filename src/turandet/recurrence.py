@@ -12,8 +12,9 @@ import contextlib
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -22,6 +23,7 @@ import numpy as np
 from .arith import (
     DEFAULT_DIGIT_CAP,
     EXTENDED,
+    EXTENDED_DPS,
     Num,
     coprime_fraction,
     decimal_context,
@@ -121,13 +123,18 @@ def _coprime_reader(coeff) -> Callable[[int], tuple[int, int]]:
     """n -> (p, q): the exact value of coeff(n) as coprime ints with q > 0.
 
     A callable that carries its integer form ``pair`` is read through it,
-    with one gcd of two small ints and no Fraction; any other through
-    exact_value of its values."""
+    with one gcd of two small ints and no Fraction; any other through the
+    ``as_integer_ratio`` of its values (an int as (v, 1)), which is in lowest
+    terms for ints, Fractions, doubles and Decimals. A value that is not
+    finite is a ParamError."""
     pair = getattr(coeff, "pair", None)
     if pair is None:
         def read(n: int):
-            x = exact_value(coeff(n))
-            return x.numerator, x.denominator
+            v = coeff(n)
+            try:
+                return v.as_integer_ratio()
+            except (OverflowError, ValueError):  # inf; nan
+                raise ParamError(f"{v!r} is not a finite number") from None
     else:
         def read(n: int):
             p, q = pair(n)
@@ -233,9 +240,9 @@ class _StepTable:
 
 
 def _step_table(family, N: int) -> _StepTable:
-    """The step table of ``family`` for steps 0..N; a step table for exactly
+    """The step table of ``family`` for steps 0..N; a step table for at least
     those steps is returned as it is."""
-    if isinstance(family, _StepTable) and family.N == N:
+    if isinstance(family, _StepTable) and family.N >= N:
         return family
     return _StepTable(family, N)
 
@@ -340,10 +347,12 @@ def _dets(rows, degrees=None, first=1):
         p_prev, p = p, p_next
 
 
-def _require_count(name: str, value) -> None:
-    """ParamError naming ``name`` unless ``value`` is an int >= 1, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ParamError(f"{name} must be an int >= 1 (got {value!r})")
+def _require_count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int; ParamError naming ``name`` unless it is an
+    integer (numbers.Integral, such as numpy's, but not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ParamError(f"{name} must be an int >= {least} (got {value!r})")
+    return int(value)
 
 
 def eval_polys(family, n_max: int, x, dps: int | None = None,
@@ -357,8 +366,7 @@ def eval_polys(family, n_max: int, x, dps: int | None = None,
     value, an int >= 1, fall back to EXTENDED_DPS-digit Decimals for the
     remaining indices.
     """
-    if n_max < 0:
-        raise ParamError("n_max must be >= 0")
+    n_max = _require_count("n_max", n_max, 0)
     if dps is not None:
         _require_count("dps", dps)
     _require_count("digit_cap", digit_cap)
@@ -406,9 +414,9 @@ class RatioSequence:
             return math.prod(self.values[:n], start=Decimal(1) if fallback else 1.0)
 
 
-def _exact_ratios(family, N: int, digit_cap: int):
-    """The exact g_0.. of an exact family as Fractions, up to g_{N-1} or up to
-    the first g_n past ``digit_cap`` digits, and whether it stopped there.
+class _ExactRatios:
+    """The exact g_0, g_1, ... of an exact family as Fractions, formed in order
+    as far as they are asked for, with no digit cap, and kept in ``values``.
 
     g_{n-1} = P/Q is carried as coprime ints. With alpha_n = a/b and gamma_n =
     c/d coprime (``_coprime_reader``), alpha_tilde_n = alpha_n/g_{n-1} = A/B
@@ -416,28 +424,155 @@ def _exact_ratios(family, N: int, digit_cap: int):
     = (B - A)*d/(B*c) in lowest terms through gcd(B - A, c) and gcd(d, B):
     each gcd pairs a coefficient's small int with a big one. Each g_n becomes
     one Fraction, without the gcd of two big ints that Fraction(P, Q) runs.
+    alpha_0 is read as 0 and g_{-1} as 1, so g_0 = 1/gamma_0.
     """
-    alpha, gamma = _coprime_reader(family.alpha), _coprime_reader(family.gamma)
-    values = []
-    P, Q = 1, 1  # g_{-1}; with alpha_0 = 0 the step below gives g_0 = 1/gamma_0
-    for n in range(N):
-        (a, b), (c, d) = alpha(n) if n else (0, 1), gamma(n)
-        if c == 0:
-            raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
+
+    def __init__(self, family):
+        self._alpha, self._gamma = _coprime_reader(family.alpha), _coprime_reader(family.gamma)
+        self.values: list[Fraction] = []
+
+    def _tilde(self, n: int) -> tuple[int, int]:
+        """alpha_tilde_n as coprime (A, B), from g_{n-1} when it is formed."""
+        if not n:
+            return 0, 1
+        (a, b), g = self._alpha(n), self.values[n - 1]
+        P, Q = g.numerator, g.denominator
         g1, g2 = math.gcd(a, P), math.gcd(b, Q)
-        A, B = (a // g1) * (Q // g2), (b // g2) * (P // g1)
-        E = B - A
-        h1, h2 = math.gcd(E, c), math.gcd(d, B)
-        P, Q = (E // h1) * (d // h2), (B // h2) * (c // h1)
-        if Q < 0:
-            P, Q = -P, -Q
-        g = coprime_fraction(P, Q)
-        if not P > 0:
-            raise NonpositiveRatio(n, g)
-        values.append(g)
-        if pair_digits(P, Q) > digit_cap:
-            return values, True
-    return values, False
+        return (a // g1) * (Q // g2), (b // g2) * (P // g1)
+
+    def ratio(self, n: int) -> Fraction:
+        """g_n. Forming it raises NonpositiveRatio at the first g_m <= 0 and
+        ParamError at a gamma_m = 0, which g_m would divide by."""
+        values = self.values
+        for m in range(len(values), n + 1):
+            A, B = self._tilde(m)
+            c, d = self._gamma(m)
+            if c == 0:
+                raise ParamError(f"gamma_{m} must be nonzero: g_{m} divides by it")
+            E = B - A
+            h1, h2 = math.gcd(E, c), math.gcd(d, B)
+            P, Q = (E // h1) * (d // h2), (B // h2) * (c // h1)
+            if Q < 0:
+                P, Q = -P, -Q
+            g = coprime_fraction(P, Q)
+            if not P > 0:
+                raise NonpositiveRatio(m, g)
+            values.append(g)
+        return values[n]
+
+    def alpha_tilde(self, n: int) -> Fraction:
+        """alpha_tilde_n = alpha_n/g_{n-1}."""
+        if n:
+            self.ratio(n - 1)
+        return coprime_fraction(*self._tilde(n))
+
+    def up_to_cap(self, N: int, digit_cap: int) -> bool:
+        """Form g_0.. up to g_{N-1}, or up to the first g_n past ``digit_cap``
+        digits; whether it stopped there."""
+        for n in range(len(self.values), N):
+            g = self.ratio(n)
+            if pair_digits(g.numerator, g.denominator) > digit_cap:
+                return True
+        return False
+
+
+def _exact_ratios(family, N: int, digit_cap: int):
+    """The exact g_0.. of an exact family as Fractions (``_ExactRatios``), up
+    to g_{N-1} or up to the first g_n past ``digit_cap`` digits, and whether
+    it stopped there."""
+    exact = _ExactRatios(family)
+    fallback = exact.up_to_cap(N, digit_cap)
+    return exact.values, fallback
+
+
+# outward rounding of the ratio bounds, at EXTENDED_DPS digits
+_FLOOR, _CEILING = (Context(prec=EXTENDED_DPS, rounding=rounding, Emin=MIN_EMIN, Emax=MAX_EMAX)
+                    for rounding in (ROUND_FLOOR, ROUND_CEILING))
+_ONE = Decimal(1)
+
+
+def _ratio_bounds(table, N: int, exact: _ExactRatios, start: int = 0):
+    """Bounds on alpha_tilde_n for start <= n <= N and on g_n for start <= n < N,
+    as four lists of Decimals indexed from ``start``: a_lo, a_hi, g_lo, g_hi.
+
+    The pass reads the ints ap, aq, gp, gq of the step table ``table``
+    (indices 0..N) and builds no Fraction. It starts from g_{start-1}, 1 at
+    start 0 and else the exact value in ``exact.values``, and carries
+    alpha_tilde_n = a/(b*g_{n-1}) and g_n = (1 - alpha_tilde_n)*d/c, for
+    alpha_n = a/b and gamma_n = c/d, as [lo, hi]. Every lower bound is
+    rounded down (_FLOOR) and every upper bound up (_CEILING), and each
+    operand is the end of its bound that the signs of a and c call for, so
+    the exact values lie in their bounds for either sign of alpha_n and
+    gamma_n.
+
+    A gamma_n = 0 is the ParamError of ratios_at_one. Where the lower bound
+    of g_n is not positive, g_n is formed exactly by ``exact``, which raises
+    NonpositiveRatio where g_n <= 0, and the pass goes on from that value.
+    """
+    ap, aq, gp, gq = table.ap, table.aq, table.gp, table.gq
+    fdiv, fmul, fsub = _FLOOR.divide, _FLOOR.multiply, _FLOOR.subtract
+    cdiv, cmul, csub = _CEILING.divide, _CEILING.multiply, _CEILING.subtract
+    if start:
+        g = exact.values[start - 1]
+        lo, hi = fdiv(g.numerator, g.denominator), cdiv(g.numerator, g.denominator)
+    else:
+        lo = hi = _ONE
+    a_lo, a_hi, g_lo, g_hi = [], [], [], []
+    for n in range(start, N + 1):
+        a, b = (ap[n], aq[n]) if n else (0, 1)
+        if a >= 0:
+            t_lo, t_hi = fdiv(a, cmul(hi, b)), cdiv(a, fmul(lo, b))
+        else:
+            t_lo, t_hi = fdiv(a, fmul(lo, b)), cdiv(a, cmul(hi, b))
+        a_lo.append(t_lo)
+        a_hi.append(t_hi)
+        if n == N:
+            break
+        c, d = gp[n], gq[n]
+        e_lo, e_hi = fsub(_ONE, t_hi), csub(_ONE, t_lo)  # 1 - alpha_tilde_n
+        if c > 0:
+            lo, hi = fdiv(fmul(e_lo, d), c), cdiv(cmul(e_hi, d), c)
+        elif c < 0:
+            lo, hi = fdiv(cmul(e_hi, d), c), cdiv(fmul(e_lo, d), c)
+        else:
+            raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
+        if not lo > 0:
+            g = exact.ratio(n)
+            lo, hi = fdiv(g.numerator, g.denominator), cdiv(g.numerator, g.denominator)
+        g_lo.append(lo)
+        g_hi.append(hi)
+    return a_lo, a_hi, g_lo, g_hi
+
+
+def _le(x_lo, x_hi, y_lo, y_hi, exact: Callable[[], bool]) -> bool:
+    """Whether x <= y, for x in [x_lo, x_hi] and y in [y_lo, y_hi]: decided on
+    the bounds where they separate, and else by ``exact()``, the comparison of
+    the exact values."""
+    if x_hi <= y_lo:
+        return True
+    if x_lo > y_hi:
+        return False
+    return exact()
+
+
+def _ratio_tail(family, values: list, N: int) -> tuple:
+    """The ratios ``values`` = g_0..g_{k-1}, continued to g_{N-1} in their own
+    arithmetic: Decimals in the EXTENDED context, into which each coefficient
+    is converted (``to_decimal``), or the family's own numbers."""
+    fallback = isinstance(values[-1], Decimal)
+    g = values[-1]
+    with localcontext(EXTENDED):  # only the Decimals of a fallback use it
+        for n in range(len(values), N):
+            a, c = family.alpha(n), family.gamma(n)
+            if c == 0:
+                raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
+            if fallback:
+                a, c = to_decimal(a), to_decimal(c)
+            g = (1 - a / g) / c  # a/g is alpha_tilde_n
+            if not g > 0:
+                raise NonpositiveRatio(n, g)
+            values.append(g)
+    return tuple(values)
 
 
 def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSequence:
@@ -451,8 +586,7 @@ def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSe
     Decimals in the EXTENDED context, and the result is flagged inexact. Any
     other family runs in its own arithmetic.
     """
-    if N < 1:
-        raise ParamError("N must be >= 1")
+    N = _require_count("N", N)
     _require_count("digit_cap", digit_cap)
     if family.exact:
         values, fallback = _exact_ratios(family, N, digit_cap)
@@ -463,20 +597,8 @@ def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSe
         g = 1 / family.gamma(0)
         if not g > 0:
             raise NonpositiveRatio(0, g)
-        values, fallback = [g], False
-    g = values[-1]
-    with localcontext(EXTENDED):  # only the Decimals of a fallback use it
-        for n in range(len(values), N):
-            a, c = family.alpha(n), family.gamma(n)
-            if c == 0:
-                raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
-            if fallback:
-                a, c = to_decimal(a), to_decimal(c)
-            g = (1 - a / g) / c  # a/g is alpha_tilde_n
-            if not g > 0:
-                raise NonpositiveRatio(n, g)
-            values.append(g)
-    return RatioSequence(tuple(values), False)
+        values = [g]
+    return RatioSequence(_ratio_tail(family, values, N), False)
 
 
 class NormalizedFamily:
@@ -490,17 +612,34 @@ class NormalizedFamily:
     formed in the EXTENDED context from the operands of the ratio pass, so
     alpha_tilde(n) is the Decimal alpha_n/g_{n-1} that the pass formed.
 
+    ``ratios`` is the RatioSequence of ``base``, or a function of no
+    arguments that returns it, called when a coefficient or ``exact`` is
+    first read: check_szw_normalized reads neither, and decides from
+    ``base``.
+
     Duck-types CoefficientFamily (.alpha/.gamma/.exact/...), so every
     evaluation helper in this module accepts it directly.
     """
 
-    def __init__(self, base: CoefficientFamily, ratios: RatioSequence):
+    def __init__(self, base: CoefficientFamily,
+                 ratios: RatioSequence | Callable[[], RatioSequence]):
         self.base = base
-        self.ratio = _table(ratios.values)
-        self.exact = bool(ratios.exact and base.exact)
+        self._ratios = ratios
         self.name = f"{base.name}:normalized"
         self.params: Mapping[str, object] = base.params
         self.meta: Mapping[str, object] = {}
+
+    @functools.cached_property
+    def _sequence(self) -> RatioSequence:
+        return self._ratios() if callable(self._ratios) else self._ratios
+
+    @functools.cached_property
+    def ratio(self) -> Callable[[int], Num]:
+        return _table(self._sequence.values)
+
+    @property
+    def exact(self) -> bool:
+        return bool(self._sequence.exact and self.base.exact)
 
     def alpha_tilde(self, n: int):
         if n == 0:
@@ -627,8 +766,7 @@ def orthonormal_offdiag(family, N: int) -> np.ndarray:
     both paths: math.sqrt reads a Fraction through Fraction.__float__, the
     correctly rounded int/int division.
     """
-    if N < 1:
-        raise ParamError("N must be >= 1")
+    N = _require_count("N", N)
     alpha, gamma = family.alpha, family.gamma
     a_lin, g_lin = getattr(alpha, "linear", None), getattr(gamma, "linear", None)
     if family.exact and a_lin is not None and g_lin is not None:
@@ -659,31 +797,42 @@ class SandwichRow:
 def ratio_sandwich(family, N: int) -> list[SandwichRow]:
     """Check 1 <= g_n <= (alpha_{n+1}*gamma_n - alpha_n*gamma_{n+1})/(gamma_n - gamma_{n+1}).
 
-    The ratios are formed from the int pairs of the step table (see
-    _exact_ratios), and each bound is decided on the exact value of g_n (a
-    Decimal after a digit-cap fallback) against w_n/v_n of the step table, by
-    cross-multiplying ints. The printed bound is the one Fraction
-    wn*vd/(wd*vn) of those ints. The upper bound needs
-    gamma_n > gamma_{n+1}; rows where that fails carry upper = +inf,
-    upper_ok = True and gamma_step_decreasing = False so the hypothesis breach
-    stays visible.
+    The printed g_n are the values of ratios_at_one, and the printed bound
+    is the one Fraction wn*vd/(wd*vn) = w_n/v_n of the step table's ints.
+    Each bound is decided on the exact g_n, by cross-multiplying ints, up to
+    the g_k where the exact pass stops at its digit cap (``_exact_ratios``).
+    Past it, the rows are decided on the bounds that ``_ratio_bounds``
+    carries from that exact g_k, against w_n/v_n rounded outward, and a row
+    that the bounds leave undecided on the exact g_n of the uncapped pass.
+    The upper bound needs gamma_n > gamma_{n+1}; rows where that fails carry
+    upper = +inf, upper_ok = True and gamma_step_decreasing = False so the
+    hypothesis breach stays visible.
     """
+    N = _require_count("N", N)
     table = _step_table(family, N - 1)
-    ratios = ratios_at_one(table, N).values
+    exact = _ExactRatios(table)
+    k = N
+    printed = exact.values
+    if exact.up_to_cap(N, DEFAULT_DIGIT_CAP):
+        k = len(exact.values)
+        printed = _ratio_tail(table, [to_decimal(g, EXTENDED) for g in exact.values], N)
+        _, _, g_lo, g_hi = _ratio_bounds(table, N, exact, start=k)
     _, _, vn, vd, wn, wd = table.steps
     rows = []
-    for n, g in enumerate(ratios):
-        g_exact = exact_value(g)
-        gp, gq = g_exact.numerator, g_exact.denominator
-        if vn[n] > 0:
-            upper = Fraction(wn[n] * vd[n], wd[n] * vn[n])  # w_n/v_n
-            upper_ok = gp * wd[n] * vn[n] <= wn[n] * vd[n] * gq
+    for n in range(N):
+        W, V = wn[n] * vd[n], wd[n] * vn[n]  # w_n/v_n = W/V
+        if n < k:
+            g = exact.values[n]
+            lower_ok = g.denominator <= g.numerator
+            upper_ok = vn[n] <= 0 or g.numerator * V <= W * g.denominator
         else:
-            upper = math.inf
-            upper_ok = True
+            lo, hi = g_lo[n - k], g_hi[n - k]
+            lower_ok = _le(1, 1, lo, hi, lambda: 1 <= exact.ratio(n))
+            upper_ok = vn[n] <= 0 or _le(lo, hi, _FLOOR.divide(W, V), _CEILING.divide(W, V),
+                                         lambda: exact.ratio(n) <= Fraction(W, V))
         rows.append(SandwichRow(
-            n=n, g=g, upper=upper,
-            lower_ok=gq <= gp,
+            n=n, g=printed[n], upper=Fraction(W, V) if vn[n] > 0 else math.inf,
+            lower_ok=lower_ok,
             upper_ok=upper_ok,
             gamma_step_decreasing=vn[n] > 0,
         ))

@@ -25,6 +25,7 @@ from .recurrence import (
     ScalingSequence,
     _dets,
     _materialize,
+    _require_count,
     _rows,
     _sigma_callable,
     coefficients,
@@ -263,8 +264,7 @@ def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
     >= -tolerance*scale_n. tolerance must be finite and >= 0, and confirm_dps
     must be an int that exceeds CONFIRM_GUARD_DIGITS.
     """
-    if isinstance(n_max, bool) or n_max < 1:
-        raise ParamError(f"grid_scan needs an int n_max >= 1 (got {n_max!r})")
+    n_max = _require_count("n_max", n_max)
     if normalized and not isinstance(family, NormalizedFamily):
         # one read of the coefficients serves the ratios and the scan; neither
         # the table nor the ratios are held through the scan, so they add
@@ -287,8 +287,7 @@ def scaled_scan(family, sigma, n_max: int, grid_points: int = DEFAULT_GRID_POINT
     unscaled determinants are nonnegative, log-concavity of sigma is exactly
     the condition for the scaled ones to stay nonnegative.
     """
-    if isinstance(n_max, bool) or n_max < 1:
-        raise ParamError(f"scaled_scan needs an int n_max >= 1 (got {n_max!r})")
+    n_max = _require_count("n_max", n_max)
     al_src, ga_src = coefficients(family, n_max)
     for n in range(n_max + 1):
         s = al_src[n] + ga_src[n]

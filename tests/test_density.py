@@ -214,8 +214,10 @@ def test_warns_when_offdiagonals_far_from_half():
 
 
 def test_estimate_validation():
-    with pytest.raises(ParamError):
-        estimate_density(legendre(), N=5)
+    for bad in (5, 50.0, True):
+        with pytest.raises(ParamError, match=rf"N must be an int >= 10 \(got {bad!r}\)"):
+            estimate_density(legendre(), N=bad, xs=[0.1])
+    assert estimate_density(legendre(), N=np.int64(50), xs=[0.1]).N == 50
     with pytest.raises(ParamError):
         estimate_density(legendre(), N=100, xs=np.array([0.0, 1.0]))
     with pytest.raises(ParamError):

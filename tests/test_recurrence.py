@@ -225,6 +225,18 @@ def test_eval_polys_decimal_path():
             with pytest.raises(ParamError, match=message):
                 call()
     assert not ratios_at_one(example3(1), 3, digit_cap=1).exact  # g_1 = 39/32 passes it
+    # and so is a count of another type: a double, a bool or a string
+    for bad in (5.0, True, "5"):
+        for name, least, call in (("n_max", 0, lambda: eval_polys(fam, bad, 0.5)),
+                                  ("N", 1, lambda: ratios_at_one(fam, bad)),
+                                  ("N", 1, lambda: ratio_sandwich(fam, bad)),
+                                  ("N", 1, lambda: orthonormal_offdiag(fam, bad))):
+            with pytest.raises(ParamError, match=rf"{name} must be an int >= {least} "
+                                                 rf"\(got {re.escape(repr(bad))}\)"):
+                call()
+    # while numpy's integers are read as ints
+    assert eval_polys(fam, np.int64(2), F(1, 3)) == eval_polys(fam, 2, F(1, 3))
+    assert ratios_at_one(fam, np.int64(3)) == ratios_at_one(fam, 3)
     # so is an abscissa that is not finite
     for bad in (math.nan, math.inf, -math.inf, Decimal("NaN"), Decimal("-Infinity")):
         message = rf"x must be a finite number \(got {re.escape(repr(bad))}\)"

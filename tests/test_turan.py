@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import re
 import tracemalloc
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction as F
@@ -212,12 +213,16 @@ def test_scaled_scan_evaluates_each_sigma_once():
 def test_turan_det_requires_positive_degree():
     with pytest.raises(ParamError):
         turan_det(legendre(), 0, 0.5)
-    # and so do the scans, which take no bool for a degree
-    for bad in (0, True):
+    # and so do the scans, which take no bool or double for a degree
+    for bad in (0, True, 5.0, np.float64(3)):
         for call in (lambda: grid_scan(legendre(), bad),
                      lambda: scaled_scan(legendre(), lambda n: 1, bad)):
-            with pytest.raises(ParamError, match=rf"n_max >= 1 \(got {bad!r}\)"):
+            message = rf"n_max must be an int >= 1 \(got {re.escape(repr(bad))}\)"
+            with pytest.raises(ParamError, match=message):
                 call()
+    # an integer of another type is read as an int, which the report echoes
+    rep = grid_scan(legendre(), np.int64(3), grid_points=25)
+    assert rep.n_range == (1, 3) and all(type(n) is int for n in rep.n_range)
 
 
 def test_report_csv_and_json():
