@@ -4,15 +4,17 @@ arithmetic, one Fraction operation per intermediate value.
 These are the checkers as they stood before the integer step table
 (``recurrence._StepTable``) took over the decisions, and the g_n ratio pass
 as it stood before it carried each ratio as a pair of coprime ints.
-test_step_table.py requires the package to agree with them report for report,
-witnesses included, and the ratio pass bit for bit. Only tests import this
-module.
+SzwTheorem1 and the ratio sandwich are decided on the exact ratios with no
+digit cap (``normalized_ratios``), which the package's 50-digit bounds must
+agree with. test_step_table.py requires the package to agree with them
+report for report, witnesses included, and the ratio pass bit for bit. Only
+tests import this module.
 """
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from turandet.arith import EXTENDED, exact_value, exceeds_digit_cap
+from turandet.arith import DEFAULT_DIGIT_CAP, EXTENDED, exact_value, exceeds_digit_cap
 from turandet.criteria import (
     _HALF,
     COND_ALPHA,
@@ -21,6 +23,7 @@ from turandet.criteria import (
     COND_STEP,
     COND_SUM,
     LAMBDA_ROUTE,
+    SZW_THEOREM1,
     THEOREM1,
     Y_ROUTE,
     CriterionReport,
@@ -210,14 +213,48 @@ def check_y_route(family, N: int) -> CriterionReport:
     return y_route(lambda_data(exact_table(family, N + 1), N))
 
 
-def ratio_sandwich(family, N: int) -> list:
+def normalized_ratios(family, N: int):
+    """g_0..g_{N-1} and alpha_tilde_0..alpha_tilde_N of the exact values of
+    the coefficients, with no digit cap: alpha_tilde_0 = 0, g_n = (1 -
+    alpha_tilde_n)/gamma_n and alpha_tilde_{n+1} = alpha_{n+1}/g_n. Raises
+    ParamError at a gamma_n = 0 and NonpositiveRatio at the first g_n <= 0,
+    n < N."""
+    al, ga = _exact_coefficients(family, N)
+    g, at = [], [Fraction(0)]
+    for n in range(N):
+        if ga[n] == 0:
+            raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
+        g_n = (1 - at[n]) / ga[n]
+        if not g_n > 0:
+            raise NonpositiveRatio(n, g_n)
+        g.append(g_n)
+        at.append(al[n + 1] / g_n)
+    return g, at
+
+
+def check_szw_normalized(family, N: int) -> CriterionReport:
+    """SzwTheorem1 of the family normalized at 1, on normalized_ratios."""
+    _, at = normalized_ratios(family, N)
+    mono = _Cond("alpha-tilde-nondecreasing")
+    bound = _Cond("alpha-tilde-le-half")
+    for n in range(N + 1):
+        if n >= 1:
+            mono.record(n, at[n - 1] <= at[n], (at[n - 1], at[n]))
+        bound.record(n, at[n] <= _HALF, (at[n], _HALF))
+    return CriterionReport.assemble(SZW_THEOREM1, N, (mono.done(), bound.done()))
+
+
+def ratio_sandwich(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> list:
+    """Rows printing the g_n of ratios_at_one at ``digit_cap``, each decided
+    on the exact g_n of normalized_ratios."""
     table = exact_table(family, N)
+    printed = ratios_at_one(table, N, digit_cap).values
+    exact, _ = normalized_ratios(table, N)
     rows = []
-    for n, g in enumerate(ratios_at_one(table, N).values):
+    for n, (g, g_exact) in enumerate(zip(printed, exact)):
         a0, a1 = table.alpha(n), table.alpha(n + 1)
         c0, c1 = table.gamma(n), table.gamma(n + 1)
         den = c0 - c1
-        g_exact = exact_value(g)
         if den > 0:
             upper = (a1 * c0 - a0 * c1) / den
             upper_ok = g_exact <= upper

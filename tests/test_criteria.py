@@ -16,6 +16,7 @@ from turandet import (
     check_szw_normalized,
     check_theorem1,
     check_y_route,
+    classify,
     corollary1_family,
     example2,
     example3,
@@ -28,6 +29,7 @@ from turandet import (
     matches_corollary2,
     normalize,
     pollaczek,
+    ratios_at_one,
     table_family,
     y_from_lambda,
 )
@@ -123,6 +125,29 @@ def test_szw_flat_alpha_is_satisfied():
     # nondecreasing, not strictly increasing: constant alpha-tilde passes
     rep = check_szw_normalized(normalize(chebyshev_t(), 30), 30)
     assert rep.overall is Verdict.SATISFIED
+
+
+def test_szw_decides_a_dip_past_the_digit_cap_on_exact_values():
+    """Legendre with every alpha_n scaled by B/(B + 1), B = 10^200 + 7, has
+    ratios past 4096 digits by n = 50; alpha_50 is then set so that
+    alpha_tilde_50 = alpha_tilde_49 - 10^-80 exactly. 50-digit ratios cannot
+    see the dip, and used to certify SzwTheorem1; the bounds leave that
+    comparison undecided, and its exact values find the decrease."""
+    leg, B = legendre(), 10**200 + 7
+    al = [F(0)] + [leg.alpha(n) * F(B, B + 1) for n in range(1, 61)]
+    ga = [leg.gamma(n) for n in range(61)]
+    g = [F(1) / ga[0]]
+    for n in range(1, 50):
+        g.append((1 - al[n] / g[-1]) / ga[n])
+    al[50] = (al[49] / g[48] - F(1, 10**80)) * g[49]
+    fam = table_family(al, ga)
+    assert not ratios_at_one(fam, 59).exact
+    assert classify(fam, 59) == []
+    rep = check_szw_normalized(normalize(fam, 59), 59)
+    assert rep.overall is Verdict.VIOLATED
+    mono = rep.condition("alpha-tilde-nondecreasing")
+    assert mono.first_violation == 50
+    assert mono.witness == (al[49] / g[48], al[49] / g[48] - F(1, 10**80))
 
 
 def test_szw_bound_violation():

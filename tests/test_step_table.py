@@ -3,15 +3,19 @@
 Every checker that reads the step table is compared with its Fraction
 reference in fraction_reference.py: equal reports (witnesses included), equal
 LambdaData and equal SandwichRows, printed the same way. The integer g_n ratio
-pass is compared with the Fraction one bit for bit.
+pass is compared with the Fraction one bit for bit. The 50-digit bounds on
+g_n and alpha_tilde_n hold the exact values, and SzwTheorem1 and the ratio
+sandwich, which decide on them, decide what the uncapped exact ratios decide.
 """
 import contextlib
 import io
 import math
 import random
+import re
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -38,12 +42,22 @@ from turandet import (
     legendre,
     normalize,
     pollaczek,
+    chebyshev_t,
+    check_szw_normalized,
     ratio_sandwich,
     ratios_at_one,
 )
+from turandet import recurrence
 from turandet.arith import coprime_fraction
 from turandet.cli import main
-from turandet.recurrence import CoefficientFamily, _exact_ratios, _step_table, _table
+from turandet.recurrence import (
+    CoefficientFamily,
+    _exact_ratios,
+    _ExactRatios,
+    _ratio_bounds,
+    _step_table,
+    _table,
+)
 
 
 def _family(alphas, gammas, name="Random"):
@@ -335,3 +349,149 @@ def test_coprime_fraction_is_the_normalized_fraction(p, q):
     got, want = coprime_fraction(p, q), Fraction(p, q)
     assert type(got) is Fraction and (got.numerator, got.denominator) == (p, q)
     assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
+# ------------------------------------ ratio bounds, SzwTheorem1 and the sandwich
+
+_int_step_tables = step_tables(values=st.integers(min_value=-3, max_value=4),
+                               gamma0=st.integers(min_value=1, max_value=20))
+_builtin_cases = st.builds(lambda kind, params, N: (_BUILDERS[kind][0](*params[:_BUILDERS[kind][1]]), N),
+                           st.sampled_from(sorted(_BUILDERS)),
+                           st.lists(_positive, min_size=2, max_size=2),
+                           st.integers(min_value=1, max_value=200))
+_QUARTER = Fraction(1, 4)
+# alpha_tilde = 0, 1/4, 1/4, 1/4: equal consecutive values below 1/2
+_FLAT_QUARTER = _family([0, _QUARTER, _QUARTER, _QUARTER], [1] + [1 - _QUARTER] * 3)
+# g_1 = -1/5; g_1 = 0; gamma_1 = 0
+_NONPOSITIVE = _family([0, Fraction(3, 5), Fraction(1, 2), Fraction(1, 2)], [2, 1, 1, 1])
+_ZERO_RATIO = _family([0, 1, Fraction(1, 2), Fraction(1, 2)], [1, 1, 1, 1])
+_ZERO_GAMMA = _family([0, 1, 2, 3], [1, 0, 1, 1])
+_G0 = Fraction(10**61, 10**61 + 1)
+_PAST_CAP_TIES = _family([0, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)],
+                         [1 / _G0, 1 - Fraction(1, 3) / _G0, Fraction(2, 3), Fraction(2, 3)])
+
+
+def _error(exc) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _never_read():
+    raise AssertionError("SzwTheorem1 read the ratios of the normalized view")
+
+
+def _szw(check, family, N):
+    """The SzwTheorem1 report's JSON, or the error that the ratios raised."""
+    try:
+        return check(family, N).to_json()
+    except (NonpositiveRatio, ParamError) as exc:
+        return _error(exc)
+
+
+def _package_szw(family, N):
+    """check_szw_normalized on a normalized view that must not form its ratios."""
+    return check_szw_normalized(NormalizedFamily(family, _never_read), N)
+
+
+def _holds(lo: Decimal, x: Fraction, hi: Decimal) -> bool:
+    """lo <= x <= hi, compared as Fractions: far faster than comparing a
+    Decimal with a Fraction of thousands of digits."""
+    return Fraction(lo) <= x <= Fraction(hi)
+
+
+def assert_bounds_hold_the_exact_values(family, N):
+    """Every exact g_n and alpha_tilde_n of the Fraction reference lies in the
+    bounds from g_0 and in those restarted from each exact g_{k-1}; where the
+    reference raises, the bounds raise the same error."""
+    table = _step_table(family, N - 1)
+    try:
+        g, at = ref.normalized_ratios(family, N)
+    except (NonpositiveRatio, ParamError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            _ratio_bounds(table, N, _ExactRatios(table))
+        return
+    exact = _ExactRatios(table)
+    for k in sorted({0, 1, N // 2, N - 1}):
+        if k:
+            exact.ratio(k - 1)
+        a_lo, a_hi, g_lo, g_hi = _ratio_bounds(table, N, exact, start=k)
+        assert len(a_lo) == len(a_hi) == N + 1 - k and len(g_lo) == len(g_hi) == N - k
+        assert all(_holds(a_lo[n - k], at[n], a_hi[n - k]) for n in range(k, N + 1))
+        assert all(_holds(g_lo[n - k], g[n], g_hi[n - k]) for n in range(k, N))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(step_tables(), _int_step_tables, _builtin_cases))
+@example((_NONPOSITIVE, 3))
+@example((_ZERO_RATIO, 3))
+@example((_ZERO_GAMMA, 2))
+@example((_family([0, Fraction(-1, 3), Fraction(1, 5)], [Fraction(1, 2), Fraction(-2, 7), 1]), 2))
+def test_ratio_bounds_hold_the_exact_values(case):
+    """Random tables with either sign of alpha_n and gamma_n, and builtins."""
+    assert_bounds_hold_the_exact_values(*case)
+
+
+@pytest.mark.parametrize("family", [example3(2), pollaczek(Fraction(3, 2), 1)],
+                         ids=["Example3(2)", "Pollaczek(3/2,1)"])
+def test_ratio_bounds_hold_the_exact_values_at_3000(family):
+    """Past the 4096-digit values where the capped pass stops (g_1329 and
+    g_1631), the bounds from g_0 still hold every exact value, within a
+    relative width of 10^-44."""
+    table = _step_table(family, 2999)
+    exact = _ExactRatios(table)
+    a_lo, a_hi, g_lo, g_hi = _ratio_bounds(table, 3000, exact)
+    for n in range(3000):
+        g_n = exact.ratio(n)
+        assert _holds(g_lo[n], g_n, g_hi[n]) and _holds(a_lo[n], exact.alpha_tilde(n), a_hi[n])
+        assert Fraction(g_hi[n] - g_lo[n]) < g_n / 10**44
+    assert _exact_ratios(table, 3000, 4096)[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(step_tables(), _int_step_tables, _builtin_cases))
+@example((chebyshev_t(), 30))  # alpha_tilde_n = 1/2 for n >= 1: every bound is a tie
+@example((_FLAT_QUARTER, 3))
+@example((_NONPOSITIVE, 3))
+@example((_ZERO_RATIO, 3))
+@example((_ZERO_GAMMA, 2))
+def test_szw_matches_the_uncapped_reference(case):
+    """Reports equal, witnesses included; a tie that the bounds cannot decide
+    is decided on exact values, and a nonpositive g_n or a zero gamma_n is
+    the error of the exact pass."""
+    family, N = case
+    assert _szw(_package_szw, family, N) == _szw(ref.check_szw_normalized, family, N)
+
+
+@pytest.mark.parametrize("family, N", [
+    (example3(2), 3000),
+    (pollaczek(Fraction(3, 2), 1), 3000),
+    (float_view(example4(3, Fraction(1, 2))), 600),
+], ids=["Example3(2)", "Pollaczek(3/2,1)", "Example4(3,1/2) float"])
+def test_szw_matches_the_uncapped_reference_past_the_digit_cap(family, N):
+    """The benchmark's families, past the index where the capped exact pass
+    stops (the doubles of Example4 pass 4096 digits near n = 270)."""
+    assert _szw(_package_szw, family, N) == _szw(ref.check_szw_normalized, family, N)
+    assert _exact_ratios(family, N, 4096)[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(step_tables(), _int_step_tables, _builtin_cases), st.sampled_from([1, 60]))
+@example((_PAST_CAP_TIES, 2), 60)
+def test_ratio_sandwich_past_a_fallback_decides_on_exact_ratios(case, cap):
+    """With the digit cap at 1 or 60 digits most tables pass it within a few
+    indices; the rows past it print the 50-digit ratios and decide on the
+    exact ones, ties at g_n = 1 included. In the example g_0 = 10^61/(10^61 +
+    1) passes 60 digits and prints as 1.000..., yet breaks 1 <= g_0; then
+    g_1 = g_2 = 1, which the bounds cannot decide."""
+    family, N = case
+    with mock.patch.object(recurrence, "DEFAULT_DIGIT_CAP", cap):
+        got = _sandwich(ratio_sandwich, family, N + 1)
+    # the step table prints an int table's bounds as Fractions
+    fractions = _family([Fraction(family.alpha(n)) for n in range(N + 2)],
+                        [Fraction(family.gamma(n)) for n in range(N + 2)])
+    assert got == _sandwich(lambda f, n: ref.ratio_sandwich(f, n, cap), fractions, N + 1)
+
+
+@pytest.mark.parametrize("family", [example3(2), pollaczek(Fraction(3, 2), 1)],
+                         ids=["Example3(2)", "Pollaczek(3/2,1)"])
+def test_ratio_sandwich_past_the_digit_cap_matches_at_3000(family):
+    assert _sandwich(ratio_sandwich, family, 3000) == _sandwich(ref.ratio_sandwich, family, 3000)
