@@ -287,20 +287,22 @@ def check_szw_normalized(nf, N: int) -> CriterionReport:
     if isinstance(nf, NormalizedFamily):
         table = _step_table(nf.base, N - 1)
         exact = _ExactRatios(table)
-        lo, hi, _, _ = _ratio_bounds(table, N, exact)
+        bounds = ((lo, hi) for lo, hi, _, _ in _ratio_bounds(table, N, exact))
         at, half = exact.alpha_tilde, _DECIMAL_HALF
     else:
-        lo = hi = [exact_value(nf.alpha(n)) for n in range(N + 1)]
-        at, half = lo.__getitem__, _HALF
+        values = [exact_value(nf.alpha(n)) for n in range(N + 1)]
+        bounds = ((v, v) for v in values)
+        at, half = values.__getitem__, _HALF
 
     mono = _Cond("alpha-tilde-nondecreasing")
     bound = _Cond("alpha-tilde-le-half")
-    for n in range(N + 1):
+    for n, (lo, hi) in enumerate(bounds):
         if n >= 1:
-            mono.record(n, _le(lo[n - 1], hi[n - 1], lo[n], hi[n], lambda: at(n - 1) <= at(n)),
+            mono.record(n, _le(prev_lo, prev_hi, lo, hi, lambda: at(n - 1) <= at(n)),
                         lambda: (at(n - 1), at(n)))
-        bound.record(n, _le(lo[n], hi[n], half, half, lambda: at(n) <= _HALF),
+        bound.record(n, _le(lo, hi, half, half, lambda: at(n) <= _HALF),
                      lambda: (at(n), _HALF))
+        prev_lo, prev_hi = lo, hi
     return CriterionReport.assemble(SZW_THEOREM1, N, (mono.done(), bound.done()))
 
 

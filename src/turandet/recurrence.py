@@ -187,9 +187,10 @@ class _StepTable:
         v_n = gamma_n - gamma_{n+1}                   = vn[n]/vd[n]
         w_n = alpha_{n+1}*gamma_n - alpha_n*gamma_{n+1} = wn[n]/wd[n]
 
-    with positive, unreduced denominators. ``steps`` holds the six lists
-    un, ud, vn, vd, wn, wd, built on first use: numerators and denominators
-    in parallel lists take half the memory of a list of pairs. Fractions are
+    with positive, unreduced denominators. ``step(n)`` forms the six ints
+    of one step, and ``steps`` holds them as the six lists un, ud, vn, vd,
+    wn, wd, built on first use: numerators and denominators in parallel
+    lists take half the memory of a list of pairs. Fractions are
     built only for what is printed or kept: one per value, from these ints
     (``*_value``), with no Fraction arithmetic in a loop.
     """
@@ -205,20 +206,17 @@ class _StepTable:
         self.alpha = _int_table(self.ap, self.aq)
         self.gamma = _int_table(self.gp, self.gq)
 
+    def step(self, n: int) -> tuple[int, int, int, int, int, int]:
+        """un, ud, vn, vd, wn, wd of step n."""
+        ap, aq, gp, gq = self.ap, self.aq, self.gp, self.gq
+        p0, q0, p1, q1 = ap[n], aq[n], ap[n + 1], aq[n + 1]
+        r0, s0, r1, s1 = gp[n], gq[n], gp[n + 1], gq[n + 1]
+        return (p1 * q0 - p0 * q1, q0 * q1, r0 * s1 - r1 * s0, s0 * s1,
+                p1 * r0 * q0 * s1 - p0 * r1 * q1 * s0, q0 * q1 * s0 * s1)
+
     @functools.cached_property
     def steps(self):
-        ap, aq, gp, gq = self.ap, self.aq, self.gp, self.gq
-        un, ud, vn, vd, wn, wd = [], [], [], [], [], []
-        for n in range(self.N + 1):
-            p0, q0, p1, q1 = ap[n], aq[n], ap[n + 1], aq[n + 1]
-            r0, s0, r1, s1 = gp[n], gq[n], gp[n + 1], gq[n + 1]
-            un.append(p1 * q0 - p0 * q1)
-            ud.append(q0 * q1)
-            vn.append(r0 * s1 - r1 * s0)
-            vd.append(s0 * s1)
-            wn.append(p1 * r0 * q0 * s1 - p0 * r1 * q1 * s0)
-            wd.append(q0 * q1 * s0 * s1)
-        return un, ud, vn, vd, wn, wd
+        return tuple(map(list, zip(*[self.step(n) for n in range(self.N + 1)])))
 
     def u_value(self, n: int) -> Fraction:
         un, ud, *_ = self.steps
@@ -492,8 +490,9 @@ _ONE = Decimal(1)
 
 
 def _ratio_bounds(table, N: int, exact: _ExactRatios, start: int = 0):
-    """Bounds on alpha_tilde_n for start <= n <= N and on g_n for start <= n < N,
-    as four lists of Decimals indexed from ``start``: a_lo, a_hi, g_lo, g_hi.
+    """Yield bounds on alpha_tilde_n and on g_n for n = start..N, as
+    (a_lo, a_hi, g_lo, g_hi) Decimals; g_N is not formed, and its pair is
+    (None, None).
 
     The pass reads the ints ap, aq, gp, gq of the step table ``table``
     (indices 0..N) and builds no Fraction. It starts from g_{start-1}, 1 at
@@ -503,7 +502,8 @@ def _ratio_bounds(table, N: int, exact: _ExactRatios, start: int = 0):
     rounded down (_FLOOR) and every upper bound up (_CEILING), and each
     operand is the end of its bound that the signs of a and c call for, so
     the exact values lie in their bounds for either sign of alpha_n and
-    gamma_n.
+    gamma_n. Only the last bounds are held, and a step is formed only when
+    the consumer asks for it.
 
     A gamma_n = 0 is the ParamError of ratios_at_one. Where the lower bound
     of g_n is not positive, g_n is formed exactly by ``exact``, which raises
@@ -517,17 +517,15 @@ def _ratio_bounds(table, N: int, exact: _ExactRatios, start: int = 0):
         lo, hi = fdiv(g.numerator, g.denominator), cdiv(g.numerator, g.denominator)
     else:
         lo = hi = _ONE
-    a_lo, a_hi, g_lo, g_hi = [], [], [], []
     for n in range(start, N + 1):
         a, b = (ap[n], aq[n]) if n else (0, 1)
         if a >= 0:
             t_lo, t_hi = fdiv(a, cmul(hi, b)), cdiv(a, fmul(lo, b))
         else:
             t_lo, t_hi = fdiv(a, fmul(lo, b)), cdiv(a, cmul(hi, b))
-        a_lo.append(t_lo)
-        a_hi.append(t_hi)
         if n == N:
-            break
+            yield t_lo, t_hi, None, None
+            return
         c, d = gp[n], gq[n]
         e_lo, e_hi = fsub(_ONE, t_hi), csub(_ONE, t_lo)  # 1 - alpha_tilde_n
         if c > 0:
@@ -539,9 +537,7 @@ def _ratio_bounds(table, N: int, exact: _ExactRatios, start: int = 0):
         if not lo > 0:
             g = exact.ratio(n)
             lo, hi = fdiv(g.numerator, g.denominator), cdiv(g.numerator, g.denominator)
-        g_lo.append(lo)
-        g_hi.append(hi)
-    return a_lo, a_hi, g_lo, g_hi
+        yield t_lo, t_hi, lo, hi
 
 
 def _le(x_lo, x_hi, y_lo, y_hi, exact: Callable[[], bool]) -> bool:
@@ -811,29 +807,33 @@ def ratio_sandwich(family, N: int) -> list[SandwichRow]:
     N = _require_count("N", N)
     table = _step_table(family, N - 1)
     exact = _ExactRatios(table)
-    k = N
-    printed = exact.values
-    if exact.up_to_cap(N, DEFAULT_DIGIT_CAP):
-        k = len(exact.values)
-        printed = _ratio_tail(table, [to_decimal(g, EXTENDED) for g in exact.values], N)
-        _, _, g_lo, g_hi = _ratio_bounds(table, N, exact, start=k)
-    _, _, vn, vd, wn, wd = table.steps
+    values = exact.values
+    fallback = exact.up_to_cap(N, DEFAULT_DIGIT_CAP)
+    k = len(values)
+    printed = _ratio_tail(table, [to_decimal(g, EXTENDED) for g in values], N) if fallback else values
     rows = []
     for n in range(N):
-        W, V = wn[n] * vd[n], wd[n] * vn[n]  # w_n/v_n = W/V
+        _, _, vn, vd, wn, wd = table.step(n)
+        W, V = wn * vd, wd * vn  # w_n/v_n = W/V
         if n < k:
-            g = exact.values[n]
+            g = values[n]
             lower_ok = g.denominator <= g.numerator
-            upper_ok = vn[n] <= 0 or g.numerator * V <= W * g.denominator
+            upper_ok = vn <= 0 or g.numerator * V <= W * g.denominator
         else:
-            lo, hi = g_lo[n - k], g_hi[n - k]
+            if n == k:
+                bounds = _ratio_bounds(table, N, exact, start=k)
+            _, _, lo, hi = next(bounds)
             lower_ok = _le(1, 1, lo, hi, lambda: 1 <= exact.ratio(n))
-            upper_ok = vn[n] <= 0 or _le(lo, hi, _FLOOR.divide(W, V), _CEILING.divide(W, V),
+            upper_ok = vn <= 0 or _le(lo, hi, _FLOOR.divide(W, V), _CEILING.divide(W, V),
                                          lambda: exact.ratio(n) <= Fraction(W, V))
         rows.append(SandwichRow(
-            n=n, g=printed[n], upper=Fraction(W, V) if vn[n] > 0 else math.inf,
+            n=n, g=printed[n], upper=Fraction(W, V) if vn > 0 else math.inf,
             lower_ok=lower_ok,
             upper_ok=upper_ok,
-            gamma_step_decreasing=vn[n] > 0,
+            gamma_step_decreasing=vn > 0,
         ))
+        if n < k - 1:
+            # the exact pass reads no g before g_{k-1} again: a g_n of
+            # thousands of digits is freed once its row is made
+            values[n] = None
     return rows

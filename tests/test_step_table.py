@@ -407,14 +407,14 @@ def assert_bounds_hold_the_exact_values(family, N):
         g, at = ref.normalized_ratios(family, N)
     except (NonpositiveRatio, ParamError) as exc:
         with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-            _ratio_bounds(table, N, _ExactRatios(table))
+            list(_ratio_bounds(table, N, _ExactRatios(table)))
         return
     exact = _ExactRatios(table)
     for k in sorted({0, 1, N // 2, N - 1}):
         if k:
             exact.ratio(k - 1)
-        a_lo, a_hi, g_lo, g_hi = _ratio_bounds(table, N, exact, start=k)
-        assert len(a_lo) == len(a_hi) == N + 1 - k and len(g_lo) == len(g_hi) == N - k
+        a_lo, a_hi, g_lo, g_hi = zip(*_ratio_bounds(table, N, exact, start=k))
+        assert len(a_lo) == N + 1 - k and g_lo[-1] is g_hi[-1] is None
         assert all(_holds(a_lo[n - k], at[n], a_hi[n - k]) for n in range(k, N + 1))
         assert all(_holds(g_lo[n - k], g[n], g_hi[n - k]) for n in range(k, N))
 
@@ -438,7 +438,7 @@ def test_ratio_bounds_hold_the_exact_values_at_3000(family):
     relative width of 10^-44."""
     table = _step_table(family, 2999)
     exact = _ExactRatios(table)
-    a_lo, a_hi, g_lo, g_hi = _ratio_bounds(table, 3000, exact)
+    a_lo, a_hi, g_lo, g_hi = zip(*_ratio_bounds(table, 3000, exact))
     for n in range(3000):
         g_n = exact.ratio(n)
         assert _holds(g_lo[n], g_n, g_hi[n]) and _holds(a_lo[n], exact.alpha_tilde(n), a_hi[n])
