@@ -124,13 +124,15 @@ def _coprime_reader(coeff) -> Callable[[int], tuple[int, int]]:
 
     A callable that carries its integer form ``pair`` is read through it,
     with one gcd of two small ints and no Fraction; any other through the
-    ``as_integer_ratio`` of its values (an int as (v, 1)), which is in lowest
-    terms for ints, Fractions, doubles and Decimals. A value that is not
-    finite is a ParamError."""
+    ``as_integer_ratio`` of its values, which is in lowest terms for
+    Fractions, doubles and Decimals, and an integer as (v, 1). A value that
+    is not finite is a ParamError."""
     pair = getattr(coeff, "pair", None)
     if pair is None:
         def read(n: int):
             v = coeff(n)
+            if isinstance(v, numbers.Integral):  # numpy's ints have no as_integer_ratio
+                return int(v), 1
             try:
                 return v.as_integer_ratio()
             except (OverflowError, ValueError):  # inf; nan

@@ -17,6 +17,7 @@ from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -34,6 +35,7 @@ from turandet import (
     check_theorem1,
     check_y_route,
     corollary1_family,
+    criterion_reports,
     example3,
     example4,
     float_view,
@@ -159,6 +161,17 @@ def test_int_tables_match_the_fraction_reference(case):
     fractions = _family([Fraction(family.alpha(n)) for n in range(N + 2)],
                         [Fraction(family.gamma(n)) for n in range(N + 2)])
     assert_matches_reference(family, N, reference=fractions)
+
+
+def test_numpy_int_coefficients_are_read_as_ints():
+    """numpy's int64 has no as_integer_ratio, and a Fraction of one keeps
+    int64 parts, which have no bit_length for the digit cap and compare to
+    numpy bools; the step table reads such a value as an int."""
+    ints = _family([0, 1, 2, 3], [7, 6, 5, 4])
+    numpy_ints = _family(list(np.arange(4)), list(np.arange(7, 3, -1)))
+    assert ([r.to_json() for r in criterion_reports(numpy_ints, 2)]
+            == [r.to_json() for r in criterion_reports(ints, 2)])
+    assert criterion_reports(ints, 2)[0].overall.value == "Violated"
 
 
 def test_int_table_y_route_decides_a_tie_exactly():
