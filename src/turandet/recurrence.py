@@ -476,15 +476,6 @@ class _ExactRatios:
         return False
 
 
-def _exact_ratios(family, N: int, digit_cap: int):
-    """The exact g_0.. of an exact family as Fractions (``_ExactRatios``), up
-    to g_{N-1} or up to the first g_n past ``digit_cap`` digits, and whether
-    it stopped there."""
-    exact = _ExactRatios(family)
-    fallback = exact.up_to_cap(N, digit_cap)
-    return exact.values, fallback
-
-
 # outward rounding of the ratio bounds, at EXTENDED_DPS digits
 _FLOOR, _CEILING = (Context(prec=EXTENDED_DPS, rounding=rounding, Emin=MIN_EMIN, Emax=MAX_EMAX)
                     for rounding in (ROUND_FLOOR, ROUND_CEILING))
@@ -579,7 +570,7 @@ def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSe
     Raises NonpositiveRatio as soon as some g_n <= 0 (normalization at 1 is
     then impossible past that index), and ParamError at a gamma_n = 0, which
     g_n would divide by. The ratios of an exact family are Fractions, for int
-    coefficients too, formed on ints (``_exact_ratios``), until an exact g_n
+    coefficients too, formed on ints (``_ExactRatios``), until an exact g_n
     past ``digit_cap`` digits, an int >= 1, switches the whole run to
     Decimals in the EXTENDED context, and the result is flagged inexact. Any
     other family runs in its own arithmetic.
@@ -587,10 +578,10 @@ def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSe
     N = _require_count("N", N)
     _require_count("digit_cap", digit_cap)
     if family.exact:
-        values, fallback = _exact_ratios(family, N, digit_cap)
-        if not fallback:
-            return RatioSequence(tuple(values), True)
-        values = [to_decimal(v, EXTENDED) for v in values]
+        exact = _ExactRatios(family)
+        if not exact.up_to_cap(N, digit_cap):
+            return RatioSequence(tuple(exact.values), True)
+        values = [to_decimal(v, EXTENDED) for v in exact.values]
     else:
         g = 1 / family.gamma(0)
         if not g > 0:
@@ -798,7 +789,7 @@ def ratio_sandwich(family, N: int) -> list[SandwichRow]:
     The printed g_n are the values of ratios_at_one, and the printed bound
     is the one Fraction wn*vd/(wd*vn) = w_n/v_n of the step table's ints.
     Each bound is decided on the exact g_n, by cross-multiplying ints, up to
-    the g_k where the exact pass stops at its digit cap (``_exact_ratios``).
+    the g_k where the exact pass stops at its digit cap (``_ExactRatios``).
     Past it, the rows are decided on the bounds that ``_ratio_bounds``
     carries from that exact g_k, against w_n/v_n rounded outward, and a row
     that the bounds leave undecided on the exact g_n of the uncapped pass.
@@ -827,7 +818,7 @@ def ratio_sandwich(family, N: int) -> list[SandwichRow]:
             _, _, lo, hi = next(bounds)
             lower_ok = _le(1, 1, lo, hi, lambda: 1 <= exact.ratio(n))
             upper_ok = vn <= 0 or _le(lo, hi, _FLOOR.divide(W, V), _CEILING.divide(W, V),
-                                         lambda: exact.ratio(n) <= Fraction(W, V))
+                                      lambda: exact.ratio(n) <= Fraction(W, V))
         rows.append(SandwichRow(
             n=n, g=printed[n], upper=Fraction(W, V) if vn > 0 else math.inf,
             lower_ok=lower_ok,

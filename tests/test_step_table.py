@@ -54,7 +54,6 @@ from turandet.arith import coprime_fraction
 from turandet.cli import main
 from turandet.recurrence import (
     CoefficientFamily,
-    _exact_ratios,
     _ExactRatios,
     _ratio_bounds,
     _step_table,
@@ -288,7 +287,9 @@ def _package_ratio_pass(family, N, cap, keep_tail):
     the fallback (the length of the exact run)."""
     ratios = ratios_at_one(family, N, cap)
     fallback = family.exact and not ratios.exact
-    k = len(_exact_ratios(family, N, cap)[0]) if fallback else N
+    exact = _ExactRatios(family)
+    exact.up_to_cap(N, cap)
+    k = len(exact.values) if fallback else N
     nf = NormalizedFamily(family, ratios)
     return list(ratios.values), fallback, (k, [nf.alpha(n) for n in range(k, N)],
                                            [nf.gamma(n) for n in range(k, N)])
@@ -456,7 +457,7 @@ def test_ratio_bounds_hold_the_exact_values_at_3000(family):
         g_n = exact.ratio(n)
         assert _holds(g_lo[n], g_n, g_hi[n]) and _holds(a_lo[n], exact.alpha_tilde(n), a_hi[n])
         assert Fraction(g_hi[n] - g_lo[n]) < g_n / 10**44
-    assert _exact_ratios(table, 3000, 4096)[1]
+    assert _ExactRatios(table).up_to_cap(3000, 4096)
 
 
 @settings(max_examples=200, deadline=None)
@@ -483,7 +484,7 @@ def test_szw_matches_the_uncapped_reference_past_the_digit_cap(family, N):
     """The benchmark's families, past the index where the capped exact pass
     stops (the doubles of Example4 pass 4096 digits near n = 270)."""
     assert _szw(_package_szw, family, N) == _szw(ref.check_szw_normalized, family, N)
-    assert _exact_ratios(family, N, 4096)[1]
+    assert _ExactRatios(family).up_to_cap(N, 4096)
 
 
 @settings(max_examples=100, deadline=None)
