@@ -440,15 +440,17 @@ class _ExactRatios:
         g1, g2 = math.gcd(a, P), math.gcd(b, Q)
         return (a // g1) * (Q // g2), (b // g2) * (P // g1)
 
-    def ratio(self, n: int) -> Fraction:
-        """g_n. Forming it raises NonpositiveRatio at the first g_m <= 0 and
-        ParamError at a gamma_m = 0, which g_m would divide by."""
-        values = self.values
-        for m in range(len(values), n + 1):
-            A, B = self._tilde(m)
-            c, d = self._gamma(m)
+    def _extend(self, N: int, digit_cap: int | None = None) -> bool:
+        """Form the ratios up to g_{N-1}, in one loop, or up to the first
+        past ``digit_cap`` digits; whether it stopped there. Forming them
+        raises NonpositiveRatio at the first g_n <= 0 and ParamError at a
+        gamma_n = 0, which g_n would divide by."""
+        values, gamma = self.values, self._gamma
+        for n in range(len(values), N):
+            A, B = self._tilde(n)
+            c, d = gamma(n)
             if c == 0:
-                raise ParamError(f"gamma_{m} must be nonzero: g_{m} divides by it")
+                raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
             E = B - A
             h1, h2 = math.gcd(E, c), math.gcd(d, B)
             P, Q = (E // h1) * (d // h2), (B // h2) * (c // h1)
@@ -456,24 +458,26 @@ class _ExactRatios:
                 P, Q = -P, -Q
             g = coprime_fraction(P, Q)
             if not P > 0:
-                raise NonpositiveRatio(m, g)
+                raise NonpositiveRatio(n, g)
             values.append(g)
-        return values[n]
+            if digit_cap is not None and pair_digits(P, Q) > digit_cap:
+                return True
+        return False
+
+    def ratio(self, n: int) -> Fraction:
+        """g_n, forming the ratios up to it."""
+        self._extend(n + 1)
+        return self.values[n]
 
     def alpha_tilde(self, n: int) -> Fraction:
         """alpha_tilde_n = alpha_n/g_{n-1}."""
-        if n:
-            self.ratio(n - 1)
+        self._extend(n)
         return coprime_fraction(*self._tilde(n))
 
     def up_to_cap(self, N: int, digit_cap: int) -> bool:
         """Form g_0.. up to g_{N-1}, or up to the first g_n past ``digit_cap``
         digits; whether it stopped there."""
-        for n in range(len(self.values), N):
-            g = self.ratio(n)
-            if pair_digits(g.numerator, g.denominator) > digit_cap:
-                return True
-        return False
+        return self._extend(N, digit_cap)
 
 
 # outward rounding of the ratio bounds, at EXTENDED_DPS digits
@@ -582,6 +586,7 @@ def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSe
         if not exact.up_to_cap(N, digit_cap):
             return RatioSequence(tuple(exact.values), True)
         values = [to_decimal(v, EXTENDED) for v in exact.values]
+        del exact  # frees the long Fractions before the Decimal tail
     else:
         g = 1 / family.gamma(0)
         if not g > 0:
@@ -803,18 +808,25 @@ def ratio_sandwich(family, N: int) -> list[SandwichRow]:
     values = exact.values
     fallback = exact.up_to_cap(N, DEFAULT_DIGIT_CAP)
     k = len(values)
-    printed = _ratio_tail(table, [to_decimal(g, EXTENDED) for g in values], N) if fallback else values
+    printed = [to_decimal(g, EXTENDED) for g in values] if fallback else values
+    decided = []  # (lower_ok, upper_ok) of the rows n < k, on the exact g_n
+    for n, g in enumerate(values):
+        _, _, vn, vd, wn, wd = table.step(n)
+        decided.append((g.denominator <= g.numerator,
+                        vn <= 0 or g.numerator * wd * vn <= wn * vd * g.denominator))
+    if fallback:
+        # the exact pass reads no g before g_{k-1} again: the long ones are
+        # freed before the Decimal tail and the rows are made
+        values[:k - 1] = [None] * (k - 1)
+        printed = _ratio_tail(table, printed, N)
+        bounds = _ratio_bounds(table, N, exact, start=k)
     rows = []
     for n in range(N):
         _, _, vn, vd, wn, wd = table.step(n)
         W, V = wn * vd, wd * vn  # w_n/v_n = W/V
         if n < k:
-            g = values[n]
-            lower_ok = g.denominator <= g.numerator
-            upper_ok = vn <= 0 or g.numerator * V <= W * g.denominator
+            lower_ok, upper_ok = decided[n]
         else:
-            if n == k:
-                bounds = _ratio_bounds(table, N, exact, start=k)
             _, _, lo, hi = next(bounds)
             lower_ok = _le(1, 1, lo, hi, lambda: 1 <= exact.ratio(n))
             upper_ok = vn <= 0 or _le(lo, hi, _FLOOR.divide(W, V), _CEILING.divide(W, V),
@@ -825,8 +837,4 @@ def ratio_sandwich(family, N: int) -> list[SandwichRow]:
             upper_ok=upper_ok,
             gamma_step_decreasing=vn > 0,
         ))
-        if n < k - 1:
-            # the exact pass reads no g before g_{k-1} again: a g_n of
-            # thousands of digits is freed once its row is made
-            values[n] = None
     return rows
