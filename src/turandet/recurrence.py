@@ -218,7 +218,15 @@ class _StepTable:
 
     @functools.cached_property
     def steps(self):
-        return tuple(map(list, zip(*[self.step(n) for n in range(self.N + 1)])))
+        un, ud, vn, vd, wn, wd = lists = [], [], [], [], [], []
+        for a, b, c, d, e, f in map(self.step, range(self.N + 1)):
+            un.append(a)
+            ud.append(b)
+            vn.append(c)
+            vd.append(d)
+            wn.append(e)
+            wd.append(f)
+        return lists
 
     def u_value(self, n: int) -> Fraction:
         un, ud, *_ = self.steps
