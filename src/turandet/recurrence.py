@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
@@ -227,6 +228,11 @@ class _StepTable:
             wn.append(e)
             wd.append(f)
         return lists
+
+    def extended(self, n: int) -> tuple[Decimal, Decimal]:
+        """alpha_n and gamma_n rounded once to EXTENDED Decimals from the ints:
+        to_decimal of alpha(n) and gamma(n), without their Fractions."""
+        return EXTENDED.divide(self.ap[n], self.aq[n]), EXTENDED.divide(self.gp[n], self.gq[n])
 
     def u_value(self, n: int) -> Fraction:
         un, ud, *_ = self.steps
@@ -556,24 +562,35 @@ def _le(x_lo, x_hi, y_lo, y_hi, exact: Callable[[], bool]) -> bool:
     return exact()
 
 
-def _ratio_tail(family, values: list, N: int) -> tuple:
-    """The ratios ``values`` = g_0..g_{k-1}, continued to g_{N-1} in their own
-    arithmetic: Decimals in the EXTENDED context, into which each coefficient
-    is converted (``to_decimal``), or the family's own numbers."""
-    fallback = isinstance(values[-1], Decimal)
+def _ratio_tail(family, values: list, N: int):
+    """Continue the ratios ``values`` = g_0..g_{k-1} to g_{N-1}, appending each
+    to ``values``, in their own arithmetic: Decimals in the EXTENDED context,
+    into which each coefficient is converted (``to_decimal``; a step table's
+    from its ints, ``_StepTable.extended``), or the family's own numbers.
+    Yields the alpha_tilde_n = alpha_n/g_{n-1} and gamma_tilde_n = gamma_n*g_n
+    of n = k..N-1 that it forms on the way, the values of NormalizedFamily
+    over these ratios; a step runs only when the consumer asks for it."""
+    if not isinstance(values[-1], Decimal):
+        div, sub, mul = operator.truediv, operator.sub, operator.mul
+        read = lambda n: (family.alpha(n), family.gamma(n))  # noqa: E731
+    else:
+        div, sub, mul = EXTENDED.divide, EXTENDED.subtract, EXTENDED.multiply
+        if isinstance(family, _StepTable):
+            read = family.extended
+        else:
+            read = lambda n: (to_decimal(family.alpha(n), EXTENDED),  # noqa: E731
+                              to_decimal(family.gamma(n), EXTENDED))
     g = values[-1]
-    with localcontext(EXTENDED):  # only the Decimals of a fallback use it
-        for n in range(len(values), N):
-            a, c = family.alpha(n), family.gamma(n)
-            if c == 0:
-                raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
-            if fallback:
-                a, c = to_decimal(a), to_decimal(c)
-            g = (1 - a / g) / c  # a/g is alpha_tilde_n
-            if not g > 0:
-                raise NonpositiveRatio(n, g)
-            values.append(g)
-    return tuple(values)
+    for n in range(len(values), N):
+        a, c = read(n)
+        if c == 0:
+            raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
+        t = div(a, g)
+        g = div(sub(1, t), c)
+        if not g > 0:
+            raise NonpositiveRatio(n, g)
+        values.append(g)
+        yield t, mul(c, g)
 
 
 def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSequence:
@@ -600,7 +617,9 @@ def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSe
         if not g > 0:
             raise NonpositiveRatio(0, g)
         values = [g]
-    return RatioSequence(_ratio_tail(family, values, N), False)
+    for _ in _ratio_tail(family, values, N):  # appends g_n to values
+        pass
+    return RatioSequence(tuple(values), False)
 
 
 class NormalizedFamily:
@@ -668,6 +687,41 @@ def normalize(family, N: int) -> NormalizedFamily:
     if isinstance(family, NormalizedFamily):
         return family
     return NormalizedFamily(family, ratios_at_one(family, N, DEFAULT_DIGIT_CAP))
+
+
+def _normalized_coefficients(family, hi: int) -> tuple[list, list]:
+    """The lists of coefficients(normalize(family, hi + 1), hi), from one read
+    of the coefficients 0..hi: the same values of the same types, except that
+    alpha_tilde_0 of an exact family is always the Fraction 0.
+
+    An exact family is read as the ints of its step table, and its exact
+    ratio pass gives alpha_tilde_n = A/B (``_ExactRatios._tilde``) and
+    gamma_tilde_n = gamma_n*g_n = (B - A)/B, both in lowest terms. When the
+    pass stops at its digit cap after g_{k-1}, the values below k are formed
+    from the Decimal ratios as NormalizedFamily forms them, and the rest are
+    the ones that the Decimal tail forms (``_ratio_tail``). Any other family
+    is normalized in its own arithmetic.
+    """
+    if not family.exact:
+        return coefficients(normalize(_materialize(family, hi), hi + 1), hi)
+    table = _StepTable(family, hi - 1)
+    exact = _ExactRatios(table)
+    if not exact.up_to_cap(hi + 1, DEFAULT_DIGIT_CAP):
+        tildes = [exact._tilde(n) for n in range(hi + 1)]
+        return ([coprime_fraction(A, B) for A, B in tildes],
+                [coprime_fraction(B - A, B) for A, B in tildes])
+    ratios = [to_decimal(g, EXTENDED) for g in exact.values]
+    del exact  # frees the long Fractions before the Decimal tail
+    al, ga = [table.alpha(0)], []
+    for n, g in enumerate(ratios):
+        a, c = table.extended(n)
+        if n:
+            al.append(EXTENDED.divide(a, ratios[n - 1]))
+        ga.append(EXTENDED.multiply(c, g))
+    for a, g in _ratio_tail(table, ratios, hi + 1):
+        al.append(a)
+        ga.append(g)
+    return al, ga
 
 
 def associated_family(family: CoefficientFamily, k: int) -> CoefficientFamily:
@@ -826,7 +880,8 @@ def ratio_sandwich(family, N: int) -> list[SandwichRow]:
         # the exact pass reads no g before g_{k-1} again: the long ones are
         # freed before the Decimal tail and the rows are made
         values[:k - 1] = [None] * (k - 1)
-        printed = _ratio_tail(table, printed, N)
+        for _ in _ratio_tail(table, printed, N):  # appends g_n to printed
+            pass
         bounds = _ratio_bounds(table, N, exact, start=k)
     rows = []
     for n in range(N):

@@ -45,7 +45,10 @@ from turandet import (
     normalize,
     pollaczek,
     chebyshev_t,
+    chebyshev_u,
     check_szw_normalized,
+    coefficients,
+    example2,
     ratio_sandwich,
     ratios_at_one,
 )
@@ -55,6 +58,7 @@ from turandet.cli import main
 from turandet.recurrence import (
     CoefficientFamily,
     _ExactRatios,
+    _materialize,
     _ratio_bounds,
     _step_table,
     _table,
@@ -353,6 +357,77 @@ def test_integer_ratio_pass_matches_on_random_tables(case, cap):
     family, N = case
     for table in (family, _step_table(family, N)):
         assert_ratio_pass_matches_reference(table, N + 1, cap)
+
+
+def _normalized_view(family, hi):
+    """The coefficients that grid_scan read before the integer pass."""
+    return coefficients(normalize(_materialize(family, hi), hi + 1), hi)
+
+
+def _coefficient_outcome(coefficient_pass, family, hi):
+    """The lists of a normalized coefficient pass as plain data, or its error.
+    Each value is given by its type, its repr (a Decimal digit for digit)
+    and the bits of its double; alpha_tilde_0 = alpha_0 = 0 by its value,
+    as the integer pass makes it the Fraction 0 for an int alpha_0 too."""
+    try:
+        al, ga = coefficient_pass(family, hi)
+    except NonpositiveRatio as exc:
+        return "NonpositiveRatio", str(exc), exc.n, _number(exc.value)
+    except ParamError as exc:
+        return "ParamError", str(exc)
+    assert al[0] == 0 and len(al) == len(ga) == hi + 1
+    return [[(type(v).__name__, repr(v), float(v).hex()) for v in values]
+            for values in (al[1:], ga)]
+
+
+def assert_coefficient_pass_matches(family, hi):
+    assert (_coefficient_outcome(recurrence._normalized_coefficients, family, hi)
+            == _coefficient_outcome(_normalized_view, family, hi))
+
+
+@pytest.mark.parametrize("family", [
+    chebyshev_t(), chebyshev_u(), legendre(), gegenbauer(Fraction(3, 2)), pollaczek(2, 1),
+    pollaczek(Fraction(3, 2), 1), example3(Fraction(1, 2)), example4(3, Fraction(1, 2)),
+    example2(DeltaSeq(lambda n: Fraction(1, 6) / 2 ** n, limit=0),
+             DeltaSeq(lambda n: Fraction(1, n) if n else Fraction(0), limit=0)),
+], ids=lambda family: family.name)
+def test_integer_coefficient_pass_matches_the_normalized_view_on_builtins(family):
+    """The normalized coefficients that grid_scan reads from the step table's
+    ints equal those of the NormalizedFamily view, in value and type, and
+    their doubles bit for bit; and so do those of the float view."""
+    assert_coefficient_pass_matches(family, 300)
+    assert_coefficient_pass_matches(float_view(family), 300)
+
+
+def test_integer_coefficient_pass_matches_past_the_fallback():
+    """Example3(1/3) passes its digit-cap fallback at g_989: the Decimals
+    formed from the rounded exact ratios below it and those of the Decimal
+    tail from it on are the view's, digit for digit."""
+    al, _ = recurrence._normalized_coefficients(example3(Fraction(1, 3)), 1200)
+    assert type(al[989]) is Decimal and type(al[989 - 1]) is Decimal
+    assert_coefficient_pass_matches(example3(Fraction(1, 3)), 1200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(step_tables(),
+                 step_tables(values=st.integers(min_value=-3, max_value=4),
+                             gamma0=st.integers(min_value=1, max_value=20))),
+       st.sampled_from([1, 60, 4096]), st.booleans())
+@example((_family([0, 1, 2, 3], [1, 0, 1, 1]), 2), 4096, False)  # gamma_1 = 0
+@example((_family([0, 2, 2, 2], [1, 1, 1, 1]), 2), 4096, False)  # g_1 = -1
+@example((_family([0, 2, 2, 2], [1, 1, 1, 1]), 2), 4096, True)
+@example((_family([0, Fraction(1, 4), Fraction(1, 4)],
+                  [Fraction(10**61 + 1, 10**61), Fraction(1, 2), Fraction(1, 2)]), 1), 60, False)
+def test_integer_coefficient_pass_matches_on_random_tables(case, cap, as_floats):
+    """Random Fraction, int and double tables, at digit caps that the exact
+    ratios pass early or never: the same lists, or the same
+    NonpositiveRatio index and value, or the same ParamError at a zero
+    gamma_n."""
+    family, N = case
+    if as_floats:
+        family = float_view(family)
+    with mock.patch.object(recurrence, "DEFAULT_DIGIT_CAP", cap):
+        assert_coefficient_pass_matches(family, N + 1)
 
 
 @settings(max_examples=200, deadline=None)
