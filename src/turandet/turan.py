@@ -1,18 +1,21 @@
 """Turán determinants Delta_n(x) = p_n(x)^2 - p_{n-1}(x)*p_{n+1}(x) and grid scans.
 
 The scanner streams the recurrence over a fixed symmetric grid in double
-precision, three rows at a time, so its memory stays flat in the degree. It
-keeps each degree's grid minimum, its abscissa and max|Delta_n|, and
-re-evaluates any minimum inside a near-zero band with 50-digit decimal
-arithmetic (the standard library's ``decimal``); the sign of that confirmed
-value, up to its rounding bound, is the verdict — sign near zero is the
-entire point of the exercise. Minima that were never confirmed, and
-confirmed ones of families with double-precision coefficients, are judged
-against the tolerance.
+precision and reduces the rows MINIMA_BLOCK degrees at a time, so its memory
+stays flat in the degree. It keeps each degree's grid minimum, its abscissa
+and max|Delta_n|, and re-evaluates any minimum inside a near-zero band with
+50-digit decimal arithmetic (the standard library's ``decimal``); the sign of
+that confirmed value, up to its rounding bound, is the verdict — sign near
+zero is the entire point of the exercise. A scan that normalizes an exact
+family at x = 1 makes Delta_n(+-1) exactly 0, so its minima at x = +-1 are
+confirmed as 0 without that evaluation. Minima that were never confirmed,
+and confirmed ones of families with double-precision coefficients, are
+judged against the tolerance.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
@@ -25,6 +28,7 @@ from .recurrence import (
     ScalingSequence,
     _dets,
     _materialize,
+    _normalized_coefficients,
     _require_count,
     _rows,
     _sigma_callable,
@@ -51,6 +55,8 @@ CONFIRM_BAND = 1e-10
 # scale_n*10**(CONFIRM_GUARD_DIGITS - digits) of zero counts as zero, where
 # digits is confirm_dps, or EXTENDED_DPS if fewer and a coefficient is a Decimal.
 CONFIRM_GUARD_DIGITS = 10
+# degrees whose minima are reduced together (``_minima``)
+MINIMA_BLOCK = 16
 
 
 def turan_det(family, n: int, x, normalized: bool = True, dps: int | None = None):
@@ -76,8 +82,9 @@ def scan_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     exactly; an odd ``points`` adds 0.0 twice. The endpoints are deliberately
     kept duplicated, so the grid always holds exactly 2*points abscissas.
     """
-    if points < 3:
+    if isinstance(points, numbers.Real) and points < 3:
         raise ParamError("grid needs at least 3 points")
+    points = _require_count("points", points, 3)
     half = np.sort(np.concatenate([
         -np.linspace(-1.0, 1.0, points)[:points // 2],
         np.cos(np.pi * np.arange(points // 2) / (points - 1))]))
@@ -104,9 +111,10 @@ class TuranReport:
 
     min_value/argmin_x are raw double-precision grid values (bit-identical to
     turan_det at the same point in float mode). The nonnegative verdict of a
-    minimum inside the near-zero band is the sign of its confirmation in
-    ``decimal`` arithmetic at confirm_dps digits, up to that evaluation's
-    rounding bound, or up to
+    minimum inside the near-zero band is the sign of its confirmation (in
+    ``decimal`` arithmetic at confirm_dps digits, or exactly 0 at x = +-1
+    after grid_scan's normalization), up to that evaluation's rounding
+    bound, or up to
     ``tolerance`` when a coefficient or sigma is a double; every other
     minimum is judged against ``tolerance``.
     """
@@ -170,14 +178,40 @@ def _confirm_tolerance(confirm_dps: int, tolerance: float, *sources) -> float:
     return 10.0 ** (CONFIRM_GUARD_DIGITS - digits)
 
 
-def _min_and_scale(D) -> tuple[int, float, float]:
-    """argmin i, D[i] and scale_n = max(1, max|D|) of one row of Delta_n.
+def _min_and_scale(D) -> tuple[list, list, list]:
+    """Per row of the block D, one Delta_n a row: the first argmin i, D[i]
+    and scale_n = max(1, max|D|), as three lists.
 
-    max|D| is max(D.max(), -D[i]), which needs no |D| vector. A NaN in D
+    max|D| is max(D.max(), -D[i]), which needs no |D| block. A NaN in a row
     gives scale 1, as max(1.0, nan) is 1.0, and an infinity gives inf."""
-    i = int(np.argmin(D))
-    m = float(D[i])
-    return i, m, max(1.0, float(D.max()), -m)
+    i = D.argmin(axis=1)
+    m = D[np.arange(len(D)), i].tolist()
+    return i.tolist(), m, [max(1.0, d, -v) for d, v in zip(D.max(axis=1).tolist(), m)]
+
+
+def _minima(rows, n_max: int) -> tuple[list, list, list]:
+    """``_min_and_scale`` of Delta_1..Delta_{n_max} from the rows p_0, p_1, ...
+
+    The rows are stacked MINIMA_BLOCK degrees at a time in one buffer, and
+    each block's Delta_n are formed together, in two more buffers allocated
+    once, with the operations of ``_dets``: p_n*p_n, then minus
+    p_{n-1}*p_{n+1}."""
+    rows = iter(rows)
+    p0, p1 = next(rows), next(rows)
+    buf = np.empty((MINIMA_BLOCK + 2, *np.shape(p1)))
+    dets, prods = np.empty((2, MINIMA_BLOCK, *np.shape(p1)))
+    buf[0], buf[1] = p0, p1
+    idx, mins, scales = [], [], []
+    for lo in range(1, n_max + 1, MINIMA_BLOCK):
+        k = min(MINIMA_BLOCK, n_max + 1 - lo)
+        for j in range(2, k + 2):
+            buf[j] = next(rows)
+        D = np.multiply(buf[1:k + 1], buf[1:k + 1], out=dets[:k])
+        D -= np.multiply(buf[:k], buf[2:k + 2], out=prods[:k])
+        for out, part in zip((idx, mins, scales), _min_and_scale(D)):
+            out += part
+        buf[:2] = buf[k:k + 2]
+    return idx, mins, scales
 
 
 def _confirm(al_src, ga_src, pending: dict, confirm_dps: int, sigma_src=None) -> dict:
@@ -199,10 +233,13 @@ def _confirm(al_src, ga_src, pending: dict, confirm_dps: int, sigma_src=None) ->
 
 
 def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
-          confirm_dps: int, sigma_src=None, sigma_log_concave=None) -> TuranReport:
+          confirm_dps: int, sigma_src=None, sigma_log_concave=None,
+          zero_at_ends: bool = False) -> TuranReport:
     """Stream the float64 rows over the grid, keep min, argmin and max|Delta_n|
     per degree, confirm the near-zero minima in decimal arithmetic at
-    confirm_dps digits, judge."""
+    confirm_dps digits, judge. With ``zero_at_ends``, Delta_n(+-1) is
+    exactly 0 for the exact family that the coefficients stand for, and a
+    near-zero minimum there is confirmed as 0 without a decimal sweep."""
     if (isinstance(confirm_dps, bool) or not isinstance(confirm_dps, int)
             or confirm_dps <= CONFIRM_GUARD_DIGITS):
         raise ParamError(f"confirm_dps must be an int that exceeds {CONFIRM_GUARD_DIGITS} "
@@ -216,20 +253,21 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
     rows = _rows([float(v) for v in al_src], [float(v) for v in ga_src], xs, n_max + 1, 1.0)
     if sigma_src is not None:
         rows = _scaled(rows, [float(v) for v in sigma_src])
-    mins, args, scales = [], [], []
-    for _, D in _dets(rows):
-        i, m, scale = _min_and_scale(D)
-        mins.append(m)
-        args.append(float(xs[i]))
-        scales.append(scale)
+    idx, mins, scales = _minima(rows, n_max)
+    args = xs[idx].tolist()
 
     # group the near-zero minima by abscissa: one high-precision sweep per x
     pending: dict[float, set[int]] = {}
+    confirmed = {}
     for n, m, x, scale in zip(range(1, n_max + 1), mins, args, scales):
         if abs(m) < CONFIRM_BAND * scale:
-            pending.setdefault(x, set()).add(n)
-    confirmed = {n: float(v) for n, v in _confirm(
-        al_src, ga_src, pending, confirm_dps, sigma_src).items()} if pending else {}
+            if zero_at_ends and abs(x) == 1.0:
+                confirmed[n] = 0.0
+            else:
+                pending.setdefault(x, set()).add(n)
+    if pending:
+        confirmed.update((n, float(v)) for n, v in _confirm(
+            al_src, ga_src, pending, confirm_dps, sigma_src).items())
 
     confirm_tol = _confirm_tolerance(confirm_dps, tolerance, al_src, ga_src, sigma_src or ())
     entries = tuple(
@@ -251,13 +289,17 @@ def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
               confirm_dps: int = EXTENDED_DPS) -> TuranReport:
     """Scan Delta_1..Delta_{n_max} over the uniform+Chebyshev grid.
 
-    The recurrence runs over the whole grid in float64, three rows at a time,
-    so memory stays flat in n_max. Verdict per degree, with scale_n =
-    max(1, max|Delta_n| on the grid): a grid minimum inside the
-    1e-10*scale_n band is re-evaluated in ``decimal`` arithmetic at
-    confirm_dps significant digits, from the exact value of every int, double
-    and Decimal and every Fraction rounded once to that precision, and that
-    confirmed value decides, up to its rounding bound
+    The recurrence runs over the whole grid in float64, and its rows are
+    reduced to per-degree minima MINIMA_BLOCK degrees at a time, so memory
+    stays flat in n_max. With normalized=True an exact family is normalized
+    from one read of its coefficients as ints. Verdict per degree, with
+    scale_n = max(1, max|Delta_n| on the grid): a grid minimum inside the
+    1e-10*scale_n band at x = +-1 of a family normalized here from exact
+    coefficients is confirmed as exactly 0, the value that p_n(+-1) = (+-1)^n
+    gives; any other minimum in the band is re-evaluated in ``decimal``
+    arithmetic at confirm_dps significant digits, from the exact value of
+    every int, double and Decimal and every Fraction rounded once to that
+    precision, and that confirmed value decides, up to its rounding bound
     scale_n*10**(CONFIRM_GUARD_DIGITS - confirm_dps) when every coefficient
     is exact or extended precision, and up to tolerance*scale_n when one is
     a double; any other minimum is nonnegative when it is
@@ -269,10 +311,13 @@ def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
         # one read of the coefficients serves the ratios and the scan; neither
         # the table nor the ratios are held through the scan, so they add
         # nothing to its peak memory
-        al_src, ga_src = coefficients(normalize(_materialize(family, n_max), n_max + 1), n_max)
+        al_src, ga_src = _normalized_coefficients(family, n_max)
+        zero_at_ends = family.exact
     else:
         al_src, ga_src = coefficients(family, n_max)
-    return _scan(al_src, ga_src, n_max, grid_points, tolerance, confirm_dps)
+        zero_at_ends = False
+    return _scan(al_src, ga_src, n_max, grid_points, tolerance, confirm_dps,
+                 zero_at_ends=zero_at_ends)
 
 
 def scaled_scan(family, sigma, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import math
 import re
+import struct
 import tracemalloc
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction as F
@@ -9,6 +10,8 @@ from fractions import Fraction as F
 import mpmath_reference
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from turandet import (
     ParamError,
@@ -26,7 +29,8 @@ from turandet import (
     turan,
     turan_det,
 )
-from turandet.arith import exact_value, to_decimal
+from turandet.arith import EXTENDED_DPS, exact_value, to_decimal
+from turandet.recurrence import _dets, _normalized_coefficients
 from turandet.turan import CONFIRM_GUARD_DIGITS
 
 
@@ -74,6 +78,24 @@ def test_scan_grid_shape():
         scan_grid(2)
 
 
+def test_grid_counts_of_the_wrong_type_name_the_parameter():
+    """A count that is not an integer is a ParamError naming ``points``; an
+    integer of another type is read as an int; too few points keep their
+    own message."""
+    for bad in (5.0, "5", np.float64(5), None):
+        message = rf"points must be an int >= 3 \(got {re.escape(repr(bad))}\)"
+        with pytest.raises(ParamError, match=message):
+            scan_grid(bad)
+        with pytest.raises(ParamError, match=message):
+            grid_scan(legendre(), 3, grid_points=bad)
+    for few in (True, 2, -1, 2.0):
+        with pytest.raises(ParamError, match="grid needs at least 3 points"):
+            scan_grid(few)
+    assert np.array_equal(scan_grid(np.int64(25)), scan_grid(25))
+    assert grid_scan(legendre(), 3, grid_points=np.int64(25)) == grid_scan(legendre(), 3,
+                                                                          grid_points=25)
+
+
 @pytest.mark.parametrize("scan", [
     lambda: grid_scan(pollaczek(F(3, 2), 1), 400, grid_points=301),
     lambda: grid_scan(example3(2), 300),
@@ -94,12 +116,12 @@ def test_scan_over_one_abscissa_per_abs_value_equals_the_full_grid(monkeypatch, 
     def recording_scale(key):
         def record(D):
             i, m, scale = min_and_scale(D)
-            scales[key].append(scale)
+            scales[key] += scale
             if key == "full":
-                # the swept index of the first argmin's abscissa; one past
+                # the swept index of each first argmin's abscissa; one past
                 # the nonpositive half has none, and the scan fails
                 grid = grids[-1]
-                i = int(np.searchsorted(np.unique(grid[grid <= 0]), grid[i]))
+                i = np.searchsorted(np.unique(grid[grid <= 0]), grid[i]).tolist()
             return i, m, scale
         return record
 
@@ -276,6 +298,9 @@ def test_double_coefficients_keep_the_tolerance_on_confirmed_minima(family, n_ma
     rep = grid_scan(family(), n_max)
     assert rep.all_nonnegative
     assert any(abs(e.argmin_x) == 1.0 for e in rep.per_n)
+    # with no tolerance, the doubles' own Delta_n(-1) decides, and it is not
+    # the 0 of the exact family
+    assert not grid_scan(family(), n_max, tolerance=0.0).all_nonnegative
 
 
 def test_scan_rejects_confirm_dps_within_guard_digits():
@@ -303,9 +328,10 @@ def test_scan_memory_stays_flat_in_n_max(scan):
 
 
 # Scans whose confirmation passes run. Legendre's minima sit at x = -1, where
-# Delta_n is exactly 0; Example3(1/3) passes its digit-cap fallback at g_989,
-# so its later coefficients are Decimals; the float table and Legendre's float
-# view take the tolerance path; every degree of the 1/(2n+1) scaling is a
+# Delta_n is exactly 0, so grid_scan confirms them as 0 and the test sweeps
+# x = -1 itself; Example3(1/3) passes its digit-cap fallback at g_989, so its
+# later coefficients are Decimals; the float table and Legendre's float view
+# take the tolerance path; every degree of the 1/(2n+1) scaling is a
 # confirmed negative; confirm_dps=11 is the least precision allowed.
 CONFIRMED_SCANS = {
     "Legendre": lambda: grid_scan(legendre(), 300),
@@ -316,32 +342,51 @@ CONFIRMED_SCANS = {
     "sigma-1/(2n+1)": lambda: scaled_scan(legendre(), lambda n: F(1, 2 * n + 1), 300),
     "confirm_dps=11": lambda: grid_scan(legendre(), 300, confirm_dps=11),
 }
+# the scans that grid_scan normalizes from exact coefficients
+ZERO_AT_ENDS = {"Legendre", "Example3(1/3)-past-fallback", "confirm_dps=11"}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIRMED_SCANS))
 def test_decimal_confirmation_agrees_with_mpmath(monkeypatch, name):
     """The decimal confirmation gives the mpmath reference's verdicts, and
     each confirmed value lies within a thousandth of the rounding bound
-    scale_n*10**(CONFIRM_GUARD_DIGITS - confirm_dps) of the reference value."""
-    calls, scales = [], []
-    confirm, min_and_scale = turan._confirm, turan._min_and_scale
+    scale_n*10**(CONFIRM_GUARD_DIGITS - confirm_dps) of the reference value.
+    The near-zero minima at x = +-1 that grid_scan confirms as 0 without a
+    sweep are swept here, by a call with the scan's own coefficients."""
+    calls, scans, scales = [], [], []
+    confirm, scan, min_and_scale = turan._confirm, turan._scan, turan._min_and_scale
 
     def recording_confirm(*args):
         calls.append((args, confirm(*args)))
         return calls[-1][1]
 
+    def recording_scan(*args, **kwargs):
+        scans.append((args, kwargs))
+        return scan(*args, **kwargs)
+
     def recording_scale(D):
-        scales.append(min_and_scale(D)[2])
-        return min_and_scale(D)
+        i, m, scale = min_and_scale(D)
+        scales.extend(scale)
+        return i, m, scale
 
     monkeypatch.setattr(turan, "_confirm", recording_confirm)
+    monkeypatch.setattr(turan, "_scan", recording_scan)
     monkeypatch.setattr(turan, "_min_and_scale", recording_scale)
     report = CONFIRMED_SCANS[name]()
+    # every near-zero minimum of these scans lies at x = -1, which the scan
+    # sweeps only when it did not normalize the family from exact values
+    assert len(calls) == (name not in ZERO_AT_ENDS)
+    if name in ZERO_AT_ENDS:
+        [(args, _)] = scans
+        ends = {e.n for e in report.per_n if abs(e.argmin_x) == 1.0
+                and abs(e.min_value) < turan.CONFIRM_BAND * scales[e.n - 1]}
+        swept = (args[0], args[1], {-1.0: ends}, args[5])
+        calls.append((swept, confirm(*swept)))
     [(args, got)] = calls
     confirm_dps = args[3]
+    bound = F(10) ** (CONFIRM_GUARD_DIGITS - confirm_dps) / 1000
     want = mpmath_reference.confirm(*args)
     assert got and got.keys() == want.keys()
-    bound = F(10) ** (CONFIRM_GUARD_DIGITS - confirm_dps) / 1000
     for n, value in got.items():
         assert isinstance(value, Decimal)
         assert abs(F(value) - mpmath_reference.exact(want[n])) <= bound * F(scales[n - 1])
@@ -350,7 +395,41 @@ def test_decimal_confirmation_agrees_with_mpmath(monkeypatch, name):
     assert CONFIRMED_SCANS[name]().to_json() == report.to_json()
 
 
-@pytest.mark.parametrize("row", [
+# (family, n_max, confirm_dps) of scans whose minima at x = -1 grid_scan
+# confirms as 0: the exact ones of CONFIRMED_SCANS and the n_max = 5000 scans
+# of the benchmark's sweeps
+END_SCANS = {
+    "Legendre": (legendre, 300, EXTENDED_DPS),
+    "Example3(1/3)-past-fallback": (lambda: example3(F(1, 3)), 1200, EXTENDED_DPS),
+    "confirm_dps=11": (legendre, 300, 11),
+    "Example3(1/2)-5000": (lambda: example3(F(1, 2)), 5000, EXTENDED_DPS),
+    "Legendre-5000": (legendre, 5000, EXTENDED_DPS),
+    "Pollaczek(2,1)-5000": (lambda: pollaczek(2, 1), 5000, EXTENDED_DPS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(END_SCANS))
+def test_skipped_end_confirmations_lie_within_the_rounding_bound(name):
+    """Normalizing an exact family at x = 1 makes Delta_n(+-1) exactly 0, and
+    grid_scan takes that as the confirmed value of its minima there. The
+    decimal sweep that it skips lies within the rounding bound of 0 at every
+    degree, even with scale_n = 1, so it would have called each of them
+    nonnegative too: skipping it leaves every verdict as it was."""
+    family, n_max, confirm_dps = END_SCANS[name]
+    al, ga = _normalized_coefficients(family(), n_max)
+    bound = turan._confirm_tolerance(confirm_dps, turan.DEFAULT_TOLERANCE, al, ga)
+    assert bound == 10.0 ** (CONFIRM_GUARD_DIGITS - min(confirm_dps, EXTENDED_DPS))
+    degrees = set(range(1, n_max + 1))
+    for x in (-1.0, 1.0):
+        confirmed = turan._confirm(al, ga, {x: degrees}, confirm_dps)
+        assert confirmed.keys() == degrees
+        assert all(abs(v) <= bound for v in confirmed.values())
+    report = grid_scan(family(), n_max, confirm_dps=confirm_dps)
+    assert any(abs(e.argmin_x) == 1.0 for e in report.per_n)
+    assert all(e.nonnegative for e in report.per_n if abs(e.argmin_x) == 1.0)
+
+
+SCALE_ROWS = [
     [-math.inf, 0.0, 1.0],
     [math.inf, -3.0, 0.5],
     [-math.inf, math.inf],
@@ -363,15 +442,76 @@ def test_decimal_confirmation_agrees_with_mpmath(monkeypatch, name):
     [-3.0, -1.0],
     [0.1, -0.2],
     [-0.0, 0.0],
-], ids=str)
+]
+
+
+@pytest.mark.parametrize("row", SCALE_ROWS, ids=str)
 def test_scale_equals_max_abs(row):
     """scale_n from D.max() and the minimum equals max(1, max|D|), as
     max(1.0, nan) is 1.0 for a row holding a NaN."""
     D = np.array(row)
-    i, m, scale = turan._min_and_scale(D)
+    [i], [m], [scale] = turan._min_and_scale(D[None])
     assert i == int(np.argmin(D))
     assert m == D[i] or (math.isnan(m) and math.isnan(D[i]))
     assert scale == max(1.0, float(np.max(np.abs(D))))
+
+
+def _row_rule(D) -> tuple[int, float, float]:
+    """The minimum of one row of Delta_n as the scan took it one degree at a
+    time: the first argmin i, D[i] and max(1, D.max(), -D[i])."""
+    i = int(np.argmin(D))
+    m = float(D[i])
+    return i, m, max(1.0, float(D.max()), -m)
+
+
+def _bits(values) -> bytes:
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def _assert_same_minima(got, rows_of_D):
+    want = [_row_rule(D) for D in rows_of_D]
+    i, m, scale = got
+    assert i == [w[0] for w in want]
+    assert _bits(m) == _bits([w[1] for w in want])
+    assert _bits(scale) == _bits([w[2] for w in want])
+
+
+K = turan.MINIMA_BLOCK
+BLOCK_HEIGHTS = [1, K - 1, K, K + 1, 2 * K + 1]
+# NaN, infinities, both zeros and a few repeated values, for ties
+FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, -1.0, 2.0]),
+                   st.floats(width=64))
+
+
+def _with_scale_rows(test):
+    for row in SCALE_ROWS:
+        test = example(D=np.array([row]))(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@given(D=st.tuples(st.sampled_from(BLOCK_HEIGHTS), st.integers(1, 6)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=FLOATS)))
+@_with_scale_rows
+def test_block_reduction_equals_the_per_row_rule(D):
+    """A block of Delta_n rows reduces to the minima, first argmins and
+    scales that each row gives alone, bit for bit."""
+    _assert_same_minima(turan._min_and_scale(D), D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_max=st.sampled_from(BLOCK_HEIGHTS), width=st.integers(1, 6),
+       scalar_start=st.booleans(), data=st.data())
+def test_blocked_minima_equal_the_per_degree_pass(n_max, width, scalar_start, data):
+    """The rows stacked MINIMA_BLOCK degrees at a time give, for every n_max
+    around a block boundary, the minima of Delta_n formed one degree at a
+    time by ``_dets``; the stream may start with the scalar p_0 = 1.0."""
+    rows = list(data.draw(arrays(np.float64, (n_max + 2, width), elements=FLOATS)))
+    if scalar_start:
+        rows[0] = 1.0
+    with np.errstate(all="ignore"):
+        got = turan._minima(iter(rows), n_max)
+        _assert_same_minima(got, [D for _, D in _dets(rows)])
 
 
 def test_scan_past_the_fallback_stays_within_its_memory_bound():
