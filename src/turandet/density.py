@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -56,8 +57,9 @@ def orthonormal_turan(a, n: int, x: float) -> float:
 def default_density_grid(points: int = DEFAULT_POINTS, edge: float = DEFAULT_EDGE) -> np.ndarray:
     """Uniform grid on [-edge, edge], clear of the +-1 blow-up; its positive
     half is the negation of its negative half, so xs == -xs[::-1] exactly."""
-    if points < 1:
+    if isinstance(points, numbers.Real) and points < 1:
         raise ParamError("grid needs at least one point")
+    points = _require_count("points", points)
     if not 0 < edge <= 1 - 1e-3:
         raise ParamError("edge must lie in (0, 0.999]")
     half = np.linspace(-edge, edge, points)[:points // 2]

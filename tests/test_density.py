@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -170,6 +171,19 @@ def test_default_grid():
         default_density_grid(edge=1.0)
     with pytest.raises(ParamError):
         default_density_grid(points=0)
+
+
+def test_density_grid_count_of_the_wrong_type_names_the_parameter():
+    """default_density_grid(True) was a 1-point grid, and a double count a
+    bare TypeError; an integer of another type is read as an int."""
+    for bad in (5.0, True, "5", np.float64(5)):
+        message = rf"points must be an int >= 1 \(got {re.escape(repr(bad))}\)"
+        with pytest.raises(ParamError, match=message):
+            default_density_grid(bad)
+    for few in (0, -3, 0.5):
+        with pytest.raises(ParamError, match="grid needs at least one point"):
+            default_density_grid(few)
+    assert np.array_equal(default_density_grid(np.int64(7)), default_density_grid(7))
 
 
 def test_chebyshev_u_density_is_exact():
