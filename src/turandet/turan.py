@@ -208,8 +208,10 @@ def _minima(rows, n_max: int) -> tuple[list, list, list]:
             buf[j] = next(rows)
         D = np.multiply(buf[1:k + 1], buf[1:k + 1], out=dets[:k])
         D -= np.multiply(buf[:k], buf[2:k + 2], out=prods[:k])
-        for out, part in zip((idx, mins, scales), _min_and_scale(D)):
-            out += part
+        i, m, scale = _min_and_scale(D)
+        idx += i
+        mins += m
+        scales += scale
         buf[:2] = buf[k:k + 2]
     return idx, mins, scales
 

@@ -92,8 +92,8 @@ def test_grid_counts_of_the_wrong_type_name_the_parameter():
         with pytest.raises(ParamError, match="grid needs at least 3 points"):
             scan_grid(few)
     assert np.array_equal(scan_grid(np.int64(25)), scan_grid(25))
-    assert grid_scan(legendre(), 3, grid_points=np.int64(25)) == grid_scan(legendre(), 3,
-                                                                          grid_points=25)
+    report = grid_scan(legendre(), 3, grid_points=25)
+    assert grid_scan(legendre(), 3, grid_points=np.int64(25)) == report
 
 
 @pytest.mark.parametrize("scan", [
@@ -516,8 +516,8 @@ def test_blocked_minima_equal_the_per_degree_pass(n_max, width, scalar_start, da
 
 def test_scan_past_the_fallback_stays_within_its_memory_bound():
     """Example3(5) falls back to Decimals near g_1000; its normalized
-    coefficients past there, formed on read, must not add to the scan's
-    peak."""
+    coefficients past there, formed by the Decimal tail, must not add to
+    the scan's peak."""
     tracemalloc.start()
     try:
         rep = grid_scan(example3(5), 5000)
