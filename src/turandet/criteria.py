@@ -49,8 +49,16 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .arith import Num, exact_value, format_number
-from .errors import InvalidLambda, ParamError, StructuralMismatch
-from .recurrence import NormalizedFamily, _ExactRatios, _le, _ratio_bounds, _step_table, _table
+from .errors import InvalidLambda, StructuralMismatch
+from .recurrence import (
+    NormalizedFamily,
+    _ExactRatios,
+    _le,
+    _ratio_bounds,
+    _require_count,
+    _step_table,
+    _table,
+)
 
 __all__ = [
     "Verdict",
@@ -227,8 +235,7 @@ def check_theorem1(family, N: int) -> CriterionReport:
     nonpositive one makes that index inconclusive, witnessing the two
     denominators).
     """
-    if N < 2:
-        raise ParamError("check_theorem1 needs N >= 2")
+    N = _require_count("N", N, 2)
     t = _step_table(family, N)
     al, ga, ap, aq, gp, gq = t.alpha, t.gamma, t.ap, t.aq, t.gp, t.gq
     un, ud, vn, vd, wn, wd = t.steps
@@ -282,8 +289,7 @@ def check_szw_normalized(nf, N: int) -> CriterionReport:
     normalized at 1 (alpha + gamma = 1), and its plain alpha is decided on
     its exact values.
     """
-    if N < 1:
-        raise ParamError("check_szw_normalized needs N >= 1")
+    N = _require_count("N", N)
     if isinstance(nf, NormalizedFamily):
         table = _step_table(nf.base, N - 1)
         exact = _ExactRatios(table)
@@ -373,8 +379,7 @@ def check_corollary1(alpha_const, gamma_const, delta, N: int, *,
     When ``family`` is given, its coefficients are first matched against the
     shape (StructuralMismatch on failure).
     """
-    if N < 1:
-        raise ParamError("check_corollary1 needs N >= 1")
+    N = _require_count("N", N)
     A, G, d, dv = _shape_values(alpha_const, gamma_const, delta, N)
     if family is not None:
         _assert_corollary_shape(family, A, G, dv, first_shifted=0)
@@ -396,8 +401,7 @@ def check_corollary2(alpha_const, gamma_const, delta, N: int, *,
     The window is decided only when A >= G > 0 (alpha-ge-gamma-positive),
     which makes G, A and A + G positive; otherwise its bounds may not exist,
     and both window conditions are left undecided (holds None)."""
-    if N < 1:
-        raise ParamError("check_corollary2 needs N >= 1")
+    N = _require_count("N", N)
     A, G, d, dv = _shape_values(alpha_const, gamma_const, delta, N)
     if family is not None:
         _assert_corollary_shape(family, A, G, dv, first_shifted=1)
@@ -490,8 +494,7 @@ class LambdaData:
 def lambda_data(family, N: int) -> LambdaData:
     """Step data for indices 0..N (consumes coefficients up to N+1), formed
     from the exact values of the coefficients."""
-    if N < 1:
-        raise ParamError("lambda_data needs N >= 1")
+    N = _require_count("N", N)
     # lambda_n = L/D with L = vn*ud and D = un*vd, so y_n = (D + L)/(D - L)
     t = _step_table(family, N)
     un, ud, vn, vd, _, _ = t.steps
@@ -537,8 +540,7 @@ def check_lambda_route(family, N: int) -> CriterionReport:
     1 <= n <= N is defined and <= 1/3 (a sufficient shortcut for (ii));
     "lambda_invalid_indices" lists entries flagged invalid in LambdaData.
     """
-    if N < 1:
-        raise ParamError("check_lambda_route needs N >= 1")
+    N = _require_count("N", N)
     t = _step_table(family, N)
     al, ga, ap, aq, gp, gq = t.alpha, t.gamma, t.ap, t.aq, t.gp, t.gq
     un, ud, vn, vd, _, _ = t.steps
@@ -586,8 +588,7 @@ def check_y_route(family, N: int) -> CriterionReport:
     The step data is formed from the exact values of the coefficients, so the
     y-route decides what check_lambda_route decides: a family whose doubles
     break the pair inequality is Violated on both routes."""
-    if N < 1:
-        raise ParamError("check_y_route needs N >= 1")
+    N = _require_count("N", N)
     # lambda_n = L/D as in check_lambda_route, so y_n = (D + L)/(D - L), kept
     # as yn[n]/yd[n] with a positive denominator
     t = _step_table(family, N)

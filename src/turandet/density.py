@@ -45,8 +45,7 @@ def orthonormal_turan(a, n: int, x: float) -> float:
 
     ``a`` lists a_1..a_m (so a[k-1] is a_k) and must reach a_{n+1}; x is finite.
     """
-    if n < 1:
-        raise ParamError("orthonormal_turan needs n >= 1")
+    n = _require_count("n", n)
     if len(a) < n + 1:
         raise ParamError(f"need off-diagonals up to a_{n + 1}, got {len(a)}")
     if not math.isfinite(x):

@@ -40,7 +40,14 @@ from .errors import (
     StructuralMismatch,
     TableRangeError,
 )
-from .recurrence import CoefficientFamily, NormalizedFamily, _step_table, _table, ratios_at_one
+from .recurrence import (
+    CoefficientFamily,
+    NormalizedFamily,
+    _require_count,
+    _step_table,
+    _table,
+    ratios_at_one,
+)
 
 __all__ = [
     "FAMILY_KINDS",
@@ -131,21 +138,16 @@ def _halved(c, d):
 
     ``c >= 0`` and ``d > 0`` are ints or Fractions; each coefficient costs one
     gcd instead of the several normalized Fractions of the closed form. The
-    callable carries its integer form as ``linear`` = (a1, a0, b1, b0) =
-    (v*q, u*q, 2*v*q, 2*v*p) for c = u/v and d = p/q, and as ``pair``:
-    n -> (a1*n + a0, b1*n + b0), unreduced, with b1*n + b0 > 0 (see
-    CoefficientFamily).
+    callable carries its integer form (see CoefficientFamily) as ``linear`` =
+    (a1, a0, b1, b0) = (v*q, u*q, 2*v*q, 2*v*p) for c = u/v and d = p/q: its
+    value at n is (a1*n + a0)/(b1*n + b0), with b1*n + b0 > 0.
     """
     u, v, p, q = c.numerator, c.denominator, d.numerator, d.denominator
     a1, a0, b1, b0 = linear = v * q, u * q, 2 * v * q, 2 * v * p
 
-    def pair(n: int):
-        return a1 * n + a0, b1 * n + b0
-
     def at(n: int):
-        return Fraction(*pair(n))
+        return Fraction(a1 * n + a0, b1 * n + b0)
 
-    at.pair = pair
     at.linear = linear
     return at
 
@@ -474,8 +476,7 @@ def criterion_reports(family, N: int) -> list[CriterionReport]:
     a float family are) turn the SzwTheorem1, YRoute or corollary report into
     an Inconclusive one whose notes carry the error.
     """
-    if N < 2:
-        raise ParamError("criterion_reports needs N >= 2")
+    N = _require_count("N", N, 2)
     table = _step_table(family, N)
     try:
         # the view's ratios are never read: SzwTheorem1 decides from the table
@@ -514,6 +515,5 @@ def certified(reports) -> list[str]:
 
 def classify(family, N: int) -> list[str]:
     """Names of the criteria whose checkers certify the family up to N."""
-    if N < 2:
-        raise ParamError("classify needs N >= 2")
+    N = _require_count("N", N, 2)
     return certified(criterion_reports(family, N))

@@ -62,15 +62,13 @@ class CoefficientFamily:
     and gamma(0) > 0. ``exact`` marks families whose coefficients are ints or
     Fractions, enabling the rational arithmetic paths.
 
-    An exact callable may carry its integer form as an attribute ``pair``:
-    n -> (num, den), two ints with den > 0 and num/den equal to its value at
-    n, not necessarily reduced. The step table and the exact ratio pass read
-    it (``_coprime_reader``) and build no Fraction. An exact callable may
-    also carry ``linear = (a, b, c, d)``, four ints >= 0 with value
-    (a*n + b)/(c*n + d) at n, which ``orthonormal_offdiag`` reads when both
-    callables carry one, with or without a ``pair``; a callable that carries
-    both has pair(n) == (a*n + b, c*n + d). ``functools.wraps`` copies the
-    attributes, so a wrapper of such a callable keeps them.
+    An exact callable may carry its integer form as an attribute ``linear``:
+    four ints (a1, a0, b1, b0) >= 0 with b1*n + b0 > 0 and value
+    (a1*n + a0)/(b1*n + b0) at every n >= 0. The step table reads it
+    (``_coprime_reader``) and builds no Fraction, and ``orthonormal_offdiag``
+    reads it in int64 chunks when both callables carry one.
+    ``functools.wraps`` copies the attribute, so a wrapper of such a callable
+    keeps it, and a read through the form does not call the wrapper.
     """
 
     name: str
@@ -123,13 +121,13 @@ def coefficients(family, hi: int):
 def _coprime_reader(coeff) -> Callable[[int], tuple[int, int]]:
     """n -> (p, q): the exact value of coeff(n) as coprime ints with q > 0.
 
-    A callable that carries its integer form ``pair`` is read through it,
-    with one gcd of two small ints and no Fraction; any other through the
-    ``as_integer_ratio`` of its values, which is in lowest terms for
-    Fractions, doubles and Decimals, and an integer as (v, 1). A value that
-    is not finite is a ParamError."""
-    pair = getattr(coeff, "pair", None)
-    if pair is None:
+    A callable that carries its integer form ``linear`` = (a1, a0, b1, b0) is
+    read through it, as (a1*n + a0, b1*n + b0) over one gcd of two small ints
+    and with no Fraction; any other through the ``as_integer_ratio`` of its
+    values, which is in lowest terms for Fractions, doubles and Decimals, and
+    an integer as (v, 1). A value that is not finite is a ParamError."""
+    linear = getattr(coeff, "linear", None)
+    if linear is None:
         def read(n: int):
             v = coeff(n)
             if isinstance(v, numbers.Integral):  # numpy's ints have no as_integer_ratio
@@ -139,27 +137,25 @@ def _coprime_reader(coeff) -> Callable[[int], tuple[int, int]]:
             except (OverflowError, ValueError):  # inf; nan
                 raise ParamError(f"{v!r} is not a finite number") from None
     else:
+        a1, a0, b1, b0 = linear
+
         def read(n: int):
-            p, q = pair(n)
+            p, q = a1 * n + a0, b1 * n + b0
             g = math.gcd(p, q)
             return p // g, q // g
     return read
 
 
 def _int_table(ps: Sequence[int], qs: Sequence[int]) -> Callable[[int], Fraction]:
-    """Callable n -> ps[n]/qs[n] for coprime ps[n] and qs[n] > 0, carrying the
-    integer form ``pair``; an index outside the lists raises TableRangeError."""
+    """Callable n -> ps[n]/qs[n] for coprime ps[n] and qs[n] > 0; an index
+    outside the lists raises TableRangeError."""
     size = len(ps)
 
-    def pair(n: int):
+    def at(n: int):
         if not 0 <= n < size:
             raise TableRangeError(n, size)
-        return ps[n], qs[n]
+        return coprime_fraction(ps[n], qs[n])
 
-    def at(n: int):
-        return coprime_fraction(*pair(n))
-
-    at.pair = pair
     return at
 
 
@@ -178,13 +174,13 @@ class _StepTable:
 
     Reads alpha_0..alpha_{N+1} and gamma_0..gamma_{N+1} once, as the coprime
     ints alpha_n = ap[n]/aq[n] and gamma_n = gp[n]/gq[n] of their exact
-    values (``_coprime_reader``: one small gcd per ``pair`` read). It
-    duck-types CoefficientFamily over them: ``alpha``/``gamma`` build the
-    Fraction of an index on read, an int read as a Fraction, so that the
-    witnesses and values formed from an int table are exact too, and carry
-    the ints as ``pair``. A checker handed a step table reuses it. Every
-    criterion decides by integer cross-multiplication on the ints and, for
-    n <= N,
+    values (``_coprime_reader``: one small gcd per index of a ``linear``
+    form). It duck-types CoefficientFamily over them: ``alpha``/``gamma``
+    build the Fraction of an index on read, an int read as a Fraction, so
+    that the witnesses and values formed from an int table are exact too. A
+    checker or ratio pass handed a step table reuses it, and the exact ratio
+    passes read its int lists. Every criterion decides by integer
+    cross-multiplication on the ints and, for n <= N,
 
         u_n = alpha_{n+1} - alpha_n                   = un[n]/ud[n]
         v_n = gamma_n - gamma_{n+1}                   = vn[n]/vd[n]
@@ -429,11 +425,12 @@ class RatioSequence:
 
 
 class _ExactRatios:
-    """The exact g_0, g_1, ... of an exact family as Fractions, formed in order
-    as far as they are asked for, with no digit cap, and kept in ``values``.
+    """The exact g_0, g_1, ... of a step table as Fractions, formed in order as
+    far as they are asked for and the table reaches, with no digit cap, and
+    kept in ``values``.
 
     g_{n-1} = P/Q is carried as coprime ints. With alpha_n = a/b and gamma_n =
-    c/d coprime (``_coprime_reader``), alpha_tilde_n = alpha_n/g_{n-1} = A/B
+    c/d the table's coprime ints, alpha_tilde_n = alpha_n/g_{n-1} = A/B
     in lowest terms through gcd(a, P) and gcd(b, Q), and g_n = (1 - A/B)/gamma_n
     = (B - A)*d/(B*c) in lowest terms through gcd(B - A, c) and gcd(d, B):
     each gcd pairs a coefficient's small int with a big one. Each g_n becomes
@@ -441,15 +438,15 @@ class _ExactRatios:
     alpha_0 is read as 0 and g_{-1} as 1, so g_0 = 1/gamma_0.
     """
 
-    def __init__(self, family):
-        self._alpha, self._gamma = _coprime_reader(family.alpha), _coprime_reader(family.gamma)
+    def __init__(self, table: _StepTable):
+        self._ap, self._aq, self._gp, self._gq = table.ap, table.aq, table.gp, table.gq
         self.values: list[Fraction] = []
 
     def _tilde(self, n: int) -> tuple[int, int]:
         """alpha_tilde_n as coprime (A, B), from g_{n-1} when it is formed."""
         if not n:
             return 0, 1
-        (a, b), g = self._alpha(n), self.values[n - 1]
+        a, b, g = self._ap[n], self._aq[n], self.values[n - 1]
         P, Q = g.numerator, g.denominator
         g1, g2 = math.gcd(a, P), math.gcd(b, Q)
         return (a // g1) * (Q // g2), (b // g2) * (P // g1)
@@ -459,10 +456,10 @@ class _ExactRatios:
         past ``digit_cap`` digits; whether it stopped there. Forming them
         raises NonpositiveRatio at the first g_n <= 0 and ParamError at a
         gamma_n = 0, which g_n would divide by."""
-        values, gamma = self.values, self._gamma
+        values, gp, gq = self.values, self._gp, self._gq
         for n in range(len(values), N):
             A, B = self._tilde(n)
-            c, d = gamma(n)
+            c, d = gp[n], gq[n]
             if c == 0:
                 raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
             E = B - A
@@ -564,23 +561,20 @@ def _le(x_lo, x_hi, y_lo, y_hi, exact: Callable[[], bool]) -> bool:
 
 def _ratio_tail(family, values: list, N: int):
     """Continue the ratios ``values`` = g_0..g_{k-1} to g_{N-1}, appending each
-    to ``values``, in their own arithmetic: Decimals in the EXTENDED context,
-    into which each coefficient is converted (``to_decimal``; a step table's
-    from its ints, ``_StepTable.extended``), or the family's own numbers.
-    Yields the alpha_tilde_n = alpha_n/g_{n-1} and gamma_tilde_n = gamma_n*g_n
-    of n = k..N-1 that it forms on the way, the values of NormalizedFamily
-    over these ratios; a step runs only when the consumer asks for it."""
-    if not isinstance(values[-1], Decimal):
+    to ``values``, from g_{-1} = 1 when there are none, in their own
+    arithmetic: Decimals in the EXTENDED context, on the coefficients of the
+    step table ``family`` rounded once from its ints (``_StepTable.extended``),
+    or the family's own numbers. Yields the alpha_tilde_n = alpha_n/g_{n-1}
+    and gamma_tilde_n = gamma_n*g_n of n = k..N-1 that it forms on the way,
+    the values of NormalizedFamily over these ratios; a step runs only when
+    the consumer asks for it."""
+    if values and isinstance(values[-1], Decimal):
+        div, sub, mul = EXTENDED.divide, EXTENDED.subtract, EXTENDED.multiply
+        read = family.extended
+    else:
         div, sub, mul = operator.truediv, operator.sub, operator.mul
         read = lambda n: (family.alpha(n), family.gamma(n))  # noqa: E731
-    else:
-        div, sub, mul = EXTENDED.divide, EXTENDED.subtract, EXTENDED.multiply
-        if isinstance(family, _StepTable):
-            read = family.extended
-        else:
-            read = lambda n: (to_decimal(family.alpha(n), EXTENDED),  # noqa: E731
-                              to_decimal(family.gamma(n), EXTENDED))
-    g = values[-1]
+    g = values[-1] if values else 1
     for n in range(len(values), N):
         a, c = read(n)
         if c == 0:
@@ -599,24 +593,21 @@ def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSe
     Raises NonpositiveRatio as soon as some g_n <= 0 (normalization at 1 is
     then impossible past that index), and ParamError at a gamma_n = 0, which
     g_n would divide by. The ratios of an exact family are Fractions, for int
-    coefficients too, formed on ints (``_ExactRatios``), until an exact g_n
-    past ``digit_cap`` digits, an int >= 1, switches the whole run to
-    Decimals in the EXTENDED context, and the result is flagged inexact. Any
-    other family runs in its own arithmetic.
+    coefficients too, formed on the ints of its step table (``_ExactRatios``),
+    which is read first, until an exact g_n past ``digit_cap`` digits, an
+    int >= 1, switches the whole run to Decimals in the EXTENDED context, and
+    the result is flagged inexact. Any other family runs in its own arithmetic.
     """
     N = _require_count("N", N)
     _require_count("digit_cap", digit_cap)
+    values = []
     if family.exact:
+        family = _step_table(family, N - 2)  # indices 0..N-1
         exact = _ExactRatios(family)
         if not exact.up_to_cap(N, digit_cap):
             return RatioSequence(tuple(exact.values), True)
         values = [to_decimal(v, EXTENDED) for v in exact.values]
         del exact  # frees the long Fractions before the Decimal tail
-    else:
-        g = 1 / family.gamma(0)
-        if not g > 0:
-            raise NonpositiveRatio(0, g)
-        values = [g]
     for _ in _ratio_tail(family, values, N):  # appends g_n to values
         pass
     return RatioSequence(tuple(values), False)
@@ -691,8 +682,9 @@ def normalize(family, N: int) -> NormalizedFamily:
 
 def _normalized_coefficients(family, hi: int) -> tuple[list, list]:
     """The lists of coefficients(normalize(family, hi + 1), hi), from one read
-    of the coefficients 0..hi: the same values of the same types, except that
-    alpha_tilde_0 of an exact family is always the Fraction 0.
+    of the coefficients 0..hi: the same values of the same types, except
+    alpha_tilde_0 = 0, which is the Fraction 0 for an exact family and
+    alpha_0/1 for any other. grid_scan and turan_det normalize through it.
 
     An exact family is read as the ints of its step table, and its exact
     ratio pass gives alpha_tilde_n = A/B (``_ExactRatios._tilde``) and
@@ -700,24 +692,26 @@ def _normalized_coefficients(family, hi: int) -> tuple[list, list]:
     pass stops at its digit cap after g_{k-1}, the values below k are formed
     from the Decimal ratios as NormalizedFamily forms them, and the rest are
     the ones that the Decimal tail forms (``_ratio_tail``). Any other family
-    is normalized in its own arithmetic.
+    is read into a table first, so that a short one raises TableRangeError
+    before any ratio, and that tail forms all its values.
     """
     if not family.exact:
-        return coefficients(normalize(_materialize(family, hi), hi + 1), hi)
-    table = _StepTable(family, hi - 1)
-    exact = _ExactRatios(table)
-    if not exact.up_to_cap(hi + 1, DEFAULT_DIGIT_CAP):
-        tildes = [exact._tilde(n) for n in range(hi + 1)]
-        return ([coprime_fraction(A, B) for A, B in tildes],
-                [coprime_fraction(B - A, B) for A, B in tildes])
-    ratios = [to_decimal(g, EXTENDED) for g in exact.values]
-    del exact  # frees the long Fractions before the Decimal tail
-    al, ga = [table.alpha(0)], []
-    for n, g in enumerate(ratios):
-        a, c = table.extended(n)
-        if n:
-            al.append(EXTENDED.divide(a, ratios[n - 1]))
-        ga.append(EXTENDED.multiply(c, g))
+        table, ratios, al, ga = _materialize(family, hi), [], [], []
+    else:
+        table = _step_table(family, hi - 1)
+        exact = _ExactRatios(table)
+        if not exact.up_to_cap(hi + 1, DEFAULT_DIGIT_CAP):
+            tildes = [exact._tilde(n) for n in range(hi + 1)]
+            return ([coprime_fraction(A, B) for A, B in tildes],
+                    [coprime_fraction(B - A, B) for A, B in tildes])
+        ratios = [to_decimal(g, EXTENDED) for g in exact.values]
+        del exact  # frees the long Fractions before the Decimal tail
+        al, ga = [table.alpha(0)], []
+        for n, g in enumerate(ratios):
+            a, c = table.extended(n)
+            if n:
+                al.append(EXTENDED.divide(a, ratios[n - 1]))
+            ga.append(EXTENDED.multiply(c, g))
     for a, g in _ratio_tail(table, ratios, hi + 1):
         al.append(a)
         ga.append(g)
@@ -726,8 +720,7 @@ def _normalized_coefficients(family, hi: int) -> tuple[list, list]:
 
 def associated_family(family: CoefficientFamily, k: int) -> CoefficientFamily:
     """Shift both coefficient sequences by k (alpha_0 pinned back to 0)."""
-    if k < 0:
-        raise ParamError("association shift must be >= 0")
+    k = _require_count("k", k, 0)
     if k == 0:
         return dataclasses.replace(family)
     a, g, zero = family.alpha, family.gamma, family.alpha(0)

@@ -24,17 +24,17 @@ import numpy as np
 from .arith import EXTENDED_DPS, decimal_context, is_exact, to_decimal
 from .errors import ParamError
 from .recurrence import (
+    CoefficientFamily,
     NormalizedFamily,
     ScalingSequence,
     _dets,
-    _materialize,
     _normalized_coefficients,
     _require_count,
     _rows,
     _sigma_callable,
+    _table,
     coefficients,
     eval_polys,
-    normalize,
 )
 
 __all__ = [
@@ -60,18 +60,20 @@ MINIMA_BLOCK = 16
 
 
 def turan_det(family, n: int, x, normalized: bool = True, dps: int | None = None):
-    """Delta_n at a single point; n >= 1.
+    """Delta_n at a single point; n >= 1, an int.
 
     normalized=True (default) rescales the family so p_k(1) = 1 first, which
-    is the setting in which the nonnegativity criteria live. The arithmetic
+    is the setting in which the nonnegativity criteria live, through the
+    normalization of grid_scan (``_normalized_coefficients``). The arithmetic
     mode follows eval_polys (exact for exact family + rational x, else float,
-    or a Decimal of dps digits when dps is given).
+    or a Decimal of dps digits when dps is given); past a digit-cap fallback
+    the normalized coefficients are Decimals, and not exact.
     """
-    if n < 1:
-        raise ParamError("turan_det needs n >= 1")
+    n = _require_count("n", n)
     if normalized and not isinstance(family, NormalizedFamily):
-        # one read of the coefficients serves the ratios and the evaluation
-        family = normalize(_materialize(family, n), n + 1)
+        al, ga = _normalized_coefficients(family, n)
+        family = CoefficientFamily(name=family.name, alpha=_table(al), gamma=_table(ga),
+                                   exact=family.exact and is_exact(ga[0]))
     return dict(_dets(eval_polys(family, n + 1, x, dps=dps), {n}))[n]
 
 
@@ -242,10 +244,7 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
     confirm_dps digits, judge. With ``zero_at_ends``, Delta_n(+-1) is
     exactly 0 for the exact family that the coefficients stand for, and a
     near-zero minimum there is confirmed as 0 without a decimal sweep."""
-    if (isinstance(confirm_dps, bool) or not isinstance(confirm_dps, int)
-            or confirm_dps <= CONFIRM_GUARD_DIGITS):
-        raise ParamError(f"confirm_dps must be an int that exceeds {CONFIRM_GUARD_DIGITS} "
-                         f"guard digits (got {confirm_dps!r})")
+    confirm_dps = _require_count("confirm_dps", confirm_dps, CONFIRM_GUARD_DIGITS + 1)
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ParamError(f"tolerance must be finite and >= 0 (got {tolerance})")
     grid = scan_grid(grid_points)

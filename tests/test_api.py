@@ -8,11 +8,34 @@ of its module, or the per-layer metrics silently read zero.
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import turandet
+from turandet import (
+    ParamError,
+    associated_family,
+    check_corollary1,
+    check_corollary2,
+    check_lambda_route,
+    check_szw_normalized,
+    check_theorem1,
+    check_y_route,
+    classify,
+    criterion_reports,
+    grid_scan,
+    lambda_data,
+    legendre,
+    normalize,
+    orthonormal_turan,
+    pollaczek,
+    turan_det,
+)
 
 PUBLIC = {
     "__version__",
@@ -77,3 +100,35 @@ def test_import_leaves_mpmath_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout == "False\n"
+
+
+_SHAPE = pollaczek(Fraction(3, 2), 1).meta["corollary1"]
+_SHAPE_ARGS = (_SHAPE.alpha_const, _SHAPE.gamma_const, _SHAPE.delta)
+
+
+@pytest.mark.parametrize("name, least, call", [
+    pytest.param("N", 2, lambda v: check_theorem1(legendre(), v), id="check_theorem1"),
+    pytest.param("N", 2, lambda v: criterion_reports(legendre(), v), id="criterion_reports"),
+    pytest.param("N", 2, lambda v: classify(legendre(), v), id="classify"),
+    pytest.param("N", 1, lambda v: check_szw_normalized(normalize(legendre(), 5), v),
+                 id="check_szw_normalized"),
+    pytest.param("N", 1, lambda v: check_corollary1(*_SHAPE_ARGS, v), id="check_corollary1"),
+    pytest.param("N", 1, lambda v: check_corollary2(*_SHAPE_ARGS, v), id="check_corollary2"),
+    pytest.param("N", 1, lambda v: lambda_data(legendre(), v), id="lambda_data"),
+    pytest.param("N", 1, lambda v: check_lambda_route(legendre(), v), id="check_lambda_route"),
+    pytest.param("N", 1, lambda v: check_y_route(pollaczek(Fraction(3, 2), 1), v),
+                 id="check_y_route"),
+    pytest.param("n", 1, lambda v: turan_det(legendre(), v, 0.5), id="turan_det"),
+    pytest.param("n", 1, lambda v: orthonormal_turan([0.5] * 10, v, 0.1), id="orthonormal_turan"),
+    pytest.param("k", 0, lambda v: associated_family(legendre(), v), id="associated_family"),
+    pytest.param("confirm_dps", 11, lambda v: grid_scan(legendre(), 5, confirm_dps=v),
+                 id="grid_scan-confirm_dps"),
+])
+def test_counts_must_be_ints_at_least_their_least_value(name, least, call):
+    """A count that is not an int, a bool, or one below its least value is a
+    ParamError that names the parameter, not a TypeError from deep inside."""
+    for bad in (2.5, True, least - 1):
+        with pytest.raises(ParamError, match=rf"^{name} must be an int >= {least} "
+                                             rf"\(got {re.escape(repr(bad))}\)$"):
+            call(bad)
+    call(least + 1)

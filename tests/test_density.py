@@ -107,7 +107,8 @@ def test_offdiag_integer_forms_are_the_float_of_the_exact_product(lam, a, b):
         calls: list = []
         wrapped = CoefficientFamily(name=fam.name, alpha=_counted(fam.alpha, calls),
                                     gamma=_counted(fam.gamma, calls))
-        assert wrapped.alpha.pair is fam.alpha.pair and wrapped.gamma.pair is fam.gamma.pair
+        assert wrapped.alpha.linear is fam.alpha.linear
+        assert wrapped.gamma.linear is fam.gamma.linear
         calls.clear()
         assert orthonormal_offdiag(wrapped, N).tolist() == expected, fam.name
         assert calls == []
@@ -120,7 +121,7 @@ def test_offdiag_per_index_families_keep_their_values():
     fam = gegenbauer(F(3, 2))
     view, assoc = float_view(fam), associated_family(fam, 2)
     for derived in (view, assoc):
-        assert not hasattr(derived.alpha, "pair") and not hasattr(derived.gamma, "pair")
+        assert not hasattr(derived.alpha, "linear") and not hasattr(derived.gamma, "linear")
     assert orthonormal_offdiag(view, N).tolist() == [
         math.sqrt(float(fam.alpha(k)) * float(fam.gamma(k - 1))) for k in range(1, N + 1)]
     assert orthonormal_offdiag(assoc, N).tolist() == [
@@ -413,22 +414,13 @@ def test_a_grid_and_its_mirror_give_the_same_bits(N):
         assert (alone.f_values[0], alone.last_change[0]) == (est.f_values[i], est.last_change[i])
 
 
-def _pairs_only(fam):
-    """``fam`` with callables that carry ``pair`` but no ``linear`` form."""
+def _values_only(fam):
+    """``fam`` with callables of its values that carry no ``linear`` form."""
     def strip(coeff):
         def at(n):
             return coeff(n)
-        at.pair = coeff.pair
         return at
     return CoefficientFamily(name=fam.name, alpha=strip(fam.alpha), gamma=strip(fam.gamma))
-
-
-def test_linear_form_equals_pair():
-    for fam in (chebyshev_u(), legendre(), gegenbauer(F(1, 3)), pollaczek(F(3, 2), 1),
-                example3(F(7, 5)), example4(3, F(1, 2))):
-        for coeff in (fam.alpha, fam.gamma):
-            a, b, c, d = coeff.linear
-            assert all(coeff.pair(n) == (a * n + b, c * n + d) for n in range(100_001)), fam.name
 
 
 def test_linear_offdiag_equals_the_per_index_path():
@@ -438,7 +430,7 @@ def test_linear_offdiag_equals_the_per_index_path():
     for fam in (legendre(), gegenbauer(F(1, 3)), pollaczek(F(3, 2), 1), example4(3, F(1, 2))):
         assert _linear_offdiag(fam.alpha.linear, fam.gamma.linear, N) is not None
         assert (orthonormal_offdiag(fam, N).tolist()
-                == orthonormal_offdiag(_pairs_only(fam), N).tolist()), fam.name
+                == orthonormal_offdiag(_values_only(fam), N).tolist()), fam.name
     big = gegenbauer(F(1, 10**9))
     assert _linear_offdiag(big.alpha.linear, big.gamma.linear, 3000) is None
     expected = [math.sqrt(float(big.alpha(k) * big.gamma(k - 1))) for k in range(1, 3001)]
@@ -449,8 +441,8 @@ def test_linear_offdiag_rejects_a_nonpositive_product():
     """The linear-form path names the index and the product, as the
     per-index paths do."""
     def alpha(n):
-        return F(*alpha.pair(n))
-    alpha.pair, alpha.linear = (lambda n: (0, n + 1)), (0, 0, 1, 1)
+        return F(0, n + 1)
+    alpha.linear = (0, 0, 1, 1)
     fam = CoefficientFamily(name="zero", alpha=alpha, gamma=chebyshev_u().gamma)
     message = r"alpha_1\*gamma_0 must be positive \(got 0\)"
     with pytest.raises(ParamError, match=message):

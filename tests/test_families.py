@@ -74,8 +74,9 @@ def test_builtin_coefficients_equal_their_closed_forms(lam, a, b):
 
 
 def test_integer_forms_are_the_documented_closed_forms():
-    """Each builtin's ``pair`` gives ints over a positive int whose quotient is
-    the docstring closed form, and the value is that quotient, for n <= 50."""
+    """Each builtin's ``linear`` form (a1, a0, b1, b0) holds four ints >= 0, and
+    (a1*n + a0)/(b1*n + b0) has a positive denominator and is the docstring
+    closed form and the value, for n <= 50."""
     lam, a, b = F(3, 7), F(5, 3), F(1, 4)
     half, s = F(1, 2), lam + a
     closed = [
@@ -91,9 +92,10 @@ def test_integer_forms_are_the_documented_closed_forms():
     for fam, alpha, gamma in closed:
         for n in range(51):
             for coeff, form in ((fam.alpha, alpha), (fam.gamma, gamma)):
-                num, den = coeff.pair(n)
-                assert type(num) is int and type(den) is int and den > 0, (fam.name, n)
-                assert coeff(n) == F(num, den) == form(n), (fam.name, n)
+                a1, a0, b1, b0 = coeff.linear
+                assert all(type(v) is int and v >= 0 for v in coeff.linear), fam.name
+                num, den = a1 * n + a0, b1 * n + b0
+                assert den > 0 and coeff(n) == F(num, den) == form(n), (fam.name, n)
 
 
 def test_gegenbauer_one_is_chebyshev_u():

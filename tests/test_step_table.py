@@ -30,6 +30,7 @@ from turandet import (
     NormalizedFamily,
     ParamError,
     StructuralMismatch,
+    TableRangeError,
     check_corollary1,
     check_lambda_route,
     check_theorem1,
@@ -49,8 +50,10 @@ from turandet import (
     check_szw_normalized,
     coefficients,
     example2,
+    grid_scan,
     ratio_sandwich,
     ratios_at_one,
+    turan_det,
 )
 from turandet import recurrence
 from turandet.arith import coprime_fraction
@@ -58,7 +61,6 @@ from turandet.cli import main
 from turandet.recurrence import (
     CoefficientFamily,
     _ExactRatios,
-    _materialize,
     _ratio_bounds,
     _step_table,
     _table,
@@ -291,7 +293,7 @@ def _package_ratio_pass(family, N, cap, keep_tail):
     the fallback (the length of the exact run)."""
     ratios = ratios_at_one(family, N, cap)
     fallback = family.exact and not ratios.exact
-    exact = _ExactRatios(family)
+    exact = _ExactRatios(_step_table(family, N - 2))
     exact.up_to_cap(N, cap)
     k = len(exact.values) if fallback else N
     nf = NormalizedFamily(family, ratios)
@@ -319,7 +321,7 @@ def assert_ratio_pass_matches_reference(family, N, cap):
 # N per digit cap: far enough past the fallback for a tail of Decimal indices
 _RATIO_N = {60: 150, 200: 400}
 _VIEWS = {
-    "builtin": lambda fam, N: fam,  # read through its integer form ``pair``
+    "builtin": lambda fam, N: fam,  # read through its integer form ``linear``
     "step table": lambda fam, N: _step_table(fam, N),
     "float view": lambda fam, N: float_view(fam),  # doubles, no digit cap
     "float step table": lambda fam, N: _step_table(float_view(fam), N),
@@ -359,9 +361,52 @@ def test_integer_ratio_pass_matches_on_random_tables(case, cap):
         assert_ratio_pass_matches_reference(table, N + 1, cap)
 
 
+def _with_form(family, form, reads):
+    """``family`` over callables of its values that append each index read to
+    ``reads`` and carry one attribute ``form``: the builtin's ``linear``, or
+    ``pair``, n -> the unreduced ints (a1*n + a0, b1*n + b0) of the value."""
+    def wrap(coeff):
+        a1, a0, b1, b0 = coeff.linear
+
+        def at(n):
+            reads.append(n)
+            return coeff(n)
+        if form == "linear":
+            at.linear = coeff.linear
+        else:
+            at.pair = lambda n: (a1 * n + a0, b1 * n + b0)
+        return at
+    return CoefficientFamily(name=family.name, alpha=wrap(family.alpha),
+                             gamma=wrap(family.gamma), params=family.params, meta=family.meta)
+
+
+@pytest.mark.parametrize("family, N", [
+    (legendre(), 200), (pollaczek(Fraction(3, 2), 1), 200), (example4(3, Fraction(1, 2)), 200),
+    (example3(Fraction(1, 3)), 1000),
+], ids=["Legendre", "Pollaczek(3/2,1)", "Example4(3,1/2)", "Example3(1/3)"])
+def test_linear_is_the_one_integer_form(family, N):
+    """Callables that carry ``linear`` are read through it, with no value
+    call, and callables that carry only ``pair`` through their values; both
+    get the builtin's check and ratios reports, past the digit-cap fallback
+    at g_989 of Example3(1/3) too."""
+    checks = [r.to_json() for r in criterion_reports(family, N)]
+    sandwich = ratio_sandwich(family, N)
+    for form, reads_values in (("linear", False), ("pair", True)):
+        reads: list = []
+        wrapped = _with_form(family, form, reads)
+        reads.clear()  # of the construction's checks of alpha_0 and gamma_0
+        assert [r.to_json() for r in criterion_reports(wrapped, N)] == checks, form
+        assert ratio_sandwich(wrapped, N) == sandwich, form
+        assert bool(reads) is reads_values, form
+
+
 def _normalized_view(family, hi):
-    """The coefficients that grid_scan read before the integer pass."""
-    return coefficients(normalize(_materialize(family, hi), hi + 1), hi)
+    """The coefficients that grid_scan read before the integer pass: those of
+    the NormalizedFamily view over one read of the coefficients 0..hi."""
+    al, ga = coefficients(family, hi)
+    table = CoefficientFamily(name=family.name, alpha=_table(al), gamma=_table(ga),
+                              exact=family.exact)
+    return coefficients(normalize(table, hi + 1), hi)
 
 
 def _coefficient_outcome(coefficient_pass, family, hi):
@@ -458,6 +503,22 @@ _ZERO_GAMMA = _family([0, 1, 2, 3], [1, 0, 1, 1])
 _G0 = Fraction(10**61, 10**61 + 1)
 _PAST_CAP_TIES = _family([0, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)],
                          [1 / _G0, 1 - Fraction(1, 3) / _G0, Fraction(2, 3), Fraction(2, 3)])
+
+
+def test_a_short_table_reports_its_range_before_its_ratios():
+    """Every normalization of an exact table reads it whole before it forms a
+    ratio, and so do the scan's and turan_det's of its doubles: the table
+    below has g_1 = -1/5, yet each pass reports the missing index 4 first."""
+    message = "^coefficient index 4 outside table of length 4$"
+    doubles = float_view(_NONPOSITIVE)
+    for call in (lambda: ratios_at_one(_NONPOSITIVE, 6), lambda: normalize(_NONPOSITIVE, 6),
+                 lambda: ratio_sandwich(_NONPOSITIVE, 6), lambda: grid_scan(_NONPOSITIVE, 5),
+                 lambda: turan_det(_NONPOSITIVE, 5, 0.5), lambda: grid_scan(doubles, 5),
+                 lambda: turan_det(doubles, 5, 0.5)):
+        with pytest.raises(TableRangeError, match=message):
+            call()
+    with pytest.raises(NonpositiveRatio, match="g_1"):
+        ratios_at_one(_NONPOSITIVE, 3)
 
 
 def _error(exc) -> str:
@@ -559,7 +620,7 @@ def test_szw_matches_the_uncapped_reference_past_the_digit_cap(family, N):
     """The benchmark's families, past the index where the capped exact pass
     stops (the doubles of Example4 pass 4096 digits near n = 270)."""
     assert _szw(_package_szw, family, N) == _szw(ref.check_szw_normalized, family, N)
-    assert _ExactRatios(family).up_to_cap(N, 4096)
+    assert _ExactRatios(_step_table(family, N - 2)).up_to_cap(N, 4096)
 
 
 @settings(max_examples=100, deadline=None)

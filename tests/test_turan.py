@@ -18,6 +18,7 @@ from turandet import (
     chebyshev_t,
     chebyshev_u,
     example3,
+    example4,
     float_view,
     grid_scan,
     legendre,
@@ -149,11 +150,21 @@ def test_grid_scan_report_structure():
 
 
 def test_grid_scan_min_matches_pointwise_eval():
-    """Bit-for-bit: the tabulated minimum equals the scalar evaluation there."""
-    rep = grid_scan(legendre(), 10, grid_points=51)
-    fam = legendre()
-    for e in rep.per_n:
-        assert e.min_value == turan_det(fam, e.n, e.argmin_x)
+    """Bit-for-bit: the tabulated minimum equals the scalar evaluation there,
+    for exact and double coefficients, and around the digit-cap fallback of
+    Example3(1/3) at g_989, where the normalized coefficients become Decimals."""
+    for fam, n_max, degrees in (
+            (legendre(), 10, None), (pollaczek(2, 1), 200, None),
+            (float_view(example4(3, F(1, 2))), 300, None),
+            (example3(F(1, 3)), 1200, (1, 2, 500, 988, 989, 990, 1200))):
+        rep = grid_scan(fam, n_max, grid_points=51)
+        for n in degrees or range(1, n_max + 1):
+            e = rep.entry(n)
+            assert e.min_value == turan_det(fam, n, e.argmin_x), (fam.name, n)
+    # past the fallback the normalized coefficients are not exact, so an exact
+    # abscissa is evaluated on their doubles, as on the NormalizedFamily view
+    value = turan_det(fam, 1000, F(1, 2))
+    assert type(value) is float and value == turan_det(normalize(fam, 1001), 1000, F(1, 2))
 
 
 def test_grid_scan_detects_negative_determinants():
