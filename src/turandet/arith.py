@@ -152,5 +152,5 @@ def pair_digits(p: int, q: int) -> int:
     return int(bits / _BITS_PER_DIGIT) + 1
 
 
-def exceeds_digit_cap(x, cap: int = DEFAULT_DIGIT_CAP) -> bool:
+def exceeds_digit_cap(x, cap: int) -> bool:
     return isinstance(x, Fraction) and pair_digits(x.numerator, x.denominator) > cap

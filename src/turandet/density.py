@@ -53,15 +53,15 @@ def orthonormal_turan(a, n: int, x: float) -> float:
     return float(_last_dets(np.asarray(a, dtype=float), np.array([float(x)]), n)[1][0])
 
 
-def default_density_grid(points: int = DEFAULT_POINTS, edge: float = DEFAULT_EDGE) -> np.ndarray:
-    """Uniform grid on [-edge, edge], clear of the +-1 blow-up; its positive
-    half is the negation of its negative half, so xs == -xs[::-1] exactly."""
+def default_density_grid(points: int = DEFAULT_POINTS) -> np.ndarray:
+    """Uniform grid on [-DEFAULT_EDGE, DEFAULT_EDGE], clear of the +-1
+    blow-up; its positive half is the negation of its negative half, so
+    xs == -xs[::-1] exactly. A grid over another range is passed to
+    estimate_density as ``xs``."""
     if isinstance(points, numbers.Real) and points < 1:
         raise ParamError("grid needs at least one point")
     points = _require_count("points", points)
-    if not 0 < edge <= 1 - 1e-3:
-        raise ParamError("edge must lie in (0, 0.999]")
-    half = np.linspace(-edge, edge, points)[:points // 2]
+    half = np.linspace(-DEFAULT_EDGE, DEFAULT_EDGE, points)[:points // 2]
     return np.concatenate([half, [0.0] if points % 2 else [], -half[::-1]])
 
 

@@ -9,7 +9,6 @@ orthonormal form all derive from that.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import math
 import numbers
@@ -365,21 +364,18 @@ def _require_count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
-def eval_polys(family, n_max: int, x, dps: int | None = None,
-               digit_cap: int = DEFAULT_DIGIT_CAP) -> list:
+def eval_polys(family, n_max: int, x, dps: int | None = None) -> list:
     """Evaluate p_0(x)..p_{n_max}(x) by the forward recurrence.
 
     Arithmetic mode: exact Fractions when the family is exact and x, which
     must be finite, is an int/Fraction; Decimals at ``dps`` significant
     digits, an int >= 1, when given (``arith.decimal_context``); doubles
-    otherwise. Exact runs that blow past ``digit_cap`` decimal digits per
-    value, an int >= 1, fall back to EXTENDED_DPS-digit Decimals for the
-    remaining indices.
+    otherwise. Exact runs that blow past DEFAULT_DIGIT_CAP decimal digits per
+    value fall back to EXTENDED_DPS-digit Decimals for the remaining indices.
     """
     n_max = _require_count("n_max", n_max, 0)
     if dps is not None:
         _require_count("dps", dps)
-    _require_count("digit_cap", digit_cap)
     if not (is_exact(x) or (x.is_finite() if isinstance(x, Decimal) else math.isfinite(x))):
         raise ParamError(f"x must be a finite number (got {x!r})")
     al, ga = coefficients(family, max(n_max - 1, 0))
@@ -391,7 +387,7 @@ def eval_polys(family, n_max: int, x, dps: int | None = None,
     with scope:
         p: list = []
         for v in _rows([conv(c) for c in al], [conv(c) for c in ga], conv(x), n_max, conv(1)):
-            if exceeds_digit_cap(v, digit_cap):
+            if exceeds_digit_cap(v, DEFAULT_DIGIT_CAP):
                 break
             p.append(v)
         else:
@@ -426,8 +422,8 @@ class RatioSequence:
 
 class _ExactRatios:
     """The exact g_0, g_1, ... of a step table as Fractions, formed in order as
-    far as they are asked for and the table reaches, with no digit cap, and
-    kept in ``values``.
+    far as they are asked for and the table reaches, and kept in ``values``:
+    up to the digit cap by ``up_to_cap``, and with no cap on other reads.
 
     g_{n-1} = P/Q is carried as coprime ints. With alpha_n = a/b and gamma_n =
     c/d the table's coprime ints, alpha_tilde_n = alpha_n/g_{n-1} = A/B
@@ -453,9 +449,9 @@ class _ExactRatios:
 
     def _extend(self, N: int, digit_cap: int | None = None) -> bool:
         """Form the ratios up to g_{N-1}, in one loop, or up to the first
-        past ``digit_cap`` digits; whether it stopped there. Forming them
-        raises NonpositiveRatio at the first g_n <= 0 and ParamError at a
-        gamma_n = 0, which g_n would divide by."""
+        past ``digit_cap`` digits when one is given; whether it stopped
+        there. Forming them raises NonpositiveRatio at the first g_n <= 0
+        and ParamError at a gamma_n = 0, which g_n would divide by."""
         values, gp, gq = self.values, self._gp, self._gq
         for n in range(len(values), N):
             A, B = self._tilde(n)
@@ -485,10 +481,21 @@ class _ExactRatios:
         self._extend(n)
         return coprime_fraction(*self._tilde(n))
 
-    def up_to_cap(self, N: int, digit_cap: int) -> bool:
-        """Form g_0.. up to g_{N-1}, or up to the first g_n past ``digit_cap``
-        digits; whether it stopped there."""
-        return self._extend(N, digit_cap)
+    def up_to_cap(self, N: int) -> bool:
+        """Form g_0.. up to g_{N-1}, or up to the first g_n past
+        DEFAULT_DIGIT_CAP digits, read when it runs; whether it stopped there."""
+        return self._extend(N, DEFAULT_DIGIT_CAP)
+
+    def fall_back(self) -> list[Decimal]:
+        """The digit-cap fallback: the ratios formed so far, each rounded once
+        to an EXTENDED Decimal, for the Decimal tail (``_ratio_tail``) to
+        continue. Once they are rounded, every exact ratio but the last, the
+        only one that forming later ratios reads, is freed, so that the long
+        Fractions are not held through the tail."""
+        values = self.values
+        rounded = [to_decimal(g, EXTENDED) for g in values]
+        values[:-1] = [None] * (len(values) - 1)
+        return rounded
 
 
 # outward rounding of the ratio bounds, at EXTENDED_DPS digits
@@ -587,27 +594,28 @@ def _ratio_tail(family, values: list, N: int):
         yield t, mul(c, g)
 
 
-def ratios_at_one(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> RatioSequence:
+def ratios_at_one(family, N: int) -> RatioSequence:
     """g_0..g_{N-1} where g_0 = 1/gamma_0 and g_n = (1 - alpha_n/g_{n-1})/gamma_n.
 
     Raises NonpositiveRatio as soon as some g_n <= 0 (normalization at 1 is
     then impossible past that index), and ParamError at a gamma_n = 0, which
-    g_n would divide by. The ratios of an exact family are Fractions, for int
-    coefficients too, formed on the ints of its step table (``_ExactRatios``),
-    which is read first, until an exact g_n past ``digit_cap`` digits, an
-    int >= 1, switches the whole run to Decimals in the EXTENDED context, and
-    the result is flagged inexact. Any other family runs in its own arithmetic.
+    g_n would divide by. The coefficients 0..N-1 are read into a table first,
+    so that a short table raises TableRangeError before any ratio. The
+    ratios of an exact family are Fractions, for int coefficients too, formed
+    on the ints of its step table (``_ExactRatios``), until an exact g_n past
+    DEFAULT_DIGIT_CAP digits switches the whole run to Decimals in the
+    EXTENDED context (``_ExactRatios.fall_back``), and the result is flagged
+    inexact. Any other family runs in its own arithmetic.
     """
     N = _require_count("N", N)
-    _require_count("digit_cap", digit_cap)
-    values = []
     if family.exact:
         family = _step_table(family, N - 2)  # indices 0..N-1
         exact = _ExactRatios(family)
-        if not exact.up_to_cap(N, digit_cap):
+        if not exact.up_to_cap(N):
             return RatioSequence(tuple(exact.values), True)
-        values = [to_decimal(v, EXTENDED) for v in exact.values]
-        del exact  # frees the long Fractions before the Decimal tail
+        values = exact.fall_back()
+    else:
+        family, values = _materialize(family, N - 1), []
     for _ in _ratio_tail(family, values, N):  # appends g_n to values
         pass
     return RatioSequence(tuple(values), False)
@@ -673,11 +681,11 @@ class NormalizedFamily:
 
 
 def normalize(family, N: int) -> NormalizedFamily:
-    """Normalized view of ``family`` over ratios_at_one at the default digit
-    cap; validates g_0..g_{N-1} stay positive."""
+    """Normalized view of ``family`` over ratios_at_one; validates
+    g_0..g_{N-1} stay positive."""
     if isinstance(family, NormalizedFamily):
         return family
-    return NormalizedFamily(family, ratios_at_one(family, N, DEFAULT_DIGIT_CAP))
+    return NormalizedFamily(family, ratios_at_one(family, N))
 
 
 def _normalized_coefficients(family, hi: int) -> tuple[list, list]:
@@ -700,12 +708,11 @@ def _normalized_coefficients(family, hi: int) -> tuple[list, list]:
     else:
         table = _step_table(family, hi - 1)
         exact = _ExactRatios(table)
-        if not exact.up_to_cap(hi + 1, DEFAULT_DIGIT_CAP):
+        if not exact.up_to_cap(hi + 1):
             tildes = [exact._tilde(n) for n in range(hi + 1)]
             return ([coprime_fraction(A, B) for A, B in tildes],
                     [coprime_fraction(B - A, B) for A, B in tildes])
-        ratios = [to_decimal(g, EXTENDED) for g in exact.values]
-        del exact  # frees the long Fractions before the Decimal tail
+        ratios = exact.fall_back()
         al, ga = [table.alpha(0)], []
         for n, g in enumerate(ratios):
             a, c = table.extended(n)
@@ -721,9 +728,10 @@ def _normalized_coefficients(family, hi: int) -> tuple[list, list]:
 def associated_family(family: CoefficientFamily, k: int) -> CoefficientFamily:
     """Shift both coefficient sequences by k (alpha_0 pinned back to 0)."""
     k = _require_count("k", k, 0)
-    if k == 0:
-        return dataclasses.replace(family)
     a, g, zero = family.alpha, family.gamma, family.alpha(0)
+    if k == 0:
+        return CoefficientFamily(name=family.name, alpha=a, gamma=g, exact=family.exact,
+                                 params=family.params, meta=family.meta)
     return CoefficientFamily(
         name=f"{family.name}:assoc{k}",
         alpha=lambda n, _a=a, _k=k, _z=zero: _z if n == 0 else _a(n + _k),
@@ -853,26 +861,24 @@ def ratio_sandwich(family, N: int) -> list[SandwichRow]:
     Past it, the rows are decided on the bounds that ``_ratio_bounds``
     carries from that exact g_k, against w_n/v_n rounded outward, and a row
     that the bounds leave undecided on the exact g_n of the uncapped pass.
-    The upper bound needs gamma_n > gamma_{n+1}; rows where that fails carry
-    upper = +inf, upper_ok = True and gamma_step_decreasing = False so the
-    hypothesis breach stays visible.
+    So a printed 50-digit g_n, or the double nearest it, may read 1 in a row
+    whose exact g_n < 1 fails lower_ok. The upper bound needs gamma_n >
+    gamma_{n+1}; rows where that fails carry upper = +inf, upper_ok = True
+    and gamma_step_decreasing = False so the hypothesis breach stays visible.
     """
     N = _require_count("N", N)
     table = _step_table(family, N - 1)
     exact = _ExactRatios(table)
-    values = exact.values
-    fallback = exact.up_to_cap(N, DEFAULT_DIGIT_CAP)
-    k = len(values)
-    printed = [to_decimal(g, EXTENDED) for g in values] if fallback else values
+    fallback = exact.up_to_cap(N)
+    k = len(exact.values)
     decided = []  # (lower_ok, upper_ok) of the rows n < k, on the exact g_n
-    for n, g in enumerate(values):
+    for n, g in enumerate(exact.values):
         _, _, vn, vd, wn, wd = table.step(n)
         decided.append((g.denominator <= g.numerator,
                         vn <= 0 or g.numerator * wd * vn <= wn * vd * g.denominator))
+    printed = exact.values
     if fallback:
-        # the exact pass reads no g before g_{k-1} again: the long ones are
-        # freed before the Decimal tail and the rows are made
-        values[:k - 1] = [None] * (k - 1)
+        printed = exact.fall_back()
         for _ in _ratio_tail(table, printed, N):  # appends g_n to printed
             pass
         bounds = _ratio_bounds(table, N, exact, start=k)

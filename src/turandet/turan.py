@@ -21,7 +21,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .arith import EXTENDED_DPS, decimal_context, is_exact, to_decimal
+from .arith import EXTENDED, EXTENDED_DPS, is_exact, to_decimal
 from .errors import ParamError
 from .recurrence import (
     CoefficientFamily,
@@ -50,10 +50,10 @@ __all__ = [
 DEFAULT_GRID_POINTS = 2001
 DEFAULT_TOLERANCE = 1e-12
 CONFIRM_BAND = 1e-10
-# Digits of a confirm_dps evaluation not relied on: roundoff of the recurrence
-# over many steps and of the coefficient conversion. A confirmed value within
-# scale_n*10**(CONFIRM_GUARD_DIGITS - digits) of zero counts as zero, where
-# digits is confirm_dps, or EXTENDED_DPS if fewer and a coefficient is a Decimal.
+# Digits of an EXTENDED_DPS-digit confirmation not relied on: roundoff of the
+# recurrence over many steps and of the coefficient conversion. A confirmed
+# value within scale_n*10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS) of zero
+# counts as zero.
 CONFIRM_GUARD_DIGITS = 10
 # degrees whose minima are reduced together (``_minima``)
 MINIMA_BLOCK = 16
@@ -114,11 +114,10 @@ class TuranReport:
     min_value/argmin_x are raw double-precision grid values (bit-identical to
     turan_det at the same point in float mode). The nonnegative verdict of a
     minimum inside the near-zero band is the sign of its confirmation (in
-    ``decimal`` arithmetic at confirm_dps digits, or exactly 0 at x = +-1
+    ``decimal`` arithmetic at EXTENDED_DPS digits, or exactly 0 at x = +-1
     after grid_scan's normalization), up to that evaluation's rounding
-    bound, or up to
-    ``tolerance`` when a coefficient or sigma is a double; every other
-    minimum is judged against ``tolerance``.
+    bound, or up to ``tolerance`` when a coefficient or sigma is a double;
+    every other minimum is judged against ``tolerance``.
     """
 
     n_range: tuple[int, int]
@@ -164,20 +163,19 @@ def _scaled(rows, sigma):
     return (r * s for r, s in zip(rows, sigma))
 
 
-def _confirm_tolerance(confirm_dps: int, tolerance: float, *sources) -> float:
-    """Relative bound under which a confirmed minimum counts as zero.
+def _confirm_tolerance(tolerance: float, *sources) -> float:
+    """Relative bound under which a confirmed minimum counts as zero:
+    10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS) when every value of
+    ``sources`` is exact or a Decimal, and ``tolerance`` when one is a double.
 
     The confirmation removes only the roundoff of the scan, not the error
     already in its inputs: with a double coefficient or sigma, Delta_n of the
     rounded family is off by about an ulp, so ``tolerance`` still applies.
     """
-    digits = confirm_dps
     for v in (v for src in sources for v in src):
-        if isinstance(v, Decimal):
-            digits = min(digits, EXTENDED_DPS)
-        elif not is_exact(v):
+        if not (is_exact(v) or isinstance(v, Decimal)):
             return tolerance
-    return 10.0 ** (CONFIRM_GUARD_DIGITS - digits)
+    return 10.0 ** (CONFIRM_GUARD_DIGITS - EXTENDED_DPS)
 
 
 def _min_and_scale(D) -> tuple[list, list, list]:
@@ -218,12 +216,12 @@ def _minima(rows, n_max: int) -> tuple[list, list, list]:
     return idx, mins, scales
 
 
-def _confirm(al_src, ga_src, pending: dict, confirm_dps: int, sigma_src=None) -> dict:
-    """{n: Delta_n(x)} in decimal arithmetic at confirm_dps digits, for each
-    abscissa x of ``pending`` and each of its degrees n: one sweep per x."""
+def _confirm(al_src, ga_src, pending: dict, sigma_src=None) -> dict:
+    """{n: Delta_n(x)} in the EXTENDED decimal context, for each abscissa x
+    of ``pending`` and each of its degrees n: one sweep per x."""
     hi = max(max(degrees) for degrees in pending.values()) + 1
     confirmed = {}
-    with localcontext(decimal_context(confirm_dps)):
+    with localcontext(EXTENDED):
         al = [to_decimal(v) for v in al_src[:hi]]
         ga = [to_decimal(v) for v in ga_src[:hi]]
         sigma = None if sigma_src is None else [to_decimal(v) for v in sigma_src[:hi + 1]]
@@ -237,14 +235,12 @@ def _confirm(al_src, ga_src, pending: dict, confirm_dps: int, sigma_src=None) ->
 
 
 def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
-          confirm_dps: int, sigma_src=None, sigma_log_concave=None,
-          zero_at_ends: bool = False) -> TuranReport:
+          sigma_src=None, sigma_log_concave=None, zero_at_ends: bool = False) -> TuranReport:
     """Stream the float64 rows over the grid, keep min, argmin and max|Delta_n|
     per degree, confirm the near-zero minima in decimal arithmetic at
-    confirm_dps digits, judge. With ``zero_at_ends``, Delta_n(+-1) is
+    EXTENDED_DPS digits, judge. With ``zero_at_ends``, Delta_n(+-1) is
     exactly 0 for the exact family that the coefficients stand for, and a
     near-zero minimum there is confirmed as 0 without a decimal sweep."""
-    confirm_dps = _require_count("confirm_dps", confirm_dps, CONFIRM_GUARD_DIGITS + 1)
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ParamError(f"tolerance must be finite and >= 0 (got {tolerance})")
     grid = scan_grid(grid_points)
@@ -268,9 +264,9 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
                 pending.setdefault(x, set()).add(n)
     if pending:
         confirmed.update((n, float(v)) for n, v in _confirm(
-            al_src, ga_src, pending, confirm_dps, sigma_src).items())
+            al_src, ga_src, pending, sigma_src).items())
 
-    confirm_tol = _confirm_tolerance(confirm_dps, tolerance, al_src, ga_src, sigma_src or ())
+    confirm_tol = _confirm_tolerance(tolerance, al_src, ga_src, sigma_src or ())
     entries = tuple(
         TuranEntry(n=n, min_value=m, argmin_x=x, nonnegative=bool(
             confirmed[n] >= -confirm_tol * scale if n in confirmed
@@ -286,8 +282,7 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
 
 
 def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
-              normalized: bool = True, tolerance: float = DEFAULT_TOLERANCE,
-              confirm_dps: int = EXTENDED_DPS) -> TuranReport:
+              normalized: bool = True, tolerance: float = DEFAULT_TOLERANCE) -> TuranReport:
     """Scan Delta_1..Delta_{n_max} over the uniform+Chebyshev grid.
 
     The recurrence runs over the whole grid in float64, and its rows are
@@ -298,14 +293,13 @@ def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
     1e-10*scale_n band at x = +-1 of a family normalized here from exact
     coefficients is confirmed as exactly 0, the value that p_n(+-1) = (+-1)^n
     gives; any other minimum in the band is re-evaluated in ``decimal``
-    arithmetic at confirm_dps significant digits, from the exact value of
-    every int, double and Decimal and every Fraction rounded once to that
-    precision, and that confirmed value decides, up to its rounding bound
-    scale_n*10**(CONFIRM_GUARD_DIGITS - confirm_dps) when every coefficient
-    is exact or extended precision, and up to tolerance*scale_n when one is
-    a double; any other minimum is nonnegative when it is
-    >= -tolerance*scale_n. tolerance must be finite and >= 0, and confirm_dps
-    must be an int that exceeds CONFIRM_GUARD_DIGITS.
+    arithmetic at EXTENDED_DPS significant digits (``arith.EXTENDED``),
+    from the exact value of every int, double and Decimal and every Fraction
+    rounded once to that precision, and that confirmed value decides, up to
+    its rounding bound scale_n*10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS) when
+    every coefficient is exact or extended precision, and up to
+    tolerance*scale_n when one is a double; any other minimum is nonnegative
+    when it is >= -tolerance*scale_n. tolerance must be finite and >= 0.
     """
     n_max = _require_count("n_max", n_max)
     if normalized and not isinstance(family, NormalizedFamily):
@@ -317,13 +311,11 @@ def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
     else:
         al_src, ga_src = coefficients(family, n_max)
         zero_at_ends = False
-    return _scan(al_src, ga_src, n_max, grid_points, tolerance, confirm_dps,
-                 zero_at_ends=zero_at_ends)
+    return _scan(al_src, ga_src, n_max, grid_points, tolerance, zero_at_ends=zero_at_ends)
 
 
 def scaled_scan(family, sigma, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
-                tolerance: float = DEFAULT_TOLERANCE,
-                confirm_dps: int = EXTENDED_DPS) -> TuranReport:
+                tolerance: float = DEFAULT_TOLERANCE) -> TuranReport:
     """Scan the sigma-scaled determinants (sigma_n*P_n)^2 - (sigma_{n-1}P_{n-1})(sigma_{n+1}P_{n+1}).
 
     Requires an already normalized family (alpha_n + gamma_n = 1); raises
@@ -335,10 +327,11 @@ def scaled_scan(family, sigma, n_max: int, grid_points: int = DEFAULT_GRID_POINT
     """
     n_max = _require_count("n_max", n_max)
     al_src, ga_src = coefficients(family, n_max)
-    for n in range(n_max + 1):
-        s = al_src[n] + ga_src[n]
-        ok = (s == 1) if is_exact(s) else abs(float(s) - 1.0) <= 1e-12
-        if not ok:
+    for n, (a, g) in enumerate(zip(al_src, ga_src)):
+        # past a digit-cap fallback a Decimal may stand beside an exact value
+        exact = is_exact(a) and is_exact(g)
+        s = a + g if exact else float(a) + float(g)
+        if not (s == 1 if exact else abs(s - 1.0) <= 1e-12):
             raise ParamError(
                 f"scaled_scan needs a normalized family (alpha_{n} + gamma_{n} = {s}); "
                 "pass normalize(family, N) first")
@@ -347,5 +340,5 @@ def scaled_scan(family, sigma, n_max: int, grid_points: int = DEFAULT_GRID_POINT
     sigma_src = [sfn(n) for n in range(n_max + 2)]
     # raises ParamError unless every value is positive
     log_concave = ScalingSequence.from_values(sigma_src).log_concave_up_to(n_max)
-    return _scan(al_src, ga_src, n_max, grid_points, tolerance, confirm_dps,
+    return _scan(al_src, ga_src, n_max, grid_points, tolerance,
                  sigma_src=sigma_src, sigma_log_concave=log_concave)

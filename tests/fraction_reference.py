@@ -38,7 +38,6 @@ from turandet.recurrence import (
     SandwichRow,
     _table,
     coefficients,
-    ratios_at_one,
 )
 
 
@@ -245,10 +244,10 @@ def check_szw_normalized(family, N: int) -> CriterionReport:
 
 
 def ratio_sandwich(family, N: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> list:
-    """Rows printing the g_n of ratios_at_one at ``digit_cap``, each decided
-    on the exact g_n of normalized_ratios."""
+    """Rows printing the g_n of ratio_pass at ``digit_cap``, each decided on
+    the exact g_n of normalized_ratios."""
     table = exact_table(family, N)
-    printed = ratios_at_one(table, N, digit_cap).values
+    printed, _, _ = ratio_pass(table, N, digit_cap)
     exact, _ = normalized_ratios(table, N)
     rows = []
     for n, (g, g_exact) in enumerate(zip(printed, exact)):

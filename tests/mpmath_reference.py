@@ -2,7 +2,7 @@
 
 This is the confirmation of near-zero scan minima as it stood before the
 standard library's ``decimal`` took it over (``turan._confirm``): the same
-recurrence kernel on mpfs under ``mpmath.workdps(confirm_dps)``.
+recurrence kernel on mpfs under ``mpmath.workdps(EXTENDED_DPS)``.
 test_turan.py requires the package to agree with it verdict for verdict and
 value for value, up to a small fraction of the rounding bound. Only tests
 import this module.
@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import mpmath
 
+from turandet.arith import EXTENDED_DPS
 from turandet.recurrence import _dets, _rows
 
 
@@ -31,11 +32,11 @@ def exact(x: mpmath.mpf) -> Fraction:
     return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
-def confirm(al_src, ga_src, pending: dict, confirm_dps: int, sigma_src=None) -> dict:
-    """{n: Delta_n(x)} as mpfs at confirm_dps digits; see turan._confirm."""
+def confirm(al_src, ga_src, pending: dict, sigma_src=None) -> dict:
+    """{n: Delta_n(x)} as mpfs at EXTENDED_DPS digits; see turan._confirm."""
     hi = max(max(degrees) for degrees in pending.values()) + 1
     confirmed = {}
-    with mpmath.workdps(confirm_dps):
+    with mpmath.workdps(EXTENDED_DPS):
         al = [_mpf(v) for v in al_src[:hi]]
         ga = [_mpf(v) for v in ga_src[:hi]]
         sigma = None if sigma_src is None else [_mpf(v) for v in sigma_src[:hi + 1]]

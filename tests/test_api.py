@@ -121,8 +121,6 @@ _SHAPE_ARGS = (_SHAPE.alpha_const, _SHAPE.gamma_const, _SHAPE.delta)
     pytest.param("n", 1, lambda v: turan_det(legendre(), v, 0.5), id="turan_det"),
     pytest.param("n", 1, lambda v: orthonormal_turan([0.5] * 10, v, 0.1), id="orthonormal_turan"),
     pytest.param("k", 0, lambda v: associated_family(legendre(), v), id="associated_family"),
-    pytest.param("confirm_dps", 11, lambda v: grid_scan(legendre(), 5, confirm_dps=v),
-                 id="grid_scan-confirm_dps"),
 ])
 def test_counts_must_be_ints_at_least_their_least_value(name, least, call):
     """A count that is not an int, a bool, or one below its least value is a

@@ -169,8 +169,6 @@ def test_default_grid():
         assert grid.size == points and np.all(np.diff(grid) > 0)
         assert np.array_equal(grid, -grid[::-1])
     with pytest.raises(ParamError):
-        default_density_grid(edge=1.0)
-    with pytest.raises(ParamError):
         default_density_grid(points=0)
 
 

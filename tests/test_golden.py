@@ -26,7 +26,7 @@ from unittest import mock
 
 import pytest
 
-from turandet import eval_polys, example3, legendre, pollaczek, scaled_scan
+from turandet import eval_polys, example3, legendre, pollaczek, recurrence, scaled_scan
 from turandet.arith import format_number
 from turandet.cli import main
 
@@ -152,11 +152,13 @@ def _text(v):
 
 
 def _eval_polys():
+    with mock.patch.object(recurrence, "DEFAULT_DIGIT_CAP", 25):
+        fallback = eval_polys(example3(1), 60, F(2, 7))
     modes = {
         "fraction": eval_polys(example3(1), 40, F(1, 3)),
         "float": eval_polys(pollaczek(2, 1), 200, 0.37),
         "dps40": eval_polys(legendre(), 60, F(1, 3), dps=40),
-        "digit_cap_fallback": eval_polys(example3(1), 60, F(2, 7), digit_cap=25),
+        "digit_cap_fallback": fallback,
     }
     return json.dumps({k: [_text(v) for v in p] for k, p in modes.items()}, indent=1) + "\n"
 

@@ -102,11 +102,36 @@ def test_poly_at_one_matches_eval():
 def test_poly_at_one_keeps_the_precision_of_a_fallback():
     """Past a digit-cap fallback the ratios carry EXTENDED_DPS digits, and so
     does their product: in the default decimal context it would keep 28."""
-    got = ratios_at_one(example3(1), 120, digit_cap=60).poly_at_one(120)
+    with mock.patch.object(recurrence, "DEFAULT_DIGIT_CAP", 60):
+        got = ratios_at_one(example3(1), 120).poly_at_one(120)
     exact = ratios_at_one(example3(1), 120).poly_at_one(120)
     assert isinstance(got, Decimal) and type(exact) is F
     assert len(got.as_tuple().digits) == EXTENDED_DPS
     assert abs(exact_value(got) - exact) <= exact / 10**45
+
+
+def test_every_exact_pass_reads_the_one_digit_cap_when_it_runs(monkeypatch):
+    """With the cap patched to 60 digits, every exact pass over Example3(1)
+    at 120 leaves exact arithmetic, and each ratio pass falls back after the
+    same g_k, the first past 60 digits, where the reference pass does."""
+    fam = example3(1)
+    monkeypatch.setattr(recurrence, "DEFAULT_DIGIT_CAP", 60)
+    fall_back, lengths = recurrence._ExactRatios.fall_back, []
+
+    def recording_fall_back(self):
+        lengths.append(len(self.values))
+        return fall_back(self)
+
+    monkeypatch.setattr(recurrence._ExactRatios, "fall_back", recording_fall_back)
+    ratios = ratios_at_one(fam, 120)
+    assert not ratios.exact
+    assert not normalize(fam, 120).exact
+    _, ga = recurrence._normalized_coefficients(fam, 119)
+    assert isinstance(ga[-1], Decimal)
+    assert [row.g for row in ratio_sandwich(fam, 120)] == list(ratios.values)
+    assert isinstance(eval_polys(fam, 120, F(2, 7))[-1], Decimal)
+    _, fallback, (k, _, _) = ref.ratio_pass(fam, 120, 60, keep_tail=True)
+    assert fallback and lengths == [k] * 4
 
 
 def test_nonpositive_ratio_detected():
@@ -156,11 +181,12 @@ def test_float_view():
 
 
 def test_associated_order_zero_is_copy():
-    fam = example3(1)
-    assoc = associated_family(fam, 0)
-    a1, g1 = coefficients(fam, 6)
-    a2, g2 = coefficients(assoc, 6)
-    assert a1 == a2 and g1 == g2
+    """The k = 0 copy keeps the name and meta; it is built from the family's
+    attributes, so a NormalizedFamily, which is no dataclass, has one too."""
+    for fam in (example3(1), normalize(legendre(), 10)):
+        assoc = associated_family(fam, 0)
+        assert (assoc.name, assoc.meta, assoc.exact) == (fam.name, fam.meta, True)
+        assert coefficients(assoc, 9) == coefficients(fam, 9)
 
 
 def test_associated_chebyshev_t_gives_u():
@@ -216,15 +242,6 @@ def test_eval_polys_decimal_path():
                      lambda: scaled_polys(fam, lambda n: 1, 3, F(1, 3), dps=bad)):
             with pytest.raises(ParamError, match=message):
                 call()
-    # and so is a digit_cap, which ratios_at_one takes too; a cap of 0 would
-    # round every value
-    for bad in (0, -3, 2.5, True):
-        message = rf"digit_cap must be an int >= 1 \(got {bad!r}\)"
-        for call in (lambda: eval_polys(fam, 3, F(1, 3), digit_cap=bad),
-                     lambda: ratios_at_one(example3(1), 3, digit_cap=bad)):
-            with pytest.raises(ParamError, match=message):
-                call()
-    assert not ratios_at_one(example3(1), 3, digit_cap=1).exact  # g_1 = 39/32 passes it
     # and so is a count of another type: a double, a bool or a string
     for bad in (5.0, True, "5"):
         for name, least, call in (("n_max", 0, lambda: eval_polys(fam, bad, 0.5)),
@@ -249,7 +266,8 @@ def test_eval_polys_decimal_path():
 
 def test_digit_cap_falls_back_to_decimal():
     fam = example3(1)
-    vals = eval_polys(fam, 30, F(1, 3), digit_cap=25)
+    with mock.patch.object(recurrence, "DEFAULT_DIGIT_CAP", 25):
+        vals = eval_polys(fam, 30, F(1, 3))
     assert any(isinstance(v, Decimal) for v in vals)
     exact = eval_polys(fam, 30, F(1, 3))
     last = vals[30]
@@ -311,7 +329,8 @@ def test_gegenbauer_half_is_legendre():
 
 
 def test_normalized_coefficients_keep_extended_precision_after_fallback():
-    rs = ratios_at_one(example3(1), 120, digit_cap=60)
+    with mock.patch.object(recurrence, "DEFAULT_DIGIT_CAP", 60):
+        rs = ratios_at_one(example3(1), 120)
     assert not rs.exact
     nf = NormalizedFamily(example3(1), rs)
     for n in range(1, 120):

@@ -291,10 +291,11 @@ def _package_ratio_pass(family, N, cap, keep_tail):
     flag and the tail (k, alpha_tilde_k.., gamma_tilde_k..), read from the
     NormalizedFamily over those ratios, from the first index k read after
     the fallback (the length of the exact run)."""
-    ratios = ratios_at_one(family, N, cap)
-    fallback = family.exact and not ratios.exact
-    exact = _ExactRatios(_step_table(family, N - 2))
-    exact.up_to_cap(N, cap)
+    with mock.patch.object(recurrence, "DEFAULT_DIGIT_CAP", cap):
+        ratios = ratios_at_one(family, N)
+        fallback = family.exact and not ratios.exact
+        exact = _ExactRatios(_step_table(family, N - 2))
+        exact.up_to_cap(N)
     k = len(exact.values) if fallback else N
     nf = NormalizedFamily(family, ratios)
     return list(ratios.values), fallback, (k, [nf.alpha(n) for n in range(k, N)],
@@ -506,14 +507,15 @@ _PAST_CAP_TIES = _family([0, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)],
 
 
 def test_a_short_table_reports_its_range_before_its_ratios():
-    """Every normalization of an exact table reads it whole before it forms a
-    ratio, and so do the scan's and turan_det's of its doubles: the table
-    below has g_1 = -1/5, yet each pass reports the missing index 4 first."""
+    """Every normalization of a table, exact or of its doubles, reads it
+    whole before it forms a ratio: the table below has g_1 = -1/5, yet each
+    pass reports the missing index 4 first."""
     message = "^coefficient index 4 outside table of length 4$"
     doubles = float_view(_NONPOSITIVE)
     for call in (lambda: ratios_at_one(_NONPOSITIVE, 6), lambda: normalize(_NONPOSITIVE, 6),
                  lambda: ratio_sandwich(_NONPOSITIVE, 6), lambda: grid_scan(_NONPOSITIVE, 5),
-                 lambda: turan_det(_NONPOSITIVE, 5, 0.5), lambda: grid_scan(doubles, 5),
+                 lambda: turan_det(_NONPOSITIVE, 5, 0.5), lambda: ratios_at_one(doubles, 6),
+                 lambda: normalize(doubles, 6), lambda: grid_scan(doubles, 5),
                  lambda: turan_det(doubles, 5, 0.5)):
         with pytest.raises(TableRangeError, match=message):
             call()
@@ -593,7 +595,7 @@ def test_ratio_bounds_hold_the_exact_values_at_3000(family):
         g_n = exact.ratio(n)
         assert _holds(g_lo[n], g_n, g_hi[n]) and _holds(a_lo[n], exact.alpha_tilde(n), a_hi[n])
         assert Fraction(g_hi[n] - g_lo[n]) < g_n / 10**44
-    assert _ExactRatios(table).up_to_cap(3000, 4096)
+    assert _ExactRatios(table).up_to_cap(3000)
 
 
 @settings(max_examples=200, deadline=None)
@@ -620,7 +622,7 @@ def test_szw_matches_the_uncapped_reference_past_the_digit_cap(family, N):
     """The benchmark's families, past the index where the capped exact pass
     stops (the doubles of Example4 pass 4096 digits near n = 270)."""
     assert _szw(_package_szw, family, N) == _szw(ref.check_szw_normalized, family, N)
-    assert _ExactRatios(_step_table(family, N - 2)).up_to_cap(N, 4096)
+    assert _ExactRatios(_step_table(family, N - 2)).up_to_cap(N)
 
 
 @settings(max_examples=100, deadline=None)

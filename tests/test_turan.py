@@ -206,6 +206,14 @@ def test_scaled_scan_requires_normalized_family():
         scaled_scan(pollaczek(1, 1), lambda n: 1, 5)
 
 
+def test_scaled_scan_of_a_view_past_its_digit_cap_fallback():
+    """Past the fallback at g_989 the view's alpha_tilde_0 is the Fraction 0
+    and its gamma_tilde_0 a Decimal, whose sum is checked to 1e-12; with
+    sigma_n = 1 the scan is grid_scan's, entry for entry."""
+    report = scaled_scan(normalize(example3(F(1, 3)), 1201), lambda n: 1, 1200)
+    assert report.per_n == grid_scan(example3(F(1, 3)), 1200).per_n
+
+
 def test_scaled_scan_rejects_nonpositive_sigma():
     with pytest.raises(ParamError):
         scaled_scan(chebyshev_t(), lambda n: n, 4)  # sigma_0 = 0
@@ -314,14 +322,6 @@ def test_double_coefficients_keep_the_tolerance_on_confirmed_minima(family, n_ma
     assert not grid_scan(family(), n_max, tolerance=0.0).all_nonnegative
 
 
-def test_scan_rejects_confirm_dps_within_guard_digits():
-    # too few digits, or not an int (bool included), is named
-    for bad in (10, 50.0, "50", True):
-        with pytest.raises(ParamError, match=rf"confirm_dps .*\(got {bad!r}\)"):
-            grid_scan(legendre(), 10, confirm_dps=bad)
-    assert grid_scan(legendre(), 10, confirm_dps=11).all_nonnegative
-
-
 @pytest.mark.parametrize("scan", [
     lambda: grid_scan(legendre(), 2000, grid_points=1001),
     lambda: scaled_scan(legendre(), lambda n: 2 * n + 1, 2000, grid_points=1001),
@@ -343,7 +343,7 @@ def test_scan_memory_stays_flat_in_n_max(scan):
 # x = -1 itself; Example3(1/3) passes its digit-cap fallback at g_989, so its
 # later coefficients are Decimals; the float table and Legendre's float view
 # take the tolerance path; every degree of the 1/(2n+1) scaling is a
-# confirmed negative; confirm_dps=11 is the least precision allowed.
+# confirmed negative.
 CONFIRMED_SCANS = {
     "Legendre": lambda: grid_scan(legendre(), 300),
     "Example3(1/3)-past-fallback": lambda: grid_scan(example3(F(1, 3)), 1200),
@@ -351,17 +351,16 @@ CONFIRMED_SCANS = {
         table_family([0, 0.3, 0.4, 0.45], [1.0, 0.7, 0.6, 0.55]), 3),
     "float_view-Legendre": lambda: grid_scan(float_view(legendre()), 300),
     "sigma-1/(2n+1)": lambda: scaled_scan(legendre(), lambda n: F(1, 2 * n + 1), 300),
-    "confirm_dps=11": lambda: grid_scan(legendre(), 300, confirm_dps=11),
 }
 # the scans that grid_scan normalizes from exact coefficients
-ZERO_AT_ENDS = {"Legendre", "Example3(1/3)-past-fallback", "confirm_dps=11"}
+ZERO_AT_ENDS = {"Legendre", "Example3(1/3)-past-fallback"}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIRMED_SCANS))
 def test_decimal_confirmation_agrees_with_mpmath(monkeypatch, name):
     """The decimal confirmation gives the mpmath reference's verdicts, and
     each confirmed value lies within a thousandth of the rounding bound
-    scale_n*10**(CONFIRM_GUARD_DIGITS - confirm_dps) of the reference value.
+    scale_n*10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS) of the reference value.
     The near-zero minima at x = +-1 that grid_scan confirms as 0 without a
     sweep are swept here, by a call with the scan's own coefficients."""
     calls, scans, scales = [], [], []
@@ -391,11 +390,10 @@ def test_decimal_confirmation_agrees_with_mpmath(monkeypatch, name):
         [(args, _)] = scans
         ends = {e.n for e in report.per_n if abs(e.argmin_x) == 1.0
                 and abs(e.min_value) < turan.CONFIRM_BAND * scales[e.n - 1]}
-        swept = (args[0], args[1], {-1.0: ends}, args[5])
+        swept = (args[0], args[1], {-1.0: ends})
         calls.append((swept, confirm(*swept)))
     [(args, got)] = calls
-    confirm_dps = args[3]
-    bound = F(10) ** (CONFIRM_GUARD_DIGITS - confirm_dps) / 1000
+    bound = F(10) ** (CONFIRM_GUARD_DIGITS - EXTENDED_DPS) / 1000
     want = mpmath_reference.confirm(*args)
     assert got and got.keys() == want.keys()
     for n, value in got.items():
@@ -406,16 +404,15 @@ def test_decimal_confirmation_agrees_with_mpmath(monkeypatch, name):
     assert CONFIRMED_SCANS[name]().to_json() == report.to_json()
 
 
-# (family, n_max, confirm_dps) of scans whose minima at x = -1 grid_scan
-# confirms as 0: the exact ones of CONFIRMED_SCANS and the n_max = 5000 scans
-# of the benchmark's sweeps
+# (family, n_max) of scans whose minima at x = -1 grid_scan confirms as 0:
+# the exact ones of CONFIRMED_SCANS and the n_max = 5000 scans of the
+# benchmark's sweeps
 END_SCANS = {
-    "Legendre": (legendre, 300, EXTENDED_DPS),
-    "Example3(1/3)-past-fallback": (lambda: example3(F(1, 3)), 1200, EXTENDED_DPS),
-    "confirm_dps=11": (legendre, 300, 11),
-    "Example3(1/2)-5000": (lambda: example3(F(1, 2)), 5000, EXTENDED_DPS),
-    "Legendre-5000": (legendre, 5000, EXTENDED_DPS),
-    "Pollaczek(2,1)-5000": (lambda: pollaczek(2, 1), 5000, EXTENDED_DPS),
+    "Legendre": (legendre, 300),
+    "Example3(1/3)-past-fallback": (lambda: example3(F(1, 3)), 1200),
+    "Example3(1/2)-5000": (lambda: example3(F(1, 2)), 5000),
+    "Legendre-5000": (legendre, 5000),
+    "Pollaczek(2,1)-5000": (lambda: pollaczek(2, 1), 5000),
 }
 
 
@@ -426,16 +423,16 @@ def test_skipped_end_confirmations_lie_within_the_rounding_bound(name):
     decimal sweep that it skips lies within the rounding bound of 0 at every
     degree, even with scale_n = 1, so it would have called each of them
     nonnegative too: skipping it leaves every verdict as it was."""
-    family, n_max, confirm_dps = END_SCANS[name]
+    family, n_max = END_SCANS[name]
     al, ga = _normalized_coefficients(family(), n_max)
-    bound = turan._confirm_tolerance(confirm_dps, turan.DEFAULT_TOLERANCE, al, ga)
-    assert bound == 10.0 ** (CONFIRM_GUARD_DIGITS - min(confirm_dps, EXTENDED_DPS))
+    bound = turan._confirm_tolerance(turan.DEFAULT_TOLERANCE, al, ga)
+    assert bound == 10.0 ** (CONFIRM_GUARD_DIGITS - EXTENDED_DPS)
     degrees = set(range(1, n_max + 1))
     for x in (-1.0, 1.0):
-        confirmed = turan._confirm(al, ga, {x: degrees}, confirm_dps)
+        confirmed = turan._confirm(al, ga, {x: degrees})
         assert confirmed.keys() == degrees
         assert all(abs(v) <= bound for v in confirmed.values())
-    report = grid_scan(family(), n_max, confirm_dps=confirm_dps)
+    report = grid_scan(family(), n_max)
     assert any(abs(e.argmin_x) == 1.0 for e in report.per_n)
     assert all(e.nonnegative for e in report.per_n if abs(e.argmin_x) == 1.0)
 
