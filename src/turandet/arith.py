@@ -34,8 +34,10 @@ __all__ = [
     "to_fraction",
     "coprime_fraction",
     "to_decimal",
+    "quotient_decimal",
     "format_number",
     "pair_digits",
+    "digit_cap_bits",
     "exceeds_digit_cap",
 ]
 
@@ -113,7 +115,15 @@ else:  # Python 3.10 and 3.11 spell it as a keyword of the constructor
 def to_decimal(x, ctx: Context | None = None) -> Decimal:
     """``x`` as a Decimal: an int, a double or a Decimal exactly, and a
     Fraction p/q rounded once to ``ctx`` (the current context by default),
-    to the Decimal that ``ctx.divide(Decimal(p), Decimal(q))`` gives.
+    by ``quotient_decimal``."""
+    if not isinstance(x, Fraction):
+        return Decimal(x)
+    return quotient_decimal(x.numerator, x.denominator, ctx or getcontext())
+
+
+def quotient_decimal(p: int, q: int, ctx: Context) -> Decimal:
+    """p/q, for ints p and q > 0, rounded once to ``ctx``: the Decimal that
+    ``ctx.divide(Decimal(p), Decimal(q))`` gives.
 
     A p/q of more than twice ctx.prec digits is first reduced to the integer
     quotient Q of p*10**k by q with at least prec + 2 digits, and a sticky
@@ -121,10 +131,6 @@ def to_decimal(x, ctx: Context | None = None) -> Decimal:
     as p/q does: converting two long ints to Decimals and dividing them
     would cost far more.
     """
-    if not isinstance(x, Fraction):
-        return Decimal(x)
-    ctx = ctx or getcontext()
-    p, q = x.numerator, x.denominator
     if pair_digits(p, q) <= 2 * ctx.prec:
         return ctx.divide(Decimal(p), Decimal(q))
     m = abs(p)
@@ -150,6 +156,21 @@ def pair_digits(p: int, q: int) -> int:
     """Rough decimal-digit size of p/q (max of numerator/denominator)."""
     bits = max(p.bit_length(), q.bit_length())
     return int(bits / _BITS_PER_DIGIT) + 1
+
+
+def digit_cap_bits(cap: int) -> int:
+    """The least bit length b such that pair_digits(p, q) > cap when the
+    longer of p and q has b bits. pair_digits reads only that length and
+    grows with it, so max(p.bit_length(), q.bit_length()) >= b decides
+    pair_digits(p, q) > cap without a float division."""
+    def passes(bits: int) -> bool:
+        return pair_digits(1 << (bits - 1), 1) > cap
+    bits = max(1, int(cap * _BITS_PER_DIGIT))
+    while bits > 1 and passes(bits - 1):
+        bits -= 1
+    while not passes(bits):
+        bits += 1
+    return bits
 
 
 def exceeds_digit_cap(x, cap: int) -> bool:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .arith import format_number
-from .criteria import Verdict, lambda_data
+from .criteria import Verdict, _lambda_pairs
 from .density import DEFAULT_N as DENSITY_DEFAULT_N
 from .density import DEFAULT_OFFDIAG_TOL as DENSITY_DEFAULT_TOL
 from .density import DEFAULT_POINTS as DENSITY_DEFAULT_POINTS
@@ -265,11 +265,16 @@ def _ratios(family, ns) -> int:
 
 
 def _lambda_rows(family, N: int):
-    """The rows of ``lambda`` as printed, and its route reports. The step
-    table and the step data are freed on return."""
+    """The rows of ``lambda`` as printed, and its route reports: the rows
+    of ``lambda_data(family, N).rows()``, each exact value written as
+    "num/den" from the reduced ints of the step data, with no Fraction.
+    The step table is freed on return."""
     table = _step_table(family, N)
-    data = lambda_data(table, N)
-    return list(data.rows()), _route_reports(table)
+    text = lambda pair: None if pair is None else f"{pair[0]}/{pair[1]}"  # noqa: E731
+    rows = [{"n": n, "u": text(u), "v": text(v), "lambda": text(lam), "y": text(y),
+             "valid": valid}
+            for n, (u, v, lam, y, valid) in enumerate(_lambda_pairs(table.steps, N))]
+    return rows, _route_reports(table)
 
 
 def _lambda(family, ns) -> int:

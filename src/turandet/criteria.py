@@ -23,8 +23,10 @@ through these identities:
 - step ratios: lambda_n = v_n/u_n and y_n = (u_n + v_n)/(u_n - v_n);
 - pair inequality: 4*u_{n-1}*v_n <= (u_{n-1} + v_{n-1})*(u_n + v_n).
 
-Fractions are built only for what is printed or kept: a witness when its
-condition keeps it, and the values of lambda_data.
+Fractions are built only for what is kept: a witness when its condition
+keeps it, and the values of lambda_data. The ``lambda`` command prints its
+rows from the reduced ints of the step data (``_lambda_pairs``), with no
+Fraction.
 
 SzwTheorem1 compares the normalized alpha_tilde_n = alpha_n/g_{n-1}, whose
 exact values grow past thousands of digits within a few thousand indices.
@@ -42,13 +44,14 @@ the first comparison made as a representative witness.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .arith import Num, exact_value, format_number
+from .arith import Num, coprime_fraction, exact_value, format_number
 from .errors import InvalidLambda, StructuralMismatch
 from .recurrence import (
     NormalizedFamily,
@@ -491,22 +494,39 @@ class LambdaData:
             }
 
 
+def _lambda_pairs(steps, N: int):
+    """Yield, for n = 0..N, the step data of a step table's ``steps`` as
+    ints: u_n, v_n, lambda_n and y_n each as its reduced (numerator,
+    positive denominator) pair, or None where it is undefined, and the
+    valid flag. lambda_n = L/D with L = vn*ud and D = un*vd, so y_n =
+    (D + L)/(D - L)."""
+    un, ud, vn, vd, _, _ = steps
+    for n in range(N + 1):
+        a, b, c, d = un[n], ud[n], vn[n], vd[n]
+        L, D = c * b, a * d
+        yield (_reduced(a, b), _reduced(c, d), _reduced(L, D) if D else None,
+               _reduced(D + L, D - L) if D and D != L else None, _valid_step(steps, n))
+
+
+def _reduced(p: int, q: int) -> tuple[int, int]:
+    """p/q, q != 0, in lowest terms with a positive denominator: the
+    numerator and denominator of Fraction(p, q)."""
+    g = math.gcd(p, q)
+    if q < 0:
+        g = -g
+    return p // g, q // g
+
+
 def lambda_data(family, N: int) -> LambdaData:
     """Step data for indices 0..N (consumes coefficients up to N+1), formed
-    from the exact values of the coefficients."""
+    from the exact values of the coefficients: one Fraction per value, from
+    the reduced ints of ``_lambda_pairs``."""
     N = _require_count("N", N)
-    # lambda_n = L/D with L = vn*ud and D = un*vd, so y_n = (D + L)/(D - L)
-    t = _step_table(family, N)
-    un, ud, vn, vd, _, _ = t.steps
-    u, v, lam, y, valid = [], [], [], [], []
-    for n in range(N + 1):
-        L, D = vn[n] * ud[n], un[n] * vd[n]
-        u.append(Fraction(un[n], ud[n]))
-        v.append(Fraction(vn[n], vd[n]))
-        lam.append(Fraction(L, D) if D else None)
-        y.append(Fraction(D + L, D - L) if D and D != L else None)
-        valid.append(_valid_step(t.steps, n))
-    return LambdaData(tuple(u), tuple(v), tuple(lam), tuple(y), tuple(valid), N)
+    u, v, lam, y, valid = zip(*_lambda_pairs(_step_table(family, N).steps, N))
+
+    def fraction(pair):
+        return None if pair is None else coprime_fraction(*pair)
+    return LambdaData(*(tuple(map(fraction, values)) for values in (u, v, lam, y)), valid, N)
 
 
 def lambda_step_bound(x):

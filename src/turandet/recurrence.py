@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import numbers
 import operator
@@ -27,10 +28,11 @@ from .arith import (
     Num,
     coprime_fraction,
     decimal_context,
+    digit_cap_bits,
     exact_value,
     exceeds_digit_cap,
     is_exact,
-    pair_digits,
+    quotient_decimal,
     to_decimal,
 )
 from .errors import NonpositiveRatio, ParamError, TableRangeError
@@ -63,8 +65,8 @@ class CoefficientFamily:
 
     An exact callable may carry its integer form as an attribute ``linear``:
     four ints (a1, a0, b1, b0) >= 0 with b1*n + b0 > 0 and value
-    (a1*n + a0)/(b1*n + b0) at every n >= 0. The step table reads it
-    (``_coprime_reader``) and builds no Fraction, and ``orthonormal_offdiag``
+    (a1*n + a0)/(b1*n + b0) at every n >= 0. The step table reads it column
+    by column (``_coprime_columns``) and builds no Fraction, and ``orthonormal_offdiag``
     reads it in int64 chunks when both callables carry one.
     ``functools.wraps`` copies the attribute, so a wrapper of such a callable
     keeps it, and a read through the form does not call the wrapper.
@@ -118,31 +120,39 @@ def coefficients(family, hi: int):
 
 
 def _coprime_reader(coeff) -> Callable[[int], tuple[int, int]]:
-    """n -> (p, q): the exact value of coeff(n) as coprime ints with q > 0.
+    """n -> (p, q): the exact value of coeff(n) as coprime ints with q > 0,
+    through the ``as_integer_ratio`` of its values, which is in lowest terms
+    for Fractions, doubles and Decimals, and an integer as (v, 1). A value
+    that is not finite is a ParamError."""
+    def read(n: int):
+        v = coeff(n)
+        if isinstance(v, numbers.Integral):  # numpy's ints have no as_integer_ratio
+            return int(v), 1
+        try:
+            return v.as_integer_ratio()
+        except (OverflowError, ValueError):  # inf; nan
+            raise ParamError(f"{v!r} is not a finite number") from None
+    return read
 
-    A callable that carries its integer form ``linear`` = (a1, a0, b1, b0) is
-    read through it, as (a1*n + a0, b1*n + b0) over one gcd of two small ints
-    and with no Fraction; any other through the ``as_integer_ratio`` of its
-    values, which is in lowest terms for Fractions, doubles and Decimals, and
-    an integer as (v, 1). A value that is not finite is a ParamError."""
+
+def _coprime_columns(coeff, size: int) -> tuple[list[int], list[int]]:
+    """The exact values of coeff(0)..coeff(size - 1) as two columns of
+    coprime ints, numerators p and denominators q > 0.
+
+    A callable that carries its integer form ``linear`` = (a1, a0, b1, b0)
+    is read column by column, with no call and no Fraction: a1*n + a0 and
+    b1*n + b0 over every n, then each pair over its gcd. Any other is read
+    one value at a time (``_coprime_reader``)."""
+    ns = range(size)
     linear = getattr(coeff, "linear", None)
     if linear is None:
-        def read(n: int):
-            v = coeff(n)
-            if isinstance(v, numbers.Integral):  # numpy's ints have no as_integer_ratio
-                return int(v), 1
-            try:
-                return v.as_integer_ratio()
-            except (OverflowError, ValueError):  # inf; nan
-                raise ParamError(f"{v!r} is not a finite number") from None
-    else:
-        a1, a0, b1, b0 = linear
-
-        def read(n: int):
-            p, q = a1 * n + a0, b1 * n + b0
-            g = math.gcd(p, q)
-            return p // g, q // g
-    return read
+        p, q = zip(*map(_coprime_reader(coeff), ns))
+        return list(p), list(q)
+    a1, a0, b1, b0 = linear
+    p = [a1 * n + a0 for n in ns]
+    q = [b1 * n + b0 for n in ns]
+    g = list(map(math.gcd, p, q))
+    return list(map(operator.floordiv, p, g)), list(map(operator.floordiv, q, g))
 
 
 def _int_table(ps: Sequence[int], qs: Sequence[int]) -> Callable[[int], Fraction]:
@@ -171,26 +181,32 @@ def _materialize(family, hi: int) -> CoefficientFamily:
 class _StepTable:
     """The exact coefficient table of a family for steps 0..N, and its steps.
 
-    Reads alpha_0..alpha_{N+1} and gamma_0..gamma_{N+1} once, as the coprime
-    ints alpha_n = ap[n]/aq[n] and gamma_n = gp[n]/gq[n] of their exact
-    values (``_coprime_reader``: one small gcd per index of a ``linear``
-    form). It duck-types CoefficientFamily over them: ``alpha``/``gamma``
+    Reads alpha_0..alpha_{N+1} and gamma_0..gamma_{N+1} once, as columns of
+    the coprime ints alpha_n = ap[n]/aq[n] and gamma_n = gp[n]/gq[n] of
+    their exact values (``_coprime_columns``: a ``linear`` form column by
+    column). It duck-types CoefficientFamily over them: ``alpha``/``gamma``
     build the Fraction of an index on read, an int read as a Fraction, so
     that the witnesses and values formed from an int table are exact too. A
     checker or ratio pass handed a step table reuses it, and the exact ratio
-    passes read its int lists. Every criterion decides by integer
+    passes read its int columns. Every criterion decides by integer
     cross-multiplication on the ints and, for n <= N,
 
         u_n = alpha_{n+1} - alpha_n                   = un[n]/ud[n]
         v_n = gamma_n - gamma_{n+1}                   = vn[n]/vd[n]
         w_n = alpha_{n+1}*gamma_n - alpha_n*gamma_{n+1} = wn[n]/wd[n]
 
-    with positive, unreduced denominators. ``step(n)`` forms the six ints
-    of one step, and ``steps`` holds them as the six lists un, ud, vn, vd,
-    wn, wd, built on first use: numerators and denominators in parallel
-    lists take half the memory of a list of pairs. Fractions are
-    built only for what is printed or kept: one per value, from these ints
-    (``*_value``), with no Fraction arithmetic in a loop.
+    with positive, unreduced denominators: with alpha_n = p0/q0, alpha_{n+1}
+    = p1/q1, gamma_n = r0/s0 and gamma_{n+1} = r1/s1,
+
+        un = p1*q0 - p0*q1,  ud = q0*q1,  vn = r0*s1 - r1*s0,  vd = s0*s1,
+        wn = (p1*q0)*(r0*s1) - (p0*q1)*(r1*s0),  wd = ud*vd.
+
+    ``steps`` holds them as the six columns un, ud, vn, vd, wn, wd, built on
+    first use from the four int columns, each product over whole columns:
+    numerators and denominators in parallel lists take half the memory of a
+    list of pairs. Fractions are built only for what a caller keeps: one
+    per value, from these ints (``*_value``), with no Fraction arithmetic in
+    a loop.
     """
 
     exact = True
@@ -198,31 +214,22 @@ class _StepTable:
     def __init__(self, family, N: int):
         self.N = N
         self.name, self.params, self.meta = family.name, family.params, family.meta
-        indices = range(max(N + 1, 0) + 1)
-        self.ap, self.aq = map(list, zip(*map(_coprime_reader(family.alpha), indices)))
-        self.gp, self.gq = map(list, zip(*map(_coprime_reader(family.gamma), indices)))
+        size = max(N + 1, 0) + 1
+        self.ap, self.aq = _coprime_columns(family.alpha, size)
+        self.gp, self.gq = _coprime_columns(family.gamma, size)
         self.alpha = _int_table(self.ap, self.aq)
         self.gamma = _int_table(self.gp, self.gq)
 
-    def step(self, n: int) -> tuple[int, int, int, int, int, int]:
-        """un, ud, vn, vd, wn, wd of step n."""
-        ap, aq, gp, gq = self.ap, self.aq, self.gp, self.gq
-        p0, q0, p1, q1 = ap[n], aq[n], ap[n + 1], aq[n + 1]
-        r0, s0, r1, s1 = gp[n], gq[n], gp[n + 1], gq[n + 1]
-        return (p1 * q0 - p0 * q1, q0 * q1, r0 * s1 - r1 * s0, s0 * s1,
-                p1 * r0 * q0 * s1 - p0 * r1 * q1 * s0, q0 * q1 * s0 * s1)
-
     @functools.cached_property
     def steps(self):
-        un, ud, vn, vd, wn, wd = lists = [], [], [], [], [], []
-        for a, b, c, d, e, f in map(self.step, range(self.N + 1)):
-            un.append(a)
-            ud.append(b)
-            vn.append(c)
-            vd.append(d)
-            wn.append(e)
-            wd.append(f)
-        return lists
+        mul, sub = operator.mul, operator.sub
+        ap, aq, gp, gq = self.ap, self.aq, self.gp, self.gq
+        p1q0, p0q1 = list(map(mul, ap[1:], aq)), list(map(mul, ap, aq[1:]))
+        r0s1, r1s0 = list(map(mul, gp, gq[1:])), list(map(mul, gp[1:], gq))
+        ud, vd = list(map(mul, aq, aq[1:])), list(map(mul, gq, gq[1:]))
+        return [list(map(sub, p1q0, p0q1)), ud, list(map(sub, r0s1, r1s0)), vd,
+                list(map(sub, map(mul, p1q0, r0s1), map(mul, p0q1, r1s0))),
+                list(map(mul, ud, vd))]
 
     def extended(self, n: int) -> tuple[Decimal, Decimal]:
         """alpha_n and gamma_n rounded once to EXTENDED Decimals from the ints:
@@ -246,7 +253,6 @@ class _StepTable:
         (ZeroDivisionError where u_n = 0)."""
         un, ud, vn, vd, _, _ = self.steps
         return Fraction(vn[n] * ud[n], un[n] * vd[n])
-
 
 def _step_table(family, N: int) -> _StepTable:
     """The step table of ``family`` for steps 0..N; a step table for at least
@@ -420,80 +426,98 @@ class RatioSequence:
             return math.prod(self.values[:n], start=Decimal(1) if fallback else 1.0)
 
 
-class _ExactRatios:
-    """The exact g_0, g_1, ... of a step table as Fractions, formed in order as
-    far as they are asked for and the table reaches, and kept in ``values``:
-    up to the digit cap by ``up_to_cap``, and with no cap on other reads.
+def _quotient(p: int, q: int, r: int, s: int) -> tuple[int, int]:
+    """(p/q)/(r/s) = (p*s)/(q*r) in lowest terms, for coprime p, q and
+    coprime r, s with q, s > 0: through gcd(p, r) and gcd(q, s), each
+    division by a gcd of 1 skipped; the denominator may be negative."""
+    g = math.gcd(p, r)
+    if g != 1:
+        p, r = p // g, r // g
+    g = math.gcd(q, s)
+    if g != 1:
+        q, s = q // g, s // g
+    return p * s, q * r
 
-    g_{n-1} = P/Q is carried as coprime ints. With alpha_n = a/b and gamma_n =
-    c/d the table's coprime ints, alpha_tilde_n = alpha_n/g_{n-1} = A/B
-    in lowest terms through gcd(a, P) and gcd(b, Q), and g_n = (1 - A/B)/gamma_n
-    = (B - A)*d/(B*c) in lowest terms through gcd(B - A, c) and gcd(d, B):
-    each gcd pairs a coefficient's small int with a big one. Each g_n becomes
-    one Fraction, without the gcd of two big ints that Fraction(P, Q) runs.
-    alpha_0 is read as 0 and g_{-1} as 1, so g_0 = 1/gamma_0.
+
+class _ExactRatios:
+    """The exact g_0, g_1, ... of a step table, formed in order as far as
+    they are asked for and the table reaches, and kept in ``values`` as
+    coprime int pairs (P, Q), Q > 0: up to the digit cap by ``up_to_cap``,
+    and with no cap on other reads. No Fraction is built in the pass;
+    ``ratio`` builds the one of an index on read.
+
+    With alpha_n = a/b and gamma_n = c/d the table's coprime ints and
+    g_{n-1} = P/Q, alpha_tilde_n = alpha_n/g_{n-1} = A/B in lowest terms
+    through gcd(a, P) and gcd(b, Q), and g_n = (1 - A/B)/gamma_n = (B - A)*d/(B*c)
+    in lowest terms through gcd(B - A, c) and gcd(B, d) (``_quotient``):
+    each gcd pairs a coefficient's small int with a big one, and no gcd of
+    two big ints is run. alpha_0 is read as 0 and g_{-1} as 1, so g_0 =
+    1/gamma_0.
     """
 
     def __init__(self, table: _StepTable):
         self._ap, self._aq, self._gp, self._gq = table.ap, table.aq, table.gp, table.gq
-        self.values: list[Fraction] = []
+        self.values: list[tuple[int, int]] = []
 
     def _tilde(self, n: int) -> tuple[int, int]:
-        """alpha_tilde_n as coprime (A, B), from g_{n-1} when it is formed."""
+        """alpha_tilde_n as coprime (A, B), B > 0, from g_{n-1} when it is formed."""
         if not n:
             return 0, 1
-        a, b, g = self._ap[n], self._aq[n], self.values[n - 1]
-        P, Q = g.numerator, g.denominator
-        g1, g2 = math.gcd(a, P), math.gcd(b, Q)
-        return (a // g1) * (Q // g2), (b // g2) * (P // g1)
+        return _quotient(self._ap[n], self._aq[n], *self.values[n - 1])
 
-    def _extend(self, N: int, digit_cap: int | None = None) -> bool:
+    def _extend(self, N: int, cap_bits: int | None = None) -> bool:
         """Form the ratios up to g_{N-1}, in one loop, or up to the first
-        past ``digit_cap`` digits when one is given; whether it stopped
-        there. Forming them raises NonpositiveRatio at the first g_n <= 0
-        and ParamError at a gamma_n = 0, which g_n would divide by."""
-        values, gp, gq = self.values, self._gp, self._gq
+        whose longer int has ``cap_bits`` bits or more when that is given;
+        whether it stopped there. Forming them raises NonpositiveRatio at
+        the first g_n <= 0 and ParamError at a gamma_n = 0, which g_n would
+        divide by."""
+        values, ap, aq, gp, gq = self.values, self._ap, self._aq, self._gp, self._gq
+        P, Q = values[-1] if values else (1, 1)
         for n in range(len(values), N):
-            A, B = self._tilde(n)
-            c, d = gp[n], gq[n]
+            A, B = _quotient(ap[n], aq[n], P, Q) if n else (0, 1)
+            c = gp[n]
             if c == 0:
                 raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
-            E = B - A
-            h1, h2 = math.gcd(E, c), math.gcd(d, B)
-            P, Q = (E // h1) * (d // h2), (B // h2) * (c // h1)
+            P, Q = _quotient(B - A, B, c, gq[n])
             if Q < 0:
                 P, Q = -P, -Q
-            g = coprime_fraction(P, Q)
             if not P > 0:
-                raise NonpositiveRatio(n, g)
-            values.append(g)
-            if digit_cap is not None and pair_digits(P, Q) > digit_cap:
+                raise NonpositiveRatio(n, coprime_fraction(P, Q))
+            values.append((P, Q))
+            if cap_bits is not None and (P.bit_length() >= cap_bits
+                                         or Q.bit_length() >= cap_bits):
                 return True
         return False
 
     def ratio(self, n: int) -> Fraction:
         """g_n, forming the ratios up to it."""
         self._extend(n + 1)
-        return self.values[n]
+        return coprime_fraction(*self.values[n])
 
     def alpha_tilde(self, n: int) -> Fraction:
         """alpha_tilde_n = alpha_n/g_{n-1}."""
         self._extend(n)
         return coprime_fraction(*self._tilde(n))
 
+    def fractions(self) -> list[Fraction]:
+        """The ratios formed so far, as Fractions."""
+        return list(itertools.starmap(coprime_fraction, self.values))
+
     def up_to_cap(self, N: int) -> bool:
         """Form g_0.. up to g_{N-1}, or up to the first g_n past
-        DEFAULT_DIGIT_CAP digits, read when it runs; whether it stopped there."""
-        return self._extend(N, DEFAULT_DIGIT_CAP)
+        DEFAULT_DIGIT_CAP digits, read when it runs; whether it stopped
+        there. The cap is tested on bit lengths (``arith.digit_cap_bits``),
+        which decides what pair_digits(P, Q) > DEFAULT_DIGIT_CAP decides."""
+        return self._extend(N, digit_cap_bits(DEFAULT_DIGIT_CAP))
 
     def fall_back(self) -> list[Decimal]:
         """The digit-cap fallback: the ratios formed so far, each rounded once
         to an EXTENDED Decimal, for the Decimal tail (``_ratio_tail``) to
         continue. Once they are rounded, every exact ratio but the last, the
         only one that forming later ratios reads, is freed, so that the long
-        Fractions are not held through the tail."""
+        ints are not held through the tail."""
         values = self.values
-        rounded = [to_decimal(g, EXTENDED) for g in values]
+        rounded = [quotient_decimal(P, Q, EXTENDED) for P, Q in values]
         values[:-1] = [None] * (len(values) - 1)
         return rounded
 
@@ -511,7 +535,7 @@ def _ratio_bounds(table, N: int, exact: _ExactRatios, start: int = 0):
 
     The pass reads the ints ap, aq, gp, gq of the step table ``table``
     (indices 0..N) and builds no Fraction. It starts from g_{start-1}, 1 at
-    start 0 and else the exact value in ``exact.values``, and carries
+    start 0 and else the exact pair in ``exact.values``, and carries
     alpha_tilde_n = a/(b*g_{n-1}) and g_n = (1 - alpha_tilde_n)*d/c, for
     alpha_n = a/b and gamma_n = c/d, as [lo, hi]. Every lower bound is
     rounded down (_FLOOR) and every upper bound up (_CEILING), and each
@@ -528,8 +552,8 @@ def _ratio_bounds(table, N: int, exact: _ExactRatios, start: int = 0):
     fdiv, fmul, fsub = _FLOOR.divide, _FLOOR.multiply, _FLOOR.subtract
     cdiv, cmul, csub = _CEILING.divide, _CEILING.multiply, _CEILING.subtract
     if start:
-        g = exact.values[start - 1]
-        lo, hi = fdiv(g.numerator, g.denominator), cdiv(g.numerator, g.denominator)
+        P, Q = exact.values[start - 1]
+        lo, hi = fdiv(P, Q), cdiv(P, Q)
     else:
         lo = hi = _ONE
     for n in range(start, N + 1):
@@ -550,8 +574,9 @@ def _ratio_bounds(table, N: int, exact: _ExactRatios, start: int = 0):
         else:
             raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
         if not lo > 0:
-            g = exact.ratio(n)
-            lo, hi = fdiv(g.numerator, g.denominator), cdiv(g.numerator, g.denominator)
+            exact._extend(n + 1)
+            P, Q = exact.values[n]
+            lo, hi = fdiv(P, Q), cdiv(P, Q)
         yield t_lo, t_hi, lo, hi
 
 
@@ -612,7 +637,7 @@ def ratios_at_one(family, N: int) -> RatioSequence:
         family = _step_table(family, N - 2)  # indices 0..N-1
         exact = _ExactRatios(family)
         if not exact.up_to_cap(N):
-            return RatioSequence(tuple(exact.values), True)
+            return RatioSequence(tuple(exact.fractions()), True)
         values = exact.fall_back()
     else:
         family, values = _materialize(family, N - 1), []
@@ -689,19 +714,23 @@ def normalize(family, N: int) -> NormalizedFamily:
 
 
 def _normalized_coefficients(family, hi: int) -> tuple[list, list]:
-    """The lists of coefficients(normalize(family, hi + 1), hi), from one read
-    of the coefficients 0..hi: the same values of the same types, except
-    alpha_tilde_0 = 0, which is the Fraction 0 for an exact family and
-    alpha_0/1 for any other. grid_scan and turan_det normalize through it.
+    """The values of coefficients(normalize(family, hi + 1), hi), from one
+    read of the coefficients 0..hi. grid_scan and turan_det normalize
+    through it.
 
     An exact family is read as the ints of its step table, and its exact
     ratio pass gives alpha_tilde_n = A/B (``_ExactRatios._tilde``) and
-    gamma_tilde_n = gamma_n*g_n = (B - A)/B, both in lowest terms. When the
-    pass stops at its digit cap after g_{k-1}, the values below k are formed
-    from the Decimal ratios as NormalizedFamily forms them, and the rest are
-    the ones that the Decimal tail forms (``_ratio_tail``). Any other family
-    is read into a table first, so that a short one raises TableRangeError
-    before any ratio, and that tail forms all its values.
+    gamma_tilde_n = gamma_n*g_n = (B - A)/B, both in lowest terms and B > 0.
+    Below the digit cap the two lists hold these int pairs, (A, B) and
+    (B - A, B), and no Fraction: each pair is the value of that
+    coefficient. When the pass stops at its digit cap after g_{k-1}, the
+    lists hold alpha_tilde_0 = the Fraction 0 and Decimals: the values
+    below k formed from the Decimal ratios as NormalizedFamily forms them,
+    and the rest the ones that the Decimal tail forms (``_ratio_tail``).
+    Any other family is read into a table first, so that a short one raises
+    TableRangeError before any ratio, and that tail forms all its values,
+    of the types that NormalizedFamily gives, with alpha_tilde_0 =
+    alpha_0/1.
     """
     if not family.exact:
         table, ratios, al, ga = _materialize(family, hi), [], [], []
@@ -709,9 +738,8 @@ def _normalized_coefficients(family, hi: int) -> tuple[list, list]:
         table = _step_table(family, hi - 1)
         exact = _ExactRatios(table)
         if not exact.up_to_cap(hi + 1):
-            tildes = [exact._tilde(n) for n in range(hi + 1)]
-            return ([coprime_fraction(A, B) for A, B in tildes],
-                    [coprime_fraction(B - A, B) for A, B in tildes])
+            al = [exact._tilde(n) for n in range(hi + 1)]
+            return al, [(B - A, B) for A, B in al]
         ratios = exact.fall_back()
         al, ga = [table.alpha(0)], []
         for n, g in enumerate(ratios):
@@ -868,23 +896,22 @@ def ratio_sandwich(family, N: int) -> list[SandwichRow]:
     """
     N = _require_count("N", N)
     table = _step_table(family, N - 1)
+    _, _, vns, vds, wns, wds = table.steps
     exact = _ExactRatios(table)
     fallback = exact.up_to_cap(N)
     k = len(exact.values)
-    decided = []  # (lower_ok, upper_ok) of the rows n < k, on the exact g_n
-    for n, g in enumerate(exact.values):
-        _, _, vn, vd, wn, wd = table.step(n)
-        decided.append((g.denominator <= g.numerator,
-                        vn <= 0 or g.numerator * wd * vn <= wn * vd * g.denominator))
-    printed = exact.values
+    # (lower_ok, upper_ok) of the rows n < k, on the exact g_n = P/Q
+    decided = [(Q <= P, vn <= 0 or P * wd * vn <= wn * vd * Q)
+               for (P, Q), vn, vd, wn, wd in zip(exact.values, vns, vds, wns, wds)]
     if fallback:
         printed = exact.fall_back()
         for _ in _ratio_tail(table, printed, N):  # appends g_n to printed
             pass
         bounds = _ratio_bounds(table, N, exact, start=k)
+    else:
+        printed = exact.fractions()
     rows = []
-    for n in range(N):
-        _, _, vn, vd, wn, wd = table.step(n)
+    for n, vn, vd, wn, wd in zip(range(N), vns, vds, wns, wds):
         W, V = wn * vd, wd * vn  # w_n/v_n = W/V
         if n < k:
             lower_ok, upper_ok = decided[n]

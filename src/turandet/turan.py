@@ -8,7 +8,8 @@ and max|Delta_n|, and re-evaluates any minimum inside a near-zero band with
 that confirmed value, up to its rounding bound, is the verdict — sign near
 zero is the entire point of the exercise. A scan that normalizes an exact
 family at x = 1 makes Delta_n(+-1) exactly 0, so its minima at x = +-1 are
-confirmed as 0 without that evaluation. Minima that were never confirmed,
+confirmed as 0 without that evaluation; so is a minimum at x = 0 whose sign
+the recurrence fixes there (``_scan``). Minima that were never confirmed,
 and confirmed ones of families with double-precision coefficients, are
 judged against the tolerance.
 """
@@ -21,7 +22,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .arith import EXTENDED, EXTENDED_DPS, is_exact, to_decimal
+from .arith import EXTENDED, EXTENDED_DPS, coprime_fraction, is_exact, quotient_decimal, to_decimal
 from .errors import ParamError
 from .recurrence import (
     CoefficientFamily,
@@ -71,7 +72,8 @@ def turan_det(family, n: int, x, normalized: bool = True, dps: int | None = None
     """
     n = _require_count("n", n)
     if normalized and not isinstance(family, NormalizedFamily):
-        al, ga = _normalized_coefficients(family, n)
+        al, ga = ([coprime_fraction(*v) if type(v) is tuple else v for v in values]
+                  for values in _normalized_coefficients(family, n))
         family = CoefficientFamily(name=family.name, alpha=_table(al), gamma=_table(ga),
                                    exact=family.exact and is_exact(ga[0]))
     return dict(_dets(eval_polys(family, n + 1, x, dps=dps), {n}))[n]
@@ -84,7 +86,7 @@ def scan_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     exactly; an odd ``points`` adds 0.0 twice. The endpoints are deliberately
     kept duplicated, so the grid always holds exactly 2*points abscissas.
     """
-    if isinstance(points, numbers.Real) and points < 3:
+    if isinstance(points, numbers.Real) and not isinstance(points, bool) and points < 3:
         raise ParamError("grid needs at least 3 points")
     points = _require_count("points", points, 3)
     half = np.sort(np.concatenate([
@@ -216,15 +218,38 @@ def _minima(rows, n_max: int) -> tuple[list, list, list]:
     return idx, mins, scales
 
 
+def _doubles(values) -> list[float]:
+    """The doubles of ``values``: of each value, and of each coprime int
+    pair (p, q) of an exact normalization (``_normalized_coefficients``)
+    as p/q, which int division rounds correctly, as float() of the
+    Fraction p/q does."""
+    return [v[0] / v[1] if type(v) is tuple else float(v) for v in values]
+
+
+def _extended(values) -> list[Decimal]:
+    """``values`` in the EXTENDED context: each int, double and Decimal
+    exactly, and each Fraction and coprime int pair (p, q) rounded once to
+    p/q (``arith.quotient_decimal``)."""
+    return [quotient_decimal(*v, EXTENDED) if type(v) is tuple else to_decimal(v, EXTENDED)
+            for v in values]
+
+
+def _sign(v) -> int:
+    """The sign of a value, or of a pair (p, q) with q > 0, compared with 0 exactly."""
+    if type(v) is tuple:
+        v = v[0]
+    return (v > 0) - (v < 0)
+
+
 def _confirm(al_src, ga_src, pending: dict, sigma_src=None) -> dict:
     """{n: Delta_n(x)} in the EXTENDED decimal context, for each abscissa x
-    of ``pending`` and each of its degrees n: one sweep per x."""
+    of ``pending`` and each of its degrees n: one sweep per x, over the
+    coefficients up to the highest degree pending."""
     hi = max(max(degrees) for degrees in pending.values()) + 1
     confirmed = {}
     with localcontext(EXTENDED):
-        al = [to_decimal(v) for v in al_src[:hi]]
-        ga = [to_decimal(v) for v in ga_src[:hi]]
-        sigma = None if sigma_src is None else [to_decimal(v) for v in sigma_src[:hi + 1]]
+        al, ga = _extended(al_src[:hi]), _extended(ga_src[:hi])
+        sigma = None if sigma_src is None else _extended(sigma_src[:hi + 1])
         one = Decimal(1)
         for x, degrees in pending.items():
             rows = _rows(al, ga, Decimal(x), max(degrees) + 1, one)
@@ -234,20 +259,33 @@ def _confirm(al_src, ga_src, pending: dict, sigma_src=None) -> dict:
     return confirmed
 
 
-def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
-          sigma_src=None, sigma_log_concave=None, zero_at_ends: bool = False) -> TuranReport:
+def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float, sigma_src=None,
+          sigma_log_concave=None, exact_normalization: bool = False) -> TuranReport:
     """Stream the float64 rows over the grid, keep min, argmin and max|Delta_n|
     per degree, confirm the near-zero minima in decimal arithmetic at
-    EXTENDED_DPS digits, judge. With ``zero_at_ends``, Delta_n(+-1) is
-    exactly 0 for the exact family that the coefficients stand for, and a
-    near-zero minimum there is confirmed as 0 without a decimal sweep."""
+    EXTENDED_DPS digits, judge.
+
+    ``al_src`` and ``ga_src`` hold values, or coprime int pairs. With
+    ``exact_normalization`` they are the normalization at 1 of an exact
+    family (``_normalized_coefficients``), whose values are exact or
+    EXTENDED Decimals: Delta_n(+-1) is then exactly 0, and a near-zero
+    minimum there is confirmed as 0 without a decimal sweep, and the
+    confirmation bound is the decimal one, without a walk over the values.
+
+    At x = 0 the odd rows are exact zeros in every arithmetic, and
+    p_{n+1}(0) = -(alpha_n/gamma_n)*p_{n-1}(0): Delta_n(0) = p_n(0)^2 for
+    even n, and (alpha_n/gamma_n)*p_{n-1}(0)^2 for odd n, with the same
+    signs in the float and the decimal sweep, and a positive sigma keeps
+    them. So a near-zero minimum at x = 0 is confirmed as 0 without a
+    sweep when n is even, or when alpha_n and gamma_n do not have opposite
+    signs; the sweep would give a value >= 0 there, and the same verdict."""
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ParamError(f"tolerance must be finite and >= 0 (got {tolerance})")
     grid = scan_grid(grid_points)
     # Delta_n is even in x bit for bit and the grid mirrored, so its nonpositive
     # half, in grid order, gives the grid's minimum, first argmin and scale_n
     xs = np.unique(grid[grid <= 0])
-    rows = _rows([float(v) for v in al_src], [float(v) for v in ga_src], xs, n_max + 1, 1.0)
+    rows = _rows(_doubles(al_src), _doubles(ga_src), xs, n_max + 1, 1.0)
     if sigma_src is not None:
         rows = _scaled(rows, [float(v) for v in sigma_src])
     idx, mins, scales = _minima(rows, n_max)
@@ -258,7 +296,9 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
     confirmed = {}
     for n, m, x, scale in zip(range(1, n_max + 1), mins, args, scales):
         if abs(m) < CONFIRM_BAND * scale:
-            if zero_at_ends and abs(x) == 1.0:
+            if exact_normalization and abs(x) == 1.0:
+                confirmed[n] = 0.0
+            elif x == 0.0 and (n % 2 == 0 or _sign(al_src[n]) * _sign(ga_src[n]) >= 0):
                 confirmed[n] = 0.0
             else:
                 pending.setdefault(x, set()).add(n)
@@ -266,7 +306,10 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float,
         confirmed.update((n, float(v)) for n, v in _confirm(
             al_src, ga_src, pending, sigma_src).items())
 
-    confirm_tol = _confirm_tolerance(tolerance, al_src, ga_src, sigma_src or ())
+    if exact_normalization:
+        confirm_tol = 10.0 ** (CONFIRM_GUARD_DIGITS - EXTENDED_DPS)
+    else:
+        confirm_tol = _confirm_tolerance(tolerance, al_src, ga_src, sigma_src or ())
     entries = tuple(
         TuranEntry(n=n, min_value=m, argmin_x=x, nonnegative=bool(
             confirmed[n] >= -confirm_tol * scale if n in confirmed
@@ -288,14 +331,21 @@ def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
     The recurrence runs over the whole grid in float64, and its rows are
     reduced to per-degree minima MINIMA_BLOCK degrees at a time, so memory
     stays flat in n_max. With normalized=True an exact family is normalized
-    from one read of its coefficients as ints. Verdict per degree, with
+    from one read of its coefficients as ints: below the digit cap each
+    alpha_tilde_n is the coprime pair (A, B) of the exact ratio pass and
+    gamma_tilde_n is (B - A)/B, and the float rows read the correctly
+    rounded A/B and (B - A)/B, the doubles of their Fractions, with no
+    Fraction built. Verdict per degree, with
     scale_n = max(1, max|Delta_n| on the grid): a grid minimum inside the
     1e-10*scale_n band at x = +-1 of a family normalized here from exact
     coefficients is confirmed as exactly 0, the value that p_n(+-1) = (+-1)^n
-    gives; any other minimum in the band is re-evaluated in ``decimal``
-    arithmetic at EXTENDED_DPS significant digits (``arith.EXTENDED``),
-    from the exact value of every int, double and Decimal and every Fraction
-    rounded once to that precision, and that confirmed value decides, up to
+    gives; one at x = 0 is confirmed as 0 when n is even or alpha_n and
+    gamma_n do not have opposite signs, where Delta_n(0) >= 0 in every
+    arithmetic (``_scan``); any other minimum in the band is re-evaluated
+    in ``decimal`` arithmetic at EXTENDED_DPS significant digits
+    (``arith.EXTENDED``), from the exact value of every int, double and
+    Decimal and every Fraction and int pair rounded once to that precision,
+    up to the highest degree pending, and that confirmed value decides, up to
     its rounding bound scale_n*10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS) when
     every coefficient is exact or extended precision, and up to
     tolerance*scale_n when one is a double; any other minimum is nonnegative
@@ -307,11 +357,12 @@ def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
         # the table nor the ratios are held through the scan, so they add
         # nothing to its peak memory
         al_src, ga_src = _normalized_coefficients(family, n_max)
-        zero_at_ends = family.exact
+        exact_normalization = family.exact
     else:
         al_src, ga_src = coefficients(family, n_max)
-        zero_at_ends = False
-    return _scan(al_src, ga_src, n_max, grid_points, tolerance, zero_at_ends=zero_at_ends)
+        exact_normalization = False
+    return _scan(al_src, ga_src, n_max, grid_points, tolerance,
+                 exact_normalization=exact_normalization)
 
 
 def scaled_scan(family, sigma, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,

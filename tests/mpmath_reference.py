@@ -18,7 +18,10 @@ from turandet.recurrence import _dets, _rows
 
 def _mpf(v) -> mpmath.mpf:
     """``v`` as an mpf rounded once to the working precision: a Fraction or
-    a Decimal as its exact numerator over its denominator."""
+    a Decimal as its exact numerator over its denominator, and so an int
+    pair (p, q) of an exact normalization, the value p/q."""
+    if isinstance(v, tuple):
+        v = Fraction(*v)
     if isinstance(v, (Fraction, Decimal)):
         q = Fraction(v)
         return mpmath.mpf(q.numerator) / q.denominator

@@ -55,13 +55,16 @@ from turandet import (
     ratios_at_one,
     turan_det,
 )
-from turandet import recurrence
+from turandet import recurrence, turan
 from turandet.arith import coprime_fraction
-from turandet.cli import main
+from turandet.arith import digit_cap_bits, pair_digits
+from turandet.cli import _lambda_rows, main
 from turandet.recurrence import (
     CoefficientFamily,
+    _coprime_reader,
     _ExactRatios,
     _ratio_bounds,
+    _StepTable,
     _step_table,
     _table,
 )
@@ -106,6 +109,7 @@ def assert_matches_reference(family, N, *, reference=None, sandwich=True):
     assert got == want
     assert repr(got) == repr(want)
     assert list(got.rows()) == list(want.rows())
+    assert _lambda_rows(family, N)[0] == list(want.rows())
     if sandwich:
         assert (_sandwich(ratio_sandwich, family, N + 1)
                 == _sandwich(ref.ratio_sandwich, reference, N + 1))
@@ -320,7 +324,7 @@ def assert_ratio_pass_matches_reference(family, N, cap):
 
 
 # N per digit cap: far enough past the fallback for a tail of Decimal indices
-_RATIO_N = {60: 150, 200: 400}
+_RATIO_N = {25: 100, 60: 150, 200: 400}
 _VIEWS = {
     "builtin": lambda fam, N: fam,  # read through its integer form ``linear``
     "step table": lambda fam, N: _step_table(fam, N),
@@ -349,7 +353,7 @@ def test_integer_ratio_pass_matches_the_fraction_reference(kind, params, cap, vi
 @given(st.one_of(step_tables(),
                  step_tables(values=st.integers(min_value=-3, max_value=4),
                              gamma0=st.integers(min_value=1, max_value=20))),
-       st.sampled_from([1, 60, 4096]))
+       st.sampled_from([1, 25, 60, 4096]))
 @example((_family([0, Fraction(1, 4), Fraction(1, 4)],
                   [Fraction(10**61 + 1, 10**61), Fraction(1, 2), Fraction(1, 2)]), 1), 60)
 @example((_family([0, 1, 2, 3], [1, 0, 1, 1]), 2), 4096)  # gamma_1 = 0
@@ -426,8 +430,31 @@ def _coefficient_outcome(coefficient_pass, family, hi):
             for values in (al[1:], ga)]
 
 
+def _as_fraction(pair):
+    """An int pair (p, q) of the integer pass as the Fraction p/q, once it
+    is checked to be in lowest terms with q > 0, and its double p/q, which
+    the scan reads (``turan._doubles``), to be that of the Fraction."""
+    p, q = pair
+    assert type(p) is int and type(q) is int and q > 0 and math.gcd(p, q) == 1
+    value = Fraction(p, q)
+    assert turan._doubles([pair]) == [p / q] == [float(value)]
+    return value
+
+
+def _package_coefficients(family, hi):
+    """recurrence._normalized_coefficients, its int pairs read as Fractions:
+    every value of an exact family below its digit cap is one, and no other
+    value is."""
+    al, ga = recurrence._normalized_coefficients(family, hi)
+    pairs = family.exact and type(ga[-1]) is not Decimal
+    assert all((type(v) is tuple) is pairs for v in al + ga)
+    if pairs:
+        al, ga = [_as_fraction(v) for v in al], [_as_fraction(v) for v in ga]
+    return al, ga
+
+
 def assert_coefficient_pass_matches(family, hi):
-    assert (_coefficient_outcome(recurrence._normalized_coefficients, family, hi)
+    assert (_coefficient_outcome(_package_coefficients, family, hi)
             == _coefficient_outcome(_normalized_view, family, hi))
 
 
@@ -647,3 +674,108 @@ def test_ratio_sandwich_past_a_fallback_decides_on_exact_ratios(case, cap):
                          ids=["Example3(2)", "Pollaczek(3/2,1)"])
 def test_ratio_sandwich_past_the_digit_cap_matches_at_3000(family):
     assert _sandwich(ratio_sandwich, family, 3000) == _sandwich(ref.ratio_sandwich, family, 3000)
+
+
+# ------------------------------------ column-built table, lean ratio pass, lambda rows
+
+@pytest.mark.parametrize("family, N", [
+    (legendre(), 1000), (chebyshev_t(), 1000), (gegenbauer(3), 1000),
+    (example4(2, Fraction(1, 2)), 1000), (pollaczek(2, 1), 1000),
+    (example3(Fraction(1, 3)), 1000),
+], ids=lambda v: getattr(v, "name", str(v)))
+def test_integer_ratio_pass_matches_at_the_default_cap(family, N):
+    """At the default 4096-digit cap: no fallback within 1000 ratios, or
+    Example3(1/3)'s at g_989, after the same g_n as the Fraction pass."""
+    assert_ratio_pass_matches_reference(family, N, recurrence.DEFAULT_DIGIT_CAP)
+
+
+@pytest.mark.parametrize("cap", [1, 25, 60, 200, 4096])
+def test_the_bit_length_test_decides_the_digit_cap(cap):
+    """The ratio pass stops at the first g_n = P/Q whose longer int has
+    digit_cap_bits(cap) bits or more: for every bit length around that
+    threshold, that is pair_digits(P, Q) > cap."""
+    threshold = digit_cap_bits(cap)
+    for bits in range(max(1, threshold - 50), threshold + 50):
+        for p in (1 << (bits - 1), (1 << bits) - 1):
+            for q in (1, 3, p, p + 2):
+                longer = max(p.bit_length(), q.bit_length())
+                assert (longer >= threshold) is (pair_digits(p, q) > cap), (bits, p, q)
+                assert (longer >= threshold) is (pair_digits(q, p) > cap), (bits, p, q)
+
+
+def _linear(form):
+    """A callable with the value (a1*n + a0)/(b1*n + b0) of its ``linear`` form."""
+    a1, a0, b1, b0 = form
+
+    def at(n):
+        return Fraction(a1 * n + a0, b1 * n + b0)
+    at.linear = form
+    return at
+
+
+# ints beyond int64, and small ones whose pairs share factors
+_form_int = st.one_of(st.integers(min_value=0, max_value=12),
+                      st.integers(min_value=0, max_value=10**30))
+
+
+@st.composite
+def linear_families(draw):
+    """(family, N): alpha and gamma from drawn linear forms, alpha_0 = 0 and
+    gamma_0 > 0, up to N <= 300."""
+    a1, b1, c1, d1 = (draw(_form_int) for _ in range(4))
+    b0, c0, d0 = (draw(_form_int) + 1 for _ in range(3))
+    family = CoefficientFamily(name="Linear", alpha=_linear((a1, 0, b1, b0)),
+                               gamma=_linear((c1, c0, d1, d0)))
+    return family, draw(st.integers(min_value=0, max_value=300))
+
+
+@settings(max_examples=100, deadline=None)
+@given(linear_families())
+@example((legendre(), 300))
+@example((pollaczek(Fraction(3, 2), 1), 300))
+def test_column_built_step_table_equals_the_per_index_read(case):
+    """The step table reads a linear form column by column; each column
+    equals the coprime pairs of the values read one index at a time."""
+    family, N = case
+    table = _StepTable(family, N)
+    for coeff, p, q in ((family.alpha, table.ap, table.aq), (family.gamma, table.gp, table.gq)):
+        assert list(zip(p, q)) == list(map(_coprime_reader(coeff), range(N + 2)))
+        assert all(type(v) is int for v in p + q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(linear_families(), step_tables(), _builtin_cases,
+                 st.builds(lambda case: (float_view(case[0]), case[1]), _builtin_cases)))
+def test_step_columns_are_the_step_formulas(case):
+    """The six step columns are the unreduced ints of the step docstring:
+    with alpha_n = p0/q0, alpha_{n+1} = p1/q1, gamma_n = r0/s0 and
+    gamma_{n+1} = r1/s1 in lowest terms, ud = q0*q1, vd = s0*s1, wd =
+    ud*vd, and each numerator is its value, formed from Fractions here,
+    times its denominator."""
+    family, N = case
+    un, ud, vn, vd, wn, wd = _StepTable(family, N).steps
+    assert all(len(column) == N + 1 for column in (un, ud, vn, vd, wn, wd))
+    al = [Fraction(family.alpha(n)) for n in range(N + 2)]
+    ga = [Fraction(family.gamma(n)) for n in range(N + 2)]
+    for n in range(N + 1):
+        a0, a1, g0, g1 = al[n], al[n + 1], ga[n], ga[n + 1]
+        assert ud[n] == a0.denominator * a1.denominator and un[n] == (a1 - a0) * ud[n]
+        assert vd[n] == g0.denominator * g1.denominator and vn[n] == (g0 - g1) * vd[n]
+        assert wd[n] == ud[n] * vd[n] and wn[n] == (a1 * g0 - a0 * g1) * wd[n]
+
+
+@pytest.mark.parametrize("family", [
+    chebyshev_t(), chebyshev_u(), legendre(), gegenbauer(3), pollaczek(2, 1),
+    example3(2), example4(2, Fraction(1, 2)),
+    example2(DeltaSeq(lambda n: Fraction(1, 6) / 2 ** n, limit=0),
+             DeltaSeq(lambda n: Fraction(1, n) if n else Fraction(0), limit=0)),
+], ids=lambda family: family.name)
+def test_lambda_rows_are_the_rows_of_lambda_data(family):
+    """The CLI writes each lambda row from the reduced ints of the step
+    data: the rows that lambda_data prints from its Fractions, and that
+    the Fraction reference prints, for the exact values and for their
+    doubles."""
+    for fam in (family, float_view(family)):
+        want = ref.lambda_data(ref.exact_table(fam, 301), 300)
+        assert lambda_data(fam, 300) == want
+        assert _lambda_rows(fam, 300)[0] == list(lambda_data(fam, 300).rows()) == list(want.rows())

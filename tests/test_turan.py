@@ -14,12 +14,14 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from turandet import (
+    CoefficientFamily,
     ParamError,
     chebyshev_t,
     chebyshev_u,
     example3,
     example4,
     float_view,
+    gegenbauer,
     grid_scan,
     legendre,
     normalize,
@@ -30,8 +32,8 @@ from turandet import (
     turan,
     turan_det,
 )
-from turandet.arith import EXTENDED_DPS, exact_value, to_decimal
-from turandet.recurrence import _dets, _normalized_coefficients
+from turandet.arith import EXTENDED, EXTENDED_DPS, exact_value, to_decimal
+from turandet.recurrence import _dets, _normalized_coefficients, _table
 from turandet.turan import CONFIRM_GUARD_DIGITS
 
 
@@ -80,16 +82,16 @@ def test_scan_grid_shape():
 
 
 def test_grid_counts_of_the_wrong_type_name_the_parameter():
-    """A count that is not an integer is a ParamError naming ``points``; an
-    integer of another type is read as an int; too few points keep their
-    own message."""
-    for bad in (5.0, "5", np.float64(5), None):
-        message = rf"points must be an int >= 3 \(got {re.escape(repr(bad))}\)"
+    """A count that is not an integer, a bool included, is a ParamError
+    naming ``points``; an integer of another type is read as an int; too
+    few points keep their own message, which ``scan --grid 0`` prints."""
+    for bad in (5.0, "5", np.float64(5), None, True, False):
+        message = rf"^points must be an int >= 3 \(got {re.escape(repr(bad))}\)$"
         with pytest.raises(ParamError, match=message):
             scan_grid(bad)
         with pytest.raises(ParamError, match=message):
             grid_scan(legendre(), 3, grid_points=bad)
-    for few in (True, 2, -1, 2.0):
+    for few in (2, -1, 2.0, 0):
         with pytest.raises(ParamError, match="grid needs at least 3 points"):
             scan_grid(few)
     assert np.array_equal(scan_grid(np.int64(25)), scan_grid(25))
@@ -425,8 +427,7 @@ def test_skipped_end_confirmations_lie_within_the_rounding_bound(name):
     nonnegative too: skipping it leaves every verdict as it was."""
     family, n_max = END_SCANS[name]
     al, ga = _normalized_coefficients(family(), n_max)
-    bound = turan._confirm_tolerance(turan.DEFAULT_TOLERANCE, al, ga)
-    assert bound == 10.0 ** (CONFIRM_GUARD_DIGITS - EXTENDED_DPS)
+    bound = 10.0 ** (CONFIRM_GUARD_DIGITS - EXTENDED_DPS)  # the scan's bound for them
     degrees = set(range(1, n_max + 1))
     for x in (-1.0, 1.0):
         confirmed = turan._confirm(al, ga, {x: degrees})
@@ -550,3 +551,89 @@ def test_decimal_inputs_keep_their_exact_values_and_signs():
         assert to_decimal(F(-2, 3)) == Decimal("-0.666666666666666666666666666667")
         third = Context(prec=50).divide(-1, 3)
         assert to_decimal(third) == third  # all 50 digits
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-10**4096, max_value=10**4096),
+       st.integers(min_value=1, max_value=10**4096))
+@example(1, 3)
+@example(2**53 + 1, 2**54)  # a tie, rounded to even
+@example(10**400 + 1, 10**400)
+def test_scan_doubles_of_int_pairs_are_those_of_their_fractions(p, q):
+    """The scan reads an exact normalization's coprime pair (p, q) as the
+    int division p/q and, for its confirmation, as p/q rounded once to
+    EXTENDED: the double and the Decimal of the Fraction p/q."""
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    try:
+        want = float(F(p, q))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            turan._doubles([(p, q)])
+    else:
+        assert turan._doubles([(p, q)]) == [want]
+    assert turan._extended([(p, q)]) == [to_decimal(F(p, q), EXTENDED)]
+
+
+def _band_minima(monkeypatch, scan):
+    """The report of ``scan()``, its scale_n per degree, and the abscissas
+    and degrees of the decimal sweeps it ran."""
+    scales, swept = [], {}
+    confirm, min_and_scale = turan._confirm, turan._min_and_scale
+
+    def recording_scale(D):
+        i, m, scale = min_and_scale(D)
+        scales.extend(scale)
+        return i, m, scale
+
+    def recording_confirm(al, ga, pending, sigma=None):
+        for x, degrees in pending.items():
+            swept.setdefault(x, set()).update(degrees)
+        return confirm(al, ga, pending, sigma)
+
+    monkeypatch.setattr(turan, "_min_and_scale", recording_scale)
+    monkeypatch.setattr(turan, "_confirm", recording_confirm)
+    return scan(), scales, swept
+
+
+def test_minima_at_zero_take_the_verdict_of_their_decimal_sweep(monkeypatch):
+    """A band minimum at x = 0 is confirmed as 0, without a sweep, where n
+    is even or alpha_n and gamma_n do not have opposite signs; the decimal
+    sweep, run here on the scan's own coefficients, gives a value >= 0 for
+    each of them, and so the same verdict. Odd and even degrees both come
+    up (Gegenbauer(3), Example4)."""
+    families = [chebyshev_t(), legendre(), gegenbauer(3), pollaczek(2, 1),
+                pollaczek(F(3, 2), 1), example3(F(1, 2)), example4(2, F(1, 2)),
+                example4(3, F(1, 2))]
+    bound = 10.0 ** (CONFIRM_GUARD_DIGITS - EXTENDED_DPS)
+    checked = collections.Counter()
+    for family in families:
+        report, scales, swept = _band_minima(monkeypatch, lambda: grid_scan(family, 2000))
+        zeros = {e.n: e for e in report.per_n if e.argmin_x == 0.0
+                 and abs(e.min_value) < turan.CONFIRM_BAND * scales[e.n - 1]}
+        assert not zeros.keys() & swept.get(0.0, set())
+        if not zeros:
+            continue
+        al, ga = _normalized_coefficients(family, 2000)
+        values = turan._confirm(al, ga, {0.0: set(zeros)})
+        for n, e in zeros.items():
+            assert n % 2 == 0 or turan._sign(al[n]) * turan._sign(ga[n]) >= 0
+            assert values[n] >= 0 and e.nonnegative
+            assert e.nonnegative is bool(values[n] >= -bound * scales[n - 1])
+            checked[n % 2] += 1
+    assert checked[0] > 100 and checked[1] > 100
+
+
+def test_a_negative_minimum_at_zero_keeps_its_sweep(monkeypatch):
+    """alpha_3 = -10^-30 and gamma_3 = 1 have opposite signs, so
+    Delta_3(0) = (alpha_3/gamma_3)*p_2(0)^2 = -10^-30: it is the grid
+    minimum of Delta_3, far inside the tolerance and the band, and only its
+    decimal sweep shows it negative."""
+    alphas = [0, F(1, 2), 2, F(-1, 10**30)]
+    family = CoefficientFamily("tiny-negative-alpha3", _table(alphas), _table([1, F(1, 2), 1, 1]))
+    report, _, swept = _band_minima(
+        monkeypatch, lambda: grid_scan(family, 3, normalized=False))
+    e = report.entry(3)
+    assert e.argmin_x == 0.0 and -1e-29 < e.min_value < 0
+    assert 3 in swept[0.0] and not e.nonnegative
+    assert [e.nonnegative for e in report.per_n] == [True, True, False]
