@@ -25,7 +25,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .arith import format_number
-from .criteria import Verdict, _lambda_pairs
+from .criteria import Verdict, _lambda_columns
 from .density import DEFAULT_N as DENSITY_DEFAULT_N
 from .density import DEFAULT_OFFDIAG_TOL as DENSITY_DEFAULT_TOL
 from .density import DEFAULT_POINTS as DENSITY_DEFAULT_POINTS
@@ -270,10 +270,11 @@ def _lambda_rows(family, N: int):
     "num/den" from the reduced ints of the step data, with no Fraction.
     The step table is freed on return."""
     table = _step_table(family, N)
-    text = lambda pair: None if pair is None else f"{pair[0]}/{pair[1]}"  # noqa: E731
-    rows = [{"n": n, "u": text(u), "v": text(v), "lambda": text(lam), "y": text(y),
-             "valid": valid}
-            for n, (u, v, lam, y, valid) in enumerate(_lambda_pairs(table.steps, N))]
+    u, v, lam, y = ([None if q is None else f"{p}/{q}" for p, q in zip(P, Q)]
+                    for P, Q in _lambda_columns(table, N))
+    _, _, valid = table.lambdas
+    rows = [{"n": n, "u": a, "v": b, "lambda": c, "y": d, "valid": ok}
+            for n, a, b, c, d, ok in zip(range(N + 1), u, v, lam, y, valid)]
     return rows, _route_reports(table)
 
 

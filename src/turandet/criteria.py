@@ -20,22 +20,31 @@ through these identities:
 
 - Theorem 1 step at n: u_{n-1}/w_{n-1} <= w_n/v_n;
 - ratio_sandwich upper bound: w_n/v_n;
-- step ratios: lambda_n = v_n/u_n and y_n = (u_n + v_n)/(u_n - v_n);
-- pair inequality: 4*u_{n-1}*v_n <= (u_{n-1} + v_{n-1})*(u_n + v_n).
+- step ratios: lambda_n = v_n/u_n = L/D and y_n = (D + L)/(D - L), with
+  L = vn*ud and D = un*vd (``_StepTable.lambdas``);
+- pair inequality: 4*D_{n-1}*L_n <= (D_{n-1} + L_{n-1})*(D_n + L_n).
 
-Fractions are built only for what is kept: a witness when its condition
-keeps it, and the values of lambda_data. The ``lambda`` command prints its
-rows from the reduced ints of the step data (``_lambda_pairs``), with no
-Fraction.
+Each condition is one pass over whole columns of the table: the products of
+a comparison are formed by ``map`` over the int columns, and the comparison
+gives a column of flags, one per index: True, False, or None where the
+index is inconclusive. The condition's verdict is its first False, else its
+first None, found by index (``_condition``). Fractions are built only for
+what is kept: the witness of that index, or of the first comparison of a
+condition that holds, and the values of lambda_data. The ``lambda`` command
+prints its rows from the reduced int columns of the step data
+(``_lambda_columns``), with no Fraction.
 
 SzwTheorem1 compares the normalized alpha_tilde_n = alpha_n/g_{n-1}, whose
 exact values grow past thousands of digits within a few thousand indices.
-It decides on bounds instead: one pass of 50-digit Decimals, rounded
-outward, carries each g_n and alpha_tilde_n as [lo, hi] from the step
-table's ints (``recurrence._ratio_bounds``). A comparison whose two bounds
-do not separate, and only that one, is decided on the exact values, which
-the uncapped exact ratio pass forms up to its index. So this decision too
-is the one that the exact values give.
+It decides on bounds instead, carried from the step table's ints in three
+tiers. First, doubles rounded one step outward (``recurrence._float_bounds``)
+bound every alpha_tilde_n. A comparison whose two bounds do not separate
+there goes to outward-rounded 50-digit Decimals (``recurrence._ratio_bounds``),
+which run as far as such a comparison needs them; where the float tier
+bounds nothing, they run whole. A comparison that they do not separate
+either, and only that one, is decided on the exact values, which the
+uncapped exact ratio pass forms up to its index. So this decision too is the
+one that the exact values give.
 
 Witness convention: a witness is the pair (lhs, rhs) of the comparison the
 condition makes at that index, oriented so the condition holds iff lhs < rhs
@@ -44,7 +53,9 @@ the first comparison made as a representative witness.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
@@ -56,7 +67,7 @@ from .errors import InvalidLambda, StructuralMismatch
 from .recurrence import (
     NormalizedFamily,
     _ExactRatios,
-    _le,
+    _float_bounds,
     _ratio_bounds,
     _require_count,
     _step_table,
@@ -174,47 +185,89 @@ class CriterionReport:
         return out
 
 
-class _Cond:
-    """Accumulates per-index comparisons into one ConditionCheck.
+def _first(flags: list, want, start: int = 0) -> int | None:
+    """The first i >= start with flags[i] == want, or None."""
+    try:
+        return flags.index(want, start)
+    except ValueError:
+        return None
 
-    The first False wins over any None; first_violation points at it. A
-    condition that only saw True keeps its first witness as a sample.
-    """
 
-    def __init__(self, label: str):
-        self.label = label
-        self._first_false: tuple | None = None
-        self._first_none: tuple | None = None
-        self._sample: tuple | None = None
+def _condition(label: str, *checks) -> ConditionCheck:
+    """One condition from the flag columns of its comparisons.
 
-    def record(self, n: int, ok: bool | None, witness) -> None:
-        """Record the comparison at n. ``witness`` is the pair, or a function
-        that makes it, called only when this comparison is kept."""
-        keep_false = ok is False and self._first_false is None
-        keep_none = ok is None and self._first_none is None
-        if not (self._sample is None or keep_false or keep_none):
-            return
-        if callable(witness):
-            witness = witness()
-        if self._sample is None:
-            self._sample = witness
-        if keep_false:
-            self._first_false = (n, witness)
-        elif keep_none:
-            self._first_none = (n, witness)
+    Each check is (first, flags, witness): flags[i] is the outcome of the
+    comparison at index first + i (True, False, or None where it is
+    inconclusive), and witness(n) forms the witness pair of that comparison
+    at n. Where the condition makes several comparisons at one index, the
+    checks come in the order it makes them. The verdict is the first False
+    by index, else the first None; a condition with neither holds, and keeps
+    its first comparison as a sample witness. Only the one witness kept is
+    formed."""
+    for want in (False, None):
+        hits = [(first + i, k) for k, (first, flags, _) in enumerate(checks)
+                if (i := _first(flags, want)) is not None]
+        if hits:
+            n, k = min(hits)
+            return ConditionCheck(label, want, n, checks[k][2](n))
+    made = [(first, k) for k, (first, flags, _) in enumerate(checks) if flags]
+    if not made:
+        return ConditionCheck(label, True, None, None)
+    n, k = min(made)
+    return ConditionCheck(label, True, None, checks[k][2](n))
 
-    def done(self) -> ConditionCheck:
-        if self._first_false is not None:
-            n, w = self._first_false
-            return ConditionCheck(self.label, False, n, w)
-        if self._first_none is not None:
-            n, w = self._first_none
-            return ConditionCheck(self.label, None, n, w)
-        return ConditionCheck(self.label, True, None, self._sample)
+
+def _unless(guard: list, flags: list) -> list:
+    """``flags``, with None at each index where ``guard`` is False: an
+    index whose comparison is not defined is inconclusive."""
+    if all(guard):
+        return flags
+    return [f if g else None for f, g in zip(flags, guard)]
+
+
+def _open(le: list, gt: list) -> list:
+    """The indices i where neither le[i] nor gt[i] holds, in order, up to
+    the first where gt[i] holds."""
+    found = []
+    i = _first(le, False)
+    while i is not None and not gt[i]:
+        found.append(i)
+        i = _first(le, False, i + 1)
+    return found
+
+
+def _resolved(compare, tiers, first: int, exact: Callable[[int], bool]) -> list:
+    """The flags of the comparisons x <= y at first, first + 1, ..., decided
+    on bounds in tiers.
+
+    Each tier is a function m -> (lo, hi), columns of bounds on the compared
+    values at indices 0..m at least (every index when m is None), coarsest
+    first; ``compare(lo, hi)`` gives the columns le and gt of the
+    comparisons that those bounds show to hold and to fail. The first tier
+    is read whole. Each later tier is read only as far as the comparisons
+    that the tiers before it leave open, up to the first that they show to
+    fail, and decides those that it separates. What every tier leaves open
+    is decided by ``exact(n)``, in order, up to the first False. The flags
+    past the first False are left as they are: a condition's verdict reads
+    none of them."""
+    le, gt = compare(*tiers[0](None))
+    for tier in tiers[1:]:
+        left = _open(le, gt)
+        if not left:
+            return le
+        fine_le, fine_gt = compare(*tier(left[-1] + first))
+        for i in left:
+            le[i], gt[i] = fine_le[i], fine_gt[i]
+    for i in _open(le, gt):
+        if not exact(first + i):
+            break
+        le[i] = True
+    return le
 
 
 _HALF = Fraction(1, 2)
 _DECIMAL_HALF = Decimal("0.5")
+_ZEROS = itertools.repeat(0)
 
 
 def _pair(x):
@@ -240,52 +293,55 @@ def check_theorem1(family, N: int) -> CriterionReport:
     """
     N = _require_count("N", N, 2)
     t = _step_table(family, N)
-    al, ga, ap, aq, gp, gq = t.alpha, t.gamma, t.ap, t.aq, t.gp, t.gq
-    un, ud, vn, vd, wn, wd = t.steps
+    al, ga = t.alpha, t.gamma
+    a, b, c, d = (col[:N + 1] for col in (t.ap, t.aq, t.gp, t.gq))
+    un, ud, vn, vd, wn, wd = t.steps  # each map below stops at N with a [:N] operand
+    mul, le, gt = operator.mul, operator.le, operator.gt
     one, zero = Fraction(1), Fraction(0)
 
-    inc = _Cond(COND_ALPHA)
-    for n in range(N + 1):
-        if n >= 1:
-            inc.record(n, un[n - 1] > 0, lambda: (al(n - 1), al(n)))
-        inc.record(n, 2 * ap[n] <= aq[n], lambda: (al(n), _HALF))
+    inc = _condition(
+        COND_ALPHA,
+        (1, list(map(gt, un[:N], _ZEROS)), lambda n: (al(n - 1), al(n))),
+        (0, list(map(le, map(mul, a, itertools.repeat(2)), b)), lambda n: (al(n), _HALF)))
+    dec = _condition(
+        COND_GAMMA,
+        (1, list(map(gt, vn[:N], _ZEROS)), lambda n: (ga(n), ga(n - 1))),
+        (0, list(map(gt, c, _ZEROS)), lambda n: (zero, ga(n))))
+    total = _condition(
+        COND_SUM,
+        (0, list(map(le, map(operator.add, map(mul, a, d), map(mul, c, b)), map(mul, b, d))),
+         lambda n: (al(n) + ga(n), one)))
 
-    dec = _Cond(COND_GAMMA)
-    for n in range(N + 1):
-        if n >= 1:
-            dec.record(n, vn[n - 1] > 0, lambda: (ga(n), ga(n - 1)))
-        dec.record(n, gp[n] > 0, lambda: (zero, ga(n)))
+    # at n = 1..N: u_{n-1}*v_n*wd_{n-1}*wd_n <= w_n*w_{n-1}*ud_{n-1}*vd_n
+    lhs = map(mul, map(mul, un[:N], vn[1:]), map(mul, wd[:N], wd[1:]))
+    rhs = map(mul, map(mul, wn[1:], wn[:N]), map(mul, ud[:N], vd[1:]))
+    guard = list(map(operator.and_, map(gt, wn[:N], _ZEROS), map(gt, vn[1:], _ZEROS)))
+    flags = _unless(guard, list(map(le, lhs, rhs)))
 
-    total = _Cond(COND_SUM)
-    for n in range(N + 1):
-        total.record(n, ap[n] * gq[n] + gp[n] * aq[n] <= aq[n] * gq[n],
-                     lambda: (al(n) + ga(n), one))
+    def step_witness(n):
+        if flags[n - 1] is None:
+            return t.w_value(n - 1), t.v_value(n)
+        return t.u_value(n - 1) / t.w_value(n - 1), t.w_value(n) / t.v_value(n)
+    step = _condition(COND_STEP, (1, flags, step_witness))
 
-    step = _Cond(COND_STEP)
-    for n in range(1, N + 1):
-        if not (wn[n - 1] > 0 and vn[n] > 0):
-            step.record(n, None, lambda: (t.w_value(n - 1), t.v_value(n)))
-            continue
-        ok = un[n - 1] * vn[n] * wd[n - 1] * wd[n] <= wn[n] * wn[n - 1] * ud[n - 1] * vd[n]
-        step.record(n, ok, lambda: (t.u_value(n - 1) / t.w_value(n - 1),
-                                    t.w_value(n) / t.v_value(n)))
+    init = _condition(
+        COND_INIT,
+        (0, [vn[0] * t.aq[1] * d[0] ** 2 <= t.ap[1] * c[0] ** 2 * vd[0]],
+         lambda n: (t.v_value(0), al(1) * ga(0) * ga(0))))
 
-    init = _Cond(COND_INIT)
-    init.record(0, vn[0] * aq[1] * gq[0] ** 2 <= ap[1] * gp[0] ** 2 * vd[0],
-                lambda: (t.v_value(0), al(1) * ga(0) * ga(0)))
-
-    return CriterionReport.assemble(
-        THEOREM1, N, (inc.done(), dec.done(), total.done(), step.done(), init.done()))
+    return CriterionReport.assemble(THEOREM1, N, (inc, dec, total, step, init))
 
 
 def check_szw_normalized(nf, N: int) -> CriterionReport:
     """Criterion on normalized coefficients: alpha-tilde nondecreasing and <= 1/2.
 
     A NormalizedFamily is decided from its ``base``, on bounds of
-    alpha_tilde_0..alpha_tilde_N that one pass of outward-rounded 50-digit
-    Decimals carries from g_0 (``recurrence._ratio_bounds``) over the exact
-    values of the base's coefficients. A comparison is decided where the two
-    bounds separate, and else on the exact values of the uncapped exact ratio
+    alpha_tilde_0..alpha_tilde_N that the ratio pass carries from g_0 over
+    the exact values of the base's coefficients, in tiers: doubles rounded
+    outward (``recurrence._float_bounds``), then outward-rounded 50-digit
+    Decimals (``recurrence._ratio_bounds``) for the comparisons that the
+    doubles leave open. A comparison is decided where the two bounds of a
+    tier separate, and else on the exact values of the uncapped exact ratio
     pass, formed only up to that index; so is a g_n whose lower bound is not
     positive (NonpositiveRatio where g_n <= 0). Witnesses are exact, formed
     for the comparisons that are kept. Any other family is read as already
@@ -293,26 +349,51 @@ def check_szw_normalized(nf, N: int) -> CriterionReport:
     its exact values.
     """
     N = _require_count("N", N)
+    le, gt = operator.le, operator.gt
     if isinstance(nf, NormalizedFamily):
         table = _step_table(nf.base, N - 1)
         exact = _ExactRatios(table)
-        bounds = ((lo, hi) for lo, hi, _, _ in _ratio_bounds(table, N, exact))
-        at, half = exact.alpha_tilde, _DECIMAL_HALF
+        at = exact.alpha_tilde
+        fine = _Bounds(_ratio_bounds(table, N, exact))
+        coarse = _float_bounds(table, N)
+        # the doubles, where they bound every alpha_tilde_n, then the 50-digit
+        # pass as far as the comparisons they leave open; else that pass whole
+        tiers = [fine.upto] if coarse is None else [lambda m: coarse, fine.upto]
+
+        def rise(lo, hi):  # alpha_tilde_{n-1} <= alpha_tilde_n at n = 1, 2, ...
+            return list(map(le, hi[:-1], lo[1:])), list(map(gt, lo[:-1], hi[1:]))
+
+        def below(lo, hi):  # alpha_tilde_n <= 1/2 at n = 0, 1, ...
+            halves = itertools.repeat(_DECIMAL_HALF if isinstance(hi[0], Decimal) else 0.5)
+            return list(map(le, hi, halves)), list(map(gt, lo, halves))
+
+        mono = _resolved(rise, tiers, 1, lambda n: at(n - 1) <= at(n))
+        bound = _resolved(below, tiers, 0, lambda n: at(n) <= _HALF)
     else:
         values = [exact_value(nf.alpha(n)) for n in range(N + 1)]
-        bounds = ((v, v) for v in values)
-        at, half = values.__getitem__, _HALF
+        at = values.__getitem__
+        mono = list(map(le, values[:-1], values[1:]))
+        bound = list(map(le, values, itertools.repeat(_HALF)))
+    return CriterionReport.assemble(SZW_THEOREM1, N, (
+        _condition("alpha-tilde-nondecreasing", (1, mono, lambda n: (at(n - 1), at(n)))),
+        _condition("alpha-tilde-le-half", (0, bound, lambda n: (at(n), _HALF)))))
 
-    mono = _Cond("alpha-tilde-nondecreasing")
-    bound = _Cond("alpha-tilde-le-half")
-    for n, (lo, hi) in enumerate(bounds):
-        if n >= 1:
-            mono.record(n, _le(prev_lo, prev_hi, lo, hi, lambda: at(n - 1) <= at(n)),
-                        lambda: (at(n - 1), at(n)))
-        bound.record(n, _le(lo, hi, half, half, lambda: at(n) <= _HALF),
-                     lambda: (at(n), _HALF))
-        prev_lo, prev_hi = lo, hi
-    return CriterionReport.assemble(SZW_THEOREM1, N, (mono.done(), bound.done()))
+
+class _Bounds:
+    """The bounds on alpha_tilde_n that a ``_ratio_bounds`` pass yields,
+    formed as far as they are read, and kept."""
+
+    def __init__(self, bounds):
+        self._bounds, self._lo, self._hi = bounds, [], []
+
+    def upto(self, m: int | None):
+        """The columns lo, hi of the bounds on alpha_tilde_0..alpha_tilde_m at
+        least, or on every alpha_tilde_n when m is None."""
+        more = None if m is None else max(0, m + 1 - len(self._lo))
+        for a_lo, a_hi, _, _ in itertools.islice(self._bounds, more):
+            self._lo.append(a_lo)
+            self._hi.append(a_hi)
+        return self._lo, self._hi
 
 
 @dataclass(frozen=True)
@@ -355,22 +436,22 @@ def _delta_conditions(alpha_const, gamma_const, d: DeltaSeq, dv: list):
     """Conditions shared by both shifted-constant-shape criteria."""
     zero = Fraction(0)
     (ap, aq), (gp, gq) = _pair(alpha_const), _pair(gamma_const)
-    order = _Cond("alpha-ge-gamma-positive")
-    order.record(0, 0 < gp and gp * aq <= ap * gq, (gamma_const, alpha_const))
+    order = _condition("alpha-ge-gamma-positive",
+                       (0, [0 < gp and gp * aq <= ap * gq], lambda n: (gamma_const, alpha_const)))
 
-    dec = _Cond("delta-positive-decreasing")
     N = len(dv) - 1
     p, q = [x.numerator for x in dv], [x.denominator for x in dv]
-    for n in range(N + 1):
-        dec.record(n, p[n] > 0, (zero, dv[n]))
-        if n >= 1:
-            dec.record(n, p[n] * q[n - 1] < p[n - 1] * q[n], (dv[n], dv[n - 1]))
+    mul = operator.mul
+    dec = _condition(
+        "delta-positive-decreasing",
+        (0, list(map(operator.gt, p, _ZEROS)), lambda n: (zero, dv[n])),
+        (1, list(map(operator.lt, map(mul, p[1:], q), map(mul, p, q[1:]))),
+         lambda n: (dv[n], dv[n - 1])))
 
-    lim = _Cond("delta-limit-zero")
     if d.limit is not None:
-        lim.record(N, d.limit == 0, (d.limit, zero))
+        lim = _condition("delta-limit-zero", (N, [d.limit == 0], lambda n: (d.limit, zero)))
     else:
-        lim.record(N, None, (dv[N], zero))
+        lim = _condition("delta-limit-zero", (N, [None], lambda n: (dv[N], zero)))
     return order, dec, lim
 
 
@@ -387,13 +468,9 @@ def check_corollary1(alpha_const, gamma_const, delta, N: int, *,
     if family is not None:
         _assert_corollary_shape(family, A, G, dv, first_shifted=0)
 
-    order, dec, lim = _delta_conditions(A, G, d, dv)
-    prod = _Cond("alpha-times-delta0-is-half")
     val = A * dv[0]
-    prod.record(0, val == _HALF, (val, _HALF))
-
-    return CriterionReport.assemble(
-        COROLLARY1, N, (order.done(), dec.done(), lim.done(), prod.done()))
+    prod = _condition("alpha-times-delta0-is-half", (0, [val == _HALF], lambda n: (val, _HALF)))
+    return CriterionReport.assemble(COROLLARY1, N, (*_delta_conditions(A, G, d, dv), prod))
 
 
 def check_corollary2(alpha_const, gamma_const, delta, N: int, *,
@@ -409,43 +486,49 @@ def check_corollary2(alpha_const, gamma_const, delta, N: int, *,
     if family is not None:
         _assert_corollary_shape(family, A, G, dv, first_shifted=1)
 
-    order, dec, lim = _delta_conditions(A, G, d, dv)
-    low = _Cond("delta0-above-lower-bound")
-    up = _Cond("delta0-below-upper-bound")
     if 0 < G <= A:
         a_c, g_c = Fraction(A), Fraction(G)
         lower = (3 * g_c - a_c) / (2 * g_c * (a_c + g_c))
         upper = 1 / (2 * a_c)
-        low.record(0, lower <= dv[0], (lower, dv[0]))
-        up.record(0, dv[0] <= upper, (dv[0], upper))
+        window = ((0, [lower <= dv[0]], lambda n: (lower, dv[0])),
+                  (0, [dv[0] <= upper], lambda n: (dv[0], upper)))
     else:
-        low.record(0, None, None)
-        up.record(0, None, None)
-
-    return CriterionReport.assemble(
-        COROLLARY2, N, (order.done(), dec.done(), lim.done(), low.done(), up.done()))
+        window = ((0, [None], lambda n: None),) * 2
+    low = _condition("delta0-above-lower-bound", window[0])
+    up = _condition("delta0-below-upper-bound", window[1])
+    return CriterionReport.assemble(COROLLARY2, N, (*_delta_conditions(A, G, d, dv), low, up))
 
 
 def _assert_corollary_shape(family, A, G, deltas: list, first_shifted: int) -> None:
     """Raise StructuralMismatch unless alpha_n = 1/2 - A*delta_n (from index
-    ``first_shifted``) and gamma_n = 1/2 + G*delta_n exactly, for the exact
-    values A, G and ``deltas`` and the exact values of the coefficients.
+    ``first_shifted``; 0 before it) and gamma_n = 1/2 + G*delta_n exactly,
+    for the exact values A, G and ``deltas`` and the exact values of the
+    coefficients, at the first index and coefficient that breaks the shape.
 
-    With A = a/b and delta_n = p/q, 1/2 - A*delta_n = (b*q - 2*a*p)/(2*b*q),
-    so each equality is one cross-multiplication of ints; the Fractions of a
-    mismatch are built only for its message."""
+    The coefficients are read as the int columns of a step table (the one
+    handed in, when ``family`` is one). With A = a/b, G = c/d and delta_n =
+    p/q, 1/2 - A*delta_n = (b*q - 2*a*p)/(2*b*q) and 1/2 + G*delta_n =
+    (d*q + 2*c*p)/(2*d*q), so each equality is one cross-multiplication of
+    ints over whole columns; the Fractions of a mismatch are built only for
+    its message."""
     (a, b), (c, d) = _pair(A), _pair(G)
-    for n, dn in enumerate(deltas):
-        p, q = _pair(dn)
-        got_a = exact_value(family.alpha(n))
-        if n < first_shifted:
-            if got_a != 0:
-                raise StructuralMismatch(n, "alpha", 0, got_a)
-        elif 2 * got_a.numerator * b * q != got_a.denominator * (b * q - 2 * a * p):
-            raise StructuralMismatch(n, "alpha", _HALF - A * dn, got_a)
-        got_g = exact_value(family.gamma(n))
-        if 2 * got_g.numerator * d * q != got_g.denominator * (d * q + 2 * c * p):
-            raise StructuralMismatch(n, "gamma", _HALF + G * dn, got_g)
+    size, k = len(deltas), first_shifted
+    t = _step_table(family, size - 2)
+    ap, aq, gp, gq = (col[:size] for col in (t.ap, t.aq, t.gp, t.gq))
+    p, q = [x.numerator for x in deltas], [x.denominator for x in deltas]
+    mul, eq, twos = operator.mul, operator.eq, itertools.repeat(2)
+    bq, dq = list(map(mul, q, itertools.repeat(b))), list(map(mul, q, itertools.repeat(d)))
+    alpha_ok = list(map(eq, map(mul, ap, map(mul, bq, twos)),
+                        map(mul, aq, map(operator.sub, bq, map(mul, p, itertools.repeat(2 * a))))))
+    alpha_ok[:k] = [x == 0 for x in ap[:k]]
+    gamma_ok = list(map(eq, map(mul, gp, map(mul, dq, twos)),
+                        map(mul, gq, map(operator.add, dq, map(mul, p, itertools.repeat(2 * c))))))
+    n_a, n_g = _first(alpha_ok, False), _first(gamma_ok, False)
+    if n_a is not None and (n_g is None or n_a <= n_g):
+        want = 0 if n_a < k else _HALF - A * deltas[n_a]
+        raise StructuralMismatch(n_a, "alpha", want, t.alpha(n_a))
+    if n_g is not None:
+        raise StructuralMismatch(n_g, "gamma", _HALF + G * deltas[n_g], t.gamma(n_g))
 
 
 def matches_corollary1(family, alpha_const, gamma_const, delta, N: int) -> bool:
@@ -494,39 +577,44 @@ class LambdaData:
             }
 
 
-def _lambda_pairs(steps, N: int):
-    """Yield, for n = 0..N, the step data of a step table's ``steps`` as
-    ints: u_n, v_n, lambda_n and y_n each as its reduced (numerator,
-    positive denominator) pair, or None where it is undefined, and the
-    valid flag. lambda_n = L/D with L = vn*ud and D = un*vd, so y_n =
-    (D + L)/(D - L)."""
-    un, ud, vn, vd, _, _ = steps
-    for n in range(N + 1):
-        a, b, c, d = un[n], ud[n], vn[n], vd[n]
-        L, D = c * b, a * d
-        yield (_reduced(a, b), _reduced(c, d), _reduced(L, D) if D else None,
-               _reduced(D + L, D - L) if D and D != L else None, _valid_step(steps, n))
+def _lambda_columns(t, N: int):
+    """Yield the step data u_n, v_n, lambda_n = L/D and y_n = (D + L)/(D - L)
+    of indices 0..N of the step table ``t``, with its ``lambdas``, in turn,
+    each as a column of numerators and one of denominators in lowest terms
+    (``_reduced``), None in both where the value is undefined. A caller
+    that keeps what it forms from one quantity holds no int column past it."""
+    un, ud, vn, vd, _, _ = t.steps
+    L, D, _ = t.lambdas
+    yield _reduced(un[:N + 1], ud[:N + 1])
+    yield _reduced(vn[:N + 1], vd[:N + 1])
+    L, D = L[:N + 1], D[:N + 1]
+    yield _reduced(L, D)
+    # y_n is undefined where lambda_n is (D = 0): its denominator is read as 0
+    yield _reduced(list(map(operator.add, D, L)), [d - l if d else 0 for l, d in zip(L, D)])
 
 
-def _reduced(p: int, q: int) -> tuple[int, int]:
-    """p/q, q != 0, in lowest terms with a positive denominator: the
-    numerator and denominator of Fraction(p, q)."""
-    g = math.gcd(p, q)
-    if q < 0:
-        g = -g
-    return p // g, q // g
+def _reduced(P: list, Q: list):
+    """P[n]/Q[n] in lowest terms with a positive denominator, the numerator
+    and denominator of Fraction(P[n], Q[n]), as two columns; None in both
+    where Q[n] = 0."""
+    G = list(map(math.gcd, P, Q))
+    if min(Q, default=1) > 0:
+        return list(map(operator.floordiv, P, G)), list(map(operator.floordiv, Q, G))
+    G = [g if q > 0 else -g for g, q in zip(G, Q)]
+    return ([p // g if q else None for p, q, g in zip(P, Q, G)],
+            [q // g if q else None for q, g in zip(Q, G)])
 
 
 def lambda_data(family, N: int) -> LambdaData:
     """Step data for indices 0..N (consumes coefficients up to N+1), formed
     from the exact values of the coefficients: one Fraction per value, from
-    the reduced ints of ``_lambda_pairs``."""
+    the reduced ints of ``_lambda_columns``."""
     N = _require_count("N", N)
-    u, v, lam, y, valid = zip(*_lambda_pairs(_step_table(family, N).steps, N))
-
-    def fraction(pair):
-        return None if pair is None else coprime_fraction(*pair)
-    return LambdaData(*(tuple(map(fraction, values)) for values in (u, v, lam, y)), valid, N)
+    t = _step_table(family, N)
+    u, v, lam, y = (tuple(None if q is None else coprime_fraction(p, q) for p, q in zip(P, Q))
+                    for P, Q in _lambda_columns(t, N))
+    _, _, valid = t.lambdas
+    return LambdaData(u, v, lam, y, tuple(valid[:N + 1]), N)
 
 
 def lambda_step_bound(x):
@@ -537,13 +625,6 @@ def lambda_step_bound(x):
 def y_from_lambda(lam):
     """y = (1 + lambda)/(1 - lambda); inverse of lambda = (y - 1)/(y + 1)."""
     return (1 + lam) / (1 - lam)
-
-
-def _valid_step(steps, n: int) -> bool:
-    """Whether u_n > 0, v_n > 0 and lambda_n = v_n/u_n <= 1, for the ``steps``
-    of a step table."""
-    un, ud, vn, vd, _, _ = steps
-    return un[n] > 0 and vn[n] > 0 and vn[n] * ud[n] <= un[n] * vd[n]
 
 
 def check_lambda_route(family, N: int) -> CriterionReport:
@@ -562,42 +643,62 @@ def check_lambda_route(family, N: int) -> CriterionReport:
     """
     N = _require_count("N", N)
     t = _step_table(family, N)
-    al, ga, ap, aq, gp, gq = t.alpha, t.gamma, t.ap, t.aq, t.gp, t.gq
-    un, ud, vn, vd, _, _ = t.steps
-
-    # s_n = 1/2 - alpha_n = (aq - 2ap)/(2aq) and t_n = gamma_n - 1/2 =
-    # (2gp - gq)/(2gq); the ratio is t_n/s_n
-    ratio = _Cond("ratio-nondecreasing")
-    for n in range(2, N + 1):
-        s0, s1 = aq[n - 1] - 2 * ap[n - 1], aq[n] - 2 * ap[n]
-        if not (s0 > 0 and s1 > 0):
-            ratio.record(n, None, lambda: (_HALF - al(n - 1), _HALF - al(n)))
-            continue
-        t0, t1 = 2 * gp[n - 1] - gq[n - 1], 2 * gp[n] - gq[n]
-        ratio.record(n, t0 * s1 * gq[n] * aq[n - 1] <= t1 * s0 * gq[n - 1] * aq[n],
-                     lambda: ((ga(n - 1) - _HALF) / (_HALF - al(n - 1)),
-                              (ga(n) - _HALF) / (_HALF - al(n))))
-
-    pair = _Cond("pair-inequality")
-    for n in range(1, N + 1):
-        u0, ud0, v0, vd0 = un[n - 1], ud[n - 1], vn[n - 1], vd[n - 1]
-        u1, ud1, v1, vd1 = un[n], ud[n], vn[n], vd[n]
-        ok = 4 * u0 * v1 * vd0 * ud1 <= (u0 * vd0 + v0 * ud0) * (u1 * vd1 + v1 * ud1)
-        if u0 and u1 and v0 * ud0 != 3 * u0 * vd0:
-            pair.record(n, ok, lambda: (t.lam_value(n), lambda_step_bound(t.lam_value(n - 1))))
-        else:
-            pair.record(n, ok, lambda: (
-                4 * t.u_value(n - 1) * t.v_value(n),
-                (t.u_value(n - 1) + t.v_value(n - 1)) * (t.u_value(n) + t.v_value(n))))
-
-    # lambda_n = L/D with L = vn*ud, D = un*vd; L/D <= 1/3 iff (3L - D)*D <= 0
-    shortcut = all(un[n] and (3 * vn[n] * ud[n] - un[n] * vd[n]) * un[n] * vd[n] <= 0
-                   for n in range(1, N + 1))
+    L, D, valid = (c[:N + 1] for c in t.lambdas)
+    ratio, pair = _ratio_condition(t, N), _pair_condition(t, N)
+    # L/D <= 1/3 iff (3L - D)*D <= 0, for D != 0 (u_n != 0)
+    mul = operator.mul
+    shortcut = all(D[1:]) and all(map(operator.le, map(mul, map(
+        operator.sub, map(mul, L[1:], itertools.repeat(3)), D[1:]), D[1:]), _ZEROS))
     notes = {
         "shortcut_lambda_le_one_third": shortcut,
-        "lambda_invalid_indices": [n for n in range(N + 1) if not _valid_step(t.steps, n)],
+        "lambda_invalid_indices": list(itertools.compress(range(N + 1),
+                                                          map(operator.not_, valid))),
     }
-    return CriterionReport.assemble(LAMBDA_ROUTE, N, (ratio.done(), pair.done()), notes)
+    return CriterionReport.assemble(LAMBDA_ROUTE, N, (ratio, pair), notes)
+
+
+def _ratio_condition(t, N: int) -> ConditionCheck:
+    """Condition (i) of the lambda route on the step table ``t``, n = 2..N.
+
+    s_n = 1/2 - alpha_n = S_n/(2aq_n) with S = aq - 2ap, and t_n = gamma_n -
+    1/2 = T_n/(2gq_n) with T = 2gp - gq. Where S_{n-1}, S_n > 0, the ratio
+    t_n/s_n does not fall at n iff T_{n-1}*aq_{n-1}*S_n*gq_n <=
+    T_n*aq_n*S_{n-1}*gq_{n-1}, that is TA_{n-1}*SG_n <= TA_n*SG_{n-1}; other
+    indices are inconclusive."""
+    al, ga = t.alpha, t.gamma
+    a, b, c, d = (col[:N + 1] for col in (t.ap, t.aq, t.gp, t.gq))
+    mul, sub, twos = operator.mul, operator.sub, itertools.repeat(2)
+    S = list(map(sub, b, map(mul, a, twos)))
+    TA = list(map(mul, map(sub, map(mul, c, twos), d), b))
+    SG = list(map(mul, S, d))
+    pos = list(map(operator.gt, S, _ZEROS))
+    flags = _unless(list(map(operator.and_, pos[1:N], pos[2:])),
+                    list(map(operator.le, map(mul, TA[1:N], SG[2:]), map(mul, TA[2:], SG[1:N]))))
+
+    def witness(n):
+        if flags[n - 2] is None:
+            return _HALF - al(n - 1), _HALF - al(n)
+        return ((ga(n - 1) - _HALF) / (_HALF - al(n - 1)), (ga(n) - _HALF) / (_HALF - al(n)))
+    return _condition("ratio-nondecreasing", (2, flags, witness))
+
+
+def _pair_condition(t, N: int) -> ConditionCheck:
+    """Condition (ii) of the lambda route on the step table ``t``, n = 1..N:
+    u_n*vd_n + v_n*ud_n = D_n + L_n and u_{n-1}*v_n*vd_{n-1}*ud_n =
+    D_{n-1}*L_n, so the pair inequality reads 4*D_{n-1}*L_n <= (D_{n-1} +
+    L_{n-1})*(D_n + L_n)."""
+    L, D, _ = t.lambdas
+    mul = operator.mul
+    DL = list(map(operator.add, D[:N + 1], L))
+    flags = list(map(operator.le, map(mul, map(mul, D[:N], itertools.repeat(4)), L[1:N + 1]),
+                     map(mul, DL[:N], DL[1:])))
+
+    def witness(n):
+        if D[n - 1] and D[n] and L[n - 1] != 3 * D[n - 1]:
+            return t.lam_value(n), lambda_step_bound(t.lam_value(n - 1))
+        return (4 * t.u_value(n - 1) * t.v_value(n),
+                (t.u_value(n - 1) + t.v_value(n - 1)) * (t.u_value(n) + t.v_value(n)))
+    return _condition("pair-inequality", (1, flags, witness))
 
 
 def check_y_route(family, N: int) -> CriterionReport:
@@ -609,21 +710,18 @@ def check_y_route(family, N: int) -> CriterionReport:
     y-route decides what check_lambda_route decides: a family whose doubles
     break the pair inequality is Violated on both routes."""
     N = _require_count("N", N)
-    # lambda_n = L/D as in check_lambda_route, so y_n = (D + L)/(D - L), kept
-    # as yn[n]/yd[n] with a positive denominator
     t = _step_table(family, N)
-    un, ud, vn, vd, _, _ = t.steps
-    yn, yd = [], []
-    for n in range(N + 1):
-        L, D = vn[n] * ud[n], un[n] * vd[n]
-        if not (0 < L < D or D < L < 0):
-            raise InvalidLambda(n, t.lam_value(n) if un[n] else None)
-        sign = 1 if D > 0 else -1
-        yn.append(sign * (D + L))
-        yd.append(sign * (D - L))
-
-    cond = _Cond("y-increments-at-most-one")
-    for n in range(1, N + 1):
-        cond.record(n, yn[n] * yd[n - 1] <= (yn[n - 1] + yd[n - 1]) * yd[n],
-                    lambda: (Fraction(yn[n], yd[n]), Fraction(yn[n - 1], yd[n - 1]) + 1))
-    return CriterionReport.assemble(Y_ROUTE, N, (cond.done(),))
+    L, D, _ = (c[:N + 1] for c in t.lambdas)
+    n = _first([0 < l < d or d < l < 0 for l, d in zip(L, D)], False)
+    if n is not None:
+        raise InvalidLambda(n, t.lam_value(n) if D[n] else None)
+    # lambda_n = L/D in (0, 1): L and D have one sign, so y_n = (D + L)/(D - L)
+    # = yn[n]/yd[n] with yn = |D| + |L| and yd = |D| - |L| > 0
+    AD, AL = list(map(abs, D)), list(map(abs, L))
+    yn, yd = list(map(operator.add, AD, AL)), list(map(operator.sub, AD, AL))
+    mul = operator.mul
+    flags = list(map(operator.le, map(mul, yn[1:], yd[:N]),
+                     map(mul, map(operator.add, yn[:N], yd[:N]), yd[1:])))
+    return CriterionReport.assemble(Y_ROUTE, N, (_condition(
+        "y-increments-at-most-one",
+        (1, flags, lambda n: (Fraction(yn[n], yd[n]), Fraction(yn[n - 1], yd[n - 1]) + 1))),))

@@ -14,10 +14,11 @@ import itertools
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -248,11 +249,25 @@ class _StepTable:
         *_, wn, wd = self.steps
         return Fraction(wn[n], wd[n])
 
-    def lam_value(self, n: int) -> Fraction:
-        """lambda_n = v_n/u_n = L/D with L = vn*ud and D = un*vd
-        (ZeroDivisionError where u_n = 0)."""
+    @functools.cached_property
+    def lambdas(self):
+        """The step ratios lambda_n = v_n/u_n = L[n]/D[n] and their valid
+        flags, as three columns over the steps: L = vn*ud, D = un*vd, so that
+        D = 0 where u_n = 0, and valid[n] is whether u_n > 0, v_n > 0 and
+        lambda_n <= 1. The ``lambda`` rows, the lambda route and the y-route
+        all read these, formed once per table."""
+        mul, gt, zeros = operator.mul, operator.gt, itertools.repeat(0)
         un, ud, vn, vd, _, _ = self.steps
-        return Fraction(vn[n] * ud[n], un[n] * vd[n])
+        L, D = list(map(mul, vn, ud)), list(map(mul, un, vd))
+        valid = list(map(operator.and_, map(operator.and_, map(gt, un, zeros), map(gt, vn, zeros)),
+                         map(operator.le, L, D)))
+        return L, D, valid
+
+    def lam_value(self, n: int) -> Fraction:
+        """lambda_n = L/D (ZeroDivisionError where u_n = 0)."""
+        L, D, _ = self.lambdas
+        return Fraction(L[n], D[n])
+
 
 def _step_table(family, N: int) -> _StepTable:
     """The step table of ``family`` for steps 0..N; a step table for at least
@@ -453,11 +468,16 @@ class _ExactRatios:
     each gcd pairs a coefficient's small int with a big one, and no gcd of
     two big ints is run. alpha_0 is read as 0 and g_{-1} as 1, so g_0 =
     1/gamma_0.
+
+    With ``keep_tilde`` the pass also keeps each alpha_tilde_n = (A, B) that
+    it forms, in ``tilde``: the normalized coefficients of a scan are these
+    pairs. The other passes keep only the ratios.
     """
 
-    def __init__(self, table: _StepTable):
+    def __init__(self, table: _StepTable, keep_tilde: bool = False):
         self._ap, self._aq, self._gp, self._gq = table.ap, table.aq, table.gp, table.gq
         self.values: list[tuple[int, int]] = []
+        self.tilde: list[tuple[int, int]] | None = [] if keep_tilde else None
 
     def _tilde(self, n: int) -> tuple[int, int]:
         """alpha_tilde_n as coprime (A, B), B > 0, from g_{n-1} when it is formed."""
@@ -471,10 +491,13 @@ class _ExactRatios:
         whether it stopped there. Forming them raises NonpositiveRatio at
         the first g_n <= 0 and ParamError at a gamma_n = 0, which g_n would
         divide by."""
-        values, ap, aq, gp, gq = self.values, self._ap, self._aq, self._gp, self._gq
+        values, tilde = self.values, self.tilde
+        ap, aq, gp, gq = self._ap, self._aq, self._gp, self._gq
         P, Q = values[-1] if values else (1, 1)
         for n in range(len(values), N):
             A, B = _quotient(ap[n], aq[n], P, Q) if n else (0, 1)
+            if tilde is not None:
+                tilde.append((A, B))
             c = gp[n]
             if c == 0:
                 raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
@@ -514,70 +537,165 @@ class _ExactRatios:
         """The digit-cap fallback: the ratios formed so far, each rounded once
         to an EXTENDED Decimal, for the Decimal tail (``_ratio_tail``) to
         continue. Once they are rounded, every exact ratio but the last, the
-        only one that forming later ratios reads, is freed, so that the long
-        ints are not held through the tail."""
+        only one that forming later ratios reads, is freed, and so are the
+        kept alpha_tilde_n, so that the long ints are not held through the
+        tail."""
         values = self.values
         rounded = [quotient_decimal(P, Q, EXTENDED) for P, Q in values]
         values[:-1] = [None] * (len(values) - 1)
+        self.tilde = None
         return rounded
 
 
-# outward rounding of the ratio bounds, at EXTENDED_DPS digits
+class _Tier(NamedTuple):
+    """The arithmetic of one tier of the ratio bounds (``_ratio_bounds``).
+
+    ``quotients(ps, qs)`` gives two columns, a lower and an upper bound on
+    each p/q of two int columns; ``div`` and ``sub`` are each a pair of the
+    operation with its result rounded down and with it rounded up; ``one``
+    is 1 in the tier's numbers.
+    """
+
+    quotients: Callable
+    div: tuple
+    sub: tuple
+    one: object
+
+
+# the 50-digit tier: every result rounded down or up at EXTENDED_DPS digits
 _FLOOR, _CEILING = (Context(prec=EXTENDED_DPS, rounding=rounding, Emin=MIN_EMIN, Emax=MAX_EMAX)
                     for rounding in (ROUND_FLOOR, ROUND_CEILING))
-_ONE = Decimal(1)
+_DECIMAL_TIER = _Tier(lambda ps, qs: (map(_FLOOR.divide, ps, qs), map(_CEILING.divide, ps, qs)),
+                      (_FLOOR.divide, _CEILING.divide), (_FLOOR.subtract, _CEILING.subtract),
+                      Decimal(1))
 
 
-def _ratio_bounds(table, N: int, exact: _ExactRatios, start: int = 0):
+def _float_quotients(ps, qs):
+    """The doubles next to each p/q, below and above the double nearest it
+    (int true division). OverflowError where a p/q is past the doubles, and
+    FloatingPointError where the nearest double is not normal, zero too."""
+    r = list(map(operator.truediv, ps, qs))
+    if min(map(abs, r), default=sys.float_info.min) < sys.float_info.min:
+        raise FloatingPointError("a coefficient is below the normal doubles")
+    return (list(map(math.nextafter, r, itertools.repeat(-math.inf))),
+            list(map(math.nextafter, r, itertools.repeat(math.inf))))
+
+
+def _div_down(x: float, y: float) -> float:
+    return math.nextafter(x / y, -math.inf)
+
+
+def _div_up(x: float, y: float) -> float:
+    return math.nextafter(x / y, math.inf)
+
+
+def _sub_down(x: float, y: float) -> float:
+    return math.nextafter(x - y, -math.inf)
+
+
+def _sub_up(x: float, y: float) -> float:
+    return math.nextafter(x - y, math.inf)
+
+
+# the float64 tier: every result rounded to nearest, then one double outward
+_FLOAT_TIER = _Tier(_float_quotients, (_div_down, _div_up), (_sub_down, _sub_up), 1.0)
+
+
+def _ratio_bounds(table, N: int, exact: _ExactRatios | None, start: int = 0,
+                  tier: _Tier = _DECIMAL_TIER):
     """Yield bounds on alpha_tilde_n and on g_n for n = start..N, as
-    (a_lo, a_hi, g_lo, g_hi) Decimals; g_N is not formed, and its pair is
-    (None, None).
+    (a_lo, a_hi, g_lo, g_hi) in the numbers of ``tier``, 50-digit Decimals
+    by default; g_N is not formed, and its pair is (None, None).
 
     The pass reads the ints ap, aq, gp, gq of the step table ``table``
-    (indices 0..N) and builds no Fraction. It starts from g_{start-1}, 1 at
-    start 0 and else the exact pair in ``exact.values``, and carries
-    alpha_tilde_n = a/(b*g_{n-1}) and g_n = (1 - alpha_tilde_n)*d/c, for
-    alpha_n = a/b and gamma_n = c/d, as [lo, hi]. Every lower bound is
-    rounded down (_FLOOR) and every upper bound up (_CEILING), and each
-    operand is the end of its bound that the signs of a and c call for, so
-    the exact values lie in their bounds for either sign of alpha_n and
-    gamma_n. Only the last bounds are held, and a step is formed only when
-    the consumer asks for it.
+    (indices 0..N) and builds no Fraction. It bounds each alpha_n = a/b and
+    gamma_n = c/d by ``tier.quotients``, reads alpha_0 as 0, starts from
+    g_{start-1}, 1 at start 0 and else the exact pair in ``exact.values``,
+    and carries alpha_tilde_n = alpha_n/g_{n-1} and g_n = (1 -
+    alpha_tilde_n)/gamma_n as [lo, hi]. Every lower bound is rounded down
+    and every upper bound up, and each operand is the end of its bound that
+    the signs of a and c call for, so the exact values lie in their bounds
+    for either sign of alpha_n and gamma_n. Only the last bounds are held,
+    and a step is formed only when the consumer asks for it.
 
     A gamma_n = 0 is the ParamError of ratios_at_one. Where the lower bound
     of g_n is not positive, g_n is formed exactly by ``exact``, which raises
-    NonpositiveRatio where g_n <= 0, and the pass goes on from that value.
+    NonpositiveRatio where g_n <= 0, and the pass goes on from that value;
+    with no ``exact`` (the float tier, ``_float_bounds``) the pass ends there.
     """
-    ap, aq, gp, gq = table.ap, table.aq, table.gp, table.gq
-    fdiv, fmul, fsub = _FLOOR.divide, _FLOOR.multiply, _FLOOR.subtract
-    cdiv, cmul, csub = _CEILING.divide, _CEILING.multiply, _CEILING.subtract
+    quotients, (div_lo, div_hi), (sub_lo, sub_hi), one = tier
     if start:
-        P, Q = exact.values[start - 1]
-        lo, hi = fdiv(P, Q), cdiv(P, Q)
+        (lo,), (hi,) = quotients(*([v] for v in exact.values[start - 1]))
     else:
-        lo = hi = _ONE
-    for n in range(start, N + 1):
-        a, b = (ap[n], aq[n]) if n else (0, 1)
+        lo = hi = one
+    first = max(start, 1)
+    a_col = table.ap[first:N + 1]
+    alphas = zip(a_col, *quotients(a_col, table.aq[first:N + 1]))
+    if not start:
+        zero = one - one
+        alphas = itertools.chain([(0, zero, zero)], alphas)
+    c_col = table.gp[start:N]
+    gammas = zip(c_col, *quotients(c_col, table.gq[start:N]))
+    for n, (a, a_lo, a_hi) in enumerate(alphas, start):
         if a >= 0:
-            t_lo, t_hi = fdiv(a, cmul(hi, b)), cdiv(a, fmul(lo, b))
+            t_lo, t_hi = div_lo(a_lo, hi), div_hi(a_hi, lo)
         else:
-            t_lo, t_hi = fdiv(a, fmul(lo, b)), cdiv(a, cmul(hi, b))
+            t_lo, t_hi = div_lo(a_lo, lo), div_hi(a_hi, hi)
         if n == N:
             yield t_lo, t_hi, None, None
             return
-        c, d = gp[n], gq[n]
-        e_lo, e_hi = fsub(_ONE, t_hi), csub(_ONE, t_lo)  # 1 - alpha_tilde_n
+        c, c_lo, c_hi = next(gammas)
+        e_lo, e_hi = sub_lo(one, t_hi), sub_hi(one, t_lo)  # 1 - alpha_tilde_n
         if c > 0:
-            lo, hi = fdiv(fmul(e_lo, d), c), cdiv(cmul(e_hi, d), c)
+            lo, hi = div_lo(e_lo, c_hi), div_hi(e_hi, c_lo)
         elif c < 0:
-            lo, hi = fdiv(cmul(e_hi, d), c), cdiv(fmul(e_lo, d), c)
+            lo, hi = div_lo(e_hi, c_lo), div_hi(e_lo, c_hi)
         else:
             raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
         if not lo > 0:
+            if exact is None:
+                return
             exact._extend(n + 1)
-            P, Q = exact.values[n]
-            lo, hi = fdiv(P, Q), cdiv(P, Q)
+            (lo,), (hi,) = quotients(*([v] for v in exact.values[n]))
         yield t_lo, t_hi, lo, hi
+
+
+def _float_bounds(table, N: int):
+    """The float64 tier of SzwTheorem1: bounds on alpha_tilde_0..alpha_tilde_N
+    as two tuples of doubles, lower and upper, or None where this tier does
+    not bound them all. The 50-digit tier (``_ratio_bounds`` by default)
+    decides what these bounds leave open.
+
+    Soundness. Each alpha_n = a/b and gamma_n = c/d of the table's ints is
+    read by int true division, which rounds the exact quotient to the
+    nearest double r. A value that rounds to r lies within half the gap on
+    either side of r, so it lies between the double below r and the one
+    above it (math.nextafter toward -inf and +inf), which are its bounds.
+    Each operation of the pass (``_FLOAT_TIER``) is rounded to nearest in
+    the same way and its result then moved one double down for a lower
+    bound and up for an upper one, so the exact result of the operation on
+    its operands lies between the two; an overflow to inf leaves the lower
+    bound at the largest double, still below the exact result. Each
+    operation reads the ends of its operands' bounds that the exact signs of
+    a and c call for, so by induction on n the exact g_n and alpha_tilde_n
+    lie within their bounds. The signs hold because every quotient is a
+    normal double: its two neighbours have its sign.
+
+    The tier returns None, and the 50-digit pass runs whole, where a
+    quotient is past the doubles (OverflowError) or not a normal double
+    (FloatingPointError; a zero gamma_n, whose ParamError the 50-digit pass
+    raises, among them), and where a lower bound of some g_n is not
+    positive, so that the nonpositive g_n that the 50-digit pass rechecks
+    exactly raises as it does there.
+    """
+    try:
+        bounds = list(_ratio_bounds(table, N, None, tier=_FLOAT_TIER))
+    except ArithmeticError:
+        return None
+    if len(bounds) <= N:
+        return None
+    lo, hi, _, _ = zip(*bounds)
+    return lo, hi
 
 
 def _le(x_lo, x_hi, y_lo, y_hi, exact: Callable[[], bool]) -> bool:
@@ -719,8 +837,8 @@ def _normalized_coefficients(family, hi: int) -> tuple[list, list]:
     through it.
 
     An exact family is read as the ints of its step table, and its exact
-    ratio pass gives alpha_tilde_n = A/B (``_ExactRatios._tilde``) and
-    gamma_tilde_n = gamma_n*g_n = (B - A)/B, both in lowest terms and B > 0.
+    ratio pass keeps the alpha_tilde_n = A/B that it forms (``keep_tilde``),
+    and gamma_tilde_n = gamma_n*g_n = (B - A)/B, both in lowest terms and B > 0.
     Below the digit cap the two lists hold these int pairs, (A, B) and
     (B - A, B), and no Fraction: each pair is the value of that
     coefficient. When the pass stops at its digit cap after g_{k-1}, the
@@ -736,9 +854,9 @@ def _normalized_coefficients(family, hi: int) -> tuple[list, list]:
         table, ratios, al, ga = _materialize(family, hi), [], [], []
     else:
         table = _step_table(family, hi - 1)
-        exact = _ExactRatios(table)
+        exact = _ExactRatios(table, keep_tilde=True)
         if not exact.up_to_cap(hi + 1):
-            al = [exact._tilde(n) for n in range(hi + 1)]
+            al = exact.tilde
             return al, [(B - A, B) for A, B in al]
         ratios = exact.fall_back()
         al, ga = [table.alpha(0)], []

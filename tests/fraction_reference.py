@@ -2,8 +2,9 @@
 arithmetic, one Fraction operation per intermediate value.
 
 These are the checkers as they stood before the integer step table
-(``recurrence._StepTable``) took over the decisions, and the g_n ratio pass
-as it stood before it carried each ratio as a pair of coprime ints.
+(``recurrence._StepTable``) took over the decisions, each comparison made
+and recorded one index at a time (``_Cond``), and the g_n ratio pass as it
+stood before it carried each ratio as a pair of coprime ints.
 SzwTheorem1 and the ratio sandwich are decided on the exact ratios with no
 digit cap (``normalized_ratios``), which the package's 50-digit bounds must
 agree with. test_step_table.py requires the package to agree with them
@@ -27,8 +28,8 @@ from turandet.criteria import (
     THEOREM1,
     Y_ROUTE,
     CriterionReport,
+    ConditionCheck,
     LambdaData,
-    _Cond,
     lambda_step_bound,
     y_from_lambda,
 )
@@ -39,6 +40,46 @@ from turandet.recurrence import (
     _table,
     coefficients,
 )
+
+
+class _Cond:
+    """Accumulates per-index comparisons into one ConditionCheck, in the
+    order they are made.
+
+    The first False wins over any None; first_violation points at it. A
+    condition that only saw True keeps its first witness as a sample.
+    """
+
+    def __init__(self, label: str):
+        self.label = label
+        self._first_false: tuple | None = None
+        self._first_none: tuple | None = None
+        self._sample: tuple | None = None
+
+    def record(self, n: int, ok: bool | None, witness) -> None:
+        """Record the comparison at n. ``witness`` is the pair, or a function
+        that makes it, called only when this comparison is kept."""
+        keep_false = ok is False and self._first_false is None
+        keep_none = ok is None and self._first_none is None
+        if not (self._sample is None or keep_false or keep_none):
+            return
+        if callable(witness):
+            witness = witness()
+        if self._sample is None:
+            self._sample = witness
+        if keep_false:
+            self._first_false = (n, witness)
+        elif keep_none:
+            self._first_none = (n, witness)
+
+    def done(self) -> ConditionCheck:
+        if self._first_false is not None:
+            n, w = self._first_false
+            return ConditionCheck(self.label, False, n, w)
+        if self._first_none is not None:
+            n, w = self._first_none
+            return ConditionCheck(self.label, None, n, w)
+        return ConditionCheck(self.label, True, None, self._sample)
 
 
 def _exact_coefficients(family, hi: int):

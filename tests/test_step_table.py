@@ -55,7 +55,7 @@ from turandet import (
     ratios_at_one,
     turan_det,
 )
-from turandet import recurrence, turan
+from turandet import criteria, recurrence, turan
 from turandet.arith import coprime_fraction
 from turandet.arith import digit_cap_bits, pair_digits
 from turandet.cli import _lambda_rows, main
@@ -258,6 +258,24 @@ def test_corollary_mismatch_message_names_the_exact_values():
     assert str(err.value) == (f"gamma_4 does not match the declared shape: "
                               f"expected {want}, got {want + Fraction(1, 10**9)}")
     assert check_corollary1(3, 1, d, 5, family=fam).overall.value == "Satisfied"
+
+
+def test_corollary_shape_is_matched_on_the_step_table_ints():
+    """Handed a step table, as criterion_reports hands it, the corollary
+    checks match the shape on its int columns and read no coefficient as a
+    Fraction, except the one a mismatch message names."""
+    fam = pollaczek(2, 1)
+    shape = fam.meta["corollary1"]
+    table = _StepTable(fam, 400)
+    table.alpha = table.gamma = _never_read
+    rep = check_corollary1(shape.alpha_const, shape.gamma_const, shape.delta, 400, family=table)
+    assert rep.to_json() == check_corollary1(shape.alpha_const, shape.gamma_const, shape.delta,
+                                             400, family=fam).to_json()
+    assert rep.overall.value == "Satisfied"
+    bent = _StepTable(fam, 400)
+    bent.gp[7] += 1
+    with pytest.raises(StructuralMismatch, match="^gamma_7 does not match"):
+        check_corollary1(shape.alpha_const, shape.gamma_const, shape.delta, 400, family=bent)
 
 
 @pytest.mark.parametrize("command, count", [("check", 4), ("lambda", 3001), ("ratios", 3000)])
@@ -779,3 +797,189 @@ def test_lambda_rows_are_the_rows_of_lambda_data(family):
         want = ref.lambda_data(ref.exact_table(fam, 301), 300)
         assert lambda_data(fam, 300) == want
         assert _lambda_rows(fam, 300)[0] == list(lambda_data(fam, 300).rows()) == list(want.rows())
+
+
+# ------------------------------------ the float64 tier of SzwTheorem1 and the column passes
+
+def _within(lo: float, x: Fraction, hi: float) -> bool:
+    """lo <= x <= hi for doubles lo and hi, either of which may be
+    infinite, compared exactly."""
+    return ((lo == -math.inf or Fraction(lo) <= x)
+            and (hi == math.inf or x <= Fraction(hi)))
+
+
+def _exact_prefix(family, N):
+    """The exact g_0.. and alpha_tilde_0.. of ``family`` in Fractions, up to
+    g_{N-1} and alpha_tilde_N, or up to the first gamma_n = 0 or g_n <= 0,
+    where they stop (alpha_tilde_n is then the last one formed)."""
+    at, g = [Fraction(0)], []
+    for n in range(N):
+        c = Fraction(family.gamma(n))
+        if c == 0 or not (1 - at[n]) / c > 0:
+            break
+        g.append((1 - at[n]) / c)
+        at.append(Fraction(family.alpha(n + 1)) / g[n])
+    return g, at
+
+
+# Coefficients of either sign, ints past 2^1024 with a quotient in the
+# doubles' range, quotients past the largest double, and quotients that are
+# subnormal or round to zero.
+_plain = st.fractions(min_value=-2, max_value=2, max_denominator=40)
+_coefficients = st.one_of(
+    _plain,
+    st.builds(lambda f, k: f + Fraction(1, 2 ** k), _plain, st.sampled_from([1030, 1100])),
+    st.builds(lambda f, k: f * 2 ** k, _plain, st.sampled_from([1000, 1024, 1100])),
+    st.builds(lambda f, k: f / 2 ** k, _plain, st.sampled_from([1000, 1030, 1074, 1100])),
+)
+
+
+@st.composite
+def float_tier_tables(draw):
+    """(family, N): alpha_0 = 0, gamma_0 > 0, and the other coefficients
+    drawn from _coefficients."""
+    size = draw(st.integers(min_value=2, max_value=10))
+    alphas = [0] + draw(st.lists(_coefficients, min_size=size - 1, max_size=size - 1))
+    gammas = ([draw(_coefficients.filter(lambda v: v > 0))]
+              + draw(st.lists(_coefficients, min_size=size - 1, max_size=size - 1)))
+    return _family(alphas, gammas), draw(st.integers(min_value=1, max_value=size - 1))
+
+
+_THIRDS = _family([0, Fraction(1, 3), Fraction(1, 3)], [Fraction(2, 3), Fraction(1, 3), 1])
+_HUGE_ALPHA = _family([0, Fraction(2 ** 1100, 3), Fraction(1, 3)], [1, 1, 1])
+_TINY_ALPHA = _family([0, Fraction(1, 3 * 2 ** 1060), Fraction(1, 3)], [1, Fraction(1, 2), 1])
+_BIG_INTS = _family([0, Fraction(1, 3) + Fraction(1, 2 ** 1100), Fraction(1, 3)],
+                    [Fraction(2, 3) - Fraction(1, 2 ** 1030), Fraction(1, 2), 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(float_tier_tables(), step_tables(), _int_step_tables, _builtin_cases))
+@example((_THIRDS, 2))  # 1/3 and 2/3 round to the nearest double on either side
+@example((_HUGE_ALPHA, 2))  # alpha_1 past the largest double: the tier declines
+@example((_TINY_ALPHA, 2))  # alpha_1 subnormal: the tier declines
+@example((_BIG_INTS, 2))  # 1000-digit ints whose quotients are plain doubles
+@example((_NONPOSITIVE, 3))
+@example((_ZERO_GAMMA, 2))
+@example((chebyshev_t(), 30))
+def test_float_bounds_hold_the_exact_values(case):
+    """Every exact g_n and alpha_tilde_n lies in the bounds of the float
+    tier as far as it yields them; it yields no g_n that is not positive,
+    and it gives SzwTheorem1 its bounds exactly when it bounds every
+    alpha_tilde_n. Where a quotient leaves the normal doubles it declines,
+    and SzwTheorem1 still reports what the Fraction reference reports."""
+    family, N = case
+    table = _step_table(family, N - 1)
+    tier = recurrence._float_bounds(table, N)
+    try:
+        bounds = list(_ratio_bounds(table, N, None, tier=recurrence._FLOAT_TIER))
+    except (OverflowError, FloatingPointError):
+        assert tier is None
+    else:
+        g, at = _exact_prefix(family, N)
+        assert len(bounds) <= len(g) + 1
+        for n, (a_lo, a_hi, g_lo, g_hi) in enumerate(bounds):
+            assert _within(a_lo, at[n], a_hi)
+            if n < N:
+                assert g_lo > 0 and _within(g_lo, g[n], g_hi)
+        assert (tier is None) is (len(bounds) <= N)
+        if tier is not None:
+            assert tier == tuple(zip(*bounds))[:2]
+    assert _szw(_package_szw, family, N) == _szw(ref.check_szw_normalized, family, N)
+
+
+def test_float_quotients_enclose_each_quotient():
+    """1/3 rounds down to its double and 2/3 up; each bound is one double
+    away from the nearest, on its side, and a quotient that is not a normal
+    double is refused."""
+    (lo_third, lo_two), (hi_third, hi_two) = recurrence._float_quotients([1, 2], [3, 3])
+    for lo, hi, exact in ((lo_third, hi_third, Fraction(1, 3)), (lo_two, hi_two, Fraction(2, 3))):
+        assert Fraction(lo) < exact < Fraction(hi)
+        assert math.nextafter(lo, math.inf) == float(exact) == math.nextafter(hi, -math.inf)
+    for p, q in ((1, 2 ** 1023), (0, 1)):
+        with pytest.raises(FloatingPointError):
+            recurrence._float_quotients([1, p], [1, q])
+    with pytest.raises(OverflowError):
+        recurrence._float_quotients([2 ** 1100], [3])
+
+
+def _spied_decimal_steps(monkeypatch):
+    """Patch the 50-digit pass that SzwTheorem1 runs so that it counts the
+    steps it forms; the returned list holds one entry per step."""
+    steps = []
+
+    def spy(*args, **kwargs):
+        for item in _ratio_bounds(*args, **kwargs):
+            steps.append(item)
+            yield item
+    monkeypatch.setattr(criteria, "_ratio_bounds", spy)
+    return steps
+
+
+@pytest.mark.parametrize("family", [legendre(), gegenbauer(3), example3(2), pollaczek(2, 1)],
+                         ids=lambda family: family.name)
+def test_the_float_tier_decides_the_builtins_at_3000(family, monkeypatch):
+    """On these builtins the doubles separate every SzwTheorem1 comparison
+    up to 3000, so the 50-digit pass forms no step."""
+    steps = _spied_decimal_steps(monkeypatch)
+    report = check_szw_normalized(NormalizedFamily(family, _never_read), 3000)
+    assert report.overall.value == "Satisfied"
+    assert steps == []
+
+
+def test_chebyshev_t_ties_fall_through_to_the_decimal_tier(monkeypatch):
+    """alpha_tilde_n = 1/2 for n >= 1, which no pair of distinct doubles
+    separates from 1/2 or from its neighbour; the 50-digit pass keeps 1/2
+    exact and decides every tie, with no exact recheck: the exact ratios
+    are formed only for the witnesses at n = 0 and 1. The report is the one
+    the exact values give."""
+    table = _step_table(chebyshev_t(), 2999)
+    lo, hi = recurrence._float_bounds(table, 3000)
+    assert all(a < 0.5 < b for a, b in zip(lo[1:], hi[1:]))
+    steps = _spied_decimal_steps(monkeypatch)
+    extend = _ExactRatios._extend
+    with mock.patch.object(_ExactRatios, "_extend", autospec=True, side_effect=extend) as spy:
+        got = _szw(_package_szw, chebyshev_t(), 3000)
+    assert len(steps) == 3001
+    assert max(call.args[1] for call in spy.call_args_list) <= 1
+    assert got == _szw(ref.check_szw_normalized, chebyshev_t(), 3000)
+
+
+_REPORT_FAMILIES = [chebyshev_t(), chebyshev_u(), legendre(), gegenbauer(3),
+                    gegenbauer(Fraction(1, 3)), pollaczek(2, 1), pollaczek(Fraction(1, 2), 1),
+                    example3(2), example3(Fraction(1, 2)), example4(3, Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("family", [*_REPORT_FAMILIES, *map(float_view, _REPORT_FAMILIES)],
+                         ids=lambda family: f"{family.name}{'' if family.exact else '-float'}")
+def test_builtin_reports_match_the_fraction_reference(family):
+    """Every checker that criterion_reports runs, on the builtins and on
+    their doubles, reports what its Fraction reference reports, witnesses
+    included."""
+    N = 300
+    table = ref.exact_table(family, N + 1)
+    want = [ref.check_theorem1(table, N), ref.check_szw_normalized(table, N),
+            ref.check_lambda_route(table, N)]
+    try:
+        want.append(ref.check_y_route(table, N))
+    except InvalidLambda as exc:
+        want.append(f"InvalidLambda: {exc}")
+    reports = criterion_reports(family, N)
+    got = [r.to_json() for r in reports[:3]]
+    y = reports[3]
+    got.append(f"InvalidLambda: {y.notes['error']}" if "error" in y.notes else y.to_json())
+    assert got == [w if isinstance(w, str) else w.to_json() for w in want]
+
+
+@pytest.mark.parametrize("family", [legendre(), chebyshev_t(), pollaczek(2, 1),
+                                    example3(Fraction(1, 2)),
+                                    float_view(example4(3, Fraction(1, 2)))],
+                         ids=lambda family: f"{family.name}{'' if family.exact else '-float'}")
+def test_a_longer_step_table_reports_up_to_n(family):
+    """A checker handed a step table that reaches past N reads its columns
+    only up to N: every report, and the lambda rows, equal those of a table
+    built for N."""
+    N, longer = 120, _StepTable(family, 157)
+    for check in (check_theorem1, check_lambda_route, check_y_route):
+        assert _outcome(check, longer, N) == _outcome(check, family, N)
+    assert lambda_data(longer, N) == lambda_data(family, N)
+    assert _lambda_rows(longer, N)[0] == _lambda_rows(family, N)[0]
