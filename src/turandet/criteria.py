@@ -36,15 +36,14 @@ prints its rows from the reduced int columns of the step data
 
 SzwTheorem1 compares the normalized alpha_tilde_n = alpha_n/g_{n-1}, whose
 exact values grow past thousands of digits within a few thousand indices.
-It decides on bounds instead, carried from the step table's ints in three
-tiers. First, doubles rounded one step outward (``recurrence._float_bounds``)
-bound every alpha_tilde_n. A comparison whose two bounds do not separate
-there goes to outward-rounded 50-digit Decimals (``recurrence._ratio_bounds``),
-which run as far as such a comparison needs them; where the float tier
-bounds nothing, they run whole. A comparison that they do not separate
-either, and only that one, is decided on the exact values, which the
-uncapped exact ratio pass forms up to its index. So this decision too is the
-one that the exact values give.
+It decides in two tiers, a floating-point filter and then exact ints.
+Doubles rounded one step outward (``recurrence._float_bounds``), carried
+from the step table's ints, bound every alpha_tilde_n, and a comparison
+whose two bounds separate is decided there. The comparisons that they leave
+open, and all of them where a quotient is outside the normal doubles, are
+decided on the exact alpha_tilde_n, by cross-multiplying the int pairs that
+the uncapped exact ratio pass forms only up to the last such index. So this
+decision too is the one that the exact values give.
 
 Witness convention: a witness is the pair (lhs, rhs) of the comparison the
 condition makes at that index, oriented so the condition holds iff lhs < rhs
@@ -57,7 +56,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -66,9 +64,9 @@ from .arith import Num, coprime_fraction, exact_value, format_number
 from .errors import InvalidLambda, StructuralMismatch
 from .recurrence import (
     NormalizedFamily,
+    _coprime_columns,
     _ExactRatios,
     _float_bounds,
-    _ratio_bounds,
     _require_count,
     _step_table,
     _table,
@@ -236,37 +234,7 @@ def _open(le: list, gt: list) -> list:
     return found
 
 
-def _resolved(compare, tiers, first: int, exact: Callable[[int], bool]) -> list:
-    """The flags of the comparisons x <= y at first, first + 1, ..., decided
-    on bounds in tiers.
-
-    Each tier is a function m -> (lo, hi), columns of bounds on the compared
-    values at indices 0..m at least (every index when m is None), coarsest
-    first; ``compare(lo, hi)`` gives the columns le and gt of the
-    comparisons that those bounds show to hold and to fail. The first tier
-    is read whole. Each later tier is read only as far as the comparisons
-    that the tiers before it leave open, up to the first that they show to
-    fail, and decides those that it separates. What every tier leaves open
-    is decided by ``exact(n)``, in order, up to the first False. The flags
-    past the first False are left as they are: a condition's verdict reads
-    none of them."""
-    le, gt = compare(*tiers[0](None))
-    for tier in tiers[1:]:
-        left = _open(le, gt)
-        if not left:
-            return le
-        fine_le, fine_gt = compare(*tier(left[-1] + first))
-        for i in left:
-            le[i], gt[i] = fine_le[i], fine_gt[i]
-    for i in _open(le, gt):
-        if not exact(first + i):
-            break
-        le[i] = True
-    return le
-
-
 _HALF = Fraction(1, 2)
-_DECIMAL_HALF = Decimal("0.5")
 _ZEROS = itertools.repeat(0)
 
 
@@ -332,68 +300,53 @@ def check_theorem1(family, N: int) -> CriterionReport:
     return CriterionReport.assemble(THEOREM1, N, (inc, dec, total, step, init))
 
 
-def check_szw_normalized(nf, N: int) -> CriterionReport:
+def check_szw_normalized(family, N: int) -> CriterionReport:
     """Criterion on normalized coefficients: alpha-tilde nondecreasing and <= 1/2.
 
-    A NormalizedFamily is decided from its ``base``, on bounds of
-    alpha_tilde_0..alpha_tilde_N that the ratio pass carries from g_0 over
-    the exact values of the base's coefficients, in tiers: doubles rounded
-    outward (``recurrence._float_bounds``), then outward-rounded 50-digit
-    Decimals (``recurrence._ratio_bounds``) for the comparisons that the
-    doubles leave open. A comparison is decided where the two bounds of a
-    tier separate, and else on the exact values of the uncapped exact ratio
-    pass, formed only up to that index; so is a g_n whose lower bound is not
-    positive (NonpositiveRatio where g_n <= 0). Witnesses are exact, formed
-    for the comparisons that are kept. Any other family is read as already
-    normalized at 1 (alpha + gamma = 1), and its plain alpha is decided on
-    its exact values.
+    ``family`` is decided as the base of its normalization at 1: a
+    NormalizedFamily's ``base``, and any other family itself. The
+    comparisons are made on bounds of alpha_tilde_0..alpha_tilde_N in
+    doubles rounded outward (``recurrence._float_bounds``), carried from g_0
+    over the exact values of the coefficients. A comparison is decided where
+    its two bounds separate. Those that they leave open, up to each
+    condition's first False, and all of them where a quotient is outside the
+    normal doubles, are decided on the exact alpha_tilde_n, by
+    cross-multiplying the int pairs that the uncapped exact ratio pass
+    forms up to the last such index. A nonpositive g_n raises
+    NonpositiveRatio, and a zero gamma_n ParamError, as the exact pass does.
+    Witnesses are exact, formed for the comparisons that are kept.
     """
     N = _require_count("N", N)
+    table = _step_table(family.base if isinstance(family, NormalizedFamily) else family, N - 1)
+    exact = _ExactRatios(table)
     le, gt = operator.le, operator.gt
-    if isinstance(nf, NormalizedFamily):
-        table = _step_table(nf.base, N - 1)
-        exact = _ExactRatios(table)
-        at = exact.alpha_tilde
-        fine = _Bounds(_ratio_bounds(table, N, exact))
-        coarse = _float_bounds(table, N)
-        # the doubles, where they bound every alpha_tilde_n, then the 50-digit
-        # pass as far as the comparisons they leave open; else that pass whole
-        tiers = [fine.upto] if coarse is None else [lambda m: coarse, fine.upto]
-
-        def rise(lo, hi):  # alpha_tilde_{n-1} <= alpha_tilde_n at n = 1, 2, ...
-            return list(map(le, hi[:-1], lo[1:])), list(map(gt, lo[:-1], hi[1:]))
-
-        def below(lo, hi):  # alpha_tilde_n <= 1/2 at n = 0, 1, ...
-            halves = itertools.repeat(_DECIMAL_HALF if isinstance(hi[0], Decimal) else 0.5)
-            return list(map(le, hi, halves)), list(map(gt, lo, halves))
-
-        mono = _resolved(rise, tiers, 1, lambda n: at(n - 1) <= at(n))
-        bound = _resolved(below, tiers, 0, lambda n: at(n) <= _HALF)
+    try:
+        lo, hi = _float_bounds(table, N, exact)
+    except ArithmeticError:  # no bounds: every comparison is open
+        rise = [False] * N, [False] * N
+        below = [False] * (N + 1), [False] * (N + 1)
     else:
-        values = [exact_value(nf.alpha(n)) for n in range(N + 1)]
-        at = values.__getitem__
-        mono = list(map(le, values[:-1], values[1:]))
-        bound = list(map(le, values, itertools.repeat(_HALF)))
+        halves = itertools.repeat(0.5)
+        # alpha_tilde_{n-1} <= alpha_tilde_n at n = 1, 2, ...; alpha_tilde_n <= 1/2 at n = 0, 1, ...
+        rise = list(map(le, hi[:-1], lo[1:])), list(map(gt, lo[:-1], hi[1:]))
+        below = list(map(le, hi, halves)), list(map(gt, lo, halves))
+    mono, bound = rise[0], below[0]
+    left_mono, left_bound = _open(*rise), _open(*below)
+    # the exact alpha_tilde_n = A/B that those comparisons read, each formed once
+    needed = {*left_bound, *left_mono, *(i + 1 for i in left_mono)}
+    if needed:
+        exact._extend(max(needed))
+        pairs = {n: exact._tilde(n) for n in needed}
+        for i in left_mono:  # alpha_tilde_i <= alpha_tilde_{i+1}
+            (a, b), (c, d) = pairs[i], pairs[i + 1]
+            mono[i] = a * d <= c * b
+        for i in left_bound:
+            a, b = pairs[i]
+            bound[i] = 2 * a <= b
+    at = exact.alpha_tilde
     return CriterionReport.assemble(SZW_THEOREM1, N, (
         _condition("alpha-tilde-nondecreasing", (1, mono, lambda n: (at(n - 1), at(n)))),
         _condition("alpha-tilde-le-half", (0, bound, lambda n: (at(n), _HALF)))))
-
-
-class _Bounds:
-    """The bounds on alpha_tilde_n that a ``_ratio_bounds`` pass yields,
-    formed as far as they are read, and kept."""
-
-    def __init__(self, bounds):
-        self._bounds, self._lo, self._hi = bounds, [], []
-
-    def upto(self, m: int | None):
-        """The columns lo, hi of the bounds on alpha_tilde_0..alpha_tilde_m at
-        least, or on every alpha_tilde_n when m is None."""
-        more = None if m is None else max(0, m + 1 - len(self._lo))
-        for a_lo, a_hi, _, _ in itertools.islice(self._bounds, more):
-            self._lo.append(a_lo)
-            self._hi.append(a_hi)
-        return self._lo, self._hi
 
 
 @dataclass(frozen=True)
@@ -426,32 +379,34 @@ def as_delta(obj) -> DeltaSeq:
 
 
 def _shape_values(alpha_const, gamma_const, delta, N: int):
-    """The exact values of A, G and delta_0..delta_N, each read once."""
+    """The exact values of A and G, the sequence, and delta_0..delta_N as
+    two columns of coprime ints p and q > 0, each value read once
+    (``recurrence._coprime_columns``: a ``linear`` form column by column)."""
     d = as_delta(delta)
     return (exact_value(alpha_const), exact_value(gamma_const), d,
-            [exact_value(d(n)) for n in range(N + 1)])
+            *_coprime_columns(d.fn, N + 1))
 
 
-def _delta_conditions(alpha_const, gamma_const, d: DeltaSeq, dv: list):
+def _delta_conditions(alpha_const, gamma_const, d: DeltaSeq, p: list, q: list):
     """Conditions shared by both shifted-constant-shape criteria."""
     zero = Fraction(0)
     (ap, aq), (gp, gq) = _pair(alpha_const), _pair(gamma_const)
     order = _condition("alpha-ge-gamma-positive",
                        (0, [0 < gp and gp * aq <= ap * gq], lambda n: (gamma_const, alpha_const)))
 
-    N = len(dv) - 1
-    p, q = [x.numerator for x in dv], [x.denominator for x in dv]
+    N = len(p) - 1
+    dv = lambda n: coprime_fraction(p[n], q[n])  # noqa: E731
     mul = operator.mul
     dec = _condition(
         "delta-positive-decreasing",
-        (0, list(map(operator.gt, p, _ZEROS)), lambda n: (zero, dv[n])),
+        (0, list(map(operator.gt, p, _ZEROS)), lambda n: (zero, dv(n))),
         (1, list(map(operator.lt, map(mul, p[1:], q), map(mul, p, q[1:]))),
-         lambda n: (dv[n], dv[n - 1])))
+         lambda n: (dv(n), dv(n - 1))))
 
     if d.limit is not None:
         lim = _condition("delta-limit-zero", (N, [d.limit == 0], lambda n: (d.limit, zero)))
     else:
-        lim = _condition("delta-limit-zero", (N, [None], lambda n: (dv[N], zero)))
+        lim = _condition("delta-limit-zero", (N, [None], lambda n: (dv(N), zero)))
     return order, dec, lim
 
 
@@ -464,13 +419,13 @@ def check_corollary1(alpha_const, gamma_const, delta, N: int, *,
     shape (StructuralMismatch on failure).
     """
     N = _require_count("N", N)
-    A, G, d, dv = _shape_values(alpha_const, gamma_const, delta, N)
+    A, G, d, p, q = _shape_values(alpha_const, gamma_const, delta, N)
     if family is not None:
-        _assert_corollary_shape(family, A, G, dv, first_shifted=0)
+        _assert_corollary_shape(family, A, G, p, q, first_shifted=0)
 
-    val = A * dv[0]
+    val = A * coprime_fraction(p[0], q[0])
     prod = _condition("alpha-times-delta0-is-half", (0, [val == _HALF], lambda n: (val, _HALF)))
-    return CriterionReport.assemble(COROLLARY1, N, (*_delta_conditions(A, G, d, dv), prod))
+    return CriterionReport.assemble(COROLLARY1, N, (*_delta_conditions(A, G, d, p, q), prod))
 
 
 def check_corollary2(alpha_const, gamma_const, delta, N: int, *,
@@ -482,28 +437,29 @@ def check_corollary2(alpha_const, gamma_const, delta, N: int, *,
     which makes G, A and A + G positive; otherwise its bounds may not exist,
     and both window conditions are left undecided (holds None)."""
     N = _require_count("N", N)
-    A, G, d, dv = _shape_values(alpha_const, gamma_const, delta, N)
+    A, G, d, p, q = _shape_values(alpha_const, gamma_const, delta, N)
     if family is not None:
-        _assert_corollary_shape(family, A, G, dv, first_shifted=1)
+        _assert_corollary_shape(family, A, G, p, q, first_shifted=1)
 
     if 0 < G <= A:
-        a_c, g_c = Fraction(A), Fraction(G)
+        a_c, g_c, d0 = Fraction(A), Fraction(G), coprime_fraction(p[0], q[0])
         lower = (3 * g_c - a_c) / (2 * g_c * (a_c + g_c))
         upper = 1 / (2 * a_c)
-        window = ((0, [lower <= dv[0]], lambda n: (lower, dv[0])),
-                  (0, [dv[0] <= upper], lambda n: (dv[0], upper)))
+        window = ((0, [lower <= d0], lambda n: (lower, d0)),
+                  (0, [d0 <= upper], lambda n: (d0, upper)))
     else:
         window = ((0, [None], lambda n: None),) * 2
     low = _condition("delta0-above-lower-bound", window[0])
     up = _condition("delta0-below-upper-bound", window[1])
-    return CriterionReport.assemble(COROLLARY2, N, (*_delta_conditions(A, G, d, dv), low, up))
+    return CriterionReport.assemble(COROLLARY2, N, (*_delta_conditions(A, G, d, p, q), low, up))
 
 
-def _assert_corollary_shape(family, A, G, deltas: list, first_shifted: int) -> None:
+def _assert_corollary_shape(family, A, G, p: list, q: list, first_shifted: int) -> None:
     """Raise StructuralMismatch unless alpha_n = 1/2 - A*delta_n (from index
     ``first_shifted``; 0 before it) and gamma_n = 1/2 + G*delta_n exactly,
-    for the exact values A, G and ``deltas`` and the exact values of the
-    coefficients, at the first index and coefficient that breaks the shape.
+    for the exact values A, G and delta_n = p[n]/q[n] and the exact values
+    of the coefficients, at the first index and coefficient that breaks the
+    shape.
 
     The coefficients are read as the int columns of a step table (the one
     handed in, when ``family`` is one). With A = a/b, G = c/d and delta_n =
@@ -512,10 +468,9 @@ def _assert_corollary_shape(family, A, G, deltas: list, first_shifted: int) -> N
     ints over whole columns; the Fractions of a mismatch are built only for
     its message."""
     (a, b), (c, d) = _pair(A), _pair(G)
-    size, k = len(deltas), first_shifted
+    size, k = len(p), first_shifted
     t = _step_table(family, size - 2)
     ap, aq, gp, gq = (col[:size] for col in (t.ap, t.aq, t.gp, t.gq))
-    p, q = [x.numerator for x in deltas], [x.denominator for x in deltas]
     mul, eq, twos = operator.mul, operator.eq, itertools.repeat(2)
     bq, dq = list(map(mul, q, itertools.repeat(b))), list(map(mul, q, itertools.repeat(d)))
     alpha_ok = list(map(eq, map(mul, ap, map(mul, bq, twos)),
@@ -525,17 +480,18 @@ def _assert_corollary_shape(family, A, G, deltas: list, first_shifted: int) -> N
                         map(mul, gq, map(operator.add, dq, map(mul, p, itertools.repeat(2 * c))))))
     n_a, n_g = _first(alpha_ok, False), _first(gamma_ok, False)
     if n_a is not None and (n_g is None or n_a <= n_g):
-        want = 0 if n_a < k else _HALF - A * deltas[n_a]
+        want = 0 if n_a < k else _HALF - A * coprime_fraction(p[n_a], q[n_a])
         raise StructuralMismatch(n_a, "alpha", want, t.alpha(n_a))
     if n_g is not None:
-        raise StructuralMismatch(n_g, "gamma", _HALF + G * deltas[n_g], t.gamma(n_g))
+        want = _HALF + G * coprime_fraction(p[n_g], q[n_g])
+        raise StructuralMismatch(n_g, "gamma", want, t.gamma(n_g))
 
 
 def matches_corollary1(family, alpha_const, gamma_const, delta, N: int) -> bool:
     """Whether the family's first N+1 coefficients follow the Corollary-1 shape."""
-    A, G, _, dv = _shape_values(alpha_const, gamma_const, delta, N)
+    A, G, _, p, q = _shape_values(alpha_const, gamma_const, delta, N)
     try:
-        _assert_corollary_shape(family, A, G, dv, first_shifted=0)
+        _assert_corollary_shape(family, A, G, p, q, first_shifted=0)
     except StructuralMismatch:
         return False
     return True
@@ -543,9 +499,9 @@ def matches_corollary1(family, alpha_const, gamma_const, delta, N: int) -> bool:
 
 def matches_corollary2(family, alpha_const, gamma_const, delta, N: int) -> bool:
     """Same but with alpha_0 pinned to 0 instead of following the shape."""
-    A, G, _, dv = _shape_values(alpha_const, gamma_const, delta, N)
+    A, G, _, p, q = _shape_values(alpha_const, gamma_const, delta, N)
     try:
-        _assert_corollary_shape(family, A, G, dv, first_shifted=1)
+        _assert_corollary_shape(family, A, G, p, q, first_shifted=1)
     except StructuralMismatch:
         return False
     return True

@@ -42,11 +42,9 @@ from .errors import (
 )
 from .recurrence import (
     CoefficientFamily,
-    NormalizedFamily,
     _require_count,
     _step_table,
     _table,
-    ratios_at_one,
 )
 
 __all__ = [
@@ -194,13 +192,15 @@ def pollaczek(lam, a) -> CoefficientFamily:
     s = lam + a
     meta: dict = {}
     if lam > a:
-        # delta_n = 1/(2(n+lambda+a))
+        # delta_n = 1/(2(n+lambda+a)) = q/(2(q*n + p)) for lambda + a = p/q
+        p, q = s.numerator, s.denominator
+
+        def delta(n: int):
+            return Fraction(q, 2 * (n * q + p))
+
+        delta.linear = (0, q, 2 * q, 2 * p)
         meta["corollary1"] = CorollaryShape(
-            alpha_const=s,
-            gamma_const=lam - a,
-            delta=DeltaSeq(lambda n, _p=s.numerator, _q=s.denominator:
-                           Fraction(_q, 2 * (n * _q + _p)), limit=0),
-        )
+            alpha_const=s, gamma_const=lam - a, delta=DeltaSeq(delta, limit=0))
     else:
         meta["unchecked"] = ("a >= lambda branch: gamma_n does not strictly decrease, "
                              "so Theorem1 and Corollary1 do not apply; see SzwTheorem1")
@@ -479,8 +479,7 @@ def criterion_reports(family, N: int) -> list[CriterionReport]:
     N = _require_count("N", N, 2)
     table = _step_table(family, N)
     try:
-        # the view's ratios are never read: SzwTheorem1 decides from the table
-        szw = check_szw_normalized(NormalizedFamily(table, lambda: ratios_at_one(table, N)), N)
+        szw = check_szw_normalized(table, N)
     except NonpositiveRatio as exc:
         szw = _error_report(SZW_THEOREM1, N, exc)
     reports = [check_theorem1(table, N), szw, *_route_reports(table)]

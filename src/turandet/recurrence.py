@@ -16,16 +16,15 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass, field
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .arith import (
     DEFAULT_DIGIT_CAP,
     EXTENDED,
-    EXTENDED_DPS,
     Num,
     coprime_fraction,
     decimal_context,
@@ -547,29 +546,6 @@ class _ExactRatios:
         return rounded
 
 
-class _Tier(NamedTuple):
-    """The arithmetic of one tier of the ratio bounds (``_ratio_bounds``).
-
-    ``quotients(ps, qs)`` gives two columns, a lower and an upper bound on
-    each p/q of two int columns; ``div`` and ``sub`` are each a pair of the
-    operation with its result rounded down and with it rounded up; ``one``
-    is 1 in the tier's numbers.
-    """
-
-    quotients: Callable
-    div: tuple
-    sub: tuple
-    one: object
-
-
-# the 50-digit tier: every result rounded down or up at EXTENDED_DPS digits
-_FLOOR, _CEILING = (Context(prec=EXTENDED_DPS, rounding=rounding, Emin=MIN_EMIN, Emax=MAX_EMAX)
-                    for rounding in (ROUND_FLOOR, ROUND_CEILING))
-_DECIMAL_TIER = _Tier(lambda ps, qs: (map(_FLOOR.divide, ps, qs), map(_CEILING.divide, ps, qs)),
-                      (_FLOOR.divide, _CEILING.divide), (_FLOOR.subtract, _CEILING.subtract),
-                      Decimal(1))
-
-
 def _float_quotients(ps, qs):
     """The doubles next to each p/q, below and above the double nearest it
     (int true division). OverflowError where a p/q is past the doubles, and
@@ -589,124 +565,83 @@ def _div_up(x: float, y: float) -> float:
     return math.nextafter(x / y, math.inf)
 
 
-def _sub_down(x: float, y: float) -> float:
-    return math.nextafter(x - y, -math.inf)
-
-
-def _sub_up(x: float, y: float) -> float:
-    return math.nextafter(x - y, math.inf)
-
-
-# the float64 tier: every result rounded to nearest, then one double outward
-_FLOAT_TIER = _Tier(_float_quotients, (_div_down, _div_up), (_sub_down, _sub_up), 1.0)
-
-
-def _ratio_bounds(table, N: int, exact: _ExactRatios | None, start: int = 0,
-                  tier: _Tier = _DECIMAL_TIER):
-    """Yield bounds on alpha_tilde_n and on g_n for n = start..N, as
-    (a_lo, a_hi, g_lo, g_hi) in the numbers of ``tier``, 50-digit Decimals
-    by default; g_N is not formed, and its pair is (None, None).
+def _ratio_bounds(table, N: int, exact: _ExactRatios, start: int = 0):
+    """Yield bounds on alpha_tilde_n and on g_n for n = start..N, as doubles
+    (a_lo, a_hi, g_lo, g_hi); g_N is not formed, and its pair is (None, None).
 
     The pass reads the ints ap, aq, gp, gq of the step table ``table``
     (indices 0..N) and builds no Fraction. It bounds each alpha_n = a/b and
-    gamma_n = c/d by ``tier.quotients``, reads alpha_0 as 0, starts from
+    gamma_n = c/d by ``_float_quotients``, reads alpha_0 as 0, starts from
     g_{start-1}, 1 at start 0 and else the exact pair in ``exact.values``,
     and carries alpha_tilde_n = alpha_n/g_{n-1} and g_n = (1 -
-    alpha_tilde_n)/gamma_n as [lo, hi]. Every lower bound is rounded down
-    and every upper bound up, and each operand is the end of its bound that
-    the signs of a and c call for, so the exact values lie in their bounds
-    for either sign of alpha_n and gamma_n. Only the last bounds are held,
-    and a step is formed only when the consumer asks for it.
+    alpha_tilde_n)/gamma_n as [lo, hi], each lower bound rounded down and
+    each upper bound up (``_float_bounds`` argues why the exact values lie
+    in them). Only the last bounds are held, and a step is formed only when
+    the consumer asks for it.
 
-    A gamma_n = 0 is the ParamError of ratios_at_one. Where the lower bound
-    of g_n is not positive, g_n is formed exactly by ``exact``, which raises
-    NonpositiveRatio where g_n <= 0, and the pass goes on from that value;
-    with no ``exact`` (the float tier, ``_float_bounds``) the pass ends there.
+    Where the lower bound of g_n is not positive, g_n is formed exactly by
+    ``exact``, which raises NonpositiveRatio where g_n <= 0, and the pass
+    goes on from the doubles next to that value. An ArithmeticError
+    (OverflowError, FloatingPointError) means that a quotient is outside the
+    normal doubles, a zero gamma_n among them: the pass cannot bound it.
     """
-    quotients, (div_lo, div_hi), (sub_lo, sub_hi), one = tier
     if start:
-        (lo,), (hi,) = quotients(*([v] for v in exact.values[start - 1]))
+        (lo,), (hi,) = _float_quotients(*([v] for v in exact.values[start - 1]))
     else:
-        lo = hi = one
+        lo = hi = 1.0
     first = max(start, 1)
     a_col = table.ap[first:N + 1]
-    alphas = zip(a_col, *quotients(a_col, table.aq[first:N + 1]))
+    alphas = zip(a_col, *_float_quotients(a_col, table.aq[first:N + 1]))
     if not start:
-        zero = one - one
-        alphas = itertools.chain([(0, zero, zero)], alphas)
+        alphas = itertools.chain([(0, 0.0, 0.0)], alphas)
     c_col = table.gp[start:N]
-    gammas = zip(c_col, *quotients(c_col, table.gq[start:N]))
+    gammas = zip(c_col, *_float_quotients(c_col, table.gq[start:N]))
     for n, (a, a_lo, a_hi) in enumerate(alphas, start):
         if a >= 0:
-            t_lo, t_hi = div_lo(a_lo, hi), div_hi(a_hi, lo)
+            t_lo, t_hi = _div_down(a_lo, hi), _div_up(a_hi, lo)
         else:
-            t_lo, t_hi = div_lo(a_lo, lo), div_hi(a_hi, hi)
+            t_lo, t_hi = _div_down(a_lo, lo), _div_up(a_hi, hi)
         if n == N:
             yield t_lo, t_hi, None, None
             return
         c, c_lo, c_hi = next(gammas)
-        e_lo, e_hi = sub_lo(one, t_hi), sub_hi(one, t_lo)  # 1 - alpha_tilde_n
+        # 1 - alpha_tilde_n
+        e_lo, e_hi = math.nextafter(1.0 - t_hi, -math.inf), math.nextafter(1.0 - t_lo, math.inf)
         if c > 0:
-            lo, hi = div_lo(e_lo, c_hi), div_hi(e_hi, c_lo)
-        elif c < 0:
-            lo, hi = div_lo(e_hi, c_lo), div_hi(e_lo, c_hi)
+            lo, hi = _div_down(e_lo, c_hi), _div_up(e_hi, c_lo)
         else:
-            raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
+            lo, hi = _div_down(e_hi, c_lo), _div_up(e_lo, c_hi)
         if not lo > 0:
-            if exact is None:
-                return
             exact._extend(n + 1)
-            (lo,), (hi,) = quotients(*([v] for v in exact.values[n]))
+            (lo,), (hi,) = _float_quotients(*([v] for v in exact.values[n]))
         yield t_lo, t_hi, lo, hi
 
 
-def _float_bounds(table, N: int):
-    """The float64 tier of SzwTheorem1: bounds on alpha_tilde_0..alpha_tilde_N
-    as two tuples of doubles, lower and upper, or None where this tier does
-    not bound them all. The 50-digit tier (``_ratio_bounds`` by default)
-    decides what these bounds leave open.
+def _float_bounds(table, N: int, exact: _ExactRatios):
+    """Bounds on alpha_tilde_0..alpha_tilde_N as two tuples of doubles, lower
+    and upper, from the pass ``_ratio_bounds``; ArithmeticError where a
+    quotient is past the doubles (OverflowError) or not a normal double
+    (FloatingPointError; a zero gamma_n among them), and the comparisons are
+    then decided on the exact values.
 
     Soundness. Each alpha_n = a/b and gamma_n = c/d of the table's ints is
     read by int true division, which rounds the exact quotient to the
     nearest double r. A value that rounds to r lies within half the gap on
     either side of r, so it lies between the double below r and the one
     above it (math.nextafter toward -inf and +inf), which are its bounds.
-    Each operation of the pass (``_FLOAT_TIER``) is rounded to nearest in
-    the same way and its result then moved one double down for a lower
-    bound and up for an upper one, so the exact result of the operation on
-    its operands lies between the two; an overflow to inf leaves the lower
-    bound at the largest double, still below the exact result. Each
-    operation reads the ends of its operands' bounds that the exact signs of
-    a and c call for, so by induction on n the exact g_n and alpha_tilde_n
-    lie within their bounds. The signs hold because every quotient is a
-    normal double: its two neighbours have its sign.
-
-    The tier returns None, and the 50-digit pass runs whole, where a
-    quotient is past the doubles (OverflowError) or not a normal double
-    (FloatingPointError; a zero gamma_n, whose ParamError the 50-digit pass
-    raises, among them), and where a lower bound of some g_n is not
-    positive, so that the nonpositive g_n that the 50-digit pass rechecks
-    exactly raises as it does there.
+    Each operation of the pass is rounded to nearest in the same way and its
+    result then moved one double down for a lower bound and up for an upper
+    one, so the exact result of the operation on its operands lies between
+    the two; an overflow to inf leaves the lower bound at the largest
+    double, still below the exact result. Each operation reads the ends of
+    its operands' bounds that the exact signs of a and c call for, so by
+    induction on n the exact g_n and alpha_tilde_n lie within their bounds.
+    The signs hold because every quotient is a normal double: its two
+    neighbours have its sign. A g_n restarted from its exact value (a lower
+    bound that is not positive) is bounded the same way.
     """
-    try:
-        bounds = list(_ratio_bounds(table, N, None, tier=_FLOAT_TIER))
-    except ArithmeticError:
-        return None
-    if len(bounds) <= N:
-        return None
-    lo, hi, _, _ = zip(*bounds)
+    lo, hi, _, _ = zip(*_ratio_bounds(table, N, exact))
     return lo, hi
-
-
-def _le(x_lo, x_hi, y_lo, y_hi, exact: Callable[[], bool]) -> bool:
-    """Whether x <= y, for x in [x_lo, x_hi] and y in [y_lo, y_hi]: decided on
-    the bounds where they separate, and else by ``exact()``, the comparison of
-    the exact values."""
-    if x_hi <= y_lo:
-        return True
-    if x_lo > y_hi:
-        return False
-    return exact()
 
 
 def _ratio_tail(family, values: list, N: int):
@@ -775,34 +710,20 @@ class NormalizedFamily:
     formed in the EXTENDED context from the operands of the ratio pass, so
     alpha_tilde(n) is the Decimal alpha_n/g_{n-1} that the pass formed.
 
-    ``ratios`` is the RatioSequence of ``base``, or a function of no
-    arguments that returns it, called when a coefficient or ``exact`` is
-    first read: check_szw_normalized reads neither, and decides from
-    ``base``.
+    ``ratios`` is the RatioSequence of ``base``; check_szw_normalized reads
+    neither it nor a coefficient, and decides from ``base``.
 
     Duck-types CoefficientFamily (.alpha/.gamma/.exact/...), so every
     evaluation helper in this module accepts it directly.
     """
 
-    def __init__(self, base: CoefficientFamily,
-                 ratios: RatioSequence | Callable[[], RatioSequence]):
+    def __init__(self, base: CoefficientFamily, ratios: RatioSequence):
         self.base = base
-        self._ratios = ratios
         self.name = f"{base.name}:normalized"
         self.params: Mapping[str, object] = base.params
         self.meta: Mapping[str, object] = {}
-
-    @functools.cached_property
-    def _sequence(self) -> RatioSequence:
-        return self._ratios() if callable(self._ratios) else self._ratios
-
-    @functools.cached_property
-    def ratio(self) -> Callable[[int], Num]:
-        return _table(self._sequence.values)
-
-    @property
-    def exact(self) -> bool:
-        return bool(self._sequence.exact and self.base.exact)
+        self.ratio = _table(ratios.values)
+        self.exact = bool(ratios.exact and base.exact)
 
     def alpha_tilde(self, n: int):
         if n == 0:
@@ -1004,44 +925,68 @@ def ratio_sandwich(family, N: int) -> list[SandwichRow]:
     is the one Fraction wn*vd/(wd*vn) = w_n/v_n of the step table's ints.
     Each bound is decided on the exact g_n, by cross-multiplying ints, up to
     the g_k where the exact pass stops at its digit cap (``_ExactRatios``).
-    Past it, the rows are decided on the bounds that ``_ratio_bounds``
-    carries from that exact g_k, against w_n/v_n rounded outward, and a row
-    that the bounds leave undecided on the exact g_n of the uncapped pass.
-    So a printed 50-digit g_n, or the double nearest it, may read 1 in a row
-    whose exact g_n < 1 fails lower_ok. The upper bound needs gamma_n >
-    gamma_{n+1}; rows where that fails carry upper = +inf, upper_ok = True
-    and gamma_step_decreasing = False so the hypothesis breach stays visible.
+    Past it, the rows are decided on the float bounds that ``_ratio_bounds``
+    carries from the exact g_{k-1}, against the doubles next to w_n/v_n
+    (``_float_quotients``). A row that those bounds leave open, and every
+    row past the cap where a quotient is outside the normal doubles, is
+    decided on the exact g_n of the uncapped pass. So a printed 50-digit
+    g_n, or the double nearest it, may read 1 in a row whose exact g_n < 1
+    fails lower_ok. The upper bound needs gamma_n > gamma_{n+1}; rows where
+    that fails carry upper = +inf, upper_ok = True and gamma_step_decreasing
+    = False so the hypothesis breach stays visible.
     """
     N = _require_count("N", N)
     table = _step_table(family, N - 1)
     _, _, vns, vds, wns, wds = table.steps
+    mul = operator.mul
+    # w_n/v_n = W[n]/V[n], with V[n] > 0 where v_n > 0
+    W, V = list(map(mul, wns[:N], vds)), list(map(mul, wds[:N], vns))
+    steps = [vn > 0 for vn in vns[:N]]
     exact = _ExactRatios(table)
     fallback = exact.up_to_cap(N)
     k = len(exact.values)
-    # (lower_ok, upper_ok) of the rows n < k, on the exact g_n = P/Q
-    decided = [(Q <= P, vn <= 0 or P * wd * vn <= wn * vd * Q)
-               for (P, Q), vn, vd, wn, wd in zip(exact.values, vns, vds, wns, wds)]
+    decided = list(map(_exact_row, exact.values, W, V, steps))  # the rows n < k
     if fallback:
         printed = exact.fall_back()
         for _ in _ratio_tail(table, printed, N):  # appends g_n to printed
             pass
-        bounds = _ratio_bounds(table, N, exact, start=k)
+        decided += _sandwich_tail(table, exact, k, W, V, steps)
     else:
         printed = exact.fractions()
-    rows = []
-    for n, vn, vd, wn, wd in zip(range(N), vns, vds, wns, wds):
-        W, V = wn * vd, wd * vn  # w_n/v_n = W/V
-        if n < k:
-            lower_ok, upper_ok = decided[n]
-        else:
-            _, _, lo, hi = next(bounds)
-            lower_ok = _le(1, 1, lo, hi, lambda: 1 <= exact.ratio(n))
-            upper_ok = vn <= 0 or _le(lo, hi, _FLOOR.divide(W, V), _CEILING.divide(W, V),
-                                      lambda: exact.ratio(n) <= Fraction(W, V))
-        rows.append(SandwichRow(
-            n=n, g=printed[n], upper=Fraction(W, V) if vn > 0 else math.inf,
-            lower_ok=lower_ok,
-            upper_ok=upper_ok,
-            gamma_step_decreasing=vn > 0,
-        ))
+    return [SandwichRow(n=n, g=g, upper=Fraction(w, v) if step else math.inf,
+                        lower_ok=lower_ok, upper_ok=upper_ok, gamma_step_decreasing=step)
+            for n, (g, w, v, step, (lower_ok, upper_ok))
+            in enumerate(zip(printed, W, V, steps, decided))]
+
+
+def _sandwich_tail(table, exact: _ExactRatios, k: int, W: list, V: list, steps: list):
+    """(lower_ok, upper_ok) of the rows k..N-1 of ratio_sandwich, N =
+    len(W), past the digit cap where ``exact`` stopped after g_{k-1}: on
+    the float bounds of g_n from there against the doubles next to W/V, and
+    on the exact g_n where those do not separate, or where a quotient is
+    outside the normal doubles."""
+    N = len(W)
+    try:
+        _, _, lo, hi = zip(*_ratio_bounds(table, N, exact, start=k))
+        # a row without the upper bound reads W/V as 1/1
+        w_lo, w_hi = _float_quotients([w if s else 1 for w, s in zip(W[k:], steps[k:])],
+                                      [v if s else 1 for v, s in zip(V[k:], steps[k:])])
+    except ArithmeticError:
+        rows = [(None, None)] * (N - k)
+    else:
+        rows = [(True if g_lo >= 1 else False if g_hi < 1 else None,
+                 True if not s or g_hi <= u_lo else False if g_lo > u_hi else None)
+                for g_lo, g_hi, u_lo, u_hi, s in zip(lo, hi, w_lo, w_hi, steps[k:])]
+    left = [k + i for i, row in enumerate(rows) if None in row]
+    if left:
+        exact._extend(left[-1] + 1)
+        for n in left:
+            rows[n - k] = _exact_row(exact.values[n], W[n], V[n], steps[n])
     return rows
+
+
+def _exact_row(g: tuple[int, int], w: int, v: int, step: bool) -> tuple[bool, bool]:
+    """(lower_ok, upper_ok) of a ratio_sandwich row on the exact g_n = P/Q:
+    1 <= g_n, and g_n <= w/v where the row has its upper bound (v > 0)."""
+    P, Q = g
+    return Q <= P, not step or P * v <= w * Q

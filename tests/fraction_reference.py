@@ -6,10 +6,10 @@ These are the checkers as they stood before the integer step table
 and recorded one index at a time (``_Cond``), and the g_n ratio pass as it
 stood before it carried each ratio as a pair of coprime ints.
 SzwTheorem1 and the ratio sandwich are decided on the exact ratios with no
-digit cap (``normalized_ratios``), which the package's 50-digit bounds must
-agree with. test_step_table.py requires the package to agree with them
-report for report, witnesses included, and the ratio pass bit for bit. Only
-tests import this module.
+digit cap (``normalized_ratios``), which the package's float bounds and
+exact rechecks must agree with. test_step_table.py requires the package to
+agree with them report for report, witnesses included, and the ratio pass
+bit for bit. Only tests import this module.
 """
 import math
 from decimal import Decimal, localcontext

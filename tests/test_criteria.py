@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+import fraction_reference as ref
+
 from turandet import (
     DeltaSeq,
     InvalidLambda,
+    NonpositiveRatio,
     ParamError,
     StructuralMismatch,
     Verdict,
@@ -151,13 +155,43 @@ def test_szw_decides_a_dip_past_the_digit_cap_on_exact_values():
 
 
 def test_szw_bound_violation():
-    fam = table_family([0, F(3, 10), F(2, 5), F(51, 100)],
-                       [F(1, 2), F(1, 2), F(1, 2), F(1, 2)])
-    rep = check_szw_normalized(fam, 3)  # plain family: read as already-normalized
+    # alpha_n + gamma_n = 1: already normalized at 1, so alpha_tilde_n = alpha_n
+    al = [0, F(3, 10), F(2, 5), F(51, 100)]
+    fam = table_family(al, [1 - a for a in al])
+    rep = check_szw_normalized(fam, 3)
     c = rep.condition("alpha-tilde-le-half")
     assert c.holds is False
     assert c.first_violation == 3
     assert c.witness == (F(51, 100), F(1, 2))
+    assert rep.condition("alpha-tilde-nondecreasing").holds is True
+
+
+def _szw_outcome(check, family, N):
+    try:
+        return check(family, N).to_json()
+    except NonpositiveRatio as exc:
+        return f"NonpositiveRatio: {exc}"
+
+
+def test_szw_decides_a_plain_family_as_its_normalization():
+    """A family that is not normalized at 1 (alpha_n + gamma_n != 1) is
+    decided as the base of its normalization: the report of the plain table
+    is that of its NormalizedFamily and that of the Fraction reference. The
+    old reading of the raw alpha_n as normalized said Satisfied on most of
+    these tables."""
+    rng = random.Random(1)
+    for _ in range(200):
+        al = [F(0)] + sorted(F(rng.randint(1, 50), 100) for _ in range(8))
+        ga = [F(rng.randint(30, 100), 100) for _ in range(9)]
+        fam = table_family(al, ga)
+        want = _szw_outcome(ref.check_szw_normalized, fam, 8)
+        assert _szw_outcome(check_szw_normalized, fam, 8) == want
+        try:
+            nf = normalize(fam, 8)
+        except NonpositiveRatio as exc:
+            assert want == f"NonpositiveRatio: {exc}"
+        else:
+            assert check_szw_normalized(nf, 8).to_json() == want
 
 
 # ----------------------------------------------------------------- corollaries
@@ -181,6 +215,30 @@ def test_corollary1_wrong_order_violated():
     rep = check_corollary1(1, 2, d, 10)
     assert rep.condition("alpha-ge-gamma-positive").holds is False
     assert rep.overall is Verdict.VIOLATED
+
+
+@pytest.mark.parametrize("lam, a", [(2, 1), (F(3, 2), 1), (F(7, 3), F(5, 4))])
+def test_pollaczek_delta_is_read_from_its_linear_form(lam, a):
+    """Pollaczek's delta_n = 1/(2(n + lambda + a)) carries its integer form;
+    the Corollary1 report read through it is the one read value by value
+    from the same sequence without it."""
+    fam = pollaczek(lam, a)
+    shape = fam.meta["corollary1"]
+    plain = DeltaSeq(lambda n: shape.delta(n), limit=shape.delta.limit)
+    assert not hasattr(plain.fn, "linear")
+    for n in range(50):
+        a1, a0, b1, b0 = shape.delta.fn.linear
+        assert shape.delta(n) == F(a1 * n + a0, b1 * n + b0)
+    got = check_corollary1(shape.alpha_const, shape.gamma_const, shape.delta, 300, family=fam)
+    want = check_corollary1(shape.alpha_const, shape.gamma_const, plain, 300, family=fam)
+    assert got.to_json() == want.to_json() and got.overall is Verdict.SATISFIED
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_a_non_finite_delta_is_a_param_error(bad):
+    d = DeltaSeq(lambda n: bad if n == 2 else F(1, n + 2), limit=0)
+    with pytest.raises(ParamError, match="is not a finite number"):
+        check_corollary1(1, F(1, 2), d, 5)
 
 
 def test_corollary1_tail_inconclusive_without_declared_limit():

@@ -3,15 +3,17 @@
 Every checker that reads the step table is compared with its Fraction
 reference in fraction_reference.py: equal reports (witnesses included), equal
 LambdaData and equal SandwichRows, printed the same way. The integer g_n ratio
-pass is compared with the Fraction one bit for bit. The 50-digit bounds on
+pass is compared with the Fraction one bit for bit. The float bounds on
 g_n and alpha_tilde_n hold the exact values, and SzwTheorem1 and the ratio
-sandwich, which decide on them, decide what the uncapped exact ratios decide.
+sandwich, which decide on them and recheck exactly what they leave open,
+decide what the uncapped exact ratios decide.
 """
 import contextlib
 import io
 import math
 import random
 import re
+import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -55,7 +57,7 @@ from turandet import (
     ratios_at_one,
     turan_det,
 )
-from turandet import criteria, recurrence, turan
+from turandet import recurrence, turan
 from turandet.arith import coprime_fraction
 from turandet.arith import digit_cap_bits, pair_digits
 from turandet.cli import _lambda_rows, main
@@ -549,6 +551,10 @@ _ZERO_GAMMA = _family([0, 1, 2, 3], [1, 0, 1, 1])
 _G0 = Fraction(10**61, 10**61 + 1)
 _PAST_CAP_TIES = _family([0, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)],
                          [1 / _G0, 1 - Fraction(1, 3) / _G0, Fraction(2, 3), Fraction(2, 3)])
+# g_0 = _G0 again, then g_1 = 1 - 10^-40, which no two doubles separate from 1
+_PAST_CAP_DIP = _family([0, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)],
+                        [1 / _G0, (1 - Fraction(1, 3) / _G0) / (1 - Fraction(1, 10**40)),
+                         Fraction(2, 3), Fraction(2, 3)])
 
 
 def test_a_short_table_reports_its_range_before_its_ratios():
@@ -572,8 +578,8 @@ def _error(exc) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _never_read():
-    raise AssertionError("SzwTheorem1 read the ratios of the normalized view")
+def _never_read(*args):
+    raise AssertionError("read a value that the check must not read")
 
 
 def _szw(check, family, N):
@@ -584,26 +590,32 @@ def _szw(check, family, N):
         return _error(exc)
 
 
-def _package_szw(family, N):
-    """check_szw_normalized on a normalized view that must not form its ratios."""
-    return check_szw_normalized(NormalizedFamily(family, _never_read), N)
-
-
-def _holds(lo: Decimal, x: Fraction, hi: Decimal) -> bool:
-    """lo <= x <= hi, compared as Fractions: far faster than comparing a
-    Decimal with a Fraction of thousands of digits."""
-    return Fraction(lo) <= x <= Fraction(hi)
+def _outside_doubles(x) -> bool:
+    """Whether the double nearest the exact value x is not a normal double:
+    past the largest one, or below the smallest normal one, zero too."""
+    try:
+        return abs(float(Fraction(x))) < sys.float_info.min
+    except OverflowError:
+        return True
 
 
 def assert_bounds_hold_the_exact_values(family, N):
     """Every exact g_n and alpha_tilde_n of the Fraction reference lies in the
-    bounds from g_0 and in those restarted from each exact g_{k-1}; where the
-    reference raises, the bounds raise the same error."""
+    float bounds from g_0 and in those restarted from each exact g_{k-1},
+    the path of ratio_sandwich past its digit cap; where the reference
+    raises NonpositiveRatio, the bounds raise it too. Where a coefficient
+    is outside the normal doubles (a zero gamma_n, whose ParamError the
+    exact pass raises, among them), the pass raises an ArithmeticError."""
     table = _step_table(family, N - 1)
+    coefficients = [family.alpha(n) for n in range(1, N + 1)] + [family.gamma(n) for n in range(N)]
+    if any(map(_outside_doubles, coefficients)):
+        with pytest.raises(ArithmeticError):
+            list(_ratio_bounds(table, N, _ExactRatios(table)))
+        return
     try:
         g, at = ref.normalized_ratios(family, N)
-    except (NonpositiveRatio, ParamError) as exc:
-        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+    except NonpositiveRatio as exc:
+        with pytest.raises(NonpositiveRatio, match=f"^{re.escape(str(exc))}$"):
             list(_ratio_bounds(table, N, _ExactRatios(table)))
         return
     exact = _ExactRatios(table)
@@ -612,8 +624,9 @@ def assert_bounds_hold_the_exact_values(family, N):
             exact.ratio(k - 1)
         a_lo, a_hi, g_lo, g_hi = zip(*_ratio_bounds(table, N, exact, start=k))
         assert len(a_lo) == N + 1 - k and g_lo[-1] is g_hi[-1] is None
-        assert all(_holds(a_lo[n - k], at[n], a_hi[n - k]) for n in range(k, N + 1))
-        assert all(_holds(g_lo[n - k], g[n], g_hi[n - k]) for n in range(k, N))
+        assert all(_within(a_lo[n - k], at[n], a_hi[n - k]) for n in range(k, N + 1))
+        assert all(0 < g_lo[n - k] and _within(g_lo[n - k], g[n], g_hi[n - k])
+                   for n in range(k, N))
 
 
 @settings(max_examples=200, deadline=None)
@@ -627,20 +640,32 @@ def test_ratio_bounds_hold_the_exact_values(case):
     assert_bounds_hold_the_exact_values(*case)
 
 
+def _relative_width(lo: float, hi: float, x: Fraction) -> Fraction:
+    return (Fraction(hi) - Fraction(lo)) / abs(x)
+
+
 @pytest.mark.parametrize("family", [example3(2), pollaczek(Fraction(3, 2), 1)],
                          ids=["Example3(2)", "Pollaczek(3/2,1)"])
 def test_ratio_bounds_hold_the_exact_values_at_3000(family):
     """Past the 4096-digit values where the capped pass stops (g_1329 and
-    g_1631), the bounds from g_0 still hold every exact value, within a
-    relative width of 10^-44."""
+    g_1631), the float bounds from g_0, and those restarted from the exact
+    g_{k-1} where the capped pass stopped and from two later ones, hold
+    every exact value, within a relative width of 10^-11."""
     table = _step_table(family, 2999)
+    capped = _ExactRatios(table)
+    assert capped.up_to_cap(3000)
     exact = _ExactRatios(table)
-    a_lo, a_hi, g_lo, g_hi = zip(*_ratio_bounds(table, 3000, exact))
-    for n in range(3000):
-        g_n = exact.ratio(n)
-        assert _holds(g_lo[n], g_n, g_hi[n]) and _holds(a_lo[n], exact.alpha_tilde(n), a_hi[n])
-        assert Fraction(g_hi[n] - g_lo[n]) < g_n / 10**44
-    assert _ExactRatios(table).up_to_cap(3000)
+    g = [exact.ratio(n) for n in range(3000)]
+    at = [exact.alpha_tilde(n) for n in range(3001)]
+    for k in (0, len(capped.values), 2000, 2999):
+        a_lo, a_hi, g_lo, g_hi = zip(*_ratio_bounds(table, 3000, exact, start=k))
+        for n in range(k, 3001):
+            assert _within(a_lo[n - k], at[n], a_hi[n - k])
+            if n:  # alpha_tilde_0 = 0
+                assert _relative_width(a_lo[n - k], a_hi[n - k], at[n]) < Fraction(1, 10**11)
+            if n < 3000:
+                assert _within(g_lo[n - k], g[n], g_hi[n - k])
+                assert _relative_width(g_lo[n - k], g_hi[n - k], g[n]) < Fraction(1, 10**11)
 
 
 @settings(max_examples=200, deadline=None)
@@ -655,7 +680,7 @@ def test_szw_matches_the_uncapped_reference(case):
     is decided on exact values, and a nonpositive g_n or a zero gamma_n is
     the error of the exact pass."""
     family, N = case
-    assert _szw(_package_szw, family, N) == _szw(ref.check_szw_normalized, family, N)
+    assert _szw(check_szw_normalized, family, N) == _szw(ref.check_szw_normalized, family, N)
 
 
 @pytest.mark.parametrize("family, N", [
@@ -666,19 +691,21 @@ def test_szw_matches_the_uncapped_reference(case):
 def test_szw_matches_the_uncapped_reference_past_the_digit_cap(family, N):
     """The benchmark's families, past the index where the capped exact pass
     stops (the doubles of Example4 pass 4096 digits near n = 270)."""
-    assert _szw(_package_szw, family, N) == _szw(ref.check_szw_normalized, family, N)
+    assert _szw(check_szw_normalized, family, N) == _szw(ref.check_szw_normalized, family, N)
     assert _ExactRatios(_step_table(family, N - 2)).up_to_cap(N)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(step_tables(), _int_step_tables, _builtin_cases), st.sampled_from([1, 60]))
 @example((_PAST_CAP_TIES, 2), 60)
+@example((_PAST_CAP_DIP, 2), 60)
 def test_ratio_sandwich_past_a_fallback_decides_on_exact_ratios(case, cap):
     """With the digit cap at 1 or 60 digits most tables pass it within a few
     indices; the rows past it print the 50-digit ratios and decide on the
-    exact ones, ties at g_n = 1 included. In the example g_0 = 10^61/(10^61 +
-    1) passes 60 digits and prints as 1.000..., yet breaks 1 <= g_0; then
-    g_1 = g_2 = 1, which the bounds cannot decide."""
+    exact ones, ties at g_n = 1 included. In the examples g_0 = 10^61/(10^61
+    + 1) passes 60 digits and prints as 1.000..., yet breaks 1 <= g_0; then
+    g_1 = g_2 = 1, which the bounds cannot decide, or g_1 = 1 - 10^-40,
+    which they cannot decide either and which breaks 1 <= g_1."""
     family, N = case
     with mock.patch.object(recurrence, "DEFAULT_DIGIT_CAP", cap):
         got = _sandwich(ratio_sandwich, family, N + 1)
@@ -692,6 +719,55 @@ def test_ratio_sandwich_past_a_fallback_decides_on_exact_ratios(case, cap):
                          ids=["Example3(2)", "Pollaczek(3/2,1)"])
 def test_ratio_sandwich_past_the_digit_cap_matches_at_3000(family):
     assert _sandwich(ratio_sandwich, family, 3000) == _sandwich(ref.ratio_sandwich, family, 3000)
+
+
+def _extend_calls(call):
+    """call() and the index bounds of the exact ratio passes it ran
+    (``_ExactRatios._extend``), in order."""
+    extend = _ExactRatios._extend
+    with mock.patch.object(_ExactRatios, "_extend", autospec=True, side_effect=extend) as spy:
+        result = call()
+    return result, [c.args[1] for c in spy.call_args_list]
+
+
+@pytest.mark.parametrize("family", [example3(2), example3(Fraction(1, 3)), pollaczek(2, 1)],
+                         ids=["Example3(2)", "Example3(1/3)", "Pollaczek(2,1)"])
+def test_ratio_sandwich_decides_past_the_cap_on_float_bounds(family):
+    """Every row past the digit cap is decided on the float bounds carried
+    from the exact g_{k-1}: the exact pass runs once, capped, and forms no
+    ratio past the cap; the rows are those of the uncapped reference."""
+    got, bounds = _extend_calls(lambda: _sandwich(ratio_sandwich, family, 3000))
+    assert bounds == [3000]  # the capped pass (up_to_cap) only
+    assert not all(isinstance(row.g, Fraction) for row in got[0])  # past the cap
+    assert got == _sandwich(ref.ratio_sandwich, family, 3000)
+
+
+def _rescaled_legendre(N):
+    """Legendre with p_n scaled by 10^(400n): alpha'_n = 10^400*alpha_n and
+    gamma'_n = 10^-400*gamma_n, coefficients 0..N. Its quotients are past
+    the doubles or below them, and its alpha_tilde_n are Legendre's."""
+    leg, c = legendre(), 10**400
+    return _family([leg.alpha(n) * c for n in range(N + 1)],
+                   [leg.gamma(n) / c for n in range(N + 1)], name="RescaledLegendre")
+
+
+@pytest.mark.parametrize("cap", [4096, 60])
+def test_out_of_range_coefficients_decide_on_exact_values(cap):
+    """The doubles bound nothing here, so SzwTheorem1 decides every
+    comparison on the exact values, and the sandwich, whose g_n = 10^400
+    pass a 60-digit cap at g_0, decides every row past it exactly: both as
+    the Fraction reference does."""
+    family, N = _rescaled_legendre(41), 40
+    table = _step_table(family, N - 1)
+    with pytest.raises(ArithmeticError):
+        recurrence._float_bounds(table, N, _ExactRatios(table))
+    report = _szw(check_szw_normalized, family, N)
+    assert report == _szw(ref.check_szw_normalized, family, N)
+    assert report == _szw(ref.check_szw_normalized, legendre(), N)
+    with mock.patch.object(recurrence, "DEFAULT_DIGIT_CAP", cap):
+        got = _sandwich(ratio_sandwich, family, N)
+    assert got == _sandwich(lambda f, n: ref.ratio_sandwich(f, n, cap), family, N)
+    assert all(row.lower_ok and row.upper_ok for row in got[0])
 
 
 # ------------------------------------ column-built table, lean ratio pass, lambda rows
@@ -862,29 +938,28 @@ _BIG_INTS = _family([0, Fraction(1, 3) + Fraction(1, 2 ** 1100), Fraction(1, 3)]
 @example((_ZERO_GAMMA, 2))
 @example((chebyshev_t(), 30))
 def test_float_bounds_hold_the_exact_values(case):
-    """Every exact g_n and alpha_tilde_n lies in the bounds of the float
-    tier as far as it yields them; it yields no g_n that is not positive,
-    and it gives SzwTheorem1 its bounds exactly when it bounds every
-    alpha_tilde_n. Where a quotient leaves the normal doubles it declines,
-    and SzwTheorem1 still reports what the Fraction reference reports."""
+    """Every exact g_n and alpha_tilde_n lies in the float bounds, which
+    restart from the exact g_n where a lower bound is not positive and so
+    raise NonpositiveRatio where the exact g_n <= 0. Where a quotient
+    leaves the normal doubles the pass raises an ArithmeticError, and
+    SzwTheorem1 still reports what the Fraction reference reports."""
     family, N = case
     table = _step_table(family, N - 1)
-    tier = recurrence._float_bounds(table, N)
+    g, at = _exact_prefix(family, N)
     try:
-        bounds = list(_ratio_bounds(table, N, None, tier=recurrence._FLOAT_TIER))
+        bounds = list(_ratio_bounds(table, N, _ExactRatios(table)))
     except (OverflowError, FloatingPointError):
-        assert tier is None
+        pass
+    except NonpositiveRatio as exc:
+        assert len(g) == exc.n < N and not (1 - at[exc.n]) / Fraction(family.gamma(exc.n)) > 0
     else:
-        g, at = _exact_prefix(family, N)
-        assert len(bounds) <= len(g) + 1
+        assert len(bounds) == N + 1 and len(g) == N
         for n, (a_lo, a_hi, g_lo, g_hi) in enumerate(bounds):
             assert _within(a_lo, at[n], a_hi)
             if n < N:
                 assert g_lo > 0 and _within(g_lo, g[n], g_hi)
-        assert (tier is None) is (len(bounds) <= N)
-        if tier is not None:
-            assert tier == tuple(zip(*bounds))[:2]
-    assert _szw(_package_szw, family, N) == _szw(ref.check_szw_normalized, family, N)
+        assert recurrence._float_bounds(table, N, _ExactRatios(table)) == tuple(zip(*bounds))[:2]
+    assert _szw(check_szw_normalized, family, N) == _szw(ref.check_szw_normalized, family, N)
 
 
 def test_float_quotients_enclose_each_quotient():
@@ -902,45 +977,28 @@ def test_float_quotients_enclose_each_quotient():
         recurrence._float_quotients([2 ** 1100], [3])
 
 
-def _spied_decimal_steps(monkeypatch):
-    """Patch the 50-digit pass that SzwTheorem1 runs so that it counts the
-    steps it forms; the returned list holds one entry per step."""
-    steps = []
-
-    def spy(*args, **kwargs):
-        for item in _ratio_bounds(*args, **kwargs):
-            steps.append(item)
-            yield item
-    monkeypatch.setattr(criteria, "_ratio_bounds", spy)
-    return steps
-
-
-@pytest.mark.parametrize("family", [legendre(), gegenbauer(3), example3(2), pollaczek(2, 1)],
+@pytest.mark.parametrize("family", [legendre(), gegenbauer(3), example3(2), pollaczek(2, 1),
+                                    chebyshev_u(), example4(3, Fraction(1, 2))],
                          ids=lambda family: family.name)
-def test_the_float_tier_decides_the_builtins_at_3000(family, monkeypatch):
+def test_the_float_tier_decides_the_builtins_at_3000(family):
     """On these builtins the doubles separate every SzwTheorem1 comparison
-    up to 3000, so the 50-digit pass forms no step."""
-    steps = _spied_decimal_steps(monkeypatch)
-    report = check_szw_normalized(NormalizedFamily(family, _never_read), 3000)
+    up to 3000, so the exact ratios are formed only for the witnesses at
+    n = 0 and 1."""
+    report, bounds = _extend_calls(lambda: check_szw_normalized(family, 3000))
     assert report.overall.value == "Satisfied"
-    assert steps == []
+    assert max(bounds) <= 1
 
 
-def test_chebyshev_t_ties_fall_through_to_the_decimal_tier(monkeypatch):
+def test_chebyshev_t_ties_are_decided_on_exact_ints():
     """alpha_tilde_n = 1/2 for n >= 1, which no pair of distinct doubles
-    separates from 1/2 or from its neighbour; the 50-digit pass keeps 1/2
-    exact and decides every tie, with no exact recheck: the exact ratios
-    are formed only for the witnesses at n = 0 and 1. The report is the one
-    the exact values give."""
+    separates from 1/2 or from its neighbour: every comparison is open, and
+    one exact ratio pass up to n = 3000 decides them all on int pairs. The
+    report is the one the exact values give."""
     table = _step_table(chebyshev_t(), 2999)
-    lo, hi = recurrence._float_bounds(table, 3000)
+    lo, hi = recurrence._float_bounds(table, 3000, _ExactRatios(table))
     assert all(a < 0.5 < b for a, b in zip(lo[1:], hi[1:]))
-    steps = _spied_decimal_steps(monkeypatch)
-    extend = _ExactRatios._extend
-    with mock.patch.object(_ExactRatios, "_extend", autospec=True, side_effect=extend) as spy:
-        got = _szw(_package_szw, chebyshev_t(), 3000)
-    assert len(steps) == 3001
-    assert max(call.args[1] for call in spy.call_args_list) <= 1
+    got, bounds = _extend_calls(lambda: _szw(check_szw_normalized, chebyshev_t(), 3000))
+    assert [n for n in bounds if n > 1] == [3000]
     assert got == _szw(ref.check_szw_normalized, chebyshev_t(), 3000)
 
 
