@@ -35,6 +35,7 @@ __all__ = [
     "coprime_fraction",
     "to_decimal",
     "quotient_decimal",
+    "number_text",
     "format_number",
     "pair_digits",
     "digit_cap_bits",
@@ -141,12 +142,23 @@ def quotient_decimal(p: int, q: int, ctx: Context) -> Decimal:
     return Decimal(Q if p > 0 else -Q).scaleb(-k - 1, ctx)
 
 
+def number_text(x) -> str:
+    """str(x), also for an int or a Fraction whose ints are past the
+    interpreter's limit on int-to-str digits (Python 3.10.7 and later), which
+    the package leaves as it is: Decimal(i) reads an int's binary digits."""
+    try:
+        return str(x)
+    except ValueError:  # past the limit
+        p, q = x.numerator, x.denominator
+        return str(Decimal(p)) if q == 1 else f"{Decimal(p)}/{Decimal(q)}"
+
+
 def format_number(x):
     """JSON-ready form: Fractions become "num/den" strings, everything else a plain number."""
     if x is None:
         return None
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return f"{number_text(x.numerator)}/{number_text(x.denominator)}"
     if isinstance(x, (int, float)):
         return x
     return float(x)

@@ -37,13 +37,13 @@ prints its rows from the reduced int columns of the step data
 SzwTheorem1 compares the normalized alpha_tilde_n = alpha_n/g_{n-1}, whose
 exact values grow past thousands of digits within a few thousand indices.
 It decides in two tiers, a floating-point filter and then exact ints.
-Doubles rounded one step outward (``recurrence._float_bounds``), carried
+Doubles rounded one step outward (``recurrence._ratio_bounds``), carried
 from the step table's ints, bound every alpha_tilde_n, and a comparison
-whose two bounds separate is decided there. The comparisons that they leave
-open, and all of them where a quotient is outside the normal doubles, are
-decided on the exact alpha_tilde_n, by cross-multiplying the int pairs that
-the uncapped exact ratio pass forms only up to the last such index. So this
-decision too is the one that the exact values give.
+whose two bounds separate is decided there; the NaN bounds of a quotient
+outside the normal doubles separate nothing. The comparisons left open
+are decided on the exact alpha_tilde_n, by cross-multiplying the int
+pairs that the uncapped exact ratio pass forms only up to the last open
+index. So this decision too is the one that the exact values give.
 
 Witness convention: a witness is the pair (lhs, rhs) of the comparison the
 condition makes at that index, oriented so the condition holds iff lhs < rhs
@@ -66,7 +66,7 @@ from .recurrence import (
     NormalizedFamily,
     _coprime_columns,
     _ExactRatios,
-    _float_bounds,
+    _ratio_bounds,
     _require_count,
     _step_table,
     _table,
@@ -306,43 +306,35 @@ def check_szw_normalized(family, N: int) -> CriterionReport:
     ``family`` is decided as the base of its normalization at 1: a
     NormalizedFamily's ``base``, and any other family itself. The
     comparisons are made on bounds of alpha_tilde_0..alpha_tilde_N in
-    doubles rounded outward (``recurrence._float_bounds``), carried from g_0
+    doubles rounded outward (``recurrence._ratio_bounds``), carried from g_0
     over the exact values of the coefficients. A comparison is decided where
-    its two bounds separate. Those that they leave open, up to each
-    condition's first False, and all of them where a quotient is outside the
-    normal doubles, are decided on the exact alpha_tilde_n, by
-    cross-multiplying the int pairs that the uncapped exact ratio pass
-    forms up to the last such index. A nonpositive g_n raises
-    NonpositiveRatio, and a zero gamma_n ParamError, as the exact pass does.
-    Witnesses are exact, formed for the comparisons that are kept.
+    its two bounds separate, which a NaN bound never does. Those that they
+    leave open, up to each condition's first False, are decided on the exact
+    alpha_tilde_n, by cross-multiplying the int pairs that the uncapped
+    exact ratio pass forms up to the last such index. A nonpositive g_n
+    raises NonpositiveRatio, and a zero gamma_n ParamError, as the exact
+    pass does. Witnesses are exact, formed for the comparisons that are kept.
     """
     N = _require_count("N", N)
     table = _step_table(family.base if isinstance(family, NormalizedFamily) else family, N - 1)
     exact = _ExactRatios(table)
     le, gt = operator.le, operator.gt
-    try:
-        lo, hi = _float_bounds(table, N, exact)
-    except ArithmeticError:  # no bounds: every comparison is open
-        rise = [False] * N, [False] * N
-        below = [False] * (N + 1), [False] * (N + 1)
-    else:
-        halves = itertools.repeat(0.5)
-        # alpha_tilde_{n-1} <= alpha_tilde_n at n = 1, 2, ...; alpha_tilde_n <= 1/2 at n = 0, 1, ...
-        rise = list(map(le, hi[:-1], lo[1:])), list(map(gt, lo[:-1], hi[1:]))
-        below = list(map(le, hi, halves)), list(map(gt, lo, halves))
-    mono, bound = rise[0], below[0]
-    left_mono, left_bound = _open(*rise), _open(*below)
+    lo, hi, _, _ = zip(*_ratio_bounds(table, N, exact))
+    halves = itertools.repeat(0.5)
+    # alpha_tilde_{n-1} <= alpha_tilde_n at n = 1, 2, ...; alpha_tilde_n <= 1/2 at n = 0, 1, ...
+    mono, bound = list(map(le, hi[:-1], lo[1:])), list(map(le, hi, halves))
+    left_mono = _open(mono, list(map(gt, lo[:-1], hi[1:])))
+    left_bound = _open(bound, list(map(gt, lo, halves)))
     # the exact alpha_tilde_n = A/B that those comparisons read, each formed once
     needed = {*left_bound, *left_mono, *(i + 1 for i in left_mono)}
-    if needed:
-        exact._extend(max(needed))
-        pairs = {n: exact._tilde(n) for n in needed}
-        for i in left_mono:  # alpha_tilde_i <= alpha_tilde_{i+1}
-            (a, b), (c, d) = pairs[i], pairs[i + 1]
-            mono[i] = a * d <= c * b
-        for i in left_bound:
-            a, b = pairs[i]
-            bound[i] = 2 * a <= b
+    exact._extend(max(needed, default=0))
+    pairs = {n: exact._tilde(n) for n in needed}
+    for i in left_mono:  # alpha_tilde_i <= alpha_tilde_{i+1}
+        (a, b), (c, d) = pairs[i], pairs[i + 1]
+        mono[i] = a * d <= c * b
+    for i in left_bound:
+        a, b = pairs[i]
+        bound[i] = 2 * a <= b
     at = exact.alpha_tilde
     return CriterionReport.assemble(SZW_THEOREM1, N, (
         _condition("alpha-tilde-nondecreasing", (1, mono, lambda n: (at(n - 1), at(n)))),

@@ -34,7 +34,8 @@ class NonpositiveRatio(TuranError):
     def __init__(self, n: int, value=None):
         msg = f"g_{n} is not positive"
         if value is not None:
-            msg += f" (value {value})"
+            from .arith import number_text  # arith imports this module
+            msg += f" (value {number_text(value)})"
         super().__init__(msg)
         self.n = n
         self.value = value

@@ -546,13 +546,25 @@ class _ExactRatios:
         return rounded
 
 
+def _normal_quotient(p: int, q: int) -> float:
+    """p/q by int true division, or NaN where its nearest double is not normal."""
+    try:
+        r = p / q
+    except OverflowError:
+        return math.nan
+    return r if abs(r) >= sys.float_info.min else math.nan
+
+
 def _float_quotients(ps, qs):
-    """The doubles next to each p/q, below and above the double nearest it
-    (int true division). OverflowError where a p/q is past the doubles, and
-    FloatingPointError where the nearest double is not normal, zero too."""
-    r = list(map(operator.truediv, ps, qs))
-    if min(map(abs, r), default=sys.float_info.min) < sys.float_info.min:
-        raise FloatingPointError("a coefficient is below the normal doubles")
+    """The doubles below and above the double nearest each p/q (int true
+    division), or NaN for both where that one is not normal (overflow,
+    subnormal or zero): the column is read whole unless it holds such a p/q."""
+    try:
+        r = list(map(operator.truediv, ps, qs))
+    except OverflowError:
+        r = [0.0]  # some p/q is past the doubles: read the column one at a time
+    if min(map(abs, r), default=1.0) < sys.float_info.min:
+        r = list(map(_normal_quotient, ps, qs))
     return (list(map(math.nextafter, r, itertools.repeat(-math.inf))),
             list(map(math.nextafter, r, itertools.repeat(math.inf))))
 
@@ -574,16 +586,30 @@ def _ratio_bounds(table, N: int, exact: _ExactRatios, start: int = 0):
     gamma_n = c/d by ``_float_quotients``, reads alpha_0 as 0, starts from
     g_{start-1}, 1 at start 0 and else the exact pair in ``exact.values``,
     and carries alpha_tilde_n = alpha_n/g_{n-1} and g_n = (1 -
-    alpha_tilde_n)/gamma_n as [lo, hi], each lower bound rounded down and
-    each upper bound up (``_float_bounds`` argues why the exact values lie
-    in them). Only the last bounds are held, and a step is formed only when
-    the consumer asks for it.
+    alpha_tilde_n)/gamma_n as [lo, hi]. Only the last bounds are held, and a
+    step is formed only when the consumer asks for it.
 
-    Where the lower bound of g_n is not positive, g_n is formed exactly by
-    ``exact``, which raises NonpositiveRatio where g_n <= 0, and the pass
-    goes on from the doubles next to that value. An ArithmeticError
-    (OverflowError, FloatingPointError) means that a quotient is outside the
-    normal doubles, a zero gamma_n among them: the pass cannot bound it.
+    Where the lower bound of g_n is not positive, or is NaN, g_n is formed
+    exactly by ``exact``, which raises NonpositiveRatio where g_n <= 0 and
+    ParamError at a zero gamma_n, and the pass goes on from the doubles next
+    to that value.
+
+    Soundness. Each alpha_n = a/b and gamma_n = c/d of the table's ints is
+    read by int true division, which rounds the exact quotient to the
+    nearest double r. A value that rounds to r lies within half the gap on
+    either side of r, so it lies between the double below r and the one
+    above it (math.nextafter toward -inf and +inf), which are its bounds.
+    Each operation of the pass is rounded to nearest in the same way and its
+    result then moved one double down for a lower bound and up for an upper
+    one, so the exact result of the operation on its operands lies between
+    the two; an overflow to inf leaves the lower bound at the largest
+    double, still below the exact result. Each operation reads the ends of
+    its operands' bounds that the exact signs of a and c call for, so by
+    induction on n the exact g_n and alpha_tilde_n lie within their bounds.
+    The signs hold because every quotient that is bounded is a normal
+    double: its two neighbours have its sign. Any other, a zero gamma_n
+    among them, has NaN bounds, as has each result formed from them until
+    g_n restarts. A NaN bound decides nothing: every comparison is false.
     """
     if start:
         (lo,), (hi,) = _float_quotients(*([v] for v in exact.values[start - 1]))
@@ -615,33 +641,6 @@ def _ratio_bounds(table, N: int, exact: _ExactRatios, start: int = 0):
             exact._extend(n + 1)
             (lo,), (hi,) = _float_quotients(*([v] for v in exact.values[n]))
         yield t_lo, t_hi, lo, hi
-
-
-def _float_bounds(table, N: int, exact: _ExactRatios):
-    """Bounds on alpha_tilde_0..alpha_tilde_N as two tuples of doubles, lower
-    and upper, from the pass ``_ratio_bounds``; ArithmeticError where a
-    quotient is past the doubles (OverflowError) or not a normal double
-    (FloatingPointError; a zero gamma_n among them), and the comparisons are
-    then decided on the exact values.
-
-    Soundness. Each alpha_n = a/b and gamma_n = c/d of the table's ints is
-    read by int true division, which rounds the exact quotient to the
-    nearest double r. A value that rounds to r lies within half the gap on
-    either side of r, so it lies between the double below r and the one
-    above it (math.nextafter toward -inf and +inf), which are its bounds.
-    Each operation of the pass is rounded to nearest in the same way and its
-    result then moved one double down for a lower bound and up for an upper
-    one, so the exact result of the operation on its operands lies between
-    the two; an overflow to inf leaves the lower bound at the largest
-    double, still below the exact result. Each operation reads the ends of
-    its operands' bounds that the exact signs of a and c call for, so by
-    induction on n the exact g_n and alpha_tilde_n lie within their bounds.
-    The signs hold because every quotient is a normal double: its two
-    neighbours have its sign. A g_n restarted from its exact value (a lower
-    bound that is not positive) is bounded the same way.
-    """
-    lo, hi, _, _ = zip(*_ratio_bounds(table, N, exact))
-    return lo, hi
 
 
 def _ratio_tail(family, values: list, N: int):
@@ -921,19 +920,20 @@ class SandwichRow:
 def ratio_sandwich(family, N: int) -> list[SandwichRow]:
     """Check 1 <= g_n <= (alpha_{n+1}*gamma_n - alpha_n*gamma_{n+1})/(gamma_n - gamma_{n+1}).
 
-    The printed g_n are the values of ratios_at_one, and the printed bound
-    is the one Fraction wn*vd/(wd*vn) = w_n/v_n of the step table's ints.
+    The printed g_n are the ratios of the step table's exact values (50-digit
+    Decimals past a digit-cap fallback), those of ratios_at_one for an exact
+    family but not for a family of doubles, which it runs in float
+    arithmetic. The printed bound is the one Fraction w_n/v_n of the ints.
     Each bound is decided on the exact g_n, by cross-multiplying ints, up to
     the g_k where the exact pass stops at its digit cap (``_ExactRatios``).
     Past it, the rows are decided on the float bounds that ``_ratio_bounds``
     carries from the exact g_{k-1}, against the doubles next to w_n/v_n
-    (``_float_quotients``). A row that those bounds leave open, and every
-    row past the cap where a quotient is outside the normal doubles, is
-    decided on the exact g_n of the uncapped pass. So a printed 50-digit
-    g_n, or the double nearest it, may read 1 in a row whose exact g_n < 1
-    fails lower_ok. The upper bound needs gamma_n > gamma_{n+1}; rows where
-    that fails carry upper = +inf, upper_ok = True and gamma_step_decreasing
-    = False so the hypothesis breach stays visible.
+    (``_float_quotients``). A row that those bounds leave open, as a NaN
+    bound does, is decided on the exact g_n of the uncapped pass. So a
+    printed 50-digit g_n, or the double nearest it, may read 1 in a row
+    whose exact g_n < 1 fails lower_ok. The upper bound needs gamma_n >
+    gamma_{n+1}; rows where that fails carry upper = +inf, upper_ok = True
+    and gamma_step_decreasing = False so the hypothesis breach stays visible.
     """
     N = _require_count("N", N)
     table = _step_table(family, N - 1)
@@ -944,13 +944,12 @@ def ratio_sandwich(family, N: int) -> list[SandwichRow]:
     steps = [vn > 0 for vn in vns[:N]]
     exact = _ExactRatios(table)
     fallback = exact.up_to_cap(N)
-    k = len(exact.values)
-    decided = list(map(_exact_row, exact.values, W, V, steps))  # the rows n < k
+    decided = list(map(_exact_row, exact.values, W, V, steps))  # the rows below the cap
     if fallback:
         printed = exact.fall_back()
         for _ in _ratio_tail(table, printed, N):  # appends g_n to printed
             pass
-        decided += _sandwich_tail(table, exact, k, W, V, steps)
+        decided += _sandwich_tail(table, exact, W, V, steps)
     else:
         printed = exact.fractions()
     return [SandwichRow(n=n, g=g, upper=Fraction(w, v) if step else math.inf,
@@ -959,24 +958,19 @@ def ratio_sandwich(family, N: int) -> list[SandwichRow]:
             in enumerate(zip(printed, W, V, steps, decided))]
 
 
-def _sandwich_tail(table, exact: _ExactRatios, k: int, W: list, V: list, steps: list):
+def _sandwich_tail(table, exact: _ExactRatios, W: list, V: list, steps: list):
     """(lower_ok, upper_ok) of the rows k..N-1 of ratio_sandwich, N =
     len(W), past the digit cap where ``exact`` stopped after g_{k-1}: on
     the float bounds of g_n from there against the doubles next to W/V, and
-    on the exact g_n where those do not separate, or where a quotient is
-    outside the normal doubles."""
-    N = len(W)
-    try:
-        _, _, lo, hi = zip(*_ratio_bounds(table, N, exact, start=k))
-        # a row without the upper bound reads W/V as 1/1
-        w_lo, w_hi = _float_quotients([w if s else 1 for w, s in zip(W[k:], steps[k:])],
-                                      [v if s else 1 for v, s in zip(V[k:], steps[k:])])
-    except ArithmeticError:
-        rows = [(None, None)] * (N - k)
-    else:
-        rows = [(True if g_lo >= 1 else False if g_hi < 1 else None,
-                 True if not s or g_hi <= u_lo else False if g_lo > u_hi else None)
-                for g_lo, g_hi, u_lo, u_hi, s in zip(lo, hi, w_lo, w_hi, steps[k:])]
+    on the exact g_n where those do not separate, a NaN bound among them."""
+    k = len(exact.values)
+    _, _, lo, hi = zip(*_ratio_bounds(table, len(W), exact, start=k))
+    # a row without the upper bound reads W/V as 1/1
+    w_lo, w_hi = _float_quotients([w if s else 1 for w, s in zip(W[k:], steps[k:])],
+                                  [v if s else 1 for v, s in zip(V[k:], steps[k:])])
+    rows = [(True if g_lo >= 1 else False if g_hi < 1 else None,
+             True if not s or g_hi <= u_lo else False if g_lo > u_hi else None)
+            for g_lo, g_hi, u_lo, u_hi, s in zip(lo, hi, w_lo, w_hi, steps[k:])]
     left = [k + i for i, row in enumerate(rows) if None in row]
     if left:
         exact._extend(left[-1] + 1)

@@ -1,13 +1,17 @@
 import collections
+import contextlib
 import csv
+import functools
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from turandet import FamilySpec, build, cli, example3, example4, families
-from turandet.arith import format_number
+import fraction_reference as ref
+from turandet import FamilySpec, NonpositiveRatio, build, cli, example3, example4, families
+from turandet.arith import format_number, number_text
 from turandet.cli import main
 
 EX3 = '{"kind": "Example3", "params": {"a": 1}}'
@@ -440,3 +444,90 @@ def test_routes_run_through_the_public_checkers(monkeypatch, capsys):
     assert families.classify(example3(1), 10) == ["Theorem1", "SzwTheorem1", "LambdaRoute",
                                                   "YRoute"]
     assert calls == {"check_lambda_route": 3, "check_y_route": 3}
+
+
+@contextlib.contextmanager
+def _int_str_limit(limit: int):
+    """The interpreter's limit on the digits of an int-to-str conversion set
+    to ``limit`` (0: none) while the block runs. Python before 3.10.7 has
+    no such limit, and the block then runs as it is."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    set_limit(limit)
+    try:
+        yield
+    finally:
+        set_limit(old)
+
+
+def test_number_text_has_no_digit_limit():
+    """What str writes with no int-to-str digit limit, under the default
+    one: ints, Fractions (an int-valued one as its int) and what else str
+    writes."""
+    values = (0, -7, 10**4299, 10**4300, Fraction(-(3**20000), 2**20001),
+              Fraction(-(10**5000)), Fraction(1, 3), 0.5)
+    with _int_str_limit(0):
+        want = list(map(str, values))
+        fraction = f"{values[4].numerator}/{values[4].denominator}"
+    with _int_str_limit(4300):
+        assert list(map(number_text, values)) == want
+        assert format_number(values[4]) == fraction
+
+
+@functools.lru_cache(maxsize=None)
+def _example3_table_text(edit: str):
+    """Example3(2)'s coefficients 0..3001 with alpha_2500 multiplied by
+    999/1000 (edit "dip") or set to 3 ("three"), as a Table spec, and the
+    texts the check must print for SzwTheorem1: the witness of the first
+    violation of "dip" and the note of "three", formed with no int-to-str
+    digit limit."""
+    family = example3(2)
+    al = [Fraction(family.alpha(n)) for n in range(3002)]
+    ga = [Fraction(family.gamma(n)) for n in range(3002)]
+    al[2500] = al[2500] * Fraction(999, 1000) if edit == "dip" else Fraction(3)
+    spec = json.dumps({"kind": "Table", "alpha": list(map(str, al)), "gamma": list(map(str, ga))})
+    table = ref.exact_table(build(FamilySpec.from_json(json.loads(spec))), 3001)
+    with _int_str_limit(0):
+        try:
+            _, at = ref.normalized_ratios(table, 3000)
+        except NonpositiveRatio as exc:
+            return spec, f"g_{exc.n} is not positive (value {exc.value})"
+        return spec, [f"{v.numerator}/{v.denominator}" for v in at[2499:2501]]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("edit", ["dip", "three"])
+def test_check_writes_exact_values_past_the_int_str_limit(tmp_path, capsys, edit, fmt):
+    """An exact witness or note of SzwTheorem1 past 4300 digits is written
+    whole under the interpreter's default limit, which the CLI leaves as it
+    is. With alpha_2500*999/1000 the exact alpha_tilde_2500 drops below
+    alpha_tilde_2499, whose witness has 16,803 characters; with alpha_2500 =
+    3 the exact g_2500 < 0 and SzwTheorem1 is Inconclusive with its note.
+    Theorem1 is Violated at n = 2500 in both, so the check exits 1."""
+    spec, want = _example3_table_text(edit)
+    path = tmp_path / "table.json"
+    path.write_text(spec, encoding="utf-8")
+    with _int_str_limit(4300):
+        code = main(["check", "--family", str(path), "--N", "3000", "--reproducible",
+                     "--format", fmt])
+        assert getattr(sys, "get_int_max_str_digits", lambda: 4300)() == 4300
+    out = capsys.readouterr().out
+    assert code == 1
+    if fmt == "csv":
+        rows = [r for r in csv.reader(io.StringIO(out)) if r[0] == "SzwTheorem1"]
+        if edit == "dip":
+            assert rows[0][1:] == ["Violated", "alpha-tilde-nondecreasing", "False", "2500", *want]
+        else:
+            assert rows == [["SzwTheorem1", "Inconclusive", "", "", "", "", ""]]
+        return
+    szw = next(r for r in json.loads(out)["criteria"] if r["criterion"] == "SzwTheorem1")
+    if edit == "dip":
+        mono = szw["conditions"][0]
+        assert (szw["overall"], mono["first_violation"]) == ("Violated", 2500)
+        assert mono["witness"] == want
+        assert len(want[0]) == 16803
+    else:
+        assert (szw["overall"], szw["notes"]) == ("Inconclusive", {"error": want})

@@ -599,23 +599,26 @@ def _outside_doubles(x) -> bool:
         return True
 
 
+def _no_nan_unless_outside(bounds, family, N, g) -> bool:
+    """Whether the bounds hold no NaN, or a coefficient alpha_1..alpha_N,
+    gamma_0..gamma_{N-1} or an exact ratio g_n is outside the normal
+    doubles."""
+    values = [*(family.alpha(n) for n in range(1, N + 1)), *map(family.gamma, range(N)), *g]
+    return not any(map(math.isnan, bounds)) or any(map(_outside_doubles, values))
+
+
 def assert_bounds_hold_the_exact_values(family, N):
-    """Every exact g_n and alpha_tilde_n of the Fraction reference lies in the
-    float bounds from g_0 and in those restarted from each exact g_{k-1},
-    the path of ratio_sandwich past its digit cap; where the reference
-    raises NonpositiveRatio, the bounds raise it too. Where a coefficient
-    is outside the normal doubles (a zero gamma_n, whose ParamError the
-    exact pass raises, among them), the pass raises an ArithmeticError."""
+    """Every exact g_n and alpha_tilde_n of the Fraction reference lies in
+    each float bound that is not NaN, from g_0 and restarted from each
+    exact g_{k-1}, the path of ratio_sandwich past its digit cap, and a
+    NaN appears only where a quotient is outside the normal doubles. Where
+    the reference raises NonpositiveRatio, or ParamError at a zero
+    gamma_n, the bounds raise the same error."""
     table = _step_table(family, N - 1)
-    coefficients = [family.alpha(n) for n in range(1, N + 1)] + [family.gamma(n) for n in range(N)]
-    if any(map(_outside_doubles, coefficients)):
-        with pytest.raises(ArithmeticError):
-            list(_ratio_bounds(table, N, _ExactRatios(table)))
-        return
     try:
         g, at = ref.normalized_ratios(family, N)
-    except NonpositiveRatio as exc:
-        with pytest.raises(NonpositiveRatio, match=f"^{re.escape(str(exc))}$"):
+    except (NonpositiveRatio, ParamError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
             list(_ratio_bounds(table, N, _ExactRatios(table)))
         return
     exact = _ExactRatios(table)
@@ -624,8 +627,9 @@ def assert_bounds_hold_the_exact_values(family, N):
             exact.ratio(k - 1)
         a_lo, a_hi, g_lo, g_hi = zip(*_ratio_bounds(table, N, exact, start=k))
         assert len(a_lo) == N + 1 - k and g_lo[-1] is g_hi[-1] is None
+        assert _no_nan_unless_outside([*a_lo, *a_hi, *g_lo[:-1], *g_hi[:-1]], family, N, g)
         assert all(_within(a_lo[n - k], at[n], a_hi[n - k]) for n in range(k, N + 1))
-        assert all(0 < g_lo[n - k] and _within(g_lo[n - k], g[n], g_hi[n - k])
+        assert all(not g_lo[n - k] <= 0 and _within(g_lo[n - k], g[n], g_hi[n - k])
                    for n in range(k, N))
 
 
@@ -721,13 +725,21 @@ def test_ratio_sandwich_past_the_digit_cap_matches_at_3000(family):
     assert _sandwich(ratio_sandwich, family, 3000) == _sandwich(ref.ratio_sandwich, family, 3000)
 
 
-def _extend_calls(call):
-    """call() and the index bounds of the exact ratio passes it ran
-    (``_ExactRatios._extend``), in order."""
-    extend = _ExactRatios._extend
-    with mock.patch.object(_ExactRatios, "_extend", autospec=True, side_effect=extend) as spy:
+def _exact_reads(call):
+    """call(), the index bounds of the exact ratio passes it ran
+    (``_ExactRatios._extend``) and the indices of the exact alpha_tilde_n
+    pairs it formed (``_ExactRatios._tilde``), each in order."""
+    extend, tilde = _ExactRatios._extend, _ExactRatios._tilde
+    with mock.patch.object(_ExactRatios, "_extend", autospec=True, side_effect=extend) as passes, \
+            mock.patch.object(_ExactRatios, "_tilde", autospec=True, side_effect=tilde) as pairs:
         result = call()
-    return result, [c.args[1] for c in spy.call_args_list]
+    return (result, [c.args[1] for c in passes.call_args_list],
+            [c.args[1] for c in pairs.call_args_list])
+
+
+def _extend_calls(call):
+    """call() and the index bounds of the exact ratio passes it ran."""
+    return _exact_reads(call)[:2]
 
 
 @pytest.mark.parametrize("family", [example3(2), example3(Fraction(1, 3)), pollaczek(2, 1)],
@@ -753,14 +765,16 @@ def _rescaled_legendre(N):
 
 @pytest.mark.parametrize("cap", [4096, 60])
 def test_out_of_range_coefficients_decide_on_exact_values(cap):
-    """The doubles bound nothing here, so SzwTheorem1 decides every
-    comparison on the exact values, and the sandwich, whose g_n = 10^400
-    pass a 60-digit cap at g_0, decides every row past it exactly: both as
-    the Fraction reference does."""
+    """The doubles bound nothing here: every alpha_tilde_n, n >= 1, has NaN
+    bounds, and the pass restarts from the exact g_n at every index. So
+    SzwTheorem1 decides every comparison on the exact values, and the
+    sandwich, whose g_n = 10^400 pass a 60-digit cap at g_0, decides every
+    row past it exactly: both as the Fraction reference does."""
     family, N = _rescaled_legendre(41), 40
     table = _step_table(family, N - 1)
-    with pytest.raises(ArithmeticError):
-        recurrence._float_bounds(table, N, _ExactRatios(table))
+    bounds, restarts = _extend_calls(lambda: list(_ratio_bounds(table, N, _ExactRatios(table))))
+    assert all(math.isnan(a_lo) and math.isnan(a_hi) for a_lo, a_hi, _, _ in bounds[1:])
+    assert restarts == list(range(1, N + 1))
     report = _szw(check_szw_normalized, family, N)
     assert report == _szw(ref.check_szw_normalized, family, N)
     assert report == _szw(ref.check_szw_normalized, legendre(), N)
@@ -768,6 +782,68 @@ def test_out_of_range_coefficients_decide_on_exact_values(cap):
         got = _sandwich(ratio_sandwich, family, N)
     assert got == _sandwich(lambda f, n: ref.ratio_sandwich(f, n, cap), family, N)
     assert all(row.lower_ok and row.upper_ok for row in got[0])
+
+
+def _edited_example3(edit, N=3000):
+    """Example3(2) as a table of its coefficients 0..N + 1, after
+    edit(alpha, gamma) has changed those two lists."""
+    family = example3(2)
+    al = [Fraction(family.alpha(n)) for n in range(N + 2)]
+    ga = [Fraction(family.gamma(n)) for n in range(N + 2)]
+    edit(al, ga)
+    return _family(al, ga, name="EditedExample3")
+
+
+def _scale(which, n, factor):
+    """An edit of _edited_example3: alpha_n (which = 0) or gamma_n (which =
+    1) multiplied by ``factor``."""
+    def edit(*columns):
+        columns[which][n] *= factor
+    return edit
+
+
+def _zero_bound_at_2000(al, ga):
+    """alpha_2001 = alpha_2000*(1 - 10^-6) and gamma_2001 =
+    alpha_2001*gamma_2000/alpha_2000: w_2000 = 0 < v_2000."""
+    al[2001] = al[2000] * (1 - Fraction(1, 10**6))
+    ga[2001] = al[2001] * ga[2000] / al[2000]
+
+
+@pytest.mark.parametrize("edit, last, open_pairs", [
+    # alpha_tilde_3000 = 10^400 times Example3's: it has NaN bounds, and only
+    # alpha_tilde_2999 <= alpha_tilde_3000 and alpha_tilde_3000 <= 1/2 are
+    # open; the exact pass forms g_2999, which alpha_tilde_3000 reads
+    (_scale(0, 3000, 10**400), 3000, {2999, 3000}),
+    # g_2000 = 10^400 times Example3's, and alpha_tilde_2001 = 10^-400 times:
+    # both have NaN bounds, and the pass restarts from the exact g_2000 and
+    # g_2001 and goes on in doubles from g_2002
+    (_scale(1, 2000, Fraction(1, 10**400)), 2002, {2000, 2001, 2002}),
+], ids=["alpha_3000*10^400", "gamma_2000/10^400"])
+def test_szw_decides_exactly_only_what_the_doubles_lose(edit, last, open_pairs):
+    """One quotient outside the normal doubles leaves open only the
+    comparisons that read its NaN bounds: the exact ratio pass runs up to
+    g_{last-1}, and the exact alpha_tilde_n pairs are formed only for those
+    comparisons and for the witnesses at n = 0 and 1. The report is the
+    Fraction reference's, Violated at the edited index."""
+    family = _edited_example3(edit)
+    got, passes, pairs = _exact_reads(lambda: _szw(check_szw_normalized, family, 3000))
+    assert max(passes) == last
+    assert set(pairs) <= {0, 1, *open_pairs}
+    assert got == _szw(ref.check_szw_normalized, family, 3000)
+    assert got["overall"] == "Violated"
+
+
+def test_a_zero_sandwich_bound_past_the_cap_is_decided_exactly_on_its_row_only():
+    """Past the digit cap (g_1329), row 2000 has w_2000 = 0 < v_2000, and its
+    bound W/V = 0 has NaN bounds: only that row is decided on the exact
+    g_2000, which breaks g_2000 <= 0. The exact pass past the cap goes no
+    further than g_2000, and the rows are the uncapped reference's."""
+    family = _edited_example3(_zero_bound_at_2000)
+    got, passes = _extend_calls(lambda: _sandwich(ratio_sandwich, family, 3000))
+    assert passes == [3000, 2001]  # the capped pass, then g_1330..g_2000
+    row = got[0][2000]
+    assert row.upper == 0 and row.lower_ok and not row.upper_ok
+    assert got == _sandwich(ref.ratio_sandwich, family, 3000)
 
 
 # ------------------------------------ column-built table, lean ratio pass, lambda rows
@@ -879,9 +955,9 @@ def test_lambda_rows_are_the_rows_of_lambda_data(family):
 
 def _within(lo: float, x: Fraction, hi: float) -> bool:
     """lo <= x <= hi for doubles lo and hi, either of which may be
-    infinite, compared exactly."""
-    return ((lo == -math.inf or Fraction(lo) <= x)
-            and (hi == math.inf or x <= Fraction(hi)))
+    infinite, or NaN, which bounds nothing, compared exactly."""
+    return ((lo == -math.inf or math.isnan(lo) or Fraction(lo) <= x)
+            and (hi == math.inf or math.isnan(hi) or x <= Fraction(hi)))
 
 
 def _exact_prefix(family, N):
@@ -931,50 +1007,54 @@ _BIG_INTS = _family([0, Fraction(1, 3) + Fraction(1, 2 ** 1100), Fraction(1, 3)]
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(float_tier_tables(), step_tables(), _int_step_tables, _builtin_cases))
 @example((_THIRDS, 2))  # 1/3 and 2/3 round to the nearest double on either side
-@example((_HUGE_ALPHA, 2))  # alpha_1 past the largest double: the tier declines
-@example((_TINY_ALPHA, 2))  # alpha_1 subnormal: the tier declines
+@example((_HUGE_ALPHA, 2))  # alpha_1 past the largest double: its bounds are NaN
+@example((_TINY_ALPHA, 2))  # alpha_1 subnormal: its bounds are NaN
 @example((_BIG_INTS, 2))  # 1000-digit ints whose quotients are plain doubles
 @example((_NONPOSITIVE, 3))
 @example((_ZERO_GAMMA, 2))
 @example((chebyshev_t(), 30))
 def test_float_bounds_hold_the_exact_values(case):
-    """Every exact g_n and alpha_tilde_n lies in the float bounds, which
-    restart from the exact g_n where a lower bound is not positive and so
-    raise NonpositiveRatio where the exact g_n <= 0. Where a quotient
-    leaves the normal doubles the pass raises an ArithmeticError, and
-    SzwTheorem1 still reports what the Fraction reference reports."""
+    """Every exact g_n and alpha_tilde_n lies in each float bound that is
+    not NaN, and a NaN appears only where a quotient leaves the normal
+    doubles. The bounds restart from the exact g_n where a lower bound is
+    not positive or is NaN, and so raise NonpositiveRatio where the exact
+    g_n <= 0 and ParamError at a zero gamma_n. SzwTheorem1 reports what
+    the Fraction reference reports."""
     family, N = case
     table = _step_table(family, N - 1)
     g, at = _exact_prefix(family, N)
     try:
         bounds = list(_ratio_bounds(table, N, _ExactRatios(table)))
-    except (OverflowError, FloatingPointError):
-        pass
+    except ParamError:
+        assert len(g) < N and Fraction(family.gamma(len(g))) == 0
     except NonpositiveRatio as exc:
         assert len(g) == exc.n < N and not (1 - at[exc.n]) / Fraction(family.gamma(exc.n)) > 0
     else:
         assert len(bounds) == N + 1 and len(g) == N
+        assert _no_nan_unless_outside([b for row in bounds for b in row if b is not None],
+                                      family, N, g)
         for n, (a_lo, a_hi, g_lo, g_hi) in enumerate(bounds):
             assert _within(a_lo, at[n], a_hi)
             if n < N:
-                assert g_lo > 0 and _within(g_lo, g[n], g_hi)
-        assert recurrence._float_bounds(table, N, _ExactRatios(table)) == tuple(zip(*bounds))[:2]
+                assert not g_lo <= 0 and _within(g_lo, g[n], g_hi)
     assert _szw(check_szw_normalized, family, N) == _szw(ref.check_szw_normalized, family, N)
 
 
 def test_float_quotients_enclose_each_quotient():
     """1/3 rounds down to its double and 2/3 up; each bound is one double
-    away from the nearest, on its side, and a quotient that is not a normal
-    double is refused."""
-    (lo_third, lo_two), (hi_third, hi_two) = recurrence._float_quotients([1, 2], [3, 3])
+    away from the nearest, on its side. A quotient whose nearest double is
+    not normal has NaN bounds, and the others of its column keep theirs."""
+    whole = recurrence._float_quotients([1, 2], [3, 3])
+    (lo_third, lo_two), (hi_third, hi_two) = whole
     for lo, hi, exact in ((lo_third, hi_third, Fraction(1, 3)), (lo_two, hi_two, Fraction(2, 3))):
         assert Fraction(lo) < exact < Fraction(hi)
         assert math.nextafter(lo, math.inf) == float(exact) == math.nextafter(hi, -math.inf)
-    for p, q in ((1, 2 ** 1023), (0, 1)):
-        with pytest.raises(FloatingPointError):
-            recurrence._float_quotients([1, p], [1, q])
-    with pytest.raises(OverflowError):
-        recurrence._float_quotients([2 ** 1100], [3])
+    for p, q in ((1, 2 ** 1023), (0, 1), (2 ** 1100, 3), (-(2 ** 1100), 3)):
+        lo, hi = recurrence._float_quotients([1, p, 2], [3, q, 3])
+        assert math.isnan(lo[1]) and math.isnan(hi[1])
+        assert (lo[::2], hi[::2]) == whole
+    (lo,), (hi,) = recurrence._float_quotients([1], [2 ** 1022])  # the least normal double
+    assert 0 < lo < 2.0 ** -1022 < hi
 
 
 @pytest.mark.parametrize("family", [legendre(), gegenbauer(3), example3(2), pollaczek(2, 1),
@@ -995,7 +1075,7 @@ def test_chebyshev_t_ties_are_decided_on_exact_ints():
     one exact ratio pass up to n = 3000 decides them all on int pairs. The
     report is the one the exact values give."""
     table = _step_table(chebyshev_t(), 2999)
-    lo, hi = recurrence._float_bounds(table, 3000, _ExactRatios(table))
+    lo, hi, _, _ = zip(*_ratio_bounds(table, 3000, _ExactRatios(table)))
     assert all(a < 0.5 < b for a, b in zip(lo[1:], hi[1:]))
     got, bounds = _extend_calls(lambda: _szw(check_szw_normalized, chebyshev_t(), 3000))
     assert [n for n in bounds if n > 1] == [3000]
