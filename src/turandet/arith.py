@@ -9,6 +9,7 @@ numbers it holds and an overshoot, however small, is a violation.
 from __future__ import annotations
 
 import math
+import re
 from decimal import (
     MAX_EMAX,
     MIN_EMIN,
@@ -48,6 +49,8 @@ DEFAULT_DIGIT_CAP = 4096
 EXTENDED_DPS = 50
 
 _BITS_PER_DIGIT = 3.321928094887362
+# a "p/q" string, as Fraction(str) reads it
+_RATIO = re.compile(r"\s*([-+]?\d+(?:_\d+)*)/(\d+(?:_\d+)*)\s*")
 
 
 def decimal_context(prec: int) -> Context:
@@ -77,7 +80,12 @@ def exact_value(x):
 
 
 def to_fraction(value) -> Fraction:
-    """Parse a rational from int/Fraction/float/str ("3/4", "0.25", "1e-3") or [num, den]."""
+    """Parse a rational from int/Fraction/float/str ("3/4", "0.25", "1e-3") or [num, den].
+
+    A string whose ints are past the interpreter's limit on str-to-int
+    digits, which Fraction(str) raises ValueError at, is read through
+    Decimal, which has no such limit: each side of a "p/q" string as
+    int(Decimal(side)), any other string as Fraction(Decimal(value))."""
     if isinstance(value, bool):
         raise ParamError(f"cannot interpret {value!r} as a number")
     if isinstance(value, (int, Fraction)):
@@ -90,10 +98,13 @@ def to_fraction(value) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
+            ratio = _RATIO.fullmatch(value)
             try:
+                if ratio:
+                    return Fraction(*(int(Decimal(side)) for side in ratio.groups()))
                 return Fraction(Decimal(value))
-            except (InvalidOperation, ValueError, OverflowError) as exc:
-                # OverflowError: "Infinity"; ValueError: "NaN"
+            except (InvalidOperation, ValueError, OverflowError, ZeroDivisionError) as exc:
+                # OverflowError: "Infinity"; ValueError: "NaN"; ZeroDivisionError: "p/0"
                 raise ParamError(f"cannot parse {value!r} as a finite rational") from exc
     if isinstance(value, (list, tuple)) and len(value) == 2:
         num, den = value

@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .arith import format_number
+from .arith import format_number, number_text
 from .criteria import Verdict, _lambda_columns
 from .density import DEFAULT_N as DENSITY_DEFAULT_N
 from .density import DEFAULT_OFFDIAG_TOL as DENSITY_DEFAULT_TOL
@@ -264,14 +264,24 @@ def _ratios(family, ns) -> int:
     return 0 if ok else 1
 
 
+def _pair_texts(column) -> list:
+    """"p/q" of each pair of a column (P, Q), or None where q is None: by
+    f-string, or by ``number_text`` when an int is past the interpreter's
+    limit on int-to-str digits, which the f-string raises ValueError at."""
+    P, Q = column
+    try:
+        return [None if q is None else f"{p}/{q}" for p, q in zip(P, Q)]
+    except ValueError:
+        return [None if q is None else f"{number_text(p)}/{number_text(q)}" for p, q in zip(P, Q)]
+
+
 def _lambda_rows(family, N: int):
     """The rows of ``lambda`` as printed, and its route reports: the rows
     of ``lambda_data(family, N).rows()``, each exact value written as
     "num/den" from the reduced ints of the step data, with no Fraction.
     The step table is freed on return."""
     table = _step_table(family, N)
-    u, v, lam, y = ([None if q is None else f"{p}/{q}" for p, q in zip(P, Q)]
-                    for P, Q in _lambda_columns(table, N))
+    u, v, lam, y = map(_pair_texts, _lambda_columns(table, N))
     _, _, valid = table.lambdas
     rows = [{"n": n, "u": a, "v": b, "lambda": c, "y": d, "valid": ok}
             for n, a, b, c, d, ok in zip(range(N + 1), u, v, lam, y, valid)]

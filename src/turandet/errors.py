@@ -45,7 +45,9 @@ class InvalidLambda(TuranError):
     """A step ratio lambda_n is undefined or outside (0, 1) where it is required."""
 
     def __init__(self, n: int, value=None):
-        msg = f"lambda_{n} is undefined" if value is None else f"lambda_{n} = {value} outside (0, 1)"
+        from .arith import number_text  # arith imports this module
+        msg = (f"lambda_{n} is undefined" if value is None
+               else f"lambda_{n} = {number_text(value)} outside (0, 1)")
         super().__init__(msg)
         self.n = n
         self.value = value
@@ -55,9 +57,9 @@ class StructuralMismatch(TuranError):
     """A family's coefficients do not follow the claimed shifted-constant shape."""
 
     def __init__(self, n: int, which: str, expected, actual):
-        super().__init__(
-            f"{which}_{n} does not match the declared shape: expected {expected}, got {actual}"
-        )
+        from .arith import number_text  # arith imports this module
+        super().__init__(f"{which}_{n} does not match the declared shape: "
+                         f"expected {number_text(expected)}, got {number_text(actual)}")
         self.n = n
         self.which = which
         self.expected = expected

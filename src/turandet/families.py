@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .arith import Num, is_exact, to_fraction
+from .arith import Num, is_exact, number_text, to_fraction
 from .criteria import (
     COROLLARY1,
     COROLLARY2,
@@ -173,7 +173,7 @@ def gegenbauer(lam) -> CoefficientFamily:
     """alpha_n = n/(2(n+lambda)), gamma_n = (n+2*lambda)/(2(n+lambda))."""
     lam = to_fraction(lam)
     if not lam > 0:
-        raise ParamError(f"Gegenbauer needs lambda > 0 (got {lam})")
+        raise ParamError(f"Gegenbauer needs lambda > 0 (got {number_text(lam)})")
     return CoefficientFamily(
         name="Gegenbauer",
         alpha=_halved(0, lam),
@@ -186,9 +186,9 @@ def pollaczek(lam, a) -> CoefficientFamily:
     """alpha_n = n/(2(n+lambda+a)), gamma_n = (n+2*lambda)/(2(n+lambda+a))."""
     lam, a = to_fraction(lam), to_fraction(a)
     if not lam > 0:
-        raise ParamError(f"Pollaczek needs lambda > 0 (got {lam})")
+        raise ParamError(f"Pollaczek needs lambda > 0 (got {number_text(lam)})")
     if not a > 0:
-        raise ParamError(f"Pollaczek needs a > 0 (got {a})")
+        raise ParamError(f"Pollaczek needs a > 0 (got {number_text(a)})")
     s = lam + a
     meta: dict = {}
     if lam > a:
@@ -217,7 +217,7 @@ def example3(a) -> CoefficientFamily:
     """alpha_n = 1/2 - a/(2(n+a)), gamma_n = 1/2 + a/(2(n+a+1))."""
     a = to_fraction(a)
     if not a > 0:
-        raise ParamError(f"Example3 needs a > 0 (got {a})")
+        raise ParamError(f"Example3 needs a > 0 (got {number_text(a)})")
     return CoefficientFamily(
         name="Example3",
         alpha=_halved(0, a),
@@ -230,9 +230,9 @@ def example4(a, b) -> CoefficientFamily:
     """alpha_n as in example3; gamma_n = 1/2 + a/(2(n+a+b+1))."""
     a, b = to_fraction(a), to_fraction(b)
     if not a > 0:
-        raise ParamError(f"Example4 needs a > 0 (got {a})")
+        raise ParamError(f"Example4 needs a > 0 (got {number_text(a)})")
     if b < 0:
-        raise ParamError(f"Example4 needs b >= 0 (got {b})")
+        raise ParamError(f"Example4 needs b >= 0 (got {number_text(b)})")
     return CoefficientFamily(
         name="Example4",
         alpha=_halved(0, a),
@@ -256,7 +256,8 @@ def example2(eps, delta, delta0=None) -> CoefficientFamily:
     tail = as_delta(delta)
     e0 = eps_seq(0)
     if not 0 < e0 <= Fraction(1, 6):
-        raise ParamError(f"Example2 needs 0 < eps_0 <= 1/6 so that delta_0 >= 0 (got {e0})")
+        raise ParamError("Example2 needs 0 < eps_0 <= 1/6 so that delta_0 >= 0 "
+                         f"(got {number_text(e0)})")
     exact = is_exact(e0) and (delta0 is None or is_exact(delta0))
     if delta0 is None:
         sixth = Fraction(1, 6) if is_exact(e0) else 1 / 6
@@ -266,7 +267,7 @@ def example2(eps, delta, delta0=None) -> CoefficientFamily:
         target = Fraction(1, 6) if exact else 1 / 6
         if prod != target:
             raise ParamError(
-                f"Example2 needs eps_0*(1 + delta_0) = 1/6 (got {prod})")
+                f"Example2 needs eps_0*(1 + delta_0) = 1/6 (got {number_text(prod)})")
 
     def delta_at(n: int, _d0=delta0, _t=tail):
         return _d0 if n == 0 else _t(n)
@@ -315,15 +316,15 @@ def table_family(alphas: Sequence, gammas: Sequence, name: str = "Table") -> Coe
         for label, table in (("alpha", al), ("gamma", ga)):
             for n, v in enumerate(table):
                 if not math.isfinite(v):
-                    raise ParamError(f"{label}_{n} must be finite (got {v})")
+                    raise ParamError(f"{label}_{n} must be finite (got {number_text(v)})")
     if al[0] != 0:
-        raise ParamError(f"alpha_0 must be 0 by convention (got {al[0]})")
+        raise ParamError(f"alpha_0 must be 0 by convention (got {number_text(al[0])})")
     for n, v in enumerate(al[1:], start=1):
         if not v > 0:
-            raise ParamError(f"alpha_{n} must be positive (got {v})")
+            raise ParamError(f"alpha_{n} must be positive (got {number_text(v)})")
     for n, v in enumerate(ga):
         if not v > 0:
-            raise ParamError(f"gamma_{n} must be positive (got {v})")
+            raise ParamError(f"gamma_{n} must be positive (got {number_text(v)})")
 
     return CoefficientFamily(name=name, alpha=_table(al), gamma=_table(ga), exact=exact,
                              params={"length": len(al)})
@@ -338,7 +339,8 @@ def corollary1_family(alpha_const, gamma_const, delta, name: str = "shape1") -> 
     half = Fraction(1, 2) if exact else 0.5
     prod = alpha_const * d(0)
     if prod != half:
-        raise ParamError(f"need alpha_const*delta_0 = 1/2 for alpha_0 = 0 (got {prod})")
+        raise ParamError("need alpha_const*delta_0 = 1/2 for alpha_0 = 0 "
+                         f"(got {number_text(prod)})")
     return CoefficientFamily(
         name=name,
         alpha=lambda n, _A=alpha_const, _d=d, _h=half: _h - _A * _d(n),

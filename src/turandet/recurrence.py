@@ -32,6 +32,7 @@ from .arith import (
     exact_value,
     exceeds_digit_cap,
     is_exact,
+    number_text,
     quotient_decimal,
     to_decimal,
 )
@@ -81,9 +82,10 @@ class CoefficientFamily:
 
     def __post_init__(self):
         if self.alpha(0) != 0:
-            raise ParamError(f"{self.name}: alpha_0 must be 0 (got {self.alpha(0)})")
+            raise ParamError(f"{self.name}: alpha_0 must be 0 (got {number_text(self.alpha(0))})")
         if not self.gamma(0) > 0:
-            raise ParamError(f"{self.name}: gamma_0 must be positive (got {self.gamma(0)})")
+            raise ParamError(f"{self.name}: gamma_0 must be positive "
+                             f"(got {number_text(self.gamma(0))})")
 
 
 def float_view(family) -> CoefficientFamily:
@@ -166,16 +168,6 @@ def _int_table(ps: Sequence[int], qs: Sequence[int]) -> Callable[[int], Fraction
         return coprime_fraction(ps[n], qs[n])
 
     return at
-
-
-def _materialize(family, hi: int) -> CoefficientFamily:
-    """``family`` over finite tables of its coefficients 0..hi, read once.
-
-    A negative hi reads index 0 only, so the caller's own bound check reports it.
-    """
-    al, ga = coefficients(family, max(hi, 0))
-    return CoefficientFamily(name=family.name, alpha=_table(al), gamma=_table(ga),
-                             exact=family.exact, params=family.params, meta=family.meta)
 
 
 class _StepTable:
@@ -435,9 +427,8 @@ class RatioSequence:
             raise ParamError(f"need {n} ratios, have {len(self.values)}")
         if self.exact:
             return math.prod(self.values[:n], start=Fraction(1))
-        fallback = self.values and isinstance(self.values[0], Decimal)
-        with localcontext(EXTENDED):  # only the Decimals of a fallback use it
-            return math.prod(self.values[:n], start=Decimal(1) if fallback else 1.0)
+        with localcontext(EXTENDED):
+            return math.prod(self.values[:n], start=Decimal(1))
 
 
 def _quotient(p: int, q: int, r: int, s: int) -> tuple[int, int]:
@@ -643,24 +634,19 @@ def _ratio_bounds(table, N: int, exact: _ExactRatios, start: int = 0):
         yield t_lo, t_hi, lo, hi
 
 
-def _ratio_tail(family, values: list, N: int):
-    """Continue the ratios ``values`` = g_0..g_{k-1} to g_{N-1}, appending each
-    to ``values``, from g_{-1} = 1 when there are none, in their own
-    arithmetic: Decimals in the EXTENDED context, on the coefficients of the
-    step table ``family`` rounded once from its ints (``_StepTable.extended``),
-    or the family's own numbers. Yields the alpha_tilde_n = alpha_n/g_{n-1}
-    and gamma_tilde_n = gamma_n*g_n of n = k..N-1 that it forms on the way,
-    the values of NormalizedFamily over these ratios; a step runs only when
-    the consumer asks for it."""
-    if values and isinstance(values[-1], Decimal):
-        div, sub, mul = EXTENDED.divide, EXTENDED.subtract, EXTENDED.multiply
-        read = family.extended
-    else:
-        div, sub, mul = operator.truediv, operator.sub, operator.mul
-        read = lambda n: (family.alpha(n), family.gamma(n))  # noqa: E731
-    g = values[-1] if values else 1
+def _ratio_tail(table: _StepTable, values: list, N: int):
+    """Continue the Decimal ratios ``values`` = g_0..g_{k-1} of a digit-cap
+    fallback (``_ExactRatios.fall_back``) to g_{N-1}, appending each to
+    ``values``, in the EXTENDED context, on the coefficients of the step
+    table ``table`` rounded once from its ints (``_StepTable.extended``).
+    Yields the alpha_tilde_n = alpha_n/g_{n-1} and gamma_tilde_n =
+    gamma_n*g_n of n = k..N-1 that it forms on the way, the values of
+    NormalizedFamily over these ratios; a step runs only when the consumer
+    asks for it."""
+    div, sub, mul = EXTENDED.divide, EXTENDED.subtract, EXTENDED.multiply
+    g = values[-1]
     for n in range(len(values), N):
-        a, c = read(n)
+        a, c = table.extended(n)
         if c == 0:
             raise ParamError(f"gamma_{n} must be nonzero: g_{n} divides by it")
         t = div(a, g)
@@ -676,24 +662,22 @@ def ratios_at_one(family, N: int) -> RatioSequence:
 
     Raises NonpositiveRatio as soon as some g_n <= 0 (normalization at 1 is
     then impossible past that index), and ParamError at a gamma_n = 0, which
-    g_n would divide by. The coefficients 0..N-1 are read into a table first,
-    so that a short table raises TableRangeError before any ratio. The
-    ratios of an exact family are Fractions, for int coefficients too, formed
-    on the ints of its step table (``_ExactRatios``), until an exact g_n past
-    DEFAULT_DIGIT_CAP digits switches the whole run to Decimals in the
-    EXTENDED context (``_ExactRatios.fall_back``), and the result is flagged
-    inexact. Any other family runs in its own arithmetic.
+    g_n would divide by. The coefficients 0..N-1 are read first, as the
+    exact values in the ints of a step table, so that a short table raises
+    TableRangeError before any ratio; a family of doubles is read on the
+    exact values of its doubles. The ratios are Fractions, formed on those
+    ints (``_ExactRatios``), until an exact g_n past DEFAULT_DIGIT_CAP
+    digits switches the whole run to Decimals in the EXTENDED context
+    (``_ExactRatios.fall_back``), and the result is flagged inexact. These
+    are the g_n that ratio_sandwich prints.
     """
     N = _require_count("N", N)
-    if family.exact:
-        family = _step_table(family, N - 2)  # indices 0..N-1
-        exact = _ExactRatios(family)
-        if not exact.up_to_cap(N):
-            return RatioSequence(tuple(exact.fractions()), True)
-        values = exact.fall_back()
-    else:
-        family, values = _materialize(family, N - 1), []
-    for _ in _ratio_tail(family, values, N):  # appends g_n to values
+    table = _step_table(family, N - 2)  # indices 0..N-1
+    exact = _ExactRatios(table)
+    if not exact.up_to_cap(N):
+        return RatioSequence(tuple(exact.fractions()), True)
+    values = exact.fall_back()
+    for _ in _ratio_tail(table, values, N):  # appends g_n to values
         pass
     return RatioSequence(tuple(values), False)
 
@@ -704,13 +688,17 @@ class NormalizedFamily:
     alpha_tilde(n) = alpha_n/g_{n-1} and gamma_tilde(n) = gamma_n*g_n, which
     makes alpha_tilde + gamma_tilde = 1 identically. Built from the ratios
     g_0..g_{N-1}, it defines alpha_tilde for n <= N and gamma_tilde for n < N;
-    reading past them raises TableRangeError. Each value is formed on read.
-    Past a digit-cap fallback the ratios are Decimals, and the values are
-    formed in the EXTENDED context from the operands of the ratio pass, so
-    alpha_tilde(n) is the Decimal alpha_n/g_{n-1} that the pass formed.
+    reading past them raises TableRangeError. Each value is formed on read,
+    from the exact value of the coefficient (a double read as the rational
+    it holds): a Fraction over Fraction ratios, with alpha_tilde_0 the exact
+    0. Past a digit-cap fallback the ratios are Decimals, and each
+    coefficient is rounded once to EXTENDED, as ``_StepTable.extended``
+    rounds it, so alpha_tilde(n) is the Decimal alpha_n/g_{n-1} that the
+    ratio pass formed.
 
     ``ratios`` is the RatioSequence of ``base``; check_szw_normalized reads
-    neither it nor a coefficient, and decides from ``base``.
+    neither it nor a coefficient, and decides from ``base``. ``exact`` is
+    that of both, so a view of a family of doubles evaluates in doubles.
 
     Duck-types CoefficientFamily (.alpha/.gamma/.exact/...), so every
     evaluation helper in this module accepts it directly.
@@ -726,17 +714,19 @@ class NormalizedFamily:
 
     def alpha_tilde(self, n: int):
         if n == 0:
-            return self.base.alpha(0)
+            return exact_value(self.base.alpha(0))
         g = self.ratio(n - 1)
+        a = exact_value(self.base.alpha(n))
         if isinstance(g, Decimal):
-            return EXTENDED.divide(to_decimal(self.base.alpha(n), EXTENDED), g)
-        return self.base.alpha(n) / g
+            return EXTENDED.divide(to_decimal(a, EXTENDED), g)
+        return a / g
 
     def gamma_tilde(self, n: int):
         g = self.ratio(n)
+        c = exact_value(self.base.gamma(n))
         if isinstance(g, Decimal):
-            return EXTENDED.multiply(to_decimal(self.base.gamma(n), EXTENDED), g)
-        return self.base.gamma(n) * g
+            return EXTENDED.multiply(to_decimal(c, EXTENDED), g)
+        return c * g
 
     # CoefficientFamily duck-type
     alpha = alpha_tilde
@@ -756,35 +746,29 @@ def _normalized_coefficients(family, hi: int) -> tuple[list, list]:
     read of the coefficients 0..hi. grid_scan and turan_det normalize
     through it.
 
-    An exact family is read as the ints of its step table, and its exact
-    ratio pass keeps the alpha_tilde_n = A/B that it forms (``keep_tilde``),
-    and gamma_tilde_n = gamma_n*g_n = (B - A)/B, both in lowest terms and B > 0.
-    Below the digit cap the two lists hold these int pairs, (A, B) and
-    (B - A, B), and no Fraction: each pair is the value of that
-    coefficient. When the pass stops at its digit cap after g_{k-1}, the
-    lists hold alpha_tilde_0 = the Fraction 0 and Decimals: the values
-    below k formed from the Decimal ratios as NormalizedFamily forms them,
-    and the rest the ones that the Decimal tail forms (``_ratio_tail``).
-    Any other family is read into a table first, so that a short one raises
-    TableRangeError before any ratio, and that tail forms all its values,
-    of the types that NormalizedFamily gives, with alpha_tilde_0 =
-    alpha_0/1.
+    The family is read as the ints of its step table, the exact values of
+    its coefficients, doubles included, and its exact ratio pass keeps the
+    alpha_tilde_n = A/B that it forms (``keep_tilde``), and gamma_tilde_n =
+    gamma_n*g_n = (B - A)/B, both in lowest terms and B > 0. Below the digit
+    cap the two lists hold these int pairs, (A, B) and (B - A, B), and no
+    Fraction: each pair is the value of that coefficient. When the pass
+    stops at its digit cap after g_{k-1}, the lists hold alpha_tilde_0 =
+    the Fraction 0 and Decimals: the values below k formed from the Decimal
+    ratios as NormalizedFamily forms them, and the rest the ones that the
+    Decimal tail forms (``_ratio_tail``).
     """
-    if not family.exact:
-        table, ratios, al, ga = _materialize(family, hi), [], [], []
-    else:
-        table = _step_table(family, hi - 1)
-        exact = _ExactRatios(table, keep_tilde=True)
-        if not exact.up_to_cap(hi + 1):
-            al = exact.tilde
-            return al, [(B - A, B) for A, B in al]
-        ratios = exact.fall_back()
-        al, ga = [table.alpha(0)], []
-        for n, g in enumerate(ratios):
-            a, c = table.extended(n)
-            if n:
-                al.append(EXTENDED.divide(a, ratios[n - 1]))
-            ga.append(EXTENDED.multiply(c, g))
+    table = _step_table(family, hi - 1)
+    exact = _ExactRatios(table, keep_tilde=True)
+    if not exact.up_to_cap(hi + 1):
+        al = exact.tilde
+        return al, [(B - A, B) for A, B in al]
+    ratios = exact.fall_back()
+    al, ga = [table.alpha(0)], []
+    for n, g in enumerate(ratios):
+        a, c = table.extended(n)
+        if n:
+            al.append(EXTENDED.divide(a, ratios[n - 1]))
+        ga.append(EXTENDED.multiply(c, g))
     for a, g in _ratio_tail(table, ratios, hi + 1):
         al.append(a)
         ga.append(g)
@@ -900,7 +884,7 @@ def orthonormal_offdiag(family, N: int) -> np.ndarray:
     for k in range(1, N + 1):
         v = alpha(k) * gamma(k - 1)
         if not v > 0:
-            raise ParamError(f"alpha_{k}*gamma_{k - 1} must be positive (got {v})")
+            raise ParamError(f"alpha_{k}*gamma_{k - 1} must be positive (got {number_text(v)})")
         out[k - 1] = math.sqrt(v)
     return out
 
@@ -921,9 +905,9 @@ def ratio_sandwich(family, N: int) -> list[SandwichRow]:
     """Check 1 <= g_n <= (alpha_{n+1}*gamma_n - alpha_n*gamma_{n+1})/(gamma_n - gamma_{n+1}).
 
     The printed g_n are the ratios of the step table's exact values (50-digit
-    Decimals past a digit-cap fallback), those of ratios_at_one for an exact
-    family but not for a family of doubles, which it runs in float
-    arithmetic. The printed bound is the one Fraction w_n/v_n of the ints.
+    Decimals past a digit-cap fallback), those of ratios_at_one, for a
+    family of doubles too. The printed bound is the one Fraction w_n/v_n of
+    the ints.
     Each bound is decided on the exact g_n, by cross-multiplying ints, up to
     the g_k where the exact pass stops at its digit cap (``_ExactRatios``).
     Past it, the rows are decided on the float bounds that ``_ratio_bounds``

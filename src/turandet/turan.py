@@ -6,12 +6,12 @@ stays flat in the degree. It keeps each degree's grid minimum, its abscissa
 and max|Delta_n|, and re-evaluates any minimum inside a near-zero band with
 50-digit decimal arithmetic (the standard library's ``decimal``); the sign of
 that confirmed value, up to its rounding bound, is the verdict — sign near
-zero is the entire point of the exercise. A scan that normalizes an exact
-family at x = 1 makes Delta_n(+-1) exactly 0, so its minima at x = +-1 are
-confirmed as 0 without that evaluation; so is a minimum at x = 0 whose sign
-the recurrence fixes there (``_scan``). Minima that were never confirmed,
-and confirmed ones of families with double-precision coefficients, are
-judged against the tolerance.
+zero is the entire point of the exercise. A scan normalizes a family at
+x = 1 on the exact values of its coefficients, doubles included, which
+makes Delta_n(+-1) exactly 0, so its minima at x = +-1 are confirmed as 0
+without that evaluation; so is a minimum at x = 0 whose sign the recurrence
+fixes there (``_scan``). Only minima that were never confirmed are judged
+against the tolerance.
 """
 from __future__ import annotations
 
@@ -22,7 +22,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .arith import EXTENDED, EXTENDED_DPS, coprime_fraction, is_exact, quotient_decimal, to_decimal
+from .arith import (EXTENDED, EXTENDED_DPS, coprime_fraction, is_exact, number_text,
+                    quotient_decimal, to_decimal)
 from .errors import ParamError
 from .recurrence import (
     CoefficientFamily,
@@ -65,10 +66,12 @@ def turan_det(family, n: int, x, normalized: bool = True, dps: int | None = None
 
     normalized=True (default) rescales the family so p_k(1) = 1 first, which
     is the setting in which the nonnegativity criteria live, through the
-    normalization of grid_scan (``_normalized_coefficients``). The arithmetic
-    mode follows eval_polys (exact for exact family + rational x, else float,
-    or a Decimal of dps digits when dps is given); past a digit-cap fallback
-    the normalized coefficients are Decimals, and not exact.
+    normalization of grid_scan (``_normalized_coefficients``), on the exact
+    values of the coefficients. The arithmetic mode follows eval_polys
+    (exact for exact family + rational x, else float, or a Decimal of dps
+    digits when dps is given): a family of doubles evaluates in doubles, on
+    the doubles of its exact normalization; past a digit-cap fallback the
+    normalized coefficients are Decimals, and not exact.
     """
     n = _require_count("n", n)
     if normalized and not isinstance(family, NormalizedFamily):
@@ -116,10 +119,10 @@ class TuranReport:
     min_value/argmin_x are raw double-precision grid values (bit-identical to
     turan_det at the same point in float mode). The nonnegative verdict of a
     minimum inside the near-zero band is the sign of its confirmation (in
-    ``decimal`` arithmetic at EXTENDED_DPS digits, or exactly 0 at x = +-1
-    after grid_scan's normalization), up to that evaluation's rounding
-    bound, or up to ``tolerance`` when a coefficient or sigma is a double;
-    every other minimum is judged against ``tolerance``.
+    ``decimal`` arithmetic at EXTENDED_DPS digits on the exact values of the
+    inputs, doubles included, or exactly 0 at x = +-1 after grid_scan's
+    normalization), up to that evaluation's rounding bound; every other
+    minimum is judged against ``tolerance``.
     """
 
     n_range: tuple[int, int]
@@ -163,21 +166,6 @@ class TuranReport:
 def _scaled(rows, sigma):
     """The row stream sigma_n*p_n."""
     return (r * s for r, s in zip(rows, sigma))
-
-
-def _confirm_tolerance(tolerance: float, *sources) -> float:
-    """Relative bound under which a confirmed minimum counts as zero:
-    10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS) when every value of
-    ``sources`` is exact or a Decimal, and ``tolerance`` when one is a double.
-
-    The confirmation removes only the roundoff of the scan, not the error
-    already in its inputs: with a double coefficient or sigma, Delta_n of the
-    rounded family is off by about an ulp, so ``tolerance`` still applies.
-    """
-    for v in (v for src in sources for v in src):
-        if not (is_exact(v) or isinstance(v, Decimal)):
-            return tolerance
-    return 10.0 ** (CONFIRM_GUARD_DIGITS - EXTENDED_DPS)
 
 
 def _min_and_scale(D) -> tuple[list, list, list]:
@@ -263,14 +251,16 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float, sigma_
           sigma_log_concave=None, exact_normalization: bool = False) -> TuranReport:
     """Stream the float64 rows over the grid, keep min, argmin and max|Delta_n|
     per degree, confirm the near-zero minima in decimal arithmetic at
-    EXTENDED_DPS digits, judge.
+    EXTENDED_DPS digits, judge: a confirmed value counts as nonnegative
+    down to its rounding bound, scale_n*10**(CONFIRM_GUARD_DIGITS -
+    EXTENDED_DPS), for every input, since the sweep reads each double as the
+    exact value it holds.
 
     ``al_src`` and ``ga_src`` hold values, or coprime int pairs. With
-    ``exact_normalization`` they are the normalization at 1 of an exact
-    family (``_normalized_coefficients``), whose values are exact or
+    ``exact_normalization`` they are the normalization at 1 of a family on
+    its exact values (``_normalized_coefficients``), which are exact or
     EXTENDED Decimals: Delta_n(+-1) is then exactly 0, and a near-zero
-    minimum there is confirmed as 0 without a decimal sweep, and the
-    confirmation bound is the decimal one, without a walk over the values.
+    minimum there is confirmed as 0 without a decimal sweep.
 
     At x = 0 the odd rows are exact zeros in every arithmetic, and
     p_{n+1}(0) = -(alpha_n/gamma_n)*p_{n-1}(0): Delta_n(0) = p_n(0)^2 for
@@ -306,10 +296,7 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float, sigma_
         confirmed.update((n, float(v)) for n, v in _confirm(
             al_src, ga_src, pending, sigma_src).items())
 
-    if exact_normalization:
-        confirm_tol = 10.0 ** (CONFIRM_GUARD_DIGITS - EXTENDED_DPS)
-    else:
-        confirm_tol = _confirm_tolerance(tolerance, al_src, ga_src, sigma_src or ())
+    confirm_tol = 10.0 ** (CONFIRM_GUARD_DIGITS - EXTENDED_DPS)
     entries = tuple(
         TuranEntry(n=n, min_value=m, argmin_x=x, nonnegative=bool(
             confirmed[n] >= -confirm_tol * scale if n in confirmed
@@ -330,39 +317,34 @@ def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
 
     The recurrence runs over the whole grid in float64, and its rows are
     reduced to per-degree minima MINIMA_BLOCK degrees at a time, so memory
-    stays flat in n_max. With normalized=True an exact family is normalized
-    from one read of its coefficients as ints: below the digit cap each
-    alpha_tilde_n is the coprime pair (A, B) of the exact ratio pass and
-    gamma_tilde_n is (B - A)/B, and the float rows read the correctly
-    rounded A/B and (B - A)/B, the doubles of their Fractions, with no
-    Fraction built. Verdict per degree, with
+    stays flat in n_max. With normalized=True the family is normalized from
+    one read of the exact values of its coefficients as ints, a double's
+    too: below the digit cap each alpha_tilde_n is the coprime pair (A, B)
+    of the exact ratio pass and gamma_tilde_n is (B - A)/B, and the float
+    rows read the correctly rounded A/B and (B - A)/B, the doubles of their
+    Fractions, with no Fraction built. Verdict per degree, with
     scale_n = max(1, max|Delta_n| on the grid): a grid minimum inside the
-    1e-10*scale_n band at x = +-1 of a family normalized here from exact
-    coefficients is confirmed as exactly 0, the value that p_n(+-1) = (+-1)^n
-    gives; one at x = 0 is confirmed as 0 when n is even or alpha_n and
+    1e-10*scale_n band at x = +-1 of a family normalized here is confirmed
+    as exactly 0, the value that p_n(+-1) = (+-1)^n gives; one at x = 0
+    is confirmed as 0 when n is even or alpha_n and
     gamma_n do not have opposite signs, where Delta_n(0) >= 0 in every
     arithmetic (``_scan``); any other minimum in the band is re-evaluated
     in ``decimal`` arithmetic at EXTENDED_DPS significant digits
     (``arith.EXTENDED``), from the exact value of every int, double and
     Decimal and every Fraction and int pair rounded once to that precision,
     up to the highest degree pending, and that confirmed value decides, up to
-    its rounding bound scale_n*10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS) when
-    every coefficient is exact or extended precision, and up to
-    tolerance*scale_n when one is a double; any other minimum is nonnegative
-    when it is >= -tolerance*scale_n. tolerance must be finite and >= 0.
+    its rounding bound scale_n*10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS);
+    any other minimum is nonnegative when it is >= -tolerance*scale_n.
+    tolerance must be finite and >= 0.
     """
     n_max = _require_count("n_max", n_max)
     if normalized and not isinstance(family, NormalizedFamily):
         # one read of the coefficients serves the ratios and the scan; neither
         # the table nor the ratios are held through the scan, so they add
         # nothing to its peak memory
-        al_src, ga_src = _normalized_coefficients(family, n_max)
-        exact_normalization = family.exact
-    else:
-        al_src, ga_src = coefficients(family, n_max)
-        exact_normalization = False
-    return _scan(al_src, ga_src, n_max, grid_points, tolerance,
-                 exact_normalization=exact_normalization)
+        return _scan(*_normalized_coefficients(family, n_max), n_max, grid_points, tolerance,
+                     exact_normalization=True)
+    return _scan(*coefficients(family, n_max), n_max, grid_points, tolerance)
 
 
 def scaled_scan(family, sigma, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
@@ -384,7 +366,8 @@ def scaled_scan(family, sigma, n_max: int, grid_points: int = DEFAULT_GRID_POINT
         s = a + g if exact else float(a) + float(g)
         if not (s == 1 if exact else abs(s - 1.0) <= 1e-12):
             raise ParamError(
-                f"scaled_scan needs a normalized family (alpha_{n} + gamma_{n} = {s}); "
+                f"scaled_scan needs a normalized family "
+                f"(alpha_{n} + gamma_{n} = {number_text(s)}); "
                 "pass normalize(family, N) first")
 
     sfn = _sigma_callable(sigma)

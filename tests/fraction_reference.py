@@ -101,15 +101,17 @@ def ratio_pass(family, N: int, digit_cap: int, keep_tail: bool = False):
     fallback flag and, with ``keep_tail``, the tail (k, alpha_tilde_k..,
     gamma_tilde_k..) of the normalized coefficients past the fallback, formed
     in the pass: k is the first index read after the fallback (N without
-    one), and the tail is Decimals in the EXTENDED context."""
+    one), and the tail is Decimals in the EXTENDED context. The family is
+    read on the exact values of its coefficients (``exact_table``), a
+    double's too."""
     if N < 1:
         raise ParamError("N must be >= 1")
+    family = exact_table(family, N - 1)
     values: list = []
     fallback = False
     tail_start, al_tail, ga_tail = N, [], []
     with localcontext(EXTENDED):  # only the Decimals of a fallback use it
-        # an int gamma_0 of an exact family must not start a run of doubles
-        g = (Fraction(1) if family.exact else 1) / family.gamma(0)
+        g = Fraction(1) / family.gamma(0)
         for n in range(N):
             if n:
                 a, c = family.alpha(n), family.gamma(n)
@@ -126,7 +128,7 @@ def ratio_pass(family, N: int, digit_cap: int, keep_tail: bool = False):
                     g = (1 - a / g) / c
             if not g > 0:
                 raise NonpositiveRatio(n, g)
-            if family.exact and exceeds_digit_cap(g, digit_cap):
+            if exceeds_digit_cap(g, digit_cap):
                 values, g, fallback = [_decimal(v) for v in values], _decimal(g), True
                 tail_start = n + 1
             values.append(g)

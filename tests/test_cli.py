@@ -10,8 +10,21 @@ from fractions import Fraction
 import pytest
 
 import fraction_reference as ref
-from turandet import FamilySpec, NonpositiveRatio, build, cli, example3, example4, families
-from turandet.arith import format_number, number_text
+from turandet import (
+    FamilySpec,
+    InvalidLambda,
+    NonpositiveRatio,
+    ParamError,
+    StructuralMismatch,
+    Verdict,
+    build,
+    cli,
+    criterion_reports,
+    example3,
+    example4,
+    families,
+)
+from turandet.arith import format_number, number_text, to_fraction
 from turandet.cli import main
 
 EX3 = '{"kind": "Example3", "params": {"a": 1}}'
@@ -477,6 +490,21 @@ def test_number_text_has_no_digit_limit():
         assert format_number(values[4]) == fraction
 
 
+def test_ratio_strings_parse_past_the_int_str_limit():
+    """A "p/q" string whose ints have 4401 digits reads as the exact p/q
+    under the default limit; a string that is not a rational is still
+    refused with the parse message."""
+    p, q = -(10**4400 + 7), 3 * 10**4400 + 1
+    with _int_str_limit(0):
+        text = f"{p}/{q}"
+    with _int_str_limit(4300):
+        assert to_fraction(text) == Fraction(p, q)
+        assert to_fraction(text[1:]) == Fraction(-p, q)
+        for bad in ("1.5/2", "3/-4", "3/0", "1/2/3", f"{text}x"):
+            with pytest.raises(ParamError, match="cannot parse .* as a finite rational"):
+                to_fraction(bad)
+
+
 @functools.lru_cache(maxsize=None)
 def _example3_table_text(edit: str):
     """Example3(2)'s coefficients 0..3001 with alpha_2500 multiplied by
@@ -531,3 +559,55 @@ def test_check_writes_exact_values_past_the_int_str_limit(tmp_path, capsys, edit
         assert len(want[0]) == 16803
     else:
         assert (szw["overall"], szw["notes"]) == ("Inconclusive", {"error": want})
+
+
+def _big_table_values():
+    """alpha_i = (q_i//2 - 7i)/q_i over three coprime 4401-digit odd q_i,
+    gamma_i = 1 - alpha_i and gamma_0 = 1/2: lambda_0 = (-15/2)/(q_1//2 - 7)
+    lies outside (0, 1) and has ints past 4300 digits, as have the step
+    data of every lambda row."""
+    qs = [10**4400 + 1, 10**4400 + 3, 10**4400 + 7]
+    al = [Fraction(0)] + [Fraction(q // 2 - 7 * i, q) for i, q in enumerate(qs, 1)]
+    return al, [Fraction(1, 2)] + [1 - a for a in al[1:]]
+
+
+def test_errors_write_exact_values_past_the_int_str_limit():
+    """InvalidLambda, StructuralMismatch and table_family's messages carry
+    the exact value's text, as str writes it with no int-to-str digit limit."""
+    big = Fraction(-1, 10**4400 + 1)
+    with _int_str_limit(0):
+        text = str(big)
+    with _int_str_limit(4300):
+        assert str(InvalidLambda(0, big)) == f"lambda_0 = {text} outside (0, 1)"
+        assert str(StructuralMismatch(3, "alpha", big, -big)) == (
+            f"alpha_3 does not match the declared shape: expected {text}, got {text[1:]}")
+        with pytest.raises(ParamError) as exc:
+            families.table_family([0, big], [Fraction(1, 2), Fraction(1, 2)])
+        assert str(exc.value) == f"alpha_1 must be positive (got {text})"
+
+
+def test_big_table_reports_past_the_int_str_limit(tmp_path, capsys):
+    """The table's YRoute is Inconclusive with the exact lambda_0 in its
+    note, and the ``lambda`` rows are those written with no digit limit;
+    as a spec of "p/q" strings past the limit, the table is read whole, and
+    check, lambda and ratios exit 0 or 1."""
+    al, ga = _big_table_values()
+    table = families.table_family(al, ga)
+    with _int_str_limit(0):
+        lam0 = str(Fraction(ga[0] - ga[1], al[1] - al[0]))
+        want_rows = cli._lambda_rows(table, 2)[0]
+    with _int_str_limit(4300):
+        reports = {r.criterion: r for r in criterion_reports(table, 2)}
+        rows = cli._lambda_rows(table, 2)[0]
+        spec = json.dumps({"kind": "Table", "alpha": [format_number(v) for v in al],
+                           "gamma": [format_number(v) for v in ga]})
+        path = tmp_path / "big.json"
+        path.write_text(spec, encoding="utf-8")
+        codes = [main([command, "--family", str(path), "--N", "2", "--reproducible"])
+                 for command in ("check", "lambda", "ratios")]
+    y_route = reports["YRoute"]
+    assert y_route.overall is Verdict.INCONCLUSIVE
+    assert y_route.notes == {"error": f"lambda_0 = {lam0} outside (0, 1)"}
+    assert rows == want_rows and rows[0]["lambda"] == lam0
+    assert all(code in (0, 1) for code in codes), codes
+    capsys.readouterr()

@@ -178,14 +178,13 @@ def test_float_view():
     assert not fam.exact
     assert isinstance(fam.gamma(0), float)
     assert fam.gamma(0) == 0.75
-    # the sandwich prints the ratios of the doubles' exact values, here as
-    # 50-digit Decimals past the fallback at g_268; ratios_at_one runs in
-    # float arithmetic, and its doubles differ from theirs in the last bits
+    # ratios_at_one and the sandwich both read the doubles' exact values,
+    # here as 50-digit Decimals past the fallback at g_268
     fam = float_view(example3(2))
-    printed = [float(row.g) for row in ratio_sandwich(fam, 400)]
-    doubles = ratios_at_one(fam, 400).values
-    differ = [abs(p / d - 1) for p, d in zip(printed, doubles) if p != d]
-    assert differ and max(differ) < 2e-15
+    printed = [row.g for row in ratio_sandwich(fam, 400)]
+    ratios = ratios_at_one(fam, 400)
+    assert list(ratios.values) == printed and not ratios.exact
+    assert {type(g) for g in ratios.values} == {type(g) for g in printed} == {Decimal}
 
 
 def test_associated_order_zero_is_copy():

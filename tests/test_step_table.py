@@ -317,7 +317,7 @@ def _package_ratio_pass(family, N, cap, keep_tail):
     the fallback (the length of the exact run)."""
     with mock.patch.object(recurrence, "DEFAULT_DIGIT_CAP", cap):
         ratios = ratios_at_one(family, N)
-        fallback = family.exact and not ratios.exact
+        fallback = not ratios.exact
         exact = _ExactRatios(_step_table(family, N - 2))
         exact.up_to_cap(N)
     k = len(exact.values) if fallback else N
@@ -427,11 +427,9 @@ def test_linear_is_the_one_integer_form(family, N):
 
 def _normalized_view(family, hi):
     """The coefficients that grid_scan read before the integer pass: those of
-    the NormalizedFamily view over one read of the coefficients 0..hi."""
-    al, ga = coefficients(family, hi)
-    table = CoefficientFamily(name=family.name, alpha=_table(al), gamma=_table(ga),
-                              exact=family.exact)
-    return coefficients(normalize(table, hi + 1), hi)
+    the NormalizedFamily view over one read of the exact values of the
+    coefficients 0..hi (``exact_table``), a double's too."""
+    return coefficients(normalize(ref.exact_table(family, hi), hi + 1), hi)
 
 
 def _coefficient_outcome(coefficient_pass, family, hi):
@@ -463,10 +461,10 @@ def _as_fraction(pair):
 
 def _package_coefficients(family, hi):
     """recurrence._normalized_coefficients, its int pairs read as Fractions:
-    every value of an exact family below its digit cap is one, and no other
-    value is."""
+    every value below the digit cap is one, of a family of doubles too, and
+    no other value is."""
     al, ga = recurrence._normalized_coefficients(family, hi)
-    pairs = family.exact and type(ga[-1]) is not Decimal
+    pairs = type(ga[-1]) is not Decimal
     assert all((type(v) is tuple) is pairs for v in al + ga)
     if pairs:
         al, ga = [_as_fraction(v) for v in al], [_as_fraction(v) for v in ga]

@@ -308,20 +308,33 @@ def test_confirmed_negatives_are_not_forgiven():
     assert -1e-12 < e.min_value < 0
 
 
+def test_confirmed_negatives_of_a_double_sigma_are_not_forgiven():
+    """The same scaling by the doubles nearest 1/(2n+1): the confirmation
+    reads each as the exact value it holds, which moves the scaled value at
+    x = -1 by about 1e-16 of it, far less than its gap to 0, so the
+    confirmed sign decides here too and no tolerance forgives it."""
+    rep = scaled_scan(legendre(), lambda n: 1.0 / (2 * n + 1), 800)
+    assert [e.n for e in rep.per_n if e.nonnegative] == []
+    e = rep.entry(800)
+    assert e.argmin_x == -1.0
+    assert -1e-12 < e.min_value < 0
+
+
 @pytest.mark.parametrize("family, n_max", [
     (lambda: float_view(legendre()), 300),
     (lambda: table_family([0, 0.3, 0.4, 0.45], [1.0, 0.7, 0.6, 0.55]), 3),
 ], ids=["float_view-Legendre", "float-Table"])
-def test_double_coefficients_keep_the_tolerance_on_confirmed_minima(family, n_max):
-    """Delta_n(-1) = 0 for the exact family; rounding the coefficients to
-    doubles moves it by about an ulp either way, and confirming that value at
-    50 digits does not make its sign meaningful."""
-    rep = grid_scan(family(), n_max)
-    assert rep.all_nonnegative
+def test_double_coefficients_are_normalized_on_their_exact_values(monkeypatch, family, n_max):
+    """grid_scan normalizes the exact values of the doubles, so
+    Delta_n(+-1) = 0 holds for them as for an exact family: the scan is
+    nonnegative with no tolerance, its minima at x = +-1 are confirmed as 0
+    without a decimal sweep, and no sweep runs at all."""
+    calls = []
+    monkeypatch.setattr(turan, "_confirm", lambda *args: calls.append(args) or {})
+    rep = grid_scan(family(), n_max, tolerance=0.0)
+    assert rep.all_nonnegative and calls == []
     assert any(abs(e.argmin_x) == 1.0 for e in rep.per_n)
-    # with no tolerance, the doubles' own Delta_n(-1) decides, and it is not
-    # the 0 of the exact family
-    assert not grid_scan(family(), n_max, tolerance=0.0).all_nonnegative
+    assert rep.per_n == grid_scan(family(), n_max).per_n
 
 
 @pytest.mark.parametrize("scan", [
@@ -344,8 +357,8 @@ def test_scan_memory_stays_flat_in_n_max(scan):
 # Delta_n is exactly 0, so grid_scan confirms them as 0 and the test sweeps
 # x = -1 itself; Example3(1/3) passes its digit-cap fallback at g_989, so its
 # later coefficients are Decimals; the float table and Legendre's float view
-# take the tolerance path; every degree of the 1/(2n+1) scaling is a
-# confirmed negative.
+# are normalized on the exact values of their doubles, so the same holds for
+# them; every degree of the 1/(2n+1) scaling is a confirmed negative.
 CONFIRMED_SCANS = {
     "Legendre": lambda: grid_scan(legendre(), 300),
     "Example3(1/3)-past-fallback": lambda: grid_scan(example3(F(1, 3)), 1200),
@@ -354,8 +367,8 @@ CONFIRMED_SCANS = {
     "float_view-Legendre": lambda: grid_scan(float_view(legendre()), 300),
     "sigma-1/(2n+1)": lambda: scaled_scan(legendre(), lambda n: F(1, 2 * n + 1), 300),
 }
-# the scans that grid_scan normalizes from exact coefficients
-ZERO_AT_ENDS = {"Legendre", "Example3(1/3)-past-fallback"}
+# the scans that grid_scan normalizes, every one on exact values
+ZERO_AT_ENDS = {"Legendre", "Example3(1/3)-past-fallback", "float-Table", "float_view-Legendre"}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIRMED_SCANS))
