@@ -15,7 +15,7 @@ from turandet import chebyshev_t, example3, grid_scan, table_family
 # the minimum exactly 0 at the endpoints.
 rep = grid_scan(chebyshev_t(), 30)
 print("T scan: all nonnegative =", rep.all_nonnegative,
-      f"(grid {rep.grid.points} points, tolerance {rep.tolerance})")
+      f"(grid {rep.grid.points} points)")
 e = rep.entry(7)
 print(f"  n=7 minimum {e.min_value:.3e} at x = {e.argmin_x}")
 

@@ -41,7 +41,7 @@ from .families import (
     criterion_reports,
 )
 from .recurrence import _step_table, float_view, ratio_sandwich
-from .turan import DEFAULT_GRID_POINTS, DEFAULT_TOLERANCE, grid_scan
+from .turan import DEFAULT_GRID_POINTS, grid_scan
 
 __all__ = ["main"]
 
@@ -230,7 +230,7 @@ def _check(family, ns) -> int:
 
 
 def _scan(family, ns) -> int:
-    report = grid_scan(family, ns.N, grid_points=ns.grid_points, tolerance=ns.tolerance)
+    report = grid_scan(family, ns.N, grid_points=ns.grid_points)
     if ns.format == "csv":
         _emit_csv(report.csv_rows(), ns)
     else:
@@ -354,8 +354,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", dest="grid_points", type=int, default=DEFAULT_GRID_POINTS,
                     help=f"grid point parameter (default {DEFAULT_GRID_POINTS})")
     sp.add_argument("--mode", choices=_MODES, default="auto", help=_MODE_HELP)
-    sp.add_argument("--tol", dest="tolerance", type=float, default=DEFAULT_TOLERANCE,
-                    help=f"relative tolerance for negative minima (default {DEFAULT_TOLERANCE})")
 
     sp = command("ratios", _ratios, "ratio sequence g_n with two-sided bounds", ("--N", 0, 1))
     sp.add_argument("--N", type=int, default=100, help="compute g_0..g_{N-1}")

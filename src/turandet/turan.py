@@ -6,16 +6,14 @@ stays flat in the degree. It keeps each degree's grid minimum, its abscissa
 and max|Delta_n|, and re-evaluates any minimum inside a near-zero band with
 50-digit decimal arithmetic (the standard library's ``decimal``); the sign of
 that confirmed value, up to its rounding bound, is the verdict — sign near
-zero is the entire point of the exercise. A scan normalizes a family at
-x = 1 on the exact values of its coefficients, doubles included, which
-makes Delta_n(+-1) exactly 0, so its minima at x = +-1 are confirmed as 0
-without that evaluation; so is a minimum at x = 0 whose sign the recurrence
-fixes there (``_scan``). Only minima that were never confirmed are judged
-against the tolerance.
+zero is the entire point of the exercise. Any other minimum is decided by
+its sign. A scan normalizes a family at x = 1 on the exact values of its
+coefficients, doubles included, which makes Delta_n(+-1) exactly 0, so its
+minima at x = +-1 are confirmed as 0 without that evaluation; so is a
+minimum at x = 0 whose sign the recurrence fixes there (``_scan``).
 """
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -50,7 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_GRID_POINTS = 2001
-DEFAULT_TOLERANCE = 1e-12
 CONFIRM_BAND = 1e-10
 # Digits of an EXTENDED_DPS-digit confirmation not relied on: roundoff of the
 # recurrence over many steps and of the coefficient conversion. A confirmed
@@ -122,13 +119,12 @@ class TuranReport:
     ``decimal`` arithmetic at EXTENDED_DPS digits on the exact values of the
     inputs, doubles included, or exactly 0 at x = +-1 after grid_scan's
     normalization), up to that evaluation's rounding bound; every other
-    minimum is judged against ``tolerance``.
+    minimum is nonnegative when it is > 0.
     """
 
     n_range: tuple[int, int]
     grid: GridInfo
     per_n: tuple[TuranEntry, ...]
-    tolerance: float
     sigma_log_concave: bool | None = None
 
     @property
@@ -145,7 +141,6 @@ class TuranReport:
         out = {
             "n_range": list(self.n_range),
             "grid": {"kind": self.grid.kind, "points": self.grid.points},
-            "tolerance": self.tolerance,
             "all_nonnegative": self.all_nonnegative,
             "per_n": [
                 {"n": e.n, "min_value": e.min_value, "argmin_x": e.argmin_x,
@@ -247,14 +242,15 @@ def _confirm(al_src, ga_src, pending: dict, sigma_src=None) -> dict:
     return confirmed
 
 
-def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float, sigma_src=None,
+def _scan(al_src, ga_src, n_max: int, grid_points: int, sigma_src=None,
           sigma_log_concave=None, exact_normalization: bool = False) -> TuranReport:
     """Stream the float64 rows over the grid, keep min, argmin and max|Delta_n|
-    per degree, confirm the near-zero minima in decimal arithmetic at
-    EXTENDED_DPS digits, judge: a confirmed value counts as nonnegative
-    down to its rounding bound, scale_n*10**(CONFIRM_GUARD_DIGITS -
-    EXTENDED_DPS), for every input, since the sweep reads each double as the
-    exact value it holds.
+    per degree, confirm the minima inside the band |m| < CONFIRM_BAND*scale_n
+    in decimal arithmetic at EXTENDED_DPS digits, judge: a confirmed value
+    counts as nonnegative down to its rounding bound,
+    scale_n*10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS), for every input,
+    since the sweep reads each double as the exact value it holds, and a
+    minimum outside the band is nonnegative when it is > 0.
 
     ``al_src`` and ``ga_src`` hold values, or coprime int pairs. With
     ``exact_normalization`` they are the normalization at 1 of a family on
@@ -269,8 +265,6 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float, sigma_
     them. So a near-zero minimum at x = 0 is confirmed as 0 without a
     sweep when n is even, or when alpha_n and gamma_n do not have opposite
     signs; the sweep would give a value >= 0 there, and the same verdict."""
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ParamError(f"tolerance must be finite and >= 0 (got {tolerance})")
     grid = scan_grid(grid_points)
     # Delta_n is even in x bit for bit and the grid mirrored, so its nonpositive
     # half, in grid order, gives the grid's minimum, first argmin and scale_n
@@ -299,20 +293,18 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, tolerance: float, sigma_
     confirm_tol = 10.0 ** (CONFIRM_GUARD_DIGITS - EXTENDED_DPS)
     entries = tuple(
         TuranEntry(n=n, min_value=m, argmin_x=x, nonnegative=bool(
-            confirmed[n] >= -confirm_tol * scale if n in confirmed
-            else m >= -tolerance * scale))
+            confirmed[n] >= -confirm_tol * scale if n in confirmed else m >= 0))
         for n, m, x, scale in zip(range(1, n_max + 1), mins, args, scales))
     return TuranReport(
         n_range=(1, n_max),
         grid=GridInfo("uniform+chebyshev", int(grid.size)),
         per_n=entries,
-        tolerance=tolerance,
         sigma_log_concave=sigma_log_concave,
     )
 
 
 def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
-              normalized: bool = True, tolerance: float = DEFAULT_TOLERANCE) -> TuranReport:
+              normalized: bool = True) -> TuranReport:
     """Scan Delta_1..Delta_{n_max} over the uniform+Chebyshev grid.
 
     The recurrence runs over the whole grid in float64, and its rows are
@@ -334,21 +326,19 @@ def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
     Decimal and every Fraction and int pair rounded once to that precision,
     up to the highest degree pending, and that confirmed value decides, up to
     its rounding bound scale_n*10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS);
-    any other minimum is nonnegative when it is >= -tolerance*scale_n.
-    tolerance must be finite and >= 0.
+    any other minimum, outside the band, is nonnegative when it is > 0.
     """
     n_max = _require_count("n_max", n_max)
     if normalized and not isinstance(family, NormalizedFamily):
         # one read of the coefficients serves the ratios and the scan; neither
         # the table nor the ratios are held through the scan, so they add
         # nothing to its peak memory
-        return _scan(*_normalized_coefficients(family, n_max), n_max, grid_points, tolerance,
+        return _scan(*_normalized_coefficients(family, n_max), n_max, grid_points,
                      exact_normalization=True)
-    return _scan(*coefficients(family, n_max), n_max, grid_points, tolerance)
+    return _scan(*coefficients(family, n_max), n_max, grid_points)
 
 
-def scaled_scan(family, sigma, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
-                tolerance: float = DEFAULT_TOLERANCE) -> TuranReport:
+def scaled_scan(family, sigma, n_max: int, grid_points: int = DEFAULT_GRID_POINTS) -> TuranReport:
     """Scan the sigma-scaled determinants (sigma_n*P_n)^2 - (sigma_{n-1}P_{n-1})(sigma_{n+1}P_{n+1}).
 
     Requires an already normalized family (alpha_n + gamma_n = 1); raises
@@ -374,5 +364,5 @@ def scaled_scan(family, sigma, n_max: int, grid_points: int = DEFAULT_GRID_POINT
     sigma_src = [sfn(n) for n in range(n_max + 2)]
     # raises ParamError unless every value is positive
     log_concave = ScalingSequence.from_values(sigma_src).log_concave_up_to(n_max)
-    return _scan(al_src, ga_src, n_max, grid_points, tolerance,
+    return _scan(al_src, ga_src, n_max, grid_points,
                  sigma_src=sigma_src, sigma_log_concave=log_concave)

@@ -280,10 +280,10 @@ def test_report_csv_and_json():
                for e in js["per_n"])
 
 
-def test_tolerance_is_relative_to_scale():
-    # tolerance 0 still accepts exact zeros at the endpoints
-    rep = grid_scan(chebyshev_t(), 4, grid_points=25, tolerance=0.0)
-    assert rep.tolerance == 0.0
+def test_exact_end_zeros_are_nonnegative():
+    # Delta_n(+-1) = 0 exactly after the normalization, with no margin
+    rep = grid_scan(chebyshev_t(), 4, grid_points=25)
+    assert all(abs(e.argmin_x) == 1.0 and e.min_value == 0.0 for e in rep.per_n)
     assert rep.all_nonnegative
 
 
@@ -291,7 +291,7 @@ def test_confirmation_band_upgrades_tiny_float_noise():
     """Float noise of order -1e-15 near the endpoint minima must be confirmed
     nonnegative by the high-precision re-evaluation rather than tolerated."""
     fam = legendre()
-    rep = grid_scan(fam, 40, grid_points=201, tolerance=1e-12)
+    rep = grid_scan(fam, 40, grid_points=201)
     assert rep.all_nonnegative
     worst = min(e.min_value for e in rep.per_n)
     assert worst >= -1e-13  # raw float minima stay tiny for Legendre
@@ -327,14 +327,13 @@ def test_confirmed_negatives_of_a_double_sigma_are_not_forgiven():
 def test_double_coefficients_are_normalized_on_their_exact_values(monkeypatch, family, n_max):
     """grid_scan normalizes the exact values of the doubles, so
     Delta_n(+-1) = 0 holds for them as for an exact family: the scan is
-    nonnegative with no tolerance, its minima at x = +-1 are confirmed as 0
+    nonnegative with no margin, its minima at x = +-1 are confirmed as 0
     without a decimal sweep, and no sweep runs at all."""
     calls = []
     monkeypatch.setattr(turan, "_confirm", lambda *args: calls.append(args) or {})
-    rep = grid_scan(family(), n_max, tolerance=0.0)
+    rep = grid_scan(family(), n_max)
     assert rep.all_nonnegative and calls == []
     assert any(abs(e.argmin_x) == 1.0 for e in rep.per_n)
-    assert rep.per_n == grid_scan(family(), n_max).per_n
 
 
 @pytest.mark.parametrize("scan", [
@@ -635,6 +634,21 @@ def test_minima_at_zero_take_the_verdict_of_their_decimal_sweep(monkeypatch):
             assert e.nonnegative is bool(values[n] >= -bound * scales[n - 1])
             checked[n % 2] += 1
     assert checked[0] > 100 and checked[1] > 100
+
+
+def test_a_minimum_below_the_band_is_decided_by_its_sign(monkeypatch):
+    """sigma_n = r^(n(n-1)/2) with r = 1 + 10^-6 is log-convex, with
+    sigma_{n-1}*sigma_{n+1} = r*sigma_n^2, so the scaled Delta_n(+-1) =
+    (1 - r)*sigma_n^2 is about -10^-6: below the band -1e-10*scale_n, so no
+    sweep runs, and well within 1e-3*scale_n, which no margin may forgive."""
+    r = F(1000001, 1000000)
+    report, scales, swept = _band_minima(
+        monkeypatch, lambda: scaled_scan(legendre(), lambda n: r ** (n * (n - 1) // 2), 10))
+    assert swept == {}
+    for e in report.per_n:
+        assert abs(e.argmin_x) == 1.0
+        assert -1e-3 * scales[e.n - 1] < e.min_value < -turan.CONFIRM_BAND * scales[e.n - 1]
+        assert not e.nonnegative
 
 
 def test_a_negative_minimum_at_zero_keeps_its_sweep(monkeypatch):
