@@ -14,6 +14,7 @@ minimum at x = 0 whose sign the recurrence fixes there (``_scan``).
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -209,6 +210,22 @@ def _doubles(values) -> list[float]:
     return [v[0] / v[1] if type(v) is tuple else float(v) for v in values]
 
 
+def _sigma_doubles(sigma_src) -> list[float]:
+    """The double of each sigma_n, which scales the float rows; ParamError
+    naming sigma_n where that double is not finite and > 0."""
+    doubles = []
+    for n, s in enumerate(sigma_src):
+        try:
+            d = float(s)
+        except OverflowError:  # an int or a Fraction past the doubles
+            d = math.inf
+        if not 0.0 < d < math.inf:
+            raise ParamError(f"sigma_{n} = {number_text(s)} has no positive finite double; "
+                             "rescale sigma")
+        doubles.append(d)
+    return doubles
+
+
 def _extended(values) -> list[Decimal]:
     """``values`` in the EXTENDED context: each int, double and Decimal
     exactly, and each Fraction and coprime int pair (p, q) rounded once to
@@ -224,10 +241,12 @@ def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
-def _confirm(al_src, ga_src, pending: dict, sigma_src=None) -> dict:
+def _confirm(al_src, ga_src, pending: dict, sigma_src=None, terms=None) -> dict:
     """{n: Delta_n(x)} in the EXTENDED decimal context, for each abscissa x
     of ``pending`` and each of its degrees n: one sweep per x, over the
-    coefficients up to the highest degree pending."""
+    coefficients up to the highest degree pending. A dict ``terms`` also
+    receives {n: p_n(x)^2 + |p_{n-1}(x)*p_{n+1}(x)|} of the same rows, the
+    size that the rounding of Delta_n(x) is relative to."""
     hi = max(max(degrees) for degrees in pending.values()) + 1
     confirmed = {}
     with localcontext(EXTENDED):
@@ -238,7 +257,14 @@ def _confirm(al_src, ga_src, pending: dict, sigma_src=None) -> dict:
             rows = _rows(al, ga, Decimal(x), max(degrees) + 1, one)
             if sigma is not None:
                 rows = _scaled(rows, sigma)
-            confirmed.update(_dets(rows, degrees))
+            p_prev, p = next(rows), next(rows)
+            for n, p_next in enumerate(rows, start=1):
+                if n in degrees:
+                    square, product = p * p, p_prev * p_next
+                    confirmed[n] = square - product
+                    if terms is not None:
+                        terms[n] = square + abs(product)
+                p_prev, p = p, p_next
     return confirmed
 
 
@@ -271,30 +297,31 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, sigma_src=None,
     xs = np.unique(grid[grid <= 0])
     rows = _rows(_doubles(al_src), _doubles(ga_src), xs, n_max + 1, 1.0)
     if sigma_src is not None:
-        rows = _scaled(rows, [float(v) for v in sigma_src])
+        rows = _scaled(rows, _sigma_doubles(sigma_src))
     idx, mins, scales = _minima(rows, n_max)
     args = xs[idx].tolist()
 
     # group the near-zero minima by abscissa: one high-precision sweep per x
     pending: dict[float, set[int]] = {}
-    confirmed = {}
+    verdicts = {}
     for n, m, x, scale in zip(range(1, n_max + 1), mins, args, scales):
         if abs(m) < CONFIRM_BAND * scale:
             if exact_normalization and abs(x) == 1.0:
-                confirmed[n] = 0.0
+                verdicts[n] = True
             elif x == 0.0 and (n % 2 == 0 or _sign(al_src[n]) * _sign(ga_src[n]) >= 0):
-                confirmed[n] = 0.0
+                verdicts[n] = True
             else:
                 pending.setdefault(x, set()).add(n)
     if pending:
-        confirmed.update((n, float(v)) for n, v in _confirm(
-            al_src, ga_src, pending, sigma_src).items())
+        terms = {}
+        confirmed = _confirm(al_src, ga_src, pending, sigma_src, terms)
+        guard = 10 ** (EXTENDED_DPS - CONFIRM_GUARD_DIGITS)
+        verdicts.update((n, v * guard >= -terms[n]) for n, v in confirmed.items())
 
-    confirm_tol = 10.0 ** (CONFIRM_GUARD_DIGITS - EXTENDED_DPS)
     entries = tuple(
-        TuranEntry(n=n, min_value=m, argmin_x=x, nonnegative=bool(
-            confirmed[n] >= -confirm_tol * scale if n in confirmed else m >= 0))
-        for n, m, x, scale in zip(range(1, n_max + 1), mins, args, scales))
+        TuranEntry(n=n, min_value=m, argmin_x=x,
+                   nonnegative=bool(verdicts[n] if n in verdicts else m >= 0))
+        for n, m, x in zip(range(1, n_max + 1), mins, args))
     return TuranReport(
         n_range=(1, n_max),
         grid=GridInfo("uniform+chebyshev", int(grid.size)),

@@ -35,8 +35,9 @@ def exact(x: mpmath.mpf) -> Fraction:
     return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
-def confirm(al_src, ga_src, pending: dict, sigma_src=None) -> dict:
-    """{n: Delta_n(x)} as mpfs at EXTENDED_DPS digits; see turan._confirm."""
+def confirm(al_src, ga_src, pending: dict, sigma_src=None, terms=None) -> dict:
+    """{n: Delta_n(x)} as mpfs at EXTENDED_DPS digits, and the terms
+    p_n(x)^2 + |p_{n-1}(x)*p_{n+1}(x)| in a dict ``terms``; see turan._confirm."""
     hi = max(max(degrees) for degrees in pending.values()) + 1
     confirmed = {}
     with mpmath.workdps(EXTENDED_DPS):
@@ -47,5 +48,9 @@ def confirm(al_src, ga_src, pending: dict, sigma_src=None) -> dict:
             rows = _rows(al, ga, mpmath.mpf(x), max(degrees) + 1, mpmath.mpf(1))
             if sigma is not None:
                 rows = (r * s for r, s in zip(rows, sigma))
-            confirmed.update(_dets(rows, degrees))
+            rows = list(rows)
+            for n, d in _dets(rows, degrees):
+                confirmed[n] = d
+                if terms is not None:
+                    terms[n] = rows[n] ** 2 + abs(rows[n - 1] * rows[n + 1])
     return confirmed

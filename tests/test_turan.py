@@ -32,7 +32,7 @@ from turandet import (
     turan,
     turan_det,
 )
-from turandet.arith import EXTENDED, EXTENDED_DPS, exact_value, to_decimal
+from turandet.arith import EXTENDED, EXTENDED_DPS, exact_value, number_text, to_decimal
 from turandet.recurrence import _dets, _normalized_coefficients, _table
 from turandet.turan import CONFIRM_GUARD_DIGITS
 
@@ -320,6 +320,33 @@ def test_confirmed_negatives_of_a_double_sigma_are_not_forgiven():
     assert -1e-12 < e.min_value < 0
 
 
+def test_verdicts_do_not_depend_on_the_scale_of_sigma():
+    """Scaling sigma by a constant c scales every scaled Delta_n by c^2 and
+    keeps its sign, so sigma_n = c/(2n+1) gets the verdicts of c = 1 at
+    c = 10^-30 and 10^30: every degree negative. A bound floored at an
+    absolute 10^-40 called every degree nonnegative at c = 10^-30, where
+    the scaled values are about 10^-60 times smaller."""
+    verdicts = [[e.nonnegative for e in scaled_scan(
+        legendre(), lambda n, c=c: c / (2 * n + 1), 200).per_n]
+        for c in (F(1), F(1, 10**30), F(10**30))]
+    assert verdicts[0] == verdicts[1] == verdicts[2] == [False] * 200
+
+
+@pytest.mark.parametrize("sigma, n_max, n", [
+    (lambda n: 10**400, 5, 0),
+    (lambda n: F(2) ** (n * n), 40, 32),
+    (lambda n: F(1, 10**400), 5, 0),
+    (lambda n: Decimal("1e-400"), 5, 0),
+], ids=["int-past-the-doubles", "2^(n^2)", "double-is-zero", "Decimal-double-is-zero"])
+def test_a_sigma_outside_the_doubles_is_a_param_error(sigma, n_max, n):
+    """The float rows scale by the double of each sigma_n: one that
+    overflows, or that is 0.0, is refused with the value it came from."""
+    with pytest.raises(ParamError) as exc:
+        scaled_scan(legendre(), sigma, n_max)
+    assert str(exc.value) == (f"sigma_{n} = {number_text(sigma(n))} has no positive "
+                              "finite double; rescale sigma")
+
+
 @pytest.mark.parametrize("family, n_max", [
     (lambda: float_view(legendre()), 300),
     (lambda: table_family([0, 0.3, 0.4, 0.45], [1.0, 0.7, 0.6, 0.55]), 3),
@@ -374,7 +401,9 @@ ZERO_AT_ENDS = {"Legendre", "Example3(1/3)-past-fallback", "float-Table", "float
 def test_decimal_confirmation_agrees_with_mpmath(monkeypatch, name):
     """The decimal confirmation gives the mpmath reference's verdicts, and
     each confirmed value lies within a thousandth of the rounding bound
-    scale_n*10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS) of the reference value.
+    scale_n*10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS) of the reference
+    value, and within a thousandth of the bound on its own terms,
+    terms_n*10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS); so do the terms.
     The near-zero minima at x = +-1 that grid_scan confirms as 0 without a
     sweep are swept here, by a call with the scan's own coefficients."""
     calls, scans, scales = [], [], []
@@ -404,15 +433,19 @@ def test_decimal_confirmation_agrees_with_mpmath(monkeypatch, name):
         [(args, _)] = scans
         ends = {e.n for e in report.per_n if abs(e.argmin_x) == 1.0
                 and abs(e.min_value) < turan.CONFIRM_BAND * scales[e.n - 1]}
-        swept = (args[0], args[1], {-1.0: ends})
+        swept = (args[0], args[1], {-1.0: ends}, None, {})
         calls.append((swept, confirm(*swept)))
     [(args, got)] = calls
+    *args, terms = args
     bound = F(10) ** (CONFIRM_GUARD_DIGITS - EXTENDED_DPS) / 1000
-    want = mpmath_reference.confirm(*args)
-    assert got and got.keys() == want.keys()
+    want_terms = {}
+    want = mpmath_reference.confirm(*args, want_terms)
+    assert got and got.keys() == want.keys() == terms.keys() == want_terms.keys()
     for n, value in got.items():
-        assert isinstance(value, Decimal)
-        assert abs(F(value) - mpmath_reference.exact(want[n])) <= bound * F(scales[n - 1])
+        assert isinstance(value, Decimal) and isinstance(terms[n], Decimal)
+        size = min(F(scales[n - 1]), F(terms[n]))
+        assert abs(F(value) - mpmath_reference.exact(want[n])) <= bound * size
+        assert abs(F(terms[n]) - mpmath_reference.exact(want_terms[n])) <= bound * F(terms[n])
 
     monkeypatch.setattr(turan, "_confirm", mpmath_reference.confirm)
     assert CONFIRMED_SCANS[name]().to_json() == report.to_json()
@@ -434,17 +467,19 @@ END_SCANS = {
 def test_skipped_end_confirmations_lie_within_the_rounding_bound(name):
     """Normalizing an exact family at x = 1 makes Delta_n(+-1) exactly 0, and
     grid_scan takes that as the confirmed value of its minima there. The
-    decimal sweep that it skips lies within the rounding bound of 0 at every
-    degree, even with scale_n = 1, so it would have called each of them
-    nonnegative too: skipping it leaves every verdict as it was."""
+    decimal sweep that it skips lies within the rounding bound of 0 on its
+    own terms at every degree, and within 10**(CONFIRM_GUARD_DIGITS -
+    EXTENDED_DPS) of 0 too, so it would have called each of them
+    nonnegative: skipping it leaves every verdict as it was."""
     family, n_max = END_SCANS[name]
     al, ga = _normalized_coefficients(family(), n_max)
-    bound = 10.0 ** (CONFIRM_GUARD_DIGITS - EXTENDED_DPS)  # the scan's bound for them
+    bound = F(10) ** (CONFIRM_GUARD_DIGITS - EXTENDED_DPS)
     degrees = set(range(1, n_max + 1))
     for x in (-1.0, 1.0):
-        confirmed = turan._confirm(al, ga, {x: degrees})
-        assert confirmed.keys() == degrees
-        assert all(abs(v) <= bound for v in confirmed.values())
+        terms = {}
+        confirmed = turan._confirm(al, ga, {x: degrees}, None, terms)
+        assert confirmed.keys() == terms.keys() == degrees
+        assert all(abs(F(v)) <= bound * min(1, F(terms[n])) for n, v in confirmed.items())
     report = grid_scan(family(), n_max)
     assert any(abs(e.argmin_x) == 1.0 for e in report.per_n)
     assert all(e.nonnegative for e in report.per_n if abs(e.argmin_x) == 1.0)
@@ -598,10 +633,10 @@ def _band_minima(monkeypatch, scan):
         scales.extend(scale)
         return i, m, scale
 
-    def recording_confirm(al, ga, pending, sigma=None):
+    def recording_confirm(al, ga, pending, sigma=None, terms=None):
         for x, degrees in pending.items():
             swept.setdefault(x, set()).update(degrees)
-        return confirm(al, ga, pending, sigma)
+        return confirm(al, ga, pending, sigma, terms)
 
     monkeypatch.setattr(turan, "_min_and_scale", recording_scale)
     monkeypatch.setattr(turan, "_confirm", recording_confirm)
@@ -612,12 +647,12 @@ def test_minima_at_zero_take_the_verdict_of_their_decimal_sweep(monkeypatch):
     """A band minimum at x = 0 is confirmed as 0, without a sweep, where n
     is even or alpha_n and gamma_n do not have opposite signs; the decimal
     sweep, run here on the scan's own coefficients, gives a value >= 0 for
-    each of them, and so the same verdict. Odd and even degrees both come
-    up (Gegenbauer(3), Example4)."""
+    each of them, and so the same verdict on the rounding bound of its own
+    terms. Odd and even degrees both come up (Gegenbauer(3), Example4)."""
     families = [chebyshev_t(), legendre(), gegenbauer(3), pollaczek(2, 1),
                 pollaczek(F(3, 2), 1), example3(F(1, 2)), example4(2, F(1, 2)),
                 example4(3, F(1, 2))]
-    bound = 10.0 ** (CONFIRM_GUARD_DIGITS - EXTENDED_DPS)
+    bound = F(10) ** (CONFIRM_GUARD_DIGITS - EXTENDED_DPS)
     checked = collections.Counter()
     for family in families:
         report, scales, swept = _band_minima(monkeypatch, lambda: grid_scan(family, 2000))
@@ -627,11 +662,12 @@ def test_minima_at_zero_take_the_verdict_of_their_decimal_sweep(monkeypatch):
         if not zeros:
             continue
         al, ga = _normalized_coefficients(family, 2000)
-        values = turan._confirm(al, ga, {0.0: set(zeros)})
+        terms = {}
+        values = turan._confirm(al, ga, {0.0: set(zeros)}, None, terms)
         for n, e in zeros.items():
             assert n % 2 == 0 or turan._sign(al[n]) * turan._sign(ga[n]) >= 0
             assert values[n] >= 0 and e.nonnegative
-            assert e.nonnegative is bool(values[n] >= -bound * scales[n - 1])
+            assert e.nonnegative is (F(values[n]) >= -bound * F(terms[n]))
             checked[n % 2] += 1
     assert checked[0] > 100 and checked[1] > 100
 
