@@ -40,7 +40,7 @@ from .families import (
     certified,
     criterion_reports,
 )
-from .recurrence import _step_table, float_view, ratio_sandwich
+from .recurrence import _sandwich_columns, _step_table, float_view
 from .turan import DEFAULT_GRID_POINTS, grid_scan
 
 __all__ = ["main"]
@@ -239,12 +239,28 @@ def _scan(family, ns) -> int:
     return 0 if report.all_nonnegative else 1
 
 
+def _lowest_terms(p: int, q: int) -> tuple[int, int]:
+    """p/q in lowest terms, for q > 0."""
+    d = math.gcd(p, q)
+    return p // d, q // d
+
+
 def _ratio_rows(family, N: int) -> list[dict]:
-    """The rows of ``ratios`` as printed; the exact rows are freed on return."""
-    return [{"n": r.n, "g": format_number(r.g), "upper": format_number(r.upper),
-             "lower_ok": r.lower_ok, "upper_ok": r.upper_ok,
-             "gamma_step_decreasing": r.gamma_step_decreasing}
-            for r in ratio_sandwich(family, N)]
+    """The rows of ``ratios`` as printed: the rows of
+    ``ratio_sandwich(family, N)`` through ``format_number``, each exact value
+    written as "num/den" from the columns' ints, with no Fraction, and each
+    50-digit g_n past a digit-cap fallback as its double. The columns are
+    freed on return."""
+    printed, W, V, steps, decided = _sandwich_columns(family, N)
+    if type(printed[0]) is tuple:  # no fallback
+        g = _pair_texts(zip(*printed))
+    else:
+        g = list(map(float, printed))
+    upper = _pair_texts(zip(*(_lowest_terms(w, v) if step else (None, None)
+                              for w, v, step in zip(W, V, steps))))
+    return [{"n": n, "g": a, "upper": math.inf if b is None else b,
+             "lower_ok": lower_ok, "upper_ok": upper_ok, "gamma_step_decreasing": step}
+            for n, a, b, step, (lower_ok, upper_ok) in zip(range(N), g, upper, steps, decided)]
 
 
 def _ratios(family, ns) -> int:

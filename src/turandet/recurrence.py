@@ -919,27 +919,37 @@ def ratio_sandwich(family, N: int) -> list[SandwichRow]:
     gamma_{n+1}; rows where that fails carry upper = +inf, upper_ok = True
     and gamma_step_decreasing = False so the hypothesis breach stays visible.
     """
+    printed, W, V, steps, decided = _sandwich_columns(family, N)
+    if type(printed[0]) is tuple:  # no fallback
+        printed = list(itertools.starmap(coprime_fraction, printed))
+    return [SandwichRow(n=n, g=g, upper=Fraction(w, v) if step else math.inf,
+                        lower_ok=lower_ok, upper_ok=upper_ok, gamma_step_decreasing=step)
+            for n, (g, w, v, step, (lower_ok, upper_ok))
+            in enumerate(zip(printed, W, V, steps, decided))]
+
+
+def _sandwich_columns(family, N: int) -> tuple[list, list, list, list, list]:
+    """The columns of ratio_sandwich's rows, with no Fraction built: the
+    printed g_n, as coprime int pairs (P, Q), or as EXTENDED Decimals past
+    a digit-cap fallback; the ints W and V of w_n/v_n = W[n]/V[n], with
+    V[n] > 0 where the row has its upper bound; that step flag
+    (gamma_step_decreasing); and the decided (lower_ok, upper_ok)."""
     N = _require_count("N", N)
     table = _step_table(family, N - 1)
     _, _, vns, vds, wns, wds = table.steps
     mul = operator.mul
-    # w_n/v_n = W[n]/V[n], with V[n] > 0 where v_n > 0
     W, V = list(map(mul, wns[:N], vds)), list(map(mul, wds[:N], vns))
     steps = [vn > 0 for vn in vns[:N]]
     exact = _ExactRatios(table)
     fallback = exact.up_to_cap(N)
     decided = list(map(_exact_row, exact.values, W, V, steps))  # the rows below the cap
-    if fallback:
-        printed = exact.fall_back()
-        for _ in _ratio_tail(table, printed, N):  # appends g_n to printed
-            pass
-        decided += _sandwich_tail(table, exact, W, V, steps)
-    else:
-        printed = exact.fractions()
-    return [SandwichRow(n=n, g=g, upper=Fraction(w, v) if step else math.inf,
-                        lower_ok=lower_ok, upper_ok=upper_ok, gamma_step_decreasing=step)
-            for n, (g, w, v, step, (lower_ok, upper_ok))
-            in enumerate(zip(printed, W, V, steps, decided))]
+    if not fallback:
+        return exact.values, W, V, steps, decided
+    printed = exact.fall_back()
+    for _ in _ratio_tail(table, printed, N):  # appends g_n to printed
+        pass
+    decided += _sandwich_tail(table, exact, W, V, steps)
+    return printed, W, V, steps, decided
 
 
 def _sandwich_tail(table, exact: _ExactRatios, W: list, V: list, steps: list):

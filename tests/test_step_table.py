@@ -58,9 +58,9 @@ from turandet import (
     turan_det,
 )
 from turandet import recurrence, turan
-from turandet.arith import coprime_fraction
+from turandet.arith import coprime_fraction, format_number
 from turandet.arith import digit_cap_bits, pair_digits
-from turandet.cli import _lambda_rows, main
+from turandet.cli import _lambda_rows, _ratio_rows, main
 from turandet.recurrence import (
     CoefficientFamily,
     _coprime_reader,
@@ -1119,3 +1119,32 @@ def test_a_longer_step_table_reports_up_to_n(family):
         assert _outcome(check, longer, N) == _outcome(check, family, N)
     assert lambda_data(longer, N) == lambda_data(family, N)
     assert _lambda_rows(longer, N)[0] == _lambda_rows(family, N)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(step_tables(), _int_step_tables, _builtin_cases, float_tier_tables(),
+                 st.builds(lambda case: (float_view(case[0]), case[1]), _builtin_cases)),
+       st.sampled_from([1, 60, recurrence.DEFAULT_DIGIT_CAP]))
+@example((_PAST_CAP_TIES, 2), 60)
+@example((_PAST_CAP_DIP, 2), 60)
+@example((chebyshev_t(), 4), 1)  # gamma_n = 1/2 from n = 1 on: no step, so upper is inf
+def test_ratio_rows_print_the_sandwich_rows(case, cap):
+    """The rows of ``ratios``, written from the sandwich's int columns with no
+    Fraction, are the rows of ratio_sandwich through format_number, value
+    and type, below the digit cap and past it; a table that ratio_sandwich
+    refuses, _ratio_rows refuses with the same error."""
+    family, N = case
+    with mock.patch.object(recurrence, "DEFAULT_DIGIT_CAP", cap):
+        try:
+            want = [{"n": r.n, "g": format_number(r.g), "upper": format_number(r.upper),
+                     "lower_ok": r.lower_ok, "upper_ok": r.upper_ok,
+                     "gamma_step_decreasing": r.gamma_step_decreasing}
+                    for r in ratio_sandwich(family, N)]
+        except (NonpositiveRatio, ParamError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                _ratio_rows(family, N)
+            return
+        got = _ratio_rows(family, N)
+    assert got == want
+    assert [list(map(repr, row.values())) for row in got] == [
+        list(map(repr, row.values())) for row in want]
