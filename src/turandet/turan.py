@@ -52,8 +52,8 @@ DEFAULT_GRID_POINTS = 2001
 CONFIRM_BAND = 1e-10
 # Digits of an EXTENDED_DPS-digit confirmation not relied on: roundoff of the
 # recurrence over many steps and of the coefficient conversion. A confirmed
-# value within scale_n*10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS) of zero
-# counts as zero.
+# Delta_n(x) within 10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS) times its terms,
+# p_n(x)^2 + |p_{n-1}(x)*p_{n+1}(x)| on the swept rows, of zero counts as zero.
 CONFIRM_GUARD_DIGITS = 10
 # degrees whose minima are reduced together (``_minima``)
 MINIMA_BLOCK = 16
@@ -120,7 +120,7 @@ class TuranReport:
     ``decimal`` arithmetic at EXTENDED_DPS digits on the exact values of the
     inputs, doubles included, or exactly 0 at x = +-1 after grid_scan's
     normalization), up to that evaluation's rounding bound; every other
-    minimum is nonnegative when it is > 0.
+    minimum is nonnegative when it is >= 0.
     """
 
     n_range: tuple[int, int]
@@ -274,9 +274,12 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, sigma_src=None,
     per degree, confirm the minima inside the band |m| < CONFIRM_BAND*scale_n
     in decimal arithmetic at EXTENDED_DPS digits, judge: a confirmed value
     counts as nonnegative down to its rounding bound,
-    scale_n*10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS), for every input,
+    10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS)*(p_n(x)^2 + |p_{n-1}(x)*p_{n+1}(x)|)
+    on the swept rows (sigma-scaled with ``sigma_src``), for every input,
     since the sweep reads each double as the exact value it holds, and a
-    minimum outside the band is nonnegative when it is > 0.
+    minimum outside the band is nonnegative when it is >= 0. The bound
+    scales with the rows, so scaling sigma by a constant keeps every
+    verdict.
 
     ``al_src`` and ``ga_src`` hold values, or coprime int pairs. With
     ``exact_normalization`` they are the normalization at 1 of a family on
@@ -315,6 +318,8 @@ def _scan(al_src, ga_src, n_max: int, grid_points: int, sigma_src=None,
     if pending:
         terms = {}
         confirmed = _confirm(al_src, ga_src, pending, sigma_src, terms)
+        # v >= -terms_n*10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS), in the
+        # arithmetic of the sweep
         guard = 10 ** (EXTENDED_DPS - CONFIRM_GUARD_DIGITS)
         verdicts.update((n, v * guard >= -terms[n]) for n, v in confirmed.items())
 
@@ -352,8 +357,9 @@ def grid_scan(family, n_max: int, grid_points: int = DEFAULT_GRID_POINTS,
     (``arith.EXTENDED``), from the exact value of every int, double and
     Decimal and every Fraction and int pair rounded once to that precision,
     up to the highest degree pending, and that confirmed value decides, up to
-    its rounding bound scale_n*10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS);
-    any other minimum, outside the band, is nonnegative when it is > 0.
+    its rounding bound, 10**(CONFIRM_GUARD_DIGITS - EXTENDED_DPS) times
+    p_n(x)^2 + |p_{n-1}(x)*p_{n+1}(x)| on the swept rows; any other
+    minimum, outside the band, is nonnegative when it is >= 0.
     """
     n_max = _require_count("n_max", n_max)
     if normalized and not isinstance(family, NormalizedFamily):
@@ -370,7 +376,9 @@ def scaled_scan(family, sigma, n_max: int, grid_points: int = DEFAULT_GRID_POINT
 
     Requires an already normalized family (alpha_n + gamma_n = 1); raises
     ParamError otherwise. Each row is scaled by sigma_n as it is made; the
-    verdict rule is grid_scan's. The report carries sigma_log_concave,
+    verdict rule is grid_scan's, on the scaled rows. A sigma_n whose double
+    overflows or is 0.0 raises ParamError: rescale sigma. The report
+    carries sigma_log_concave,
     decided on the exact values of sigma_0..sigma_{n_max+1}: when the
     unscaled determinants are nonnegative, log-concavity of sigma is exactly
     the condition for the scaled ones to stay nonnegative.
